@@ -162,10 +162,20 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent, one function per grammar level)
 
+# Deepest nesting `parse` accepts, counting both the formula tree's
+# height and open '(' and '~'.  Parsing one '(' level takes six Python
+# frames and printing or evaluating one tree level takes at most two,
+# so accepted formulas stay well inside the default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive descent; each method returns (formula, tree height)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # '(' and '~' the parser is currently inside
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -175,7 +185,17 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
+    def node(self, cls, tok: _Token, left: tuple, right: tuple | None = None) -> tuple:
+        """A node over one or two (formula, height) pairs, rejected past MAX_NESTING."""
+        if right is None:
+            f, height = cls(left[0]), left[1] + 1
+        else:
+            f, height = cls(left[0], right[0]), max(left[1], right[1]) + 1
+        if height > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+        return f, height
+
+    def formula(self) -> tuple[Formula, int]:
         f = self.strict()
         tok = self.peek()
         if tok.kind == "STRICT":
@@ -187,15 +207,14 @@ class _Parser:
             )
         return f
 
-    def strict(self) -> Formula:
+    def strict(self) -> tuple[Formula, int]:
         left = self.binary()
         if self.peek().kind == "STRICT":
-            self.take()
-            right = self.binary()
-            return StrictImp(left, right)
+            tok = self.take()
+            return self.node(StrictImp, tok, left, self.binary())
         return left
 
-    def binary(self) -> Formula:
+    def binary(self) -> tuple[Formula, int]:
         left = self.disj()
         tok = self.peek()
         if tok.kind in ("MATIMP", "CF"):
@@ -207,47 +226,56 @@ class _Parser:
                     f"'{tok.text}' and '{nxt.text}' do not associate; parenthesize to disambiguate",
                     nxt.pos,
                 )
-            return MatImp(left, right) if tok.kind == "MATIMP" else Counterfactual(left, right)
+            return self.node(MatImp if tok.kind == "MATIMP" else Counterfactual, tok, left, right)
         return left
 
-    def disj(self) -> Formula:
+    def disj(self) -> tuple[Formula, int]:
         f = self.conj()
         while self.peek().kind == "OR":
-            self.take()
-            f = Or(f, self.conj())
+            tok = self.take()
+            f = self.node(Or, tok, f, self.conj())
         return f
 
-    def conj(self) -> Formula:
+    def conj(self) -> tuple[Formula, int]:
         f = self.neg()
         while self.peek().kind == "AND":
-            self.take()
-            f = And(f, self.neg())
+            tok = self.take()
+            f = self.node(And, tok, f, self.neg())
         return f
 
-    def neg(self) -> Formula:
+    def neg(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "NOT":
+        if tok.kind in ("NOT", "LPAREN"):
             self.take()
-            return Not(self.neg())
-        if tok.kind == "LPAREN":
-            self.take()
-            f = self.formula()
-            closing = self.take()
-            if closing.kind != "RPAREN":
-                raise ParseError(f"expected ')', found {closing.text or 'end of input'!r}", closing.pos)
+            self.open += 1
+            if self.open > MAX_NESTING:
+                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+            if tok.kind == "NOT":
+                f = self.node(Not, tok, self.neg())
+            else:
+                f = self.formula()
+                closing = self.take()
+                if closing.kind != "RPAREN":
+                    raise ParseError(
+                        f"expected ')', found {closing.text or 'end of input'!r}", closing.pos
+                    )
+            self.open -= 1
             return f
         if tok.kind == "ATOM":
             self.take()
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         if tok.kind == "EOF":
             raise ParseError("missing operand: unexpected end of input", tok.pos)
         raise ParseError(f"expected an atom, '~' or '(', found {tok.text!r}", tok.pos)
 
 
 def parse(text: str) -> Formula:
-    """Parse `text` into a Formula; raises LexError/ParseError with a position."""
+    """Parse `text` into a Formula; raises LexError/ParseError with a position.
+
+    Formulas nested deeper than MAX_NESTING are rejected with ParseError.
+    """
     parser = _Parser(_lex(text))
-    f = parser.formula()
+    f, _ = parser.formula()
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise ParseError(f"expected end of input, found {trailing.text!r}", trailing.pos)

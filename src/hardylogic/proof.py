@@ -36,14 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .formula import And, Atom, Counterfactual, Formula, MatImp, Not, StrictImp, parse, unparse
-from .semantics import (
-    CfOptions,
-    DEFAULT_OPTIONS,
-    accessible,
-    eval_at,
-    holds_globally,
-)
-from .worlds import Model, World
+from .semantics import CfOptions, DEFAULT_OPTIONS, holds_globally, truth_mask
+from .worlds import Model, World, worlds_in
 
 RULE_TAGS = (
     "PRED21",
@@ -670,16 +664,11 @@ class AuditReport:
 def _reading_truth(model: Model, stmt: Formula, reading: str, opts: CfOptions) -> bool:
     """Universal reading: no escaping world.  Existential: a conforming world."""
     ropts = replace(opts, quantifier=reading)
-    if isinstance(stmt, StrictImp):
-        if reading == "every":
-            return holds_globally(model, stmt, ropts).holds
-        return any(
-            eval_at(model, w, stmt.left, ropts) and eval_at(model, w, stmt.right, ropts)
-            for w in model.possible_in_order()
-        )
     if reading == "every":
-        return holds_globally(model, stmt, ropts).holds
-    return any(eval_at(model, w, stmt, ropts) for w in model.possible_in_order())
+        return truth_mask(model, stmt, ropts) == model.mask
+    if isinstance(stmt, StrictImp):
+        return bool(truth_mask(model, stmt.left, ropts) & truth_mask(model, stmt.right, ropts))
+    return bool(truth_mask(model, stmt, ropts))
 
 
 def audit(
@@ -737,10 +726,7 @@ def audit(
         all(v.ok for i, v in verdicts.items() if script.line(i).rule != "HYPOTHESIS")
         and not scope_problems
     )
-    side_ok = all(
-        any(eval_at(model, w, sc.formula, opts) for w in model.possible_in_order())
-        for sc in script.side_conditions
-    )
+    side_ok = all(truth_mask(model, sc.formula, opts) for sc in script.side_conditions)
 
     contradiction = None
     bridge = None
@@ -800,19 +786,15 @@ def _find_contradiction(model, script, hyp_index, opts):
             if x1 != x2 or c1 != c2:
                 continue
             if d2 == Not(d1) or d1 == Not(d2):
-                bridge = next(
-                    (
-                        w
-                        for w in model.possible_in_order()
-                        if eval_at(model, w, x1, opts)
-                        and accessible(
-                            model, w, c1, opts.order, opts.self_world_when_consistent
-                        )
-                    ),
-                    None,
+                # the imposed choice holds throughout what it reaches, so
+                # `c []-> c` read existentially marks the worlds whose
+                # accessible set is nonempty
+                reaches = truth_mask(
+                    model, Counterfactual(c1, c1), replace(opts, quantifier="some")
                 )
-                if bridge is not None:
-                    return (i, j), bridge
+                bridges = worlds_in(truth_mask(model, x1, opts) & reaches)
+                if bridges:
+                    return (i, j), bridges[0]
     return None, None
 
 

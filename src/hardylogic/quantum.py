@@ -192,6 +192,10 @@ class SearchParams:
     refine_iters: int = 80
     restarts: int = 6
 
+    def __post_init__(self):
+        if self.grid < 2:
+            raise ValueError(f"grid must be at least 2, got {self.grid}")
+
 
 def _project(theta: float, angle_r2: float) -> HardyConfig | None:
     """Solve the three zero constraints exactly for the remaining angles.

@@ -1,5 +1,12 @@
 """Evaluation of formulas at worlds and across a whole model.
 
+A formula denotes a set of possible worlds, held as a 16-bit mask in
+the canonical world order (`truth_mask`); truth at a world, global
+truth, counterexamples and the theorem check are all read off that one
+set.  Counterfactual antecedents are checked for the whole formula up
+front: an antecedent outside the fragment is an error wherever it sits,
+even under a connective whose other side already settles the value.
+
 Three conditionals with three different scopes:
 
 * material (->): world-local, false antecedent or true consequent;
@@ -30,7 +37,7 @@ from .formula import (
     StrictImp,
     parse,
 )
-from .worlds import Model, World, satisfies_atom
+from .worlds import ATOM_MASKS, WORLD_INDEX, WORLDS, Model, World, worlds_in
 
 
 class UnsupportedCounterfactualError(ValueError):
@@ -69,6 +76,29 @@ class CfOptions:
 DEFAULT_OPTIONS = CfOptions()
 
 
+def _imposable(choice: Formula, order: TemporalOrder) -> Atom:
+    """The antecedent as a choice the temporal order lets be imposed."""
+    if not (isinstance(choice, Atom) and choice.is_choice):
+        raise UnsupportedCounterfactualError(
+            f"counterfactual antecedent must be a choice atom, got {choice}"
+        )
+    if choice.region != order.later_region:
+        raise UnsupportedCounterfactualError(
+            f"counterfactual antecedent {choice.name} picks the earlier region; "
+            "only later-region choices can be imposed"
+        )
+    return choice
+
+
+def _reach(possible: int, i: int, imposed: int, order: TemporalOrder, self_world: bool) -> int:
+    """Mask of the worlds reached from world i by imposing the choice with mask `imposed`."""
+    if self_world and imposed >> i & 1:
+        return 1 << i
+    w = WORLDS[i]
+    pinned = w.choice_l + w.outcome_l if order.earlier_region == "L" else w.choice_r + w.outcome_r
+    return possible & imposed & ATOM_MASKS[pinned]
+
+
 def accessible(
     model: Model,
     world: World,
@@ -84,36 +114,49 @@ def accessible(
     imposed choice holds, and the later outcome is unconstrained.
     Returned in canonical world order.
     """
-    if not (isinstance(choice, Atom) and choice.is_choice):
-        raise UnsupportedCounterfactualError(
-            f"counterfactual antecedent must be a choice atom, got {choice}"
-        )
-    if choice.region != order.later_region:
-        raise UnsupportedCounterfactualError(
-            f"counterfactual antecedent {choice.name} picks the earlier region; "
-            "only later-region choices can be imposed"
-        )
+    _imposable(choice, order)
     if world not in model.possible:
         raise ValueError(f"world {world} is not possible in this model")
+    reach = _reach(
+        model.mask, WORLD_INDEX[world], ATOM_MASKS[choice.name], order, self_world_when_consistent
+    )
+    return worlds_in(reach)
 
-    if self_world_when_consistent and satisfies_atom(world, choice):
-        return [world]
 
-    if order.earlier_region == "L":
-        pinned = (world.choice_l, world.outcome_l)
-        reachable = [
-            w
-            for w in model.possible_in_order()
-            if satisfies_atom(w, choice) and (w.choice_l, w.outcome_l) == pinned
-        ]
-    else:
-        pinned = (world.choice_r, world.outcome_r)
-        reachable = [
-            w
-            for w in model.possible_in_order()
-            if satisfies_atom(w, choice) and (w.choice_r, w.outcome_r) == pinned
-        ]
-    return reachable
+def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> int:
+    """The possible worlds where `f` holds, as a world-set mask.
+
+    A strict conditional denotes all possible worlds or none.  A
+    counterfactual holds at a world when the worlds its antecedent
+    reaches lie inside the consequent's set ('every') or meet it
+    ('some').
+    """
+    possible = model.mask
+    if isinstance(f, Atom):
+        return ATOM_MASKS[f.name] & possible
+    if isinstance(f, Not):
+        return possible & ~truth_mask(model, f.arg, opts)
+    if isinstance(f, Counterfactual):
+        imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
+        consequent = truth_mask(model, f.right, opts)
+        out = 0
+        for i in range(len(WORLDS)):
+            reach = _reach(possible, i, imposed, opts.order, opts.self_world_when_consistent)
+            inside, meets = not reach & ~consequent, reach & consequent
+            if inside if opts.quantifier == "every" else meets:
+                out |= 1 << i
+        return out & possible
+    left = truth_mask(model, f.left, opts)
+    right = truth_mask(model, f.right, opts)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, MatImp):
+        return possible & (~left | right)
+    if isinstance(f, StrictImp):
+        return 0 if left & ~right else possible
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> bool:
@@ -124,34 +167,7 @@ def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OP
     """
     if world not in model.possible:
         raise ValueError(f"world {world} is not possible in this model")
-    return _eval(model, world, f, opts)
-
-
-def _eval(model: Model, world: World, f: Formula, opts: CfOptions) -> bool:
-    if isinstance(f, Atom):
-        return satisfies_atom(world, f)
-    if isinstance(f, Not):
-        return not _eval(model, world, f.arg, opts)
-    if isinstance(f, And):
-        return _eval(model, world, f.left, opts) and _eval(model, world, f.right, opts)
-    if isinstance(f, Or):
-        return _eval(model, world, f.left, opts) or _eval(model, world, f.right, opts)
-    if isinstance(f, MatImp):
-        return (not _eval(model, world, f.left, opts)) or _eval(model, world, f.right, opts)
-    if isinstance(f, Counterfactual):
-        if not isinstance(f.left, Atom):
-            raise UnsupportedCounterfactualError(
-                f"counterfactual antecedent must be a choice atom, got {f.left}"
-            )
-        reachable = accessible(
-            model, world, f.left, opts.order, opts.self_world_when_consistent
-        )
-        if opts.quantifier == "every":
-            return all(_eval(model, w, f.right, opts) for w in reachable)
-        return any(_eval(model, w, f.right, opts) for w in reachable)
-    if isinstance(f, StrictImp):
-        return holds_globally(model, f, opts).holds
-    raise TypeError(f"not a formula node: {f!r}")
+    return bool(truth_mask(model, f, opts) >> WORLD_INDEX[world] & 1)
 
 
 @dataclass(frozen=True)
@@ -159,26 +175,6 @@ class GlobalCheck:
     holds: bool
     witness: World | None
     counterexamples: tuple[World, ...]
-
-
-def strict_counterexamples(
-    model: Model, antecedent: Formula, consequent: Formula, opts: CfOptions = DEFAULT_OPTIONS
-) -> list[World]:
-    """Possible worlds satisfying the antecedent and the negated consequent."""
-    return [
-        w
-        for w in model.possible_in_order()
-        if _eval(model, w, antecedent, opts) and not _eval(model, w, consequent, opts)
-    ]
-
-
-def strict_holds_by_containment(
-    model: Model, antecedent: Formula, consequent: Formula, opts: CfOptions = DEFAULT_OPTIONS
-) -> bool:
-    """Alternate route: the antecedent's world set is a subset of the consequent's."""
-    ant_worlds = {w for w in model.possible_in_order() if _eval(model, w, antecedent, opts)}
-    cons_worlds = {w for w in model.possible_in_order() if _eval(model, w, consequent, opts)}
-    return ant_worlds <= cons_worlds
 
 
 def holds_globally(
@@ -192,12 +188,11 @@ def holds_globally(
     is the first counterexample in canonical world order.
     """
     if isinstance(f, StrictImp):
-        bad = strict_counterexamples(model, f.left, f.right, opts)
+        bad = truth_mask(model, f.left, opts) & ~truth_mask(model, f.right, opts)
     else:
-        bad = [w for w in model.possible_in_order() if not _eval(model, w, f, opts)]
-    if bad:
-        return GlobalCheck(holds=False, witness=bad[0], counterexamples=tuple(bad))
-    return GlobalCheck(holds=True, witness=None, counterexamples=())
+        bad = model.mask & ~truth_mask(model, f, opts)
+    worlds = tuple(worlds_in(bad))
+    return GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +274,15 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conforming, detail = hardy_conformance(model)
     line5 = holds_globally(model, parse(LINE5_TEXT), opts)
     line6 = holds_globally(model, parse(LINE6_TEXT), opts)
-    sr = parse(SR_TEXT)
-    l2_worlds = [w for w in model.possible_in_order() if w.choice_l == "L2"]
-    l1_worlds = [w for w in model.possible_in_order() if w.choice_l == "L1"]
-    sr_on_l2 = all(_eval(model, w, sr, opts) for w in l2_worlds)
-    sr_l1_witness = next(
-        (w for w in l1_worlds if not _eval(model, w, sr, opts)), None
-    )
+    sr_false = model.mask & ~truth_mask(model, parse(SR_TEXT), opts)
+    sr_false_l1 = worlds_in(sr_false & ATOM_MASKS["L1"])
     return TheoremReport(
         hardy_conforming=conforming,
         conformance_detail=detail,
         line5=line5,
         line6=line6,
-        sr_true_on_all_l2_worlds=sr_on_l2,
-        sr_false_l1_witness=sr_l1_witness,
+        sr_true_on_all_l2_worlds=not sr_false & ATOM_MASKS["L2"],
+        sr_false_l1_witness=sr_false_l1[0] if sr_false_l1 else None,
     )
 
 
@@ -309,6 +299,5 @@ __all__ = [
     "eval_at",
     "hardy_conformance",
     "holds_globally",
-    "strict_counterexamples",
-    "strict_holds_by_containment",
+    "truth_mask",
 ]

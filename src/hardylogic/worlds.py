@@ -10,9 +10,10 @@ the threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
-from .formula import Atom
+from .formula import ATOM_NAMES, Atom
 
 CHOICES_L = ("L1", "L2")
 CHOICES_R = ("R1", "R2")
@@ -59,15 +60,26 @@ class World:
         return f"({self.choice_l},{self.choice_r},{self.outcome_l},{self.outcome_r})"
 
 
+# The canonical world order (L choice, R choice, L outcome, R outcome).
+# It doubles as the bit order of world-set masks: bit i is WORLDS[i].
+WORLDS = tuple(
+    World(cl, cr, ol, outcome_r)
+    for cl in CHOICES_L
+    for cr in CHOICES_R
+    for ol in SIGNS
+    for outcome_r in SIGNS
+)
+WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
+
+
 def enumerate_worlds() -> list[World]:
     """All sixteen worlds in canonical order (L choice, R choice, L outcome, R outcome)."""
-    return [
-        World(cl, cr, ol, outcome_r)
-        for cl in CHOICES_L
-        for cr in CHOICES_R
-        for ol in SIGNS
-        for outcome_r in SIGNS
-    ]
+    return list(WORLDS)
+
+
+def worlds_in(mask: int) -> list[World]:
+    """The worlds of a world-set mask, in canonical order."""
+    return [w for i, w in enumerate(WORLDS) if mask >> i & 1]
 
 
 def parse_world(text: str) -> World:
@@ -94,6 +106,12 @@ def satisfies_atom(world: World, atom: Atom) -> bool:
     return performed and recorded == atom.sign
 
 
+ATOM_MASKS = {
+    name: sum(1 << i for i, w in enumerate(WORLDS) if satisfies_atom(w, Atom(name)))
+    for name in ATOM_NAMES
+}
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Joint outcome distribution for each of the four choice pairs.
@@ -118,6 +136,8 @@ class ProbabilityTable:
             for key in OUTCOME_PAIRS:
                 if key not in row:
                     raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
+                if not math.isfinite(row[key]):
+                    raise TableError(f"non-finite probability {row[key]} in {pair} cell {key!r}")
                 if row[key] < 0:
                     raise TableError(f"negative probability {row[key]} in {pair} cell {key!r}")
             total = sum(row[key] for key in OUTCOME_PAIRS)
@@ -184,20 +204,24 @@ class ProbabilityTable:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable possibility structure derived from a probability table."""
+    """Immutable possibility structure; `mask` is `possible` as a world-set mask."""
 
     table: ProbabilityTable
     epsilon: float
     possible: frozenset[World]
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", sum(1 << WORLD_INDEX[w] for w in self.possible))
 
     def is_possible(self, world: World) -> bool:
         return world in self.possible
 
     def possible_in_order(self) -> list[World]:
-        return [w for w in enumerate_worlds() if w in self.possible]
+        return worlds_in(self.mask)
 
     def excluded_in_order(self) -> list[World]:
-        return [w for w in enumerate_worlds() if w not in self.possible]
+        return worlds_in(~self.mask)
 
 
 def build_model(table: ProbabilityTable, epsilon: float = DEFAULT_EPSILON) -> Model:
@@ -205,7 +229,7 @@ def build_model(table: ProbabilityTable, epsilon: float = DEFAULT_EPSILON) -> Mo
     if not 0.0 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
     table.validate()
-    possible = frozenset(w for w in enumerate_worlds() if table.prob(w) > epsilon)
+    possible = frozenset(w for w in WORLDS if table.prob(w) > epsilon)
     for pair in CHOICE_PAIRS:
         if not any(w.choice_pair == pair for w in possible):
             raise DegenerateModelError(

@@ -131,7 +131,8 @@ def grid_refine_optimum(grid=13, starts=3, rounds=2):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive world-level evaluation (plain dicts, no package types)
+# Exhaustive world-level evaluation (plain tuples and dicts, no package
+# types; nothing from hardylogic.semantics or hardylogic.worlds)
 
 def possible_worlds(table, eps=1e-12):
     return [w for w in WORLDS if table[(w[0], w[1])][w[2] + w[3]] > eps]
@@ -149,12 +150,13 @@ def sat(world, atom):
     return cr == setting and sr == sign
 
 
-def brute_accessible(possible, world, choice):
-    """Impose a later (R-region) choice, pinning the L choice and outcome."""
-    if sat(world, choice):
+def brute_accessible(possible, world, choice, earlier="L", self_world=True):
+    """Impose a later-region choice, pinning the earlier region's choice and outcome."""
+    if self_world and sat(world, choice):
         return [world]
+    pinned = (0, 2) if earlier == "L" else (1, 3)
     return [
-        w for w in possible if sat(w, choice) and w[0] == world[0] and w[2] == world[2]
+        w for w in possible if sat(w, choice) and all(w[k] == world[k] for k in pinned)
     ]
 
 
@@ -172,6 +174,64 @@ def brute_line6_counterexamples(possible):
 
 def brute_line5_counterexamples(possible):
     return [w for w in possible if sat(w, "L2") and not brute_sr(possible, w)]
+
+
+def brute_supported(f, earlier="L"):
+    """Is every counterfactual antecedent in `f` a later-region choice atom?"""
+    kind = type(f).__name__
+    if kind == "Atom":
+        return True
+    if kind == "Not":
+        return brute_supported(f.arg, earlier)
+    if kind == "Counterfactual":
+        later = CHOICES_R if earlier == "L" else CHOICES_L
+        if not (type(f.left).__name__ == "Atom" and f.left.name in later):
+            return False
+    return brute_supported(f.left, earlier) and brute_supported(f.right, earlier)
+
+
+def brute_eval(possible, world, f, earlier="L", quantifier="every", self_world=True):
+    """Truth of a formula AST at one world, recursing world by world.
+
+    Dispatches on node class names and reads only the AST's fields, so
+    it shares no code with the package's evaluator.  A strict
+    conditional is re-evaluated globally wherever it occurs.
+    """
+    def at(w, g):
+        return brute_eval(possible, w, g, earlier, quantifier, self_world)
+
+    kind = type(f).__name__
+    if kind == "Atom":
+        return sat(world, f.name)
+    if kind == "Not":
+        return not at(world, f.arg)
+    if kind == "And":
+        return at(world, f.left) and at(world, f.right)
+    if kind == "Or":
+        return at(world, f.left) or at(world, f.right)
+    if kind == "MatImp":
+        return not at(world, f.left) or at(world, f.right)
+    if kind == "StrictImp":
+        return not brute_counterexamples(possible, f, earlier, quantifier, self_world)
+    if kind == "Counterfactual":
+        reach = brute_accessible(possible, world, f.left.name, earlier, self_world)
+        values = [at(w, f.right) for w in reach]
+        return all(values) if quantifier == "every" else any(values)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def brute_counterexamples(possible, f, earlier="L", quantifier="every", self_world=True):
+    """Possible worlds refuting `f` globally, in the order of `possible`.
+
+    For a strict conditional: the worlds satisfying its antecedent and
+    not its consequent.  For anything else: the worlds where it is false.
+    """
+    def at(w, g):
+        return brute_eval(possible, w, g, earlier, quantifier, self_world)
+
+    if type(f).__name__ == "StrictImp":
+        return [w for w in possible if at(w, f.left) and not at(w, f.right)]
+    return [w for w in possible if not at(w, f)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +270,12 @@ def random_rudimentary(rng: random.Random, depth=3):
     return (And, Or, MatImp)[kind - 1](left, right)
 
 
-def random_formula(rng: random.Random, depth=4):
-    """Any AST shape, all seven node kinds."""
+def random_formula(rng: random.Random, depth=4, antecedents=None):
+    """Any AST shape, all seven node kinds.
+
+    With `antecedents`, a sequence of atom names, every counterfactual
+    antecedent is one of those atoms instead of a random subformula.
+    """
     from hardylogic.formula import (
         And,
         Atom,
@@ -227,7 +291,10 @@ def random_formula(rng: random.Random, depth=4):
         return Atom(rng.choice(ATOM_NAMES))
     kind = rng.randrange(6)
     if kind == 0:
-        return Not(random_formula(rng, depth - 1))
-    left = random_formula(rng, depth - 1)
-    right = random_formula(rng, depth - 1)
+        return Not(random_formula(rng, depth - 1, antecedents))
+    if kind == 5 and antecedents:
+        left = Atom(rng.choice(antecedents))
+    else:
+        left = random_formula(rng, depth - 1, antecedents)
+    right = random_formula(rng, depth - 1, antecedents)
     return (And, Or, MatImp, StrictImp, Counterfactual)[kind - 1](left, right)

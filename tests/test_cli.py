@@ -130,6 +130,36 @@ def test_formula_parse_error_exits_2(model_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_cell_exits_2(model_path, tmp_path, capsys):
+    with open(model_path) as fh:
+        data = json.load(fh)
+    data["table"]["L1,R1"]["-+"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    assert "NaN" in bad.read_text()
+    assert main(["check-theorem", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_find_rejects_grid_below_two(grid, capsys):
+    assert main(["hardy", "find", "--grid", grid]) == 2
+    assert capsys.readouterr().err.startswith("error: grid must be at least 2")
+
+
+@pytest.mark.parametrize("text", ["(" * 1000 + "L1" + ")" * 1000, "~" * 1000 + "L1"])
+def test_deep_nesting_exits_2(model_path, text, capsys):
+    assert main(["eval", model_path, text]) == 2
+    assert capsys.readouterr().err.startswith("error: formula nests deeper")
+
+
+def test_unsupported_antecedent_behind_short_circuit_exits_2(model_path, capsys):
+    # L1 alone settles the disjunction at this world
+    assert main(["eval", model_path, "L1 | (L2 []-> R1)", "--at", "L1,R2,-,+"]) == 2
+    assert "only later-region choices can be imposed" in capsys.readouterr().err
+
+
 def test_bad_world_literal_exits_2(model_path, capsys):
     assert main(["eval", model_path, "L1", "--at", "L1,R2"]) == 2
     assert "error" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from hardylogic.formula import (
     And,
     Atom,
     Counterfactual,
+    MAX_NESTING,
     LexError,
     MatImp,
     Not,
@@ -168,6 +169,24 @@ def test_paper_normal_rejects_compound_counterfactual_antecedent():
 
 def test_paper_normal_rejects_outcome_antecedent():
     assert not check_paper_normal(Counterfactual(Atom("R1-"), R1)).ok
+
+
+def test_nesting_bound():
+    n = MAX_NESTING
+    for text in ("~" * n + "L1", "(" * n + "L1" + ")" * n, " & ".join(["L1"] * (n + 1))):
+        f = parse(text)
+        assert parse(unparse(f)) == f
+    too_deep = (
+        "~" * (n + 1) + "L1",
+        "(" * (n + 1) + "L1" + ")" * (n + 1),
+        " & ".join(["L1"] * (n + 2)),
+        "~" * 1000 + "L1",
+        "(" * 1000 + "L1" + ")" * 1000,
+        " & ".join(["L1"] * 500),
+    )
+    for text in too_deep:
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)
 
 
 def test_roundtrip_seeded_random_formulas():

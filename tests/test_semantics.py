@@ -1,8 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hardylogic.formula import And, Atom, Counterfactual, StrictImp, parse
+from hardylogic.formula import (
+    CHOICE_ATOMS,
+    MAX_NESTING,
+    And,
+    Atom,
+    Counterfactual,
+    Not,
+    StrictImp,
+    parse,
+)
 from hardylogic.semantics import (
     CfOptions,
     TemporalOrder,
@@ -11,14 +22,17 @@ from hardylogic.semantics import (
     check_theorem,
     eval_at,
     holds_globally,
-    strict_holds_by_containment,
 )
 from hardylogic.worlds import ProbabilityTable, World, build_model
 from oracles import (
     brute_accessible,
+    brute_counterexamples,
+    brute_eval,
     brute_line5_counterexamples,
     brute_line6_counterexamples,
+    brute_supported,
     possible_worlds,
+    random_formula,
     random_rudimentary,
     random_table_rows,
 )
@@ -153,6 +167,16 @@ def test_strict_line_6_fails_with_witness(hardy_model):
     assert World("L1", "R2", "-", "+") in check.counterexamples
 
 
+def test_deepest_nested_conditionals_evaluate(hardy_model):
+    # a per-world evaluator re-evaluates each nested strict conditional
+    # at every world, which is exponential in this depth
+    n = MAX_NESTING
+    strict = parse("L1 => (" * (n - 1) + "L1" + ")" * (n - 1))
+    assert holds_globally(hardy_model, strict).holds
+    box = parse("R1 []-> (" * (n - 1) + "R1" + ")" * (n - 1))
+    assert holds_globally(hardy_model, box).holds
+
+
 def test_non_strict_formula_holds_globally_iff_true_everywhere(hardy_model):
     assert holds_globally(hardy_model, parse("L1 | L2")).holds
     check = holds_globally(hardy_model, parse("L1"))
@@ -161,15 +185,20 @@ def test_non_strict_formula_holds_globally_iff_true_everywhere(hardy_model):
 
 
 def test_empty_intersection_and_containment_routes_agree():
+    # the oracle's two set readings of a strict conditional against the package
     rng = random.Random(2024)
     for _ in range(40):
         model = build_model(ProbabilityTable(random_table_rows(rng)))
+        live = possible_worlds(model.table.rows)
         for _ in range(10):
             a = random_rudimentary(rng)
             b = random_rudimentary(rng)
-            via_intersection = holds_globally(model, StrictImp(a, b)).holds
-            via_subset = strict_holds_by_containment(model, a, b)
-            assert via_intersection == via_subset
+            check = holds_globally(model, StrictImp(a, b))
+            intersection = brute_counterexamples(live, StrictImp(a, b))
+            a_worlds = {w for w in live if brute_eval(live, w, a)}
+            b_worlds = {w for w in live if brute_eval(live, w, b)}
+            assert check.holds == (not intersection) == (a_worlds <= b_worlds)
+            assert [_as_tuple(w) for w in check.counterexamples] == intersection
 
 
 def test_import_export_equivalence():
@@ -263,3 +292,126 @@ def test_check_theorem_on_control_model(control_model):
 def test_line5_witnesses_absent_in_hardy_model(hardy_model):
     live = possible_worlds(hardy_model.table.rows)
     assert brute_line5_counterexamples(live) == []
+
+
+def test_unsupported_antecedent_rejected_behind_a_short_circuit(hardy_model):
+    # the left side settles each value, yet the earlier-region antecedent
+    # on the right is still an error
+    w = World("L1", "R2", "-", "+")
+    with pytest.raises(UnsupportedCounterfactualError):
+        eval_at(hardy_model, w, parse("L1 | (L2 []-> R1)"))
+    with pytest.raises(UnsupportedCounterfactualError):
+        holds_globally(hardy_model, parse("L1 | L2 | (L2 []-> R1)"))
+    with pytest.raises(UnsupportedCounterfactualError):
+        holds_globally(hardy_model, parse("L1 & ~L1 => (R1- []-> R1)"))
+
+
+_KNOWN_MODELS = ("hardy", "control", "uniform", "random")
+
+
+def _case_model(request, kind, rng):
+    if kind == "random":
+        return build_model(ProbabilityTable(random_table_rows(rng)))
+    return request.getfixturevalue(f"{kind}_model")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_KNOWN_MODELS),
+    earlier=st.sampled_from("LR"),
+    quantifier=st.sampled_from(("every", "some")),
+    self_world=st.booleans(),
+)
+def test_truth_sets_match_per_world_oracle(request, seed, kind, earlier, quantifier, self_world):
+    rng = random.Random(seed)
+    model = _case_model(request, kind, rng)
+    order = TemporalOrder(earlier)
+    # one antecedent in three picks the earlier region, which is unsupported
+    later = tuple(c for c in CHOICE_ATOMS if c[0] == order.later_region)
+    f = random_formula(rng, antecedents=later + (earlier + "1",))
+    opts = CfOptions(order, quantifier, self_world)
+    live = possible_worlds(model.table.rows)
+    assert [_as_tuple(w) for w in model.possible_in_order()] == live
+
+    if not brute_supported(f, earlier):
+        with pytest.raises(UnsupportedCounterfactualError):
+            holds_globally(model, f, opts)
+        with pytest.raises(UnsupportedCounterfactualError):
+            eval_at(model, model.possible_in_order()[0], f, opts)
+        return
+
+    check = holds_globally(model, f, opts)
+    expected = brute_counterexamples(live, f, earlier, quantifier, self_world)
+    assert check.holds == (not expected)
+    assert [_as_tuple(w) for w in check.counterexamples] == expected
+    assert (check.witness and _as_tuple(check.witness)) == (expected[0] if expected else None)
+    for w in model.possible_in_order():
+        world = _as_tuple(w)
+        assert eval_at(model, w, f, opts) == brute_eval(
+            live, world, f, earlier, quantifier, self_world
+        )
+        for choice in later:
+            got = accessible(model, w, Atom(choice), order, self_world)
+            assert [_as_tuple(x) for x in got] == brute_accessible(
+                live, world, choice, earlier, self_world
+            )
+
+
+_SWAP = {"L": "R", "R": "L"}
+
+
+def _mirror_name(name: str) -> str:
+    return _SWAP[name[0]] + name[1:]
+
+
+def _mirror_formula(f):
+    if isinstance(f, Atom):
+        return Atom(_mirror_name(f.name))
+    if isinstance(f, Not):
+        return Not(_mirror_formula(f.arg))
+    return type(f)(_mirror_formula(f.left), _mirror_formula(f.right))
+
+
+def _mirror_world(w: World) -> World:
+    return World(_mirror_name(w.choice_r), _mirror_name(w.choice_l), w.outcome_r, w.outcome_l)
+
+
+def _mirror_model(model):
+    rows = {
+        (_mirror_name(cr), _mirror_name(cl)): {o[1] + o[0]: p for o, p in row.items()}
+        for (cl, cr), row in model.table.rows.items()
+    }
+    return build_model(ProbabilityTable(rows), model.epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_KNOWN_MODELS),
+    earlier=st.sampled_from("LR"),
+    quantifier=st.sampled_from(("every", "some")),
+    self_world=st.booleans(),
+)
+def test_mirroring_regions_and_order_preserves_verdicts(
+    request, seed, kind, earlier, quantifier, self_world
+):
+    # swapping L and R in the table, formula and worlds, together with
+    # the temporal order, is a symmetry of the semantics
+    rng = random.Random(seed)
+    model = _case_model(request, kind, rng)
+    later = tuple(c for c in CHOICE_ATOMS if c[0] == _SWAP[earlier])
+    f = random_formula(rng, antecedents=later)
+    opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
+    mirror_opts = CfOptions(TemporalOrder(_SWAP[earlier]), quantifier, self_world)
+    mirror = _mirror_model(model)
+    mirror_f = _mirror_formula(f)
+
+    check = holds_globally(model, f, opts)
+    mirror_check = holds_globally(mirror, mirror_f, mirror_opts)
+    assert check.holds == mirror_check.holds
+    assert {_mirror_world(w) for w in check.counterexamples} == set(mirror_check.counterexamples)
+    assert mirror.possible == {_mirror_world(w) for w in model.possible}
+    for w in model.possible_in_order():
+        mirrored = eval_at(mirror, _mirror_world(w), mirror_f, mirror_opts)
+        assert eval_at(model, w, f, opts) == mirrored

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -195,6 +196,15 @@ def test_model_json_schema_violations():
     bad["table"]["L1,R1"]["++"] = "high"
     with pytest.raises(TableError):
         model_from_dict(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_json_rejects_non_finite_cells(hardy_model, value):
+    data = model_to_dict(hardy_model)
+    data["table"]["L1,R1"]["-+"] = value
+    # json writes and reads the NaN and Infinity literals
+    with pytest.raises(TableError, match="non-finite"):
+        model_from_dict(json.loads(json.dumps(data)))
 
 
 def test_model_is_frozen(hardy_model):
