@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-    hardy find       search for a configuration meeting the four constraints
+    hardy find       the optimal configuration meeting the four constraints
     hardy verify     check a configuration file against the constraints
     model build      turn a configuration into a possibility model file
     eval             evaluate a formula at a world or globally
@@ -33,11 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    hardy = sub.add_parser("hardy", help="configuration search and verification")
+    hardy = sub.add_parser("hardy", help="configuration optimum and verification")
     hardy_sub = hardy.add_subparsers(dest="hardy_command", required=True)
-    find = hardy_sub.add_parser("find", help="search for a passing configuration")
-    find.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
-    find.add_argument("--grid", type=int, default=96, help="grid resolution (default 96)")
+    find = hardy_sub.add_parser("find", help="print the optimal passing configuration")
+    find.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
+    find.add_argument("--grid", type=int, default=96, help="accepted for compatibility; no effect")
     find.add_argument("--out", metavar="CFG.json", help="write the configuration here")
     verify = hardy_sub.add_parser("verify", help="verify a configuration file")
     verify.add_argument("config", metavar="CFG.json")
@@ -183,6 +183,11 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:  # a broken pipe or a full disk, say
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
     except ParseError as exc:

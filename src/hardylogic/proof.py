@@ -34,6 +34,7 @@ later-region choice atoms:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .formula import And, Atom, Counterfactual, Formula, MatImp, Not, StrictImp, parse, unparse
 from .semantics import CfOptions, DEFAULT_OPTIONS, holds_globally, truth_mask
@@ -95,8 +96,11 @@ class ProofScript:
         raise KeyError(f"no line {index}")
 
 
+@cache
 def builtin_script() -> ProofScript:
     """The fourteen derivation lines, hypothesis scopes, and side condition.
+
+    Built once and shared: the script and every node in it are frozen.
 
     Two normalizations from the printed source are applied and logged in
     the script notes: the mislabeled prediction citation on line 12 is

@@ -1,4 +1,4 @@
-"""Two-qubit Born-rule engine and the search for a paradox configuration.
+"""Two-qubit Born-rule engine and the optimal paradox configuration.
 
 State family: cos(theta)|00> + sin(theta)|11>, with every measurement a
 real rotation in the x-z plane, one angle per setting.  For angle a the
@@ -11,22 +11,21 @@ This real five-parameter family is rich enough to realize the four
 target constraints: three joint-outcome cells at exactly zero and the
 remaining paradox cell strictly positive.
 
-Search method (find_hardy): a projection scheme.  The three zero
-constraints are solved in closed form for (angle_l1, angle_l2, angle_r1)
-given the two free parameters (theta, angle_r2), which pins the zero
-cells at machine-precision zero; the paradox probability is then
-maximized over the free plane by a deterministic grid scan followed by
-seeded random-restart coordinate descent.
+The optimum (find_hardy): the three zero constraints are solved in
+closed form for (angle_l1, angle_l2, angle_r1) given the two free
+parameters (theta, angle_r2), which pins the zero cells at
+machine-precision zero.  The paradox cell is then a rational function
+of the free pair whose maximum, (5 sqrt(5) - 11) / 2, has a closed form
+too, so no search runs; find_hardy derives it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 
-from .worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable
+from .worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable, read_json
 
 # cells below this are treated as exact Born-rule zeros when exporting
 ZERO_CLAMP = 1e-10
@@ -36,7 +35,7 @@ DEFAULT_POSITIVITY_FLOOR = 1e-9
 
 
 class SearchError(RuntimeError):
-    """Constrained search failed to produce a verified configuration."""
+    """The optimal configuration failed verification."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def verify_hardy(
     positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
 ) -> PredictionReport:
     """Check the three vanishing cells and the positive paradox cell."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     c1, c2, c3, c4 = constraint_values(cfg)
     marginal = joint_probability(cfg, "L1", "R1", "-", "+") + joint_probability(
@@ -183,14 +182,18 @@ def verify_hardy(
 
 
 # ---------------------------------------------------------------------------
-# Constrained search
+# The paradox optimum
 
 @dataclass(frozen=True)
 class SearchParams:
+    """Accepted for compatibility; neither field has any effect.
+
+    `find_hardy` returns the closed-form optimum, so every seed and grid
+    gives the same configuration.  `grid` below 2 is rejected.
+    """
+
     seed: int = 0
     grid: int = 96
-    refine_iters: int = 80
-    restarts: int = 6
 
     def __post_init__(self):
         if self.grid < 2:
@@ -219,70 +222,34 @@ def _project(theta: float, angle_r2: float) -> HardyConfig | None:
     )
 
 
-def _paradox_cell(theta: float, angle_r2: float) -> float:
-    cfg = _project(theta, angle_r2)
-    if cfg is None:
-        return -1.0
-    return joint_probability(cfg, "L1", "R1", "-", "+")
-
-
 def find_hardy(params: SearchParams = SearchParams()) -> HardyConfig:
-    """Deterministic seeded maximization of the paradox cell.
+    """The configuration with the largest paradox cell, in closed form.
 
-    Grid-scans the free plane (theta, angle_r2), then runs coordinate
-    descent with shrinking steps from the best grid point and from
-    seeded random restarts around it.  The zero constraints hold by
-    construction at every candidate (projection), so the returned
+    `params` is accepted for compatibility and has no effect.
+
+    After `_project`, with S = sin(theta), C = cos(theta) and
+    u = tan(angle_r2)**2, the paradox cell is
+
+        c4 = u S^2 C^2 cos^2(2 theta) / ((u S^4 + C^4) (u C^2 + S^2)).
+
+    For fixed theta, dc4/du = 0 gives u = C/S: the ridge
+    tan(theta) * tan(angle_r2)**2 = 1.  On the ridge, with
+    x = sin(2 theta),
+
+        c4 = x^2 (1 - x) / (2 - x)^2,
+
+    which vanishes at x = 0 and x = 1.  d ln(c4)/dx = 0 reduces to
+    x^2 - 6x + 4 = 0, whose one root in (0, 1) is x = 3 - sqrt(5), so
+    the maximum is c4 = (5 sqrt(5) - 11) / 2 (Hardy, PRL 71, 1665, 1993).
+    This takes the theta < pi/4 root; the mirror pi/2 - theta gives the
+    same cell.  The zero cells hold by construction, and the returned
     configuration passes verify_hardy at the default tolerance.
     """
-    lo, hi = 1e-3, math.pi / 2 - 1e-3
-    n = params.grid
-    best = (-1.0, 0.0, 0.0)
-    for i in range(n):
-        theta = lo + (hi - lo) * i / (n - 1)
-        for j in range(n):
-            angle_r2 = lo + (hi - lo) * j / (n - 1)
-            value = _paradox_cell(theta, angle_r2)
-            if value > best[0]:
-                best = (value, theta, angle_r2)
-
-    rng = random.Random(params.seed)
-    spread = (hi - lo) / max(n - 1, 1)
-    starts = [(best[1], best[2])]
-    starts += [
-        (
-            min(max(best[1] + rng.uniform(-spread, spread), lo), hi),
-            min(max(best[2] + rng.uniform(-spread, spread), lo), hi),
-        )
-        for _ in range(params.restarts)
-    ]
-
-    for theta, angle_r2 in starts:
-        value = _paradox_cell(theta, angle_r2)
-        step = spread
-        for _ in range(params.refine_iters):
-            improved = False
-            for d_theta, d_r2 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                cand = (
-                    min(max(theta + d_theta, lo), hi),
-                    min(max(angle_r2 + d_r2, lo), hi),
-                )
-                cand_value = _paradox_cell(*cand)
-                if cand_value > value:
-                    theta, angle_r2 = cand
-                    value = cand_value
-                    improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if value > best[0]:
-            best = (value, theta, angle_r2)
-
-    cfg = _project(best[1], best[2])
-    if cfg is None or not verify_hardy(cfg).passed:
+    theta = 0.5 * math.asin(3 - math.sqrt(5))
+    cfg = _project(theta, math.atan(math.tan(theta) ** -0.5))
+    if not verify_hardy(cfg).passed:
         raise SearchError(
-            "no configuration met the constraints within the search budget; "
+            "the closed-form optimum failed verification; "
             "this family is known to contain solutions, so this indicates a bug"
         )
     return cfg
@@ -313,7 +280,7 @@ def config_from_dict(data: dict) -> HardyConfig:
             angle_r1=float(angles["R1"]),
             angle_r2=float(angles["R2"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad config file structure: {exc!r}") from exc
 
 
@@ -324,5 +291,4 @@ def save_config(cfg: HardyConfig, path: str) -> None:
 
 
 def load_config(path: str) -> HardyConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))

@@ -112,15 +112,45 @@ ATOM_MASKS = {
 }
 
 
+def _to_float(value: int | float, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise TableError(f"{what} is out of range") from None
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses writes and hashes by value, order-free."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # pickle and copy rebuild it, not write into it
+        return (type(self), (dict(self),))
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """Joint outcome distribution for each of the four choice pairs.
 
     `rows` maps (choice_l, choice_r) to {outcome pair: probability},
     outcome pairs written L sign first ('+-' means L got +, R got -).
+    The rows are copied into read-only dicts on construction, so a
+    table, and a model built from it, cannot change after the fact and
+    can be hashed.
     """
 
     rows: dict[tuple[str, str], dict[str, float]]
+
+    def __post_init__(self):
+        rows = {pair: _ReadOnlyDict(row) for pair, row in self.rows.items()}
+        object.__setattr__(self, "rows", _ReadOnlyDict(rows))
 
     def prob(self, world: World) -> float:
         return self.rows[world.choice_pair][world.outcome_pair]
@@ -191,7 +221,7 @@ class ProbabilityTable:
                     raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
-                cells[outcomes] = float(value)
+                cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
             rows[parts] = cells
         table = cls(rows)
         table.validate()
@@ -251,7 +281,7 @@ def model_from_dict(data: dict) -> Model:
     epsilon = data.get("epsilon", DEFAULT_EPSILON)
     if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
         raise TableError("'epsilon' must be a number")
-    return build_model(ProbabilityTable.from_dict(data["table"]), float(epsilon))
+    return build_model(ProbabilityTable.from_dict(data["table"]), _to_float(epsilon, "'epsilon'"))
 
 
 def save_model(model: Model, path: str) -> None:
@@ -260,6 +290,14 @@ def save_model(model: Model, path: str) -> None:
         fh.write("\n")
 
 
-def load_model(path: str) -> Model:
+def read_json(path: str):
+    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
+
+
+def load_model(path: str) -> Model:
+    return model_from_dict(read_json(path))

@@ -1,6 +1,14 @@
+import contextlib
+import copy
+import errno
+import io
 import json
+import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylogic.cli import main
 from hardylogic.worlds import save_model
@@ -142,6 +150,55 @@ def test_non_finite_cell_exits_2(model_path, tmp_path, capsys):
     assert err.startswith("error: non-finite") and "Traceback" not in err
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check-theorem", str(bad)]) == 2
+    assert "JSON nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["epsilon", "cell"])
+def test_huge_model_number_exits_2(model_path, tmp_path, where, capsys):
+    with open(model_path) as fh:
+        data = json.load(fh)
+    if where == "epsilon":
+        data["epsilon"] = 10**400
+    else:
+        data["table"]["L1,R1"]["++"] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check-theorem", str(bad)]) == 2
+    assert "is out of range" in capsys.readouterr().err
+
+
+def test_huge_config_number_exits_2(cfg_path, tmp_path, capsys):
+    with open(cfg_path) as fh:
+        data = json.load(fh)
+    data["theta"] = 10**400
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps(data))
+    assert main(["hardy", "verify", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config file structure")
+
+
+@pytest.mark.parametrize("argv", [["check-theorem", "{dir}"], ["hardy", "find", "--out", "{dir}"]])
+def test_directory_path_exits_2(tmp_path, argv, capsys):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot use {tmp_path}:")
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")]
+)
+def test_os_error_without_a_path_exits_2(tmp_path, monkeypatch, exc, capsys):
+    def fail(cfg, path):
+        raise exc
+
+    monkeypatch.setattr("hardylogic.quantum.save_config", fail)
+    assert main(["hardy", "find", "--out", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {exc.errno}] {exc.strerror}\n"
+
+
 @pytest.mark.parametrize("grid", ["0", "1"])
 def test_find_rejects_grid_below_two(grid, capsys):
     assert main(["hardy", "find", "--grid", grid]) == 2
@@ -176,3 +233,133 @@ def test_find_deterministic_given_seed(tmp_path):
     assert main(["hardy", "find", "--seed", "7", "--out", str(p1)]) == 0
     assert main(["hardy", "find", "--seed", "7", "--out", str(p2)]) == 0
     assert p1.read_text() == p2.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any argv, formula, world literal or JSON body gives exit 0, 1 or 2
+# and never a traceback.
+
+_WEIRD = st.sampled_from(
+    [math.nan, math.inf, -math.inf, None, True, "0.25", [], {}, -1, 2, 10**400, 0]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["table", "epsilon", "theta", "angles", "L1,R1", "++"])
+                      | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_RAW = st.sampled_from([b"", b"{", b"[" * 5000 + b"]" * 5000, b"\xff\xfe", b"NaN", b"null", b'"x"'])
+_FORMULA = st.one_of(
+    st.lists(
+        st.sampled_from(["L1", "L2", "R1", "R2", "L1+", "L2-", "R1-", "R2+", "&", "|", "~",
+                         "->", "=>", "[]->", "(", ")", " ", "X", "<>"]),
+        max_size=12,
+    ).map("".join),
+    st.text(max_size=12),
+)
+_WORLD = st.one_of(
+    st.lists(st.sampled_from(["L1", "L2", "R1", "R2", "+", "-", "x", ""]), max_size=5).map(",".join),
+    st.text(max_size=8),
+)
+_NUMBER_TEXT = st.sampled_from(["0", "1e-9", "-1", "nan", "inf", "1e400", "x", "0.001", "1e-3"])
+_WORDS = st.lists(
+    st.sampled_from(["hardy", "find", "verify", "model", "build", "eval", "check-theorem",
+                     "proof", "audit", "sr-table", "--seed", "--grid", "--tol", "--epsilon",
+                     "--at", "--quantifier", "--json", "every", "some", "-h", "1", "-1", "nan"])
+    | st.text(max_size=6),
+    max_size=6,
+)
+
+
+def _leaves(data):
+    """Every (container, key) position in a nested JSON value."""
+    if isinstance(data, dict):
+        items = list(data.items())
+    elif isinstance(data, list):
+        items = list(enumerate(data))
+    else:
+        items = []
+    for key, value in items:
+        yield (data, key)
+        yield from _leaves(value)
+
+
+def _body(draw, valid):
+    kind = draw(st.sampled_from(["mutated", "mutated", "random", "raw"]))  # mostly near-valid
+    if kind == "raw":
+        return draw(_RAW)
+    if kind == "random":
+        return json.dumps(draw(_JSON)).encode()
+    data = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        spots = list(_leaves(data))
+        if not spots:
+            break
+        container, key = draw(st.sampled_from(spots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_WEIRD)
+    return json.dumps(data).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, cfg_path, model_path):
+    with open(cfg_path) as fh:
+        cfg = json.load(fh)
+    with open(model_path) as fh:
+        model = json.load(fh)
+    return str(tmp_path_factory.mktemp("fuzz")), cfg, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
+    where, valid_cfg, valid_model = fuzz_dir
+    draw = data.draw
+    cfg, model = os.path.join(where, "cfg.json"), os.path.join(where, "model.json")
+    with open(cfg, "wb") as fh:
+        fh.write(_body(draw, valid_cfg))
+    with open(model, "wb") as fh:
+        fh.write(_body(draw, valid_model))
+    out = draw(st.sampled_from([os.path.join(where, "out.json"), where,
+                                os.path.join(where, "no", "out.json")]))
+    cfg = draw(st.sampled_from([cfg, cfg, where, os.path.join(where, "missing.json")]))
+    model = draw(st.sampled_from([model, model, where, os.path.join(where, "missing.json")]))
+    command = draw(st.sampled_from(["find", "verify", "build", "eval", "theorem", "audit",
+                                    "sr-table", "words"]))
+    if command == "find":
+        argv = ["hardy", "find", "--seed", draw(_NUMBER_TEXT), "--grid", draw(_NUMBER_TEXT)]
+    elif command == "verify":
+        argv = ["hardy", "verify", cfg, "--tol", draw(_NUMBER_TEXT)]
+    elif command == "build":
+        argv = ["model", "build", cfg, "--epsilon", draw(_NUMBER_TEXT)]
+    elif command == "eval":
+        argv = ["eval", model, draw(_FORMULA), "--at", draw(_WORLD),
+                "--quantifier", draw(st.sampled_from(["every", "some", "none"]))]
+        argv = argv[: draw(st.sampled_from([3, 5, 7]))]
+    elif command == "theorem":
+        argv = ["check-theorem", model]
+    elif command == "audit":
+        argv = ["proof", "audit", model, "--json"][: draw(st.sampled_from([3, 4]))]
+    elif command == "sr-table":
+        argv = ["sr-table"]
+    else:
+        argv = draw(_WORDS)
+    if command in ("find", "build") and draw(st.booleans()):
+        argv += ["--out", out]
+
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)  # an abbreviated --out among random words writes here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

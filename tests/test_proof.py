@@ -316,3 +316,13 @@ def test_sr_truth_table_spot_values():
     assert by_quad[(True, True, True, True)] is True
     assert by_quad[(False, False, False, False)] is True
     assert by_quad[(True, True, True, False)] is False
+
+
+def test_builtin_script_is_built_once(hardy_model, control_model):
+    assert builtin_script() is builtin_script()
+    fresh = builtin_script.__wrapped__()
+    assert fresh == builtin_script()
+    for model in (hardy_model, control_model):
+        shared, rebuilt = audit(model), audit(model, fresh)
+        assert shared.render() == rebuilt.render()
+        assert json.dumps(shared.to_dict()) == json.dumps(rebuilt.to_dict())

@@ -6,6 +6,7 @@ import pytest
 from hardylogic.quantum import (
     HardyConfig,
     SearchParams,
+    _project,
     config_from_dict,
     config_to_dict,
     constraint_values,
@@ -114,8 +115,9 @@ def test_verify_tolerance_semantics():
     report = verify_hardy(cfg, tol=0.5)
     assert report.pass_c1 and report.pass_c2 and report.pass_c3
     assert report.c1 > 0  # raw values still reported
-    with pytest.raises(ValueError):
-        verify_hardy(cfg, tol=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            verify_hardy(cfg, tol=bad)
 
 
 def test_product_state_cannot_pass_all_four():
@@ -136,10 +138,11 @@ def test_product_state_cannot_pass_all_four():
     assert hits > 0
 
 
-def test_find_is_deterministic():
-    a = find_hardy(SearchParams(seed=123, grid=48))
-    b = find_hardy(SearchParams(seed=123, grid=48))
-    assert a == b
+def test_find_is_deterministic(hardy_config):
+    # the closed form reads no field of SearchParams
+    for seed in (0, 123, 2**31 - 1):
+        for grid in (2, 48):
+            assert find_hardy(SearchParams(seed=seed, grid=grid)) == hardy_config
 
 
 def test_find_passes_across_seeds():
@@ -151,6 +154,20 @@ def test_find_passes_across_seeds():
         assert report.passed
         assert report.c4 == pytest.approx(OPTIMAL_PARADOX, abs=1e-6)
         assert len(build_model(export_table(cfg)).possible) == 13
+
+
+def test_find_is_the_closed_form_optimum(hardy_config):
+    theta, angle_r2 = hardy_config.theta, hardy_config.angle_r2
+    assert math.sin(2 * theta) == pytest.approx(3 - math.sqrt(5), abs=1e-15)
+    assert math.tan(theta) * math.tan(angle_r2) ** 2 == pytest.approx(1.0, abs=1e-12)
+    c4 = constraint_values(hardy_config)[3]
+    assert c4 == pytest.approx((5 * math.sqrt(5) - 11) / 2, abs=1e-15)
+    # no neighbour on a +-1e-3 grid beats it
+    steps = [k * 1e-4 for k in range(-10, 11)]
+    for d_theta in steps:
+        for d_r2 in steps:
+            cfg = _project(theta + d_theta, angle_r2 + d_r2)
+            assert constraint_values(cfg)[3] <= c4 + 1e-15
 
 
 def test_find_reaches_grid_refine_optimum(hardy_config):

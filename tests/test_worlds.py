@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -210,3 +213,44 @@ def test_model_json_rejects_non_finite_cells(hardy_model, value):
 def test_model_is_frozen(hardy_model):
     with pytest.raises(AttributeError):
         hardy_model.epsilon = 0.5
+
+
+def test_table_rows_are_read_only(hardy_model):
+    with pytest.raises(TypeError):
+        hardy_model.table.rows[("L1", "R1")]["++"] = 0.0
+    with pytest.raises(TypeError):
+        hardy_model.table.rows[("L1", "R1")] = {"++": 1.0, "+-": 0.0, "-+": 0.0, "--": 0.0}
+    assert len(hardy_model.possible) == 13
+
+
+def test_table_copies_its_rows():
+    rows = {pair: {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25} for pair in CHOICE_PAIRS}
+    model = build_model(ProbabilityTable(rows))
+    rows[("L1", "R1")]["++"] = 0.0
+    assert model.table.cell("L1", "R1", "++") == 0.25
+    assert model == build_model(ProbabilityTable.uniform())
+
+
+def test_equal_models_hash_equal(hardy_model, control_model):
+    # the same cells inserted in the opposite order
+    rows = reversed(hardy_model.table.rows.items())
+    again = build_model(ProbabilityTable({pair: dict(reversed(row.items())) for pair, row in rows}))
+    assert again == hardy_model and hash(again) == hash(hardy_model)
+    assert len({hardy_model, again, control_model}) == 2
+
+
+def test_model_survives_pickle_and_copy(hardy_model):
+    for again in (pickle.loads(pickle.dumps(hardy_model)), copy.deepcopy(hardy_model), copy.copy(hardy_model)):
+        assert again == hardy_model and hash(again) == hash(hardy_model)
+        with pytest.raises(TypeError):
+            again.table.rows[("L1", "R1")]["++"] = 0.0
+    rows = dataclasses.asdict(hardy_model)["table"]["rows"]
+    assert rows == {pair: dict(row) for pair, row in hardy_model.table.rows.items()}
+
+
+def test_model_json_roundtrip_is_exact(hardy_model, control_model):
+    for model in (hardy_model, control_model):
+        data = model_to_dict(model)
+        loaded = model_from_dict(json.loads(json.dumps(data)))
+        assert loaded == model and hash(loaded) == hash(model)
+        assert model_to_dict(loaded) == data
