@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import proof, quantum, semantics, worlds
-from .formula import ParseError, parse
+from .formula import parse
 
 USAGE_ERROR = 2
 
@@ -39,9 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
     find.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
     find.add_argument("--grid", type=int, default=96, help="accepted for compatibility; no effect")
     find.add_argument("--out", metavar="CFG.json", help="write the configuration here")
+    find.set_defaults(handler=_cmd_hardy_find)
     verify = hardy_sub.add_parser("verify", help="verify a configuration file")
     verify.add_argument("config", metavar="CFG.json")
     verify.add_argument("--tol", type=float, default=1e-9, help="zero-cell tolerance (default 1e-9)")
+    verify.set_defaults(handler=_cmd_hardy_verify)
 
     model = sub.add_parser("model", help="model construction")
     model_sub = model.add_subparsers(dest="model_command", required=True)
@@ -50,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--epsilon", type=float, default=worlds.DEFAULT_EPSILON,
                        help="possibility threshold (default 1e-12)")
     build.add_argument("--out", metavar="MODEL.json", help="write the model here")
+    build.set_defaults(handler=_cmd_model_build)
 
     ev = sub.add_parser("eval", help="evaluate a formula on a model")
     ev.add_argument("model", metavar="MODEL.json")
@@ -57,17 +60,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--at", metavar="W", help="world literal 'L1,R2,-,+'; omit for global evaluation")
     ev.add_argument("--quantifier", choices=("every", "some"), default="every",
                     help="counterfactual quantifier (default every)")
+    ev.set_defaults(handler=_cmd_eval)
 
     thm = sub.add_parser("check-theorem", help="check both conclusion lines on a model")
     thm.add_argument("model", metavar="MODEL.json")
+    thm.set_defaults(handler=_cmd_check_theorem)
 
     pr = sub.add_parser("proof", help="derivation auditing")
     pr_sub = pr.add_subparsers(dest="proof_command", required=True)
     aud = pr_sub.add_parser("audit", help="audit the built-in derivation against a model")
     aud.add_argument("model", metavar="MODEL.json")
     aud.add_argument("--json", action="store_true", help="emit the report as JSON")
+    aud.set_defaults(handler=_cmd_proof_audit)
 
-    sub.add_parser("sr-table", help="print the sixteen-row truth table")
+    table = sub.add_parser("sr-table", help="print the sixteen-row truth table")
+    table.set_defaults(handler=_cmd_sr_table)
     return top
 
 
@@ -163,24 +170,9 @@ def _cmd_sr_table(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        ("hardy", "find"): _cmd_hardy_find,
-        ("hardy", "verify"): _cmd_hardy_verify,
-        ("model", "build"): _cmd_model_build,
-        ("eval", None): _cmd_eval,
-        ("check-theorem", None): _cmd_check_theorem,
-        ("proof", "audit"): _cmd_proof_audit,
-        ("sr-table", None): _cmd_sr_table,
-    }
-    key = (
-        args.command,
-        getattr(args, f"{args.command}_command", None) if args.command in ("hardy", "model", "proof") else None,
-    )
-    handler = handlers[key]
+    args = _build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.handler(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
     except OSError as exc:
@@ -188,13 +180,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
         else:
             print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError with its own prefix
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except (quantum.SearchError, worlds.TableError, worlds.DegenerateModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except (ValueError, quantum.SearchError) as exc:  # bad formula, table, world or value
         print(f"error: {exc}", file=sys.stderr)
     return USAGE_ERROR
 

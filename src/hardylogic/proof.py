@@ -37,26 +37,11 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .formula import And, Atom, Counterfactual, Formula, MatImp, Not, StrictImp, parse, unparse
-from .semantics import CfOptions, DEFAULT_OPTIONS, holds_globally, truth_mask
-from .worlds import Model, World, worlds_in
-
-RULE_TAGS = (
-    "PRED21",
-    "PRED22",
-    "PRED23",
-    "PRED24",
-    "B6",
-    "A5",
-    "B5",
-    "B7",
-    "LOC1_COMMUTE",
-    "DEF",
-    "HYPOTHESIS",
-)
+from .semantics import DEFAULT_OPTIONS, LINE5, LINE6, CfOptions, holds_globally, truth_mask
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World, worlds_in
 
 VALID = "valid"
 INVALID = "invalid"
-NOT_MECHANIZED = "not-mechanized"
 
 
 @dataclass(frozen=True)
@@ -114,15 +99,11 @@ def builtin_script() -> ProofScript:
         ProofLine(3, parse("(L2 & R1 & L2+) => (L2 & R1 & R1-)"), "PRED22"),
         ProofLine(4, parse("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)"), "B7", (1, 2, 3)),
         ProofLine(
-            5,
-            parse("L2 => (R2 & R2+ -> (R1 []-> R1 & R1-))"),
-            "A5",
-            (4,),
-            note="export plus elision of the pinned L2 inside the box",
+            5, LINE5, "A5", (4,), note="export plus elision of the pinned L2 inside the box"
         ),
         ProofLine(
             6,
-            parse("L1 => (R2 & R2+ -> (R1 []-> R1 & R1-))"),
+            LINE6,
             "HYPOTHESIS",
             note="line 5 with L2 replaced by L1; assumed, then refuted",
         ),
@@ -205,52 +186,41 @@ def check_rule(
     """
     line = script.line(index)
     premises = [script.line(i).statement for i in line.premises]
-    checker = {
-        "PRED21": _check_zero_prediction,
-        "PRED22": _check_zero_prediction,
-        "PRED23": _check_zero_prediction,
-        "PRED24": _check_positive_prediction,
-        "B6": _check_b6,
-        "B5": _check_b5_b7,
-        "B7": _check_b5_b7,
-        "A5": _check_a5,
-        "LOC1_COMMUTE": _check_loc1_commute,
-        "DEF": _check_def,
-        "HYPOTHESIS": _check_hypothesis,
-    }[line.rule]
-    return checker(model, line, premises, opts.order.earlier_region)
+    return _CHECKERS[line.rule](model, line, premises, opts.order)
 
 
-_ZERO_CELLS = {
-    "PRED21": ("L2", "R2", "-+"),
-    "PRED22": ("L2", "R1", "++"),
-    "PRED23": ("L1", "R2", "--"),
-}
-_POSITIVE_CELL = ("L1", "R1", "-+")
+# the cell each prediction tag pins: PRED21-23 the vanishing ones, in
+# order, PRED24 the paradox cell
+_PREDICTED = dict(
+    zip(("PRED21", "PRED22", "PRED23", "PRED24"), (*FORBIDDEN_WORLDS, PARADOX_WORLD))
+)
 
 _FLIP = {"+": "-", "-": "+"}
 
 
-def _check_zero_prediction(model, line, premises, earlier):
+def _cell(world: World) -> tuple[str, str, str]:
+    """A cell as reported in rule details: ('L2', 'R2', '-+')."""
+    return (world.choice_l, world.choice_r, world.outcome_pair)
+
+
+def _check_zero_prediction(model, line, premises, order):
     parts = _strict(line.statement)
     if parts is None:
         return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
     ant, cons = (_conjuncts(parts[0]), _conjuncts(parts[1]))
-    shape = _prediction_shape(ant, cons)
-    if shape is None:
+    world = _prediction_shape(ant, cons)
+    if world is None:
         return RuleVerdict(
             INVALID,
             "expected (choices ^ outcome) => (same choices ^ other region's outcome), "
             f"found {unparse(line.statement)}",
         )
-    cell = shape
-    expected = _ZERO_CELLS[line.rule]
-    if cell != expected:
+    cell, expected = _cell(world), _PREDICTED[line.rule]
+    if world != expected:
         return RuleVerdict(
             INVALID,
-            f"statement demands zero cell {cell}, but {line.rule} pins {expected}",
+            f"statement demands zero cell {cell}, but {line.rule} pins {_cell(expected)}",
         )
-    world = World(cell[0], cell[1], cell[2][0], cell[2][1])
     if world in model.possible:
         return RuleVerdict(
             INVALID,
@@ -260,7 +230,7 @@ def _check_zero_prediction(model, line, premises, earlier):
 
 
 def _prediction_shape(ant, cons):
-    """The escaping cell (choice_l, choice_r, outcomes) of a prediction line, or None."""
+    """The escaping cell of a prediction line, as a world, or None."""
     if len(ant) != 3 or len(cons) != 3:
         return None
     if not all(isinstance(a, Atom) for a in ant + cons):
@@ -279,27 +249,27 @@ def _prediction_shape(ant, cons):
     if ant_out.setting != choices[ant_out.region] or cons_out.setting != choices[cons_out.region]:
         return None
     signs = {ant_out.region: ant_out.sign, cons_out.region: _FLIP[cons_out.sign]}
-    return (cl.name, cr.name, signs["L"] + signs["R"])
+    return World(cl.name, cr.name, signs["L"], signs["R"])
 
 
-def _check_positive_prediction(model, line, premises, earlier):
+def _check_positive_prediction(model, line, premises, order):
     parts = _strict(line.statement)
     if parts is None:
         return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
     ant = _conjuncts(parts[0])
-    cell = _negated_conditional_cell(ant, parts[1])
-    if cell is None:
+    world = _negated_conditional_cell(ant, parts[1])
+    if world is None:
         return RuleVerdict(
             INVALID,
             "expected (choices) => ~(earlier outcome -> later choice ^ outcome), "
             f"found {unparse(line.statement)}",
         )
-    if cell != _POSITIVE_CELL:
+    cell, expected = _cell(world), _PREDICTED[line.rule]
+    if world != expected:
         return RuleVerdict(
             INVALID,
-            f"statement demands witness cell {cell}, but {line.rule} pins {_POSITIVE_CELL}",
+            f"statement demands witness cell {cell}, but {line.rule} pins {_cell(expected)}",
         )
-    world = World(cell[0], cell[1], cell[2][0], cell[2][1])
     if world not in model.possible:
         return RuleVerdict(
             INVALID, f"witness cell {cell} carries no probability above the threshold"
@@ -333,11 +303,11 @@ def _negated_conditional_cell(ant, cons):
     if out_b.setting != later_choice.name or out_b.region == out_a.region:
         return None
     signs = {out_a.region: out_a.sign, out_b.region: _FLIP[out_b.sign]}
-    return (cl.name, cr.name, signs["L"] + signs["R"])
+    return World(cl.name, cr.name, signs["L"], signs["R"])
 
 
-def _check_b6(model, line, premises, earlier):
-    later = "R" if earlier == "L" else "L"
+def _check_b6(model, line, premises, order):
+    earlier, later = order.earlier_region, order.later_region
     parts = _strict(line.statement)
     if parts is None:
         return RuleVerdict(INVALID, "expected a strict conditional")
@@ -369,7 +339,7 @@ def _check_b6(model, line, premises, earlier):
     return RuleVerdict(VALID, "pinned-history axiom instance")
 
 
-def _check_b5_b7(model, line, premises, earlier):
+def _check_b5_b7(model, line, premises, order):
     concl = _strict(line.statement)
     if concl is None:
         return RuleVerdict(INVALID, "expected a strict conditional")
@@ -404,7 +374,7 @@ def _check_b5_b7(model, line, premises, earlier):
     )
 
 
-def _check_a5(model, line, premises, earlier):
+def _check_a5(model, line, premises, order):
     if len(premises) != 1:
         return RuleVerdict(INVALID, "import/export cites exactly one premise")
     prem = _strict(premises[0])
@@ -426,7 +396,7 @@ def _check_a5(model, line, premises, earlier):
         if _conjuncts(a) + _conjuncts(inner.left) == ab:
             if inner.right == prem[1]:
                 return RuleVerdict(VALID, "export: antecedent split around the arrow")
-            elided = _elision_ok(prem[1], inner.right, ab, earlier)
+            elided = _elision_ok(prem[1], inner.right, ab, order.earlier_region)
             if elided is not None:
                 return RuleVerdict(
                     VALID,
@@ -459,8 +429,8 @@ def _elision_ok(prem_cons, concl_cons, antecedent_conjuncts, earlier):
     return dropped
 
 
-def _check_loc1_commute(model, line, premises, earlier):
-    later = "R" if earlier == "L" else "L"
+def _check_loc1_commute(model, line, premises, order):
+    earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "commute cites exactly one premise")
     prem = _strict(premises[0])
@@ -495,8 +465,8 @@ def _check_loc1_commute(model, line, premises, earlier):
     return RuleVerdict(VALID, f"earlier outcome {unparse(e)} is invariant across accessible worlds")
 
 
-def _check_def(model, line, premises, earlier):
-    later = "R" if earlier == "L" else "L"
+def _check_def(model, line, premises, order):
+    earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "definition step cites exactly one premise")
     prem = _strict(premises[0])
@@ -537,10 +507,27 @@ def _check_def(model, line, premises, earlier):
     )
 
 
-def _check_hypothesis(model, line, premises, earlier):
+def _check_hypothesis(model, line, premises, order):
     if premises:
         return RuleVerdict(INVALID, "a hypothesis cites no premises")
     return RuleVerdict(VALID, "assumed for refutation; discharged by the closing contradiction")
+
+
+# each rule tag and its checker, called as checker(model, line, premises, order)
+_CHECKERS = {
+    "PRED21": _check_zero_prediction,
+    "PRED22": _check_zero_prediction,
+    "PRED23": _check_zero_prediction,
+    "PRED24": _check_positive_prediction,
+    "B6": _check_b6,
+    "A5": _check_a5,
+    "B5": _check_b5_b7,
+    "B7": _check_b5_b7,
+    "LOC1_COMMUTE": _check_loc1_commute,
+    "DEF": _check_def,
+    "HYPOTHESIS": _check_hypothesis,
+}
+RULE_TAGS = tuple(_CHECKERS)
 
 
 def validate_scopes(script: ProofScript) -> list[str]:
@@ -665,10 +652,9 @@ class AuditReport:
         return "\n".join(out)
 
 
-def _reading_truth(model: Model, stmt: Formula, reading: str, opts: CfOptions) -> bool:
+def _reading_truth(model: Model, stmt: Formula, ropts: CfOptions) -> bool:
     """Universal reading: no escaping world.  Existential: a conforming world."""
-    ropts = replace(opts, quantifier=reading)
-    if reading == "every":
+    if ropts.quantifier == "every":
         return truth_mask(model, stmt, ropts) == model.mask
     if isinstance(stmt, StrictImp):
         return bool(truth_mask(model, stmt.left, ropts) & truth_mask(model, stmt.right, ropts))
@@ -696,12 +682,11 @@ def audit(
     scope_problems = validate_scopes(script)
 
     hyp = next((ln for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
-    raw: dict[int, dict[str, bool]] = {}
-    for ln in script.lines:
-        raw[ln.index] = {
-            reading: _reading_truth(model, ln.statement, reading, opts)
-            for reading in ("every", "some")
-        }
+    readings = {q: replace(opts, quantifier=q) for q in ("every", "some")}
+    raw = {
+        ln.index: {q: _reading_truth(model, ln.statement, ropts) for q, ropts in readings.items()}
+        for ln in script.lines
+    }
 
     audits = []
     verdicts = {}
@@ -710,7 +695,7 @@ def audit(
         verdicts[ln.index] = verdict
         sem = dict(raw[ln.index])
         if hyp is not None and hyp.index in ln.hypothesis_scope:
-            for reading in ("every", "some"):
+            for reading in readings:
                 sem[reading] = (not raw[hyp.index][reading]) or sem[reading]
         audits.append(
             LineAudit(
@@ -735,7 +720,9 @@ def audit(
     contradiction = None
     bridge = None
     if hyp is not None:
-        contradiction, bridge = _find_contradiction(model, script, hyp.index, opts)
+        contradiction, bridge = _find_contradiction(
+            model, script, hyp.index, opts, readings["some"]
+        )
 
     refuted = bool(rules_ok and side_ok and contradiction and bridge)
     line5_true = False
@@ -770,7 +757,7 @@ def audit(
     return AuditReport(lines=tuple(audits), final=final, notes=script.notes)
 
 
-def _find_contradiction(model, script, hyp_index, opts):
+def _find_contradiction(model, script, hyp_index, opts, some):
     """A scoped/unscoped line pair asserting D and ~D inside one box."""
     scoped, unscoped = [], []
     for ln in script.lines:
@@ -793,9 +780,7 @@ def _find_contradiction(model, script, hyp_index, opts):
                 # the imposed choice holds throughout what it reaches, so
                 # `c []-> c` read existentially marks the worlds whose
                 # accessible set is nonempty
-                reaches = truth_mask(
-                    model, Counterfactual(c1, c1), replace(opts, quantifier="some")
-                )
+                reaches = truth_mask(model, Counterfactual(c1, c1), some)
                 bridges = worlds_in(truth_mask(model, x1, opts) & reaches)
                 if bridges:
                     return (i, j), bridges[0]

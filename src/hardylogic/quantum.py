@@ -25,7 +25,14 @@ import json
 import math
 from dataclasses import dataclass
 
-from .worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable, read_json
+from .worlds import (
+    CHOICE_PAIRS,
+    FORBIDDEN_WORLDS,
+    OUTCOME_PAIRS,
+    PARADOX_WORLD,
+    ProbabilityTable,
+    read_json,
+)
 
 # cells below this are treated as exact Born-rule zeros when exporting
 ZERO_CLAMP = 1e-10
@@ -105,11 +112,9 @@ def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     c1 = P(L2-, R2+ | L2,R2)   c2 = P(L2+, R1+ | L2,R1)
     c3 = P(L1-, R2- | L1,R2)   c4 = P(L1-, R1+ | L1,R1)
     """
-    return (
-        joint_probability(cfg, "L2", "R2", "-", "+"),
-        joint_probability(cfg, "L2", "R1", "+", "+"),
-        joint_probability(cfg, "L1", "R2", "-", "-"),
-        joint_probability(cfg, "L1", "R1", "-", "+"),
+    return tuple(
+        joint_probability(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+        for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD)
     )
 
 
@@ -167,9 +172,7 @@ def verify_hardy(
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     c1, c2, c3, c4 = constraint_values(cfg)
-    marginal = joint_probability(cfg, "L1", "R1", "-", "+") + joint_probability(
-        cfg, "L1", "R1", "-", "-"
-    )
+    marginal = c4 + joint_probability(cfg, "L1", "R1", "-", "-")
     return PredictionReport(
         c1=c1,
         c2=c2,

@@ -20,6 +20,12 @@ The accessibility relation encodes the one-frame no-backward-influence
 condition: imposing a later-region choice keeps the earlier region's
 choice and recorded outcome fixed, while the later region's outcome
 ranges over everything the table leaves possible.
+
+The region-R statement SR and the two conclusion lines, 5 and 6, live
+here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`) and as
+the formula parsed once at import (`SR`, `LINE5`, `LINE6`), which
+`check_theorem` and the proof script read.  The prediction cells that
+`hardy_conformance` checks live in `worlds`.
 """
 
 from __future__ import annotations
@@ -37,7 +43,16 @@ from .formula import (
     StrictImp,
     parse,
 )
-from .worlds import ATOM_MASKS, WORLD_INDEX, WORLDS, Model, World, worlds_in
+from .worlds import (
+    ATOM_MASKS,
+    FORBIDDEN_WORLDS,
+    PARADOX_WORLD,
+    WORLD_INDEX,
+    WORLDS,
+    Model,
+    World,
+    worlds_in,
+)
 
 
 class UnsupportedCounterfactualError(ValueError):
@@ -201,15 +216,7 @@ def holds_globally(
 SR_TEXT = "(R2 & R2+) -> (R1 []-> R1 & R1-)"
 LINE5_TEXT = "L2 => (R2 & R2+) -> (R1 []-> R1 & R1-)"
 LINE6_TEXT = "L1 => (R2 & R2+) -> (R1 []-> R1 & R1-)"
-
-# worlds the three vanishing predictions force out, and the cell the
-# fourth prediction forces in
-FORBIDDEN_WORLDS = (
-    World("L2", "R2", "-", "+"),
-    World("L2", "R1", "+", "+"),
-    World("L1", "R2", "-", "-"),
-)
-PARADOX_WORLD = World("L1", "R1", "-", "+")
+SR, LINE5, LINE6 = (parse(text) for text in (SR_TEXT, LINE5_TEXT, LINE6_TEXT))
 
 
 @dataclass(frozen=True)
@@ -272,9 +279,9 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conformance check separately.
     """
     conforming, detail = hardy_conformance(model)
-    line5 = holds_globally(model, parse(LINE5_TEXT), opts)
-    line6 = holds_globally(model, parse(LINE6_TEXT), opts)
-    sr_false = model.mask & ~truth_mask(model, parse(SR_TEXT), opts)
+    line5 = holds_globally(model, LINE5, opts)
+    line6 = holds_globally(model, LINE6, opts)
+    sr_false = model.mask & ~truth_mask(model, SR, opts)
     sr_false_l1 = worlds_in(sr_false & ATOM_MASKS["L1"])
     return TheoremReport(
         hardy_conforming=conforming,

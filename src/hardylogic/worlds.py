@@ -5,6 +5,12 @@ two regions; there are exactly sixteen.  A model pairs a per-choice-pair
 outcome distribution with a possibility threshold: the physically
 possible worlds are those whose outcome cell carries probability above
 the threshold.
+
+The four prediction cells of the Hardy argument live here, as worlds,
+and nowhere else: `FORBIDDEN_WORLDS`, the three cells that must vanish,
+and `PARADOX_WORLD`, the one that must not.  The constraint values in
+`quantum`, the conformance check in `semantics` and the prediction
+rules in `proof` all read them.
 """
 
 from __future__ import annotations
@@ -70,6 +76,15 @@ WORLDS = tuple(
     for outcome_r in SIGNS
 )
 WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
+
+# Hardy's four predictions (PRL 71, 1665, 1993), in order: the three
+# cells that vanish, then the paradox cell that carries probability.
+FORBIDDEN_WORLDS = (
+    World("L2", "R2", "-", "+"),
+    World("L2", "R1", "+", "+"),
+    World("L1", "R2", "-", "-"),
+)
+PARADOX_WORLD = World("L1", "R1", "-", "+")
 
 
 def enumerate_worlds() -> list[World]:
@@ -243,9 +258,6 @@ class Model:
 
     def __post_init__(self):
         object.__setattr__(self, "mask", sum(1 << WORLD_INDEX[w] for w in self.possible))
-
-    def is_possible(self, world: World) -> bool:
-        return world in self.possible
 
     def possible_in_order(self) -> list[World]:
         return worlds_in(self.mask)

@@ -19,8 +19,7 @@ def hardy_model(hardy_table):
     return build_model(hardy_table)
 
 
-@pytest.fixture(scope="session")
-def control_table(hardy_table):
+def paradox_free(hardy_table):
     """The falsifiability control: paradox cell forced to zero.
 
     The (L1,R1) row is collapsed onto the R-minus column, so the
@@ -37,6 +36,11 @@ def control_table(hardy_table):
     }
     assert set(rows[("L1", "R1")]) == set(OUTCOME_PAIRS)
     return ProbabilityTable(rows)
+
+
+@pytest.fixture(scope="session")
+def control_table(hardy_table):
+    return paradox_free(hardy_table)
 
 
 @pytest.fixture(scope="session")

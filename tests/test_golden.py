@@ -1,0 +1,97 @@
+"""Golden CLI transcripts on the Hardy and the control model.
+
+Each file under `tests/golden/` holds the stdout, stderr and exit code
+of one command, byte for byte.  The model files are the conftest
+`hardy_model` and `control_model` written with `save_model`; the
+configuration is `find_hardy()` written with `save_config`.  A change
+that alters any byte of these outputs fails here.  When an output
+change is intended, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import shlex
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from hardylogic import build_model, export_table, find_hardy, save_config, save_model
+from hardylogic.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_LINE5 = "L2 => (R2 & R2+ -> (R1 []-> R1 & R1-))"
+_LINE6 = "L1 => (R2 & R2+ -> (R1 []-> R1 & R1-))"
+
+_PER_MODEL = {
+    "check-theorem": ["check-theorem", "{model}"],
+    "proof-audit": ["proof", "audit", "{model}"],
+    "proof-audit-json": ["proof", "audit", "{model}", "--json"],
+    "eval-line5": ["eval", "{model}", _LINE5],
+    "eval-line6": ["eval", "{model}", _LINE6],
+    "eval-at": ["eval", "{model}", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+"],
+    "eval-at-some": ["eval", "{model}", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+",
+                     "--quantifier", "some"],
+    "eval-at-paradox-world": ["eval", "{model}", "L1", "--at", "L1,R1,-,+"],
+    "eval-parse-error": ["eval", "{model}", "L1 &&& L2"],
+    "eval-bad-world": ["eval", "{model}", "L1", "--at", "L1,R2,-"],
+    "eval-earlier-antecedent": ["eval", "{model}", "L1 []-> R1"],
+}
+
+CASES = {
+    f"{name}.{model}": [arg.replace("{model}", "{%s}" % model) for arg in argv]
+    for model in ("hardy", "control")
+    for name, argv in _PER_MODEL.items()
+}
+CASES["sr-table"] = ["sr-table"]
+CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
+CASES["model-build"] = ["model", "build", "{config}"]
+
+
+def write_inputs(where: Path, hardy_model, control_model) -> dict[str, str]:
+    """Save the two models and the configuration; their paths by placeholder."""
+    paths = {name: str(where / f"{name}.json") for name in ("hardy", "control", "config")}
+    save_model(hardy_model, paths["hardy"])
+    save_model(control_model, paths["control"])
+    save_config(find_hardy(), paths["config"])
+    return paths
+
+
+def transcript(argv: list[str], paths: dict[str, str]) -> str:
+    """The command line (placeholders kept), its stdout, stderr and exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    return (
+        f"$ hardylogic {shlex.join(argv)}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def golden_paths(tmp_path_factory, hardy_model, control_model):
+    return write_inputs(tmp_path_factory.mktemp("golden"), hardy_model, control_model)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, golden_paths):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert transcript(CASES[name], golden_paths) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
+
+
+if __name__ == "__main__":
+    from conftest import paradox_free
+
+    table = export_table(find_hardy())
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_inputs(Path(tmp), build_model(table), build_model(paradox_free(table)))
+        for name, argv in CASES.items():
+            (GOLDEN / f"{name}.txt").write_text(transcript(argv, paths), encoding="utf-8")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylogic import semantics
 from hardylogic.formula import (
     CHOICE_ATOMS,
     MAX_NESTING,
@@ -269,6 +270,17 @@ def test_check_theorem_on_hardy_model(hardy_model):
     assert report.sr_true_on_all_l2_worlds
     assert report.sr_false_l1_witness is not None
     assert World("L1", "R2", "-", "+") in report.line6.counterexamples
+
+
+def test_check_theorem_parses_nothing_per_call(hardy_model, monkeypatch):
+    # the conclusion lines and SR are parsed once, when the module loads
+    expected = check_theorem(hardy_model)
+
+    def refuse(text):
+        raise AssertionError(f"check_theorem parsed {text!r}")
+
+    monkeypatch.setattr(semantics, "parse", refuse)
+    assert check_theorem(hardy_model) == expected
 
 
 def test_check_theorem_on_uniform_model(uniform_model):
