@@ -20,7 +20,9 @@ import argparse
 import json
 import sys
 
-from . import proof, quantum, semantics, worlds
+# The layers only some commands run (quantum, semantics, proof) are
+# imported inside their handlers, so a command loads no layer it does not run.
+from . import worlds
 from .formula import parse
 
 USAGE_ERROR = 2
@@ -79,8 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_hardy_find(args) -> int:
+    from . import quantum
+
     params = quantum.SearchParams(seed=args.seed, grid=args.grid)
-    cfg = quantum.find_hardy(params)
+    try:
+        cfg = quantum.find_hardy(params)
+    except quantum.SearchError as exc:  # main catches ValueError, so needs no quantum
+        raise ValueError(str(exc)) from exc
     report = quantum.verify_hardy(cfg)
     print(f"theta    = {cfg.theta!r}")
     for setting in ("L1", "L2", "R1", "R2"):
@@ -93,6 +100,8 @@ def _cmd_hardy_find(args) -> int:
 
 
 def _cmd_hardy_verify(args) -> int:
+    from . import quantum
+
     cfg = quantum.load_config(args.config)
     report = quantum.verify_hardy(cfg, tol=args.tol)
     print(report.summary())
@@ -101,6 +110,8 @@ def _cmd_hardy_verify(args) -> int:
 
 
 def _cmd_model_build(args) -> int:
+    from . import quantum
+
     cfg = quantum.load_config(args.config)
     table = quantum.export_table(cfg)
     model = worlds.build_model(table, epsilon=args.epsilon)
@@ -114,6 +125,8 @@ def _cmd_model_build(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import semantics
+
     model = worlds.load_model(args.model)
     f = parse(args.formula)
     opts = semantics.CfOptions(quantifier=args.quantifier)
@@ -130,6 +143,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
+    from . import semantics
+
     model = worlds.load_model(args.model)
     report = semantics.check_theorem(model)
     print(report.render())
@@ -137,6 +152,8 @@ def _cmd_check_theorem(args) -> int:
 
 
 def _cmd_proof_audit(args) -> int:
+    from . import proof
+
     model = worlds.load_model(args.model)
     report = proof.audit(model)
     if args.json:
@@ -152,6 +169,8 @@ def _cmd_proof_audit(args) -> int:
 
 
 def _cmd_sr_table(args) -> int:
+    from . import proof
+
     rows = proof.sr_truth_table()
     fmt = {True: "t", False: "f"}
     print("RA  RA+  RC  RC-  |  SR")
@@ -182,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
     except json.JSONDecodeError as exc:  # a ValueError with its own prefix
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
-    except (ValueError, quantum.SearchError) as exc:  # bad formula, table, world or value
+    except ValueError as exc:  # bad formula, table, world or value
         print(f"error: {exc}", file=sys.stderr)
     return USAGE_ERROR
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formula import (
+    OUTCOME_ATOMS,
     And,
     Atom,
     Counterfactual,
@@ -48,7 +49,6 @@ from .worlds import (
     FORBIDDEN_WORLDS,
     PARADOX_WORLD,
     WORLD_INDEX,
-    WORLDS,
     Model,
     World,
     worlds_in,
@@ -105,15 +105,6 @@ def _imposable(choice: Formula, order: TemporalOrder) -> Atom:
     return choice
 
 
-def _reach(possible: int, i: int, imposed: int, order: TemporalOrder, self_world: bool) -> int:
-    """Mask of the worlds reached from world i by imposing the choice with mask `imposed`."""
-    if self_world and imposed >> i & 1:
-        return 1 << i
-    w = WORLDS[i]
-    pinned = w.choice_l + w.outcome_l if order.earlier_region == "L" else w.choice_r + w.outcome_r
-    return possible & imposed & ATOM_MASKS[pinned]
-
-
 def accessible(
     model: Model,
     world: World,
@@ -132,10 +123,14 @@ def accessible(
     _imposable(choice, order)
     if world not in model.possible:
         raise ValueError(f"world {world} is not possible in this model")
-    reach = _reach(
-        model.mask, WORLD_INDEX[world], ATOM_MASKS[choice.name], order, self_world_when_consistent
-    )
-    return worlds_in(reach)
+    imposed = ATOM_MASKS[choice.name]
+    if self_world_when_consistent and imposed >> WORLD_INDEX[world] & 1:
+        return [world]
+    if order.earlier_region == "L":
+        pinned = world.choice_l + world.outcome_l
+    else:
+        pinned = world.choice_r + world.outcome_r
+    return worlds_in(model.mask & imposed & ATOM_MASKS[pinned])
 
 
 def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> int:
@@ -155,11 +150,15 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
         imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
         consequent = truth_mask(model, f.right, opts)
         out = 0
-        for i in range(len(WORLDS)):
-            reach = _reach(possible, i, imposed, opts.order, opts.self_world_when_consistent)
-            inside, meets = not reach & ~consequent, reach & consequent
-            if inside if opts.quantifier == "every" else meets:
-                out |= 1 << i
+        # every world of one earlier-region (choice, outcome) cell reaches the same worlds
+        for cell in OUTCOME_ATOMS:
+            if cell[0] == opts.order.earlier_region:
+                reach = possible & imposed & ATOM_MASKS[cell]
+                inside, meets = not reach & ~consequent, reach & consequent
+                if inside if opts.quantifier == "every" else meets:
+                    out |= ATOM_MASKS[cell]
+        if opts.self_world_when_consistent:  # a world where the choice holds reaches itself
+            out = out & ~imposed | imposed & consequent
         return out & possible
     left = truth_mask(model, f.left, opts)
     right = truth_mask(model, f.right, opts)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import errno
 import io
 import json
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylogic.cli import main
+from hardylogic.quantum import verify_hardy
 from hardylogic.worlds import save_model
 
 
@@ -197,6 +199,17 @@ def test_os_error_without_a_path_exits_2(tmp_path, monkeypatch, exc, capsys):
     monkeypatch.setattr("hardylogic.quantum.save_config", fail)
     assert main(["hardy", "find", "--out", str(tmp_path / "cfg.json")]) == 2
     assert capsys.readouterr().err == f"error: [Errno {exc.errno}] {exc.strerror}\n"
+
+
+def test_search_error_exits_2(monkeypatch, capsys):
+    def failing(cfg, **kw):
+        return dataclasses.replace(verify_hardy(cfg, **kw), c1=1.0)
+
+    monkeypatch.setattr("hardylogic.quantum.verify_hardy", failing)
+    assert main(["hardy", "find"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the closed-form optimum failed verification")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -5,16 +5,27 @@
 A module may import a module of a lower layer, never one of its own
 layer or above, so the facts the layers share (the prediction cells in
 `worlds`, the conclusion lines in `semantics`) have one home that every
-reader can reach without a cycle.  `__init__` re-exports everything and
-is exempt.
+reader can reach without a cycle.
+
+`__init__` imports no package module: its `_EXPORTS` table names the
+module that defines each public name, and a module `__getattr__` imports
+that module on first use.  So `import hardylogic` loads nothing, and each
+command of the command line loads only the layers it runs; the tests
+below check both in fresh interpreters, and that the package still binds
+every name it exported when it imported every layer eagerly.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hardylogic
+from hardylogic import build_model, export_table, find_hardy, save_config, save_model
 
 PACKAGE = Path(hardylogic.__file__).parent
 
@@ -64,3 +75,140 @@ def test_the_reader_sees_upward_imports(tmp_path):
         "import json\n"
     )
     assert _package_imports(source) == {"proof", "cli", "semantics", "quantum", "worlds"}
+
+
+def _defined_names(path: Path) -> set[str]:
+    """The names a source file binds at module level by `class`, `def` or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_init_imports_no_package_module():
+    assert _package_imports(PACKAGE / "__init__.py") == set()
+
+
+def test_every_export_names_the_module_that_defines_it():
+    assert set(hardylogic._SUBMODULES) == set(LAYER)
+    for name, module in hardylogic._EXPORTS.items():
+        assert module in LAYER, f"{name} is exported from unknown module {module}"
+        assert name in _defined_names(PACKAGE / f"{module}.py"), f"{module} does not define {name}"
+
+
+# every name the package exported when `__init__` imported each layer eagerly
+EXPORTED = (
+    "And", "Atom", "AuditReport", "CfOptions", "Counterfactual", "DegenerateModelError",
+    "Formula", "GlobalCheck", "HardyConfig", "LexError", "MatImp", "Model", "Not", "Or",
+    "ParseError", "PredictionReport", "ProbabilityTable", "ProofLine", "ProofScript",
+    "RuleVerdict", "SearchError", "SearchParams", "StrictImp", "TableError", "TemporalOrder",
+    "TheoremReport", "UnsupportedCounterfactualError", "World", "accessible", "audit",
+    "build_model", "builtin_script", "check_paper_normal", "check_rule", "check_theorem",
+    "enumerate_worlds", "eval_at", "export_table", "find_hardy", "holds_globally",
+    "joint_probability", "load_config", "load_model", "parse", "parse_world",
+    "satisfies_atom", "save_config", "save_model", "sr_truth_table", "unparse",
+    "verify_hardy",
+)
+LIBRARY_MODULES = ("formula", "worlds", "quantum", "semantics", "proof")
+
+
+def test_package_surface_is_unchanged():
+    star = {}
+    exec("from hardylogic import *", star)
+    del star["__builtins__"]
+    assert set(star) == {*EXPORTED, *LIBRARY_MODULES}
+    assert set(star) <= set(dir(hardylogic))
+    for name in EXPORTED:
+        imported = {}
+        exec(f"from hardylogic import {name}", imported)
+        assert imported[name] is getattr(hardylogic, name) is star[name]
+    for module in (*LIBRARY_MODULES, "cli"):
+        assert getattr(hardylogic, module).__name__ == f"hardylogic.{module}"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hardylogic.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hardylogic import no_such_name", {})
+
+
+_REPORT = (
+    "import json, sys\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('hardylogic'))]))\n"
+)
+_RUN_MAIN = (
+    "import contextlib, io, sys\n"
+    "from hardylogic.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+)
+
+
+def _loaded(script: str, argv: list[str], cwd: Path) -> tuple[int | None, set[str]]:
+    """`code` and the `hardylogic` modules loaded after `script` runs in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", script + _REPORT, *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("readme")
+    cfg = find_hardy()
+    save_config(cfg, str(path / "cfg.json"))
+    save_model(build_model(export_table(cfg)), str(path / "model.json"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import hardylogic", set()),
+        ("import hardylogic.cli", {"cli", "formula", "worlds"}),
+        ("import hardylogic; hardylogic.semantics.truth_mask", {"formula", "worlds", "semantics"}),
+        ("import hardylogic; hardylogic.find_hardy", {"formula", "worlds", "quantum"}),
+        ("from hardylogic import audit", {"formula", "worlds", "semantics", "proof"}),
+    ],
+)
+def test_importing_loads_only_what_is_used(statement, loaded, tmp_path):
+    assert _loaded(f"code = None\n{statement}\n", [], tmp_path) == (
+        None,
+        {"hardylogic", *(f"hardylogic.{m}" for m in loaded)},
+    )
+
+
+_QUANTUM = {"cli", "formula", "worlds", "quantum"}
+_SEMANTICS = {"cli", "formula", "worlds", "semantics"}
+_PROOF = {"cli", "formula", "worlds", "semantics", "proof"}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, loaded",
+    [
+        (["hardy", "find", "--out", "cfg.json"], 0, _QUANTUM),
+        (["hardy", "verify", "cfg.json"], 0, _QUANTUM),
+        (["model", "build", "cfg.json", "--out", "model.json"], 0, _QUANTUM),
+        (["check-theorem", "model.json"], 0, _SEMANTICS),
+        (["check-theorem", "no-such-model.json"], 2, _SEMANTICS),
+        (["eval", "model.json", "L1 => L1"], 0, _SEMANTICS),
+        (["eval", "model.json", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+"], 1, _SEMANTICS),
+        (["proof", "audit", "model.json"], 0, _PROOF),
+        (["proof", "audit", "model.json", "--json"], 0, _PROOF),
+        (["sr-table"], 0, _PROOF),
+    ],
+)
+def test_each_command_loads_only_its_layers(argv, exit_code, loaded, readme_dir):
+    assert _loaded(_RUN_MAIN, argv, readme_dir) == (
+        exit_code,
+        {"hardylogic", *(f"hardylogic.{m}" for m in loaded)},
+    )

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardylogic import semantics
@@ -335,6 +335,9 @@ def _case_model(request, kind, rng):
     quantifier=st.sampled_from(("every", "some")),
     self_world=st.booleans(),
 )
+# `R1 []-> R1+` read with `some`: an R1 world outside R1+ reaches only
+# itself, while other worlds of its earlier-region cell reach R1+ worlds
+@example(seed=299, kind="hardy", earlier="L", quantifier="some", self_world=True)
 def test_truth_sets_match_per_world_oracle(request, seed, kind, earlier, quantifier, self_world):
     rng = random.Random(seed)
     model = _case_model(request, kind, rng)
