@@ -7,6 +7,14 @@ nonzero cells instead), and `audit` adds a per-line semantic reading in
 two strengths plus the closing contradiction that discharges the
 hypothesis.
 
+Everything that reads only the script is worked out once per script
+and temporal order, into a plan the script keeps (`_Plan`): the scope
+check, every structural rule verdict, the cell each prediction line
+pins, the complementary line pairs and the hypothesis's counterpart.
+Both `check_rule` and `audit` read it; what is left per model is
+whether each pinned cell is possible, the two readings, the side
+condition and the bridge world.
+
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
 
@@ -37,7 +45,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 from .formula import And, Atom, Counterfactual, Formula, MatImp, Not, StrictImp, parse, unparse
-from .semantics import DEFAULT_OPTIONS, LINE5, LINE6, CfOptions, holds_globally, truth_mask
+from .semantics import DEFAULT_OPTIONS, LINE5, LINE6, CfOptions, TemporalOrder, truth_mask
 from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World, worlds_in
 
 VALID = "valid"
@@ -74,6 +82,14 @@ class ProofScript:
     side_conditions: tuple[SideCondition, ...]
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # audit plans by earlier region, built on first use (`_plan`); not
+        # a field, so equality, hashing and repr ignore them
+        object.__setattr__(self, "_plans", {})
+
+    def __reduce__(self):  # pickle and copy rebuild the script, without its plans
+        return (type(self), (self.lines, self.side_conditions, self.notes))
+
     def line(self, index: int) -> ProofLine:
         for ln in self.lines:
             if ln.index == index:
@@ -81,48 +97,69 @@ class ProofScript:
         raise KeyError(f"no line {index}")
 
 
+def _interned(f: Formula, nodes: dict) -> Formula:
+    """`f` rebuilt bottom-up so that each subformula is the first equal one in `nodes`."""
+    if isinstance(f, Not):
+        f = Not(_interned(f.arg, nodes))
+    elif not isinstance(f, Atom):
+        f = type(f)(_interned(f.left, nodes), _interned(f.right, nodes))
+    return nodes.setdefault(f, f)
+
+
 @cache
 def builtin_script() -> ProofScript:
     """The fourteen derivation lines, hypothesis scopes, and side condition.
 
     Built once and shared: the script and every node in it are frozen.
+    Its formulas are interned, so equal subformulas, within a line and
+    across lines, are one object, which `truth_mask` evaluates once per
+    reading of an audit.
 
     Two normalizations from the printed source are applied and logged in
     the script notes: the mislabeled prediction citation on line 12 is
     read as the fourth prediction, and a stray R2- in the companion
     set-form argument for line 12 is read as R1-.
     """
+    nodes: dict[Formula, Formula] = {}
+
+    def formula(text: str) -> Formula:
+        return _interned(parse(text), nodes)
+
     h = frozenset({6})
     lines = (
-        ProofLine(1, parse("(L2 & R2 & L2+) => (R1 []-> L2 & R1 & L2+)"), "B6"),
-        ProofLine(2, parse("(L2 & R2 & R2+) => (L2 & R2 & L2+)"), "PRED21"),
-        ProofLine(3, parse("(L2 & R1 & L2+) => (L2 & R1 & R1-)"), "PRED22"),
-        ProofLine(4, parse("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)"), "B7", (1, 2, 3)),
+        ProofLine(1, formula("(L2 & R2 & L2+) => (R1 []-> L2 & R1 & L2+)"), "B6"),
+        ProofLine(2, formula("(L2 & R2 & R2+) => (L2 & R2 & L2+)"), "PRED21"),
+        ProofLine(3, formula("(L2 & R1 & L2+) => (L2 & R1 & R1-)"), "PRED22"),
+        ProofLine(4, formula("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)"), "B7", (1, 2, 3)),
         ProofLine(
-            5, LINE5, "A5", (4,), note="export plus elision of the pinned L2 inside the box"
+            5,
+            _interned(LINE5, nodes),
+            "A5",
+            (4,),
+            note="export plus elision of the pinned L2 inside the box",
         ),
         ProofLine(
             6,
-            LINE6,
+            _interned(LINE6, nodes),
             "HYPOTHESIS",
             note="line 5 with L2 replaced by L1; assumed, then refuted",
         ),
-        ProofLine(7, parse("(L1 & R2 & R2+) => (R1 []-> R1 & R1-)"), "A5", (6,), h),
-        ProofLine(8, parse("(L1 & R2 & L1-) => (L1 & R2 & R2+)"), "PRED23", (), h),
-        ProofLine(9, parse("(L1 & R2 & L1-) => (R1 []-> R1 & R1-)"), "B5", (7, 8), h),
-        ProofLine(10, parse("(L1 & R2) => (L1- -> (R1 []-> R1 & R1-))"), "A5", (9,), h),
-        ProofLine(11, parse("(L1 & R2) => (R1 []-> (L1- -> R1 & R1-))"), "LOC1_COMMUTE", (10,), h),
+        ProofLine(7, formula("(L1 & R2 & R2+) => (R1 []-> R1 & R1-)"), "A5", (6,), h),
+        ProofLine(8, formula("(L1 & R2 & L1-) => (L1 & R2 & R2+)"), "PRED23", (), h),
+        ProofLine(9, formula("(L1 & R2 & L1-) => (R1 []-> R1 & R1-)"), "B5", (7, 8), h),
+        ProofLine(10, formula("(L1 & R2) => (L1- -> (R1 []-> R1 & R1-))"), "A5", (9,), h),
+        ProofLine(11, formula("(L1 & R2) => (R1 []-> (L1- -> R1 & R1-))"), "LOC1_COMMUTE", (10,), h),
         ProofLine(
             12,
-            parse("(L1 & R1) => ~(L1- -> R1 & R1-)"),
+            formula("(L1 & R1) => ~(L1- -> R1 & R1-)"),
             "PRED24",
             note="prediction citation normalized to PRED24",
         ),
-        ProofLine(13, parse("L1 => (R1 -> ~(L1- -> R1 & R1-))"), "A5", (12,)),
-        ProofLine(14, parse("(L1 & R2) => (R1 []-> ~(L1- -> R1 & R1-))"), "DEF", (13,)),
+        ProofLine(13, formula("L1 => (R1 -> ~(L1- -> R1 & R1-))"), "A5", (12,)),
+        ProofLine(14, formula("(L1 & R2) => (R1 []-> ~(L1- -> R1 & R1-))"), "DEF", (13,)),
     )
     side = SideCondition(
-        formula=parse("L1 & R1 & L1-"),
+        formula=formula("L1 & R1 & L1-"),
         description=(
             "some possible world performs L1 and R1 and records the minus "
             "outcome on the L side"
@@ -182,11 +219,13 @@ def check_rule(
     """Is the line derivable from its cited premises under its rule tag?
 
     Prediction tags are checked against the model's possibility pattern;
-    every other tag is checked by structural matching.
+    every other tag is checked by structural matching.  The matching is
+    done once per script and temporal order, into the script's plan.
     """
-    line = script.line(index)
-    premises = [script.line(i).statement for i in line.premises]
-    return _CHECKERS[line.rule](model, line, premises, opts.order)
+    rules = _plan(script, opts.order).rules
+    if index not in rules:
+        raise KeyError(f"no line {index}")
+    return _verdict(model, rules[index])
 
 
 # the cell each prediction tag pins: PRED21-23 the vanishing ones, in
@@ -203,30 +242,28 @@ def _cell(world: World) -> tuple[str, str, str]:
     return (world.choice_l, world.choice_r, world.outcome_pair)
 
 
-def _check_zero_prediction(model, line, premises, order):
+def _check_prediction(line, premises, order):
+    """The cell a prediction line pins, if its shape and the tag agree on it."""
     parts = _strict(line.statement)
     if parts is None:
         return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
-    ant, cons = (_conjuncts(parts[0]), _conjuncts(parts[1]))
-    world = _prediction_shape(ant, cons)
+    ant, zero = _conjuncts(parts[0]), line.rule != "PRED24"
+    if zero:
+        world = _prediction_shape(ant, _conjuncts(parts[1]))
+        shape = "(choices ^ outcome) => (same choices ^ other region's outcome)"
+    else:
+        world = _negated_conditional_cell(ant, parts[1])
+        shape = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
     if world is None:
-        return RuleVerdict(
-            INVALID,
-            "expected (choices ^ outcome) => (same choices ^ other region's outcome), "
-            f"found {unparse(line.statement)}",
-        )
-    cell, expected = _cell(world), _PREDICTED[line.rule]
+        return RuleVerdict(INVALID, f"expected {shape}, found {unparse(line.statement)}")
+    expected = _PREDICTED[line.rule]
     if world != expected:
         return RuleVerdict(
             INVALID,
-            f"statement demands zero cell {cell}, but {line.rule} pins {_cell(expected)}",
+            f"statement demands {'zero' if zero else 'witness'} cell {_cell(world)}, "
+            f"but {line.rule} pins {_cell(expected)}",
         )
-    if world in model.possible:
-        return RuleVerdict(
-            INVALID,
-            f"cell {cell} carries probability {model.table.prob(world)!r}; not a zero cell",
-        )
-    return RuleVerdict(VALID, f"zero cell {cell} confirmed in the model")
+    return world
 
 
 def _prediction_shape(ant, cons):
@@ -250,31 +287,6 @@ def _prediction_shape(ant, cons):
         return None
     signs = {ant_out.region: ant_out.sign, cons_out.region: _FLIP[cons_out.sign]}
     return World(cl.name, cr.name, signs["L"], signs["R"])
-
-
-def _check_positive_prediction(model, line, premises, order):
-    parts = _strict(line.statement)
-    if parts is None:
-        return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
-    ant = _conjuncts(parts[0])
-    world = _negated_conditional_cell(ant, parts[1])
-    if world is None:
-        return RuleVerdict(
-            INVALID,
-            "expected (choices) => ~(earlier outcome -> later choice ^ outcome), "
-            f"found {unparse(line.statement)}",
-        )
-    cell, expected = _cell(world), _PREDICTED[line.rule]
-    if world != expected:
-        return RuleVerdict(
-            INVALID,
-            f"statement demands witness cell {cell}, but {line.rule} pins {_cell(expected)}",
-        )
-    if world not in model.possible:
-        return RuleVerdict(
-            INVALID, f"witness cell {cell} carries no probability above the threshold"
-        )
-    return RuleVerdict(VALID, f"witness cell {cell} confirmed possible in the model")
 
 
 def _negated_conditional_cell(ant, cons):
@@ -306,7 +318,7 @@ def _negated_conditional_cell(ant, cons):
     return World(cl.name, cr.name, signs["L"], signs["R"])
 
 
-def _check_b6(model, line, premises, order):
+def _check_b6(line, premises, order):
     earlier, later = order.earlier_region, order.later_region
     parts = _strict(line.statement)
     if parts is None:
@@ -339,7 +351,7 @@ def _check_b6(model, line, premises, order):
     return RuleVerdict(VALID, "pinned-history axiom instance")
 
 
-def _check_b5_b7(model, line, premises, order):
+def _check_b5_b7(line, premises, order):
     concl = _strict(line.statement)
     if concl is None:
         return RuleVerdict(INVALID, "expected a strict conditional")
@@ -374,7 +386,7 @@ def _check_b5_b7(model, line, premises, order):
     )
 
 
-def _check_a5(model, line, premises, order):
+def _check_a5(line, premises, order):
     if len(premises) != 1:
         return RuleVerdict(INVALID, "import/export cites exactly one premise")
     prem = _strict(premises[0])
@@ -429,7 +441,7 @@ def _elision_ok(prem_cons, concl_cons, antecedent_conjuncts, earlier):
     return dropped
 
 
-def _check_loc1_commute(model, line, premises, order):
+def _check_loc1_commute(line, premises, order):
     earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "commute cites exactly one premise")
@@ -465,7 +477,7 @@ def _check_loc1_commute(model, line, premises, order):
     return RuleVerdict(VALID, f"earlier outcome {unparse(e)} is invariant across accessible worlds")
 
 
-def _check_def(model, line, premises, order):
+def _check_def(line, premises, order):
     earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "definition step cites exactly one premise")
@@ -507,18 +519,20 @@ def _check_def(model, line, premises, order):
     )
 
 
-def _check_hypothesis(model, line, premises, order):
+def _check_hypothesis(line, premises, order):
     if premises:
         return RuleVerdict(INVALID, "a hypothesis cites no premises")
     return RuleVerdict(VALID, "assumed for refutation; discharged by the closing contradiction")
 
 
-# each rule tag and its checker, called as checker(model, line, premises, order)
+# each rule tag and its checker, called as checker(line, premises, order)
+# once per script and order (see `_Plan`); the prediction checker returns
+# the cell its line pins, or an invalid verdict
 _CHECKERS = {
-    "PRED21": _check_zero_prediction,
-    "PRED22": _check_zero_prediction,
-    "PRED23": _check_zero_prediction,
-    "PRED24": _check_positive_prediction,
+    "PRED21": _check_prediction,
+    "PRED22": _check_prediction,
+    "PRED23": _check_prediction,
+    "PRED24": _check_prediction,
     "B6": _check_b6,
     "A5": _check_a5,
     "B5": _check_b5_b7,
@@ -548,6 +562,95 @@ def validate_scopes(script: ProofScript) -> list[str]:
             if h not in by_index or by_index[h].rule != "HYPOTHESIS":
                 problems.append(f"line {ln.index} scoped to non-hypothesis line {h}")
     return problems
+
+
+class _Plan:
+    """What an audit reads off the script alone, for one temporal order.
+
+    `rules` maps each line index to its verdict or, for a prediction
+    line, to the cell it pins, which each model confirms or refutes.  A
+    lookup of a line the script lacks keeps its `KeyError`, in `rules`
+    or as `scope_problems`, to raise again where it used to raise.
+    """
+
+    def __init__(self, script: ProofScript, order: TemporalOrder):
+        try:
+            self.scope_problems: list[str] | KeyError = validate_scopes(script)
+        except KeyError as exc:
+            self.scope_problems = exc
+        self.rules: dict[int, RuleVerdict | World | KeyError] = {}
+        for ln in script.lines:
+            if ln.index in self.rules:  # a repeated index reads its first line
+                continue
+            try:
+                premises = [script.line(i).statement for i in ln.premises]
+            except KeyError as exc:
+                self.rules[ln.index] = exc
+            else:
+                self.rules[ln.index] = _CHECKERS[ln.rule](ln, premises, order)
+        self.checked = tuple(i for i in self.rules if script.line(i).rule != "HYPOTHESIS")
+        self.hyp = next((ln for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
+        self.counterpart, self.clashes = None, ()
+        if self.hyp is not None:
+            before = [ln for ln in script.lines if ln.index == self.hyp.index - 1]
+            self.counterpart = before[0] if before else None
+            self.clashes = _clashes(script, self.hyp.index)
+
+
+def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
+    """The script's plan for `order`, built on first use and kept on the script."""
+    plan = script._plans.get(order.earlier_region)
+    if plan is None:
+        plan = script._plans[order.earlier_region] = _Plan(script, order)
+    return plan
+
+
+def _verdict(model: Model, rule: RuleVerdict | World | KeyError) -> RuleVerdict:
+    """A plan's entry for one line, read in `model`."""
+    if isinstance(rule, KeyError):
+        raise KeyError(*rule.args)
+    if not isinstance(rule, World):
+        return rule
+    cell = _cell(rule)
+    if rule == PARADOX_WORLD:
+        if rule in model.possible:
+            return RuleVerdict(VALID, f"witness cell {cell} confirmed possible in the model")
+        return RuleVerdict(
+            INVALID, f"witness cell {cell} carries no probability above the threshold"
+        )
+    if rule in model.possible:
+        return RuleVerdict(
+            INVALID,
+            f"cell {cell} carries probability {model.table.prob(rule)!r}; not a zero cell",
+        )
+    return RuleVerdict(VALID, f"zero cell {cell} confirmed in the model")
+
+
+def _clashes(script: ProofScript, hyp_index: int) -> tuple:
+    """Scoped/unscoped line pairs asserting D and ~D inside one box.
+
+    Each is ((scoped, unscoped) indices, the shared antecedent X, and
+    `c []-> c` for the shared imposed choice c), in the order tried.
+    """
+    scoped, unscoped = [], []
+    for ln in script.lines:
+        parts = _strict(ln.statement)
+        if parts is None:
+            continue
+        box = _box(parts[1])
+        if box is None:
+            continue
+        entry = (ln.index, parts[0], box[0], box[1])
+        if hyp_index in ln.hypothesis_scope:
+            scoped.append(entry)
+        elif ln.index != hyp_index:
+            unscoped.append(entry)
+    return tuple(
+        ((i, j), x1, Counterfactual(c1, c1))
+        for i, x1, c1, d1 in scoped
+        for j, x2, c2, d2 in unscoped
+        if x1 == x2 and c1 == c2 and (d2 == Not(d1) or d1 == Not(d2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +755,15 @@ class AuditReport:
         return "\n".join(out)
 
 
-def _reading_truth(model: Model, stmt: Formula, ropts: CfOptions) -> bool:
+def _reading_truth(model: Model, stmt: Formula, ropts: CfOptions, memo: dict) -> bool:
     """Universal reading: no escaping world.  Existential: a conforming world."""
     if ropts.quantifier == "every":
-        return truth_mask(model, stmt, ropts) == model.mask
+        return truth_mask(model, stmt, ropts, memo) == model.mask
     if isinstance(stmt, StrictImp):
-        return bool(truth_mask(model, stmt.left, ropts) & truth_mask(model, stmt.right, ropts))
-    return bool(truth_mask(model, stmt, ropts))
+        return bool(
+            truth_mask(model, stmt.left, ropts, memo) & truth_mask(model, stmt.right, ropts, memo)
+        )
+    return bool(truth_mask(model, stmt, ropts, memo))
 
 
 def audit(
@@ -676,22 +781,32 @@ def audit(
     derivation step is rule-valid, so the hypothesis is refuted.  The
     hypothesis's unconditional counterpart (the line just before it)
     must hold outright.
+
+    What reads only the script comes from its plan for `opts.order`;
+    each reading evaluates the model through one `truth_mask` memo.
     """
     if script is None:
         script = builtin_script()
-    scope_problems = validate_scopes(script)
+    plan = _plan(script, opts.order)
+    scope_problems = plan.scope_problems
+    if isinstance(scope_problems, KeyError):
+        raise KeyError(*scope_problems.args)
 
-    hyp = next((ln for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
+    hyp = plan.hyp
     readings = {q: replace(opts, quantifier=q) for q in ("every", "some")}
+    memos = {q: {} for q in readings}
     raw = {
-        ln.index: {q: _reading_truth(model, ln.statement, ropts) for q, ropts in readings.items()}
+        ln.index: {
+            q: _reading_truth(model, ln.statement, ropts, memos[q])
+            for q, ropts in readings.items()
+        }
         for ln in script.lines
     }
 
     audits = []
     verdicts = {}
     for ln in script.lines:
-        verdict = check_rule(model, script, ln.index, opts)
+        verdict = _verdict(model, plan.rules[ln.index])
         verdicts[ln.index] = verdict
         sem = dict(raw[ln.index])
         if hyp is not None and hyp.index in ln.hypothesis_scope:
@@ -711,27 +826,27 @@ def audit(
             )
         )
 
-    rules_ok = (
-        all(v.ok for i, v in verdicts.items() if script.line(i).rule != "HYPOTHESIS")
-        and not scope_problems
-    )
-    side_ok = all(truth_mask(model, sc.formula, opts) for sc in script.side_conditions)
+    rules_ok = all(verdicts[i].ok for i in plan.checked) and not scope_problems
+    memo = memos[opts.quantifier]  # `opts` is the reading of its own quantifier
+    side_ok = all(truth_mask(model, sc.formula, opts, memo) for sc in script.side_conditions)
 
     contradiction = None
     bridge = None
-    if hyp is not None:
-        contradiction, bridge = _find_contradiction(
-            model, script, hyp.index, opts, readings["some"]
+    for pair, x, reaches in plan.clashes:
+        # the imposed choice holds throughout what it reaches, so `c []-> c`
+        # read existentially marks the worlds whose accessible set is nonempty
+        bridges = worlds_in(
+            truth_mask(model, x, opts, memo)
+            & truth_mask(model, reaches, readings["some"], memos["some"])
         )
+        if bridges:
+            contradiction, bridge = pair, bridges[0]
+            break
 
     refuted = bool(rules_ok and side_ok and contradiction and bridge)
     line5_true = False
-    if hyp is not None:
-        try:
-            prior = script.line(hyp.index - 1)
-            line5_true = holds_globally(model, prior.statement, opts).holds
-        except KeyError:
-            pass
+    if plan.counterpart is not None:  # true at every possible world, as `holds_globally` reads
+        line5_true = truth_mask(model, plan.counterpart.statement, opts, memo) == model.mask
 
     details = []
     if scope_problems:
@@ -755,36 +870,6 @@ def audit(
         detail="; ".join(details),
     )
     return AuditReport(lines=tuple(audits), final=final, notes=script.notes)
-
-
-def _find_contradiction(model, script, hyp_index, opts, some):
-    """A scoped/unscoped line pair asserting D and ~D inside one box."""
-    scoped, unscoped = [], []
-    for ln in script.lines:
-        parts = _strict(ln.statement)
-        if parts is None:
-            continue
-        box = _box(parts[1])
-        if box is None:
-            continue
-        entry = (ln.index, parts[0], box[0], box[1])
-        if hyp_index in ln.hypothesis_scope:
-            scoped.append(entry)
-        elif ln.index != hyp_index:
-            unscoped.append(entry)
-    for i, x1, c1, d1 in scoped:
-        for j, x2, c2, d2 in unscoped:
-            if x1 != x2 or c1 != c2:
-                continue
-            if d2 == Not(d1) or d1 == Not(d2):
-                # the imposed choice holds throughout what it reaches, so
-                # `c []-> c` read existentially marks the worlds whose
-                # accessible set is nonempty
-                reaches = truth_mask(model, Counterfactual(c1, c1), some)
-                bridges = worlds_in(truth_mask(model, x1, opts) & reaches)
-                if bridges:
-                    return (i, j), bridges[0]
-    return None, None
 
 
 # ---------------------------------------------------------------------------

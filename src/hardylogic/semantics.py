@@ -133,44 +133,65 @@ def accessible(
     return worlds_in(model.mask & imposed & ATOM_MASKS[pinned])
 
 
-def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> int:
+# each region's (choice, outcome) cells, as outcome atom names
+_OUTCOME_CELLS = {r: tuple(a for a in OUTCOME_ATOMS if a[0] == r) for r in ("L", "R")}
+
+
+def truth_mask(
+    model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS, memo: dict | None = None
+) -> int:
     """The possible worlds where `f` holds, as a world-set mask.
 
     A strict conditional denotes all possible worlds or none.  A
     counterfactual holds at a world when the worlds its antecedent
     reaches lie inside the consequent's set ('every') or meet it
     ('some').
+
+    `memo`, when given, is a dict the caller keeps for this one
+    (model, opts) pair.  It maps the id of each compound node evaluated
+    to the node and its mask, so a node met again is looked up, not
+    evaluated; an interned tree meets each repeated subformula again.
+    Holding the node keeps its id from being reused while the memo
+    lives.
     """
     possible = model.mask
     if isinstance(f, Atom):
         return ATOM_MASKS[f.name] & possible
+    if memo is not None:
+        hit = memo.get(id(f))
+        if hit is not None:
+            return hit[1]
     if isinstance(f, Not):
-        return possible & ~truth_mask(model, f.arg, opts)
-    if isinstance(f, Counterfactual):
+        out = possible & ~truth_mask(model, f.arg, opts, memo)
+    elif isinstance(f, Counterfactual):
         imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
-        consequent = truth_mask(model, f.right, opts)
+        consequent = truth_mask(model, f.right, opts, memo)
         out = 0
+        every = opts.quantifier == "every"
         # every world of one earlier-region (choice, outcome) cell reaches the same worlds
-        for cell in OUTCOME_ATOMS:
-            if cell[0] == opts.order.earlier_region:
-                reach = possible & imposed & ATOM_MASKS[cell]
-                inside, meets = not reach & ~consequent, reach & consequent
-                if inside if opts.quantifier == "every" else meets:
-                    out |= ATOM_MASKS[cell]
+        for cell in _OUTCOME_CELLS[opts.order.earlier_region]:
+            reach = possible & imposed & ATOM_MASKS[cell]
+            if not reach & ~consequent if every else reach & consequent:
+                out |= ATOM_MASKS[cell]
         if opts.self_world_when_consistent:  # a world where the choice holds reaches itself
             out = out & ~imposed | imposed & consequent
-        return out & possible
-    left = truth_mask(model, f.left, opts)
-    right = truth_mask(model, f.right, opts)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    if isinstance(f, MatImp):
-        return possible & (~left | right)
-    if isinstance(f, StrictImp):
-        return 0 if left & ~right else possible
-    raise TypeError(f"not a formula node: {f!r}")
+        out &= possible
+    else:
+        left = truth_mask(model, f.left, opts, memo)
+        right = truth_mask(model, f.right, opts, memo)
+        if isinstance(f, And):
+            out = left & right
+        elif isinstance(f, Or):
+            out = left | right
+        elif isinstance(f, MatImp):
+            out = possible & (~left | right)
+        elif isinstance(f, StrictImp):
+            out = 0 if left & ~right else possible
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+    if memo is not None:
+        memo[id(f)] = (f, out)
+    return out
 
 
 def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> bool:
@@ -220,16 +241,31 @@ SR, LINE5, LINE6 = (parse(text) for text in (SR_TEXT, LINE5_TEXT, LINE6_TEXT))
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """Both conclusion lines on one model, and whether they show the dependence.
+
+    The dependence is confirmed only on a table that realizes Hardy's
+    four predictions, where line 5 holds with some possible world
+    satisfying its premise (an L2 world with R2+) and line 6 fails.
+    Without the predictions a table of local strategies can satisfy
+    both lines, and a line 5 that no world tests holds vacuously.
+    """
+
     hardy_conforming: bool
     conformance_detail: str
     line5: GlobalCheck
     line6: GlobalCheck
     sr_true_on_all_l2_worlds: bool
     sr_false_l1_witness: World | None
+    line5_vacuous: bool
 
     @property
     def confirmed(self) -> bool:
-        return self.line5.holds and not self.line6.holds
+        return (
+            self.hardy_conforming
+            and not self.line5_vacuous
+            and self.line5.holds
+            and not self.line6.holds
+        )
 
     def render(self) -> str:
         lines = [
@@ -237,7 +273,8 @@ class TheoremReport:
             + ("" if self.hardy_conforming else f"  ({self.conformance_detail})"),
             f"line 5  {LINE5_TEXT}",
             f"        holds: {self.line5.holds}"
-            + ("" if self.line5.holds else f"  witness {self.line5.witness}"),
+            + ("" if self.line5.holds else f"  witness {self.line5.witness}")
+            + ("  (vacuously: no possible L2 world has R2+)" if self.line5_vacuous else ""),
             f"line 6  {LINE6_TEXT}",
             f"        holds: {self.line6.holds}"
             + ("" if self.line6.holds else f"  witness {self.line6.witness}"),
@@ -275,7 +312,8 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     """Evaluate both conclusion lines and the dependence they exhibit.
 
     Proceeds even on a non-conforming model; the report records the
-    conformance check separately.
+    conformance check separately, and confirms the dependence only on a
+    conforming model where line 5 is not vacuous.
     """
     conforming, detail = hardy_conformance(model)
     line5 = holds_globally(model, LINE5, opts)
@@ -289,6 +327,7 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
         line6=line6,
         sr_true_on_all_l2_worlds=not sr_false & ATOM_MASKS["L2"],
         sr_false_l1_witness=sr_false_l1[0] if sr_false_l1 else None,
+        line5_vacuous=not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],
     )
 
 

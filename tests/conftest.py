@@ -48,6 +48,28 @@ def control_model(control_table):
     return build_model(control_table)
 
 
+def local_strategies():
+    """A classical table: the 50/50 mixture of two local strategies.
+
+    The strategies fix the outcome of each setting in advance, as
+    (L1, L2, R1, R2) signs: `+++-` and `+--+`.  Line 5 holds and line 6
+    fails on this table, yet none of Hardy's four predictions holds, so
+    the dependence must not count as confirmed.
+    """
+    half = {"++": 0.0, "+-": 0.0, "-+": 0.0, "--": 0.0}
+    rows = {pair: dict(half) for pair in CHOICE_PAIRS}
+    for strategy in ("+++-", "+--+"):
+        signs = dict(zip(("L1", "L2", "R1", "R2"), strategy))
+        for cl, cr in CHOICE_PAIRS:
+            rows[(cl, cr)][signs[cl] + signs[cr]] += 0.5
+    return ProbabilityTable(rows)
+
+
+@pytest.fixture(scope="session")
+def local_model():
+    return build_model(local_strategies())
+
+
 @pytest.fixture(scope="session")
 def uniform_model():
     return build_model(ProbabilityTable.uniform())

@@ -1,9 +1,10 @@
-"""Golden CLI transcripts on the Hardy and the control model.
+"""Golden CLI transcripts on the Hardy, the control and a local model.
 
 Each file under `tests/golden/` holds the stdout, stderr and exit code
 of one command, byte for byte.  The model files are the conftest
-`hardy_model` and `control_model` written with `save_model`; the
-configuration is `find_hardy()` written with `save_config`.  A change
+`hardy_model`, `control_model` and `local_model` written with
+`save_model`; the configuration is `find_hardy()` written with
+`save_config`.  A change
 that alters any byte of these outputs fails here.  When an output
 change is intended, rewrite the files with
 
@@ -46,16 +47,21 @@ CASES = {
     for model in ("hardy", "control")
     for name, argv in _PER_MODEL.items()
 }
+# a classical table: both commands must refuse it
+CASES["check-theorem.local"] = ["check-theorem", "{local}"]
+CASES["proof-audit.local"] = ["proof", "audit", "{local}"]
 CASES["sr-table"] = ["sr-table"]
 CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
 CASES["model-build"] = ["model", "build", "{config}"]
 
 
-def write_inputs(where: Path, hardy_model, control_model) -> dict[str, str]:
-    """Save the two models and the configuration; their paths by placeholder."""
-    paths = {name: str(where / f"{name}.json") for name in ("hardy", "control", "config")}
+def write_inputs(where: Path, hardy_model, control_model, local_model) -> dict[str, str]:
+    """Save the three models and the configuration; their paths by placeholder."""
+    names = ("hardy", "control", "local", "config")
+    paths = {name: str(where / f"{name}.json") for name in names}
     save_model(hardy_model, paths["hardy"])
     save_model(control_model, paths["control"])
+    save_model(local_model, paths["local"])
     save_config(find_hardy(), paths["config"])
     return paths
 
@@ -72,8 +78,10 @@ def transcript(argv: list[str], paths: dict[str, str]) -> str:
 
 
 @pytest.fixture(scope="module")
-def golden_paths(tmp_path_factory, hardy_model, control_model):
-    return write_inputs(tmp_path_factory.mktemp("golden"), hardy_model, control_model)
+def golden_paths(tmp_path_factory, hardy_model, control_model, local_model):
+    return write_inputs(
+        tmp_path_factory.mktemp("golden"), hardy_model, control_model, local_model
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -87,11 +95,16 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
-    from conftest import paradox_free
+    from conftest import local_strategies, paradox_free
 
     table = export_table(find_hardy())
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_inputs(Path(tmp), build_model(table), build_model(paradox_free(table)))
+        paths = write_inputs(
+            Path(tmp),
+            build_model(table),
+            build_model(paradox_free(table)),
+            build_model(local_strategies()),
+        )
         for name, argv in CASES.items():
             (GOLDEN / f"{name}.txt").write_text(transcript(argv, paths), encoding="utf-8")

@@ -1,18 +1,31 @@
+import copy
+import gc
 import json
+import pickle
+import random
+import weakref
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hardylogic import proof, semantics
 from hardylogic.formula import Atom, Not, StrictImp, parse, unparse
 from hardylogic.proof import (
     ProofLine,
     ProofScript,
+    _interned,
     audit,
     builtin_script,
     check_rule,
     sr_truth_table,
     validate_scopes,
 )
-from hardylogic.worlds import build_model
+from hardylogic.semantics import CfOptions, TemporalOrder
+from hardylogic.worlds import ProbabilityTable, build_model
+from oracles import random_table_rows
 
 
 @pytest.fixture(scope="module")
@@ -326,3 +339,156 @@ def test_builtin_script_is_built_once(hardy_model, control_model):
         shared, rebuilt = audit(model), audit(model, fresh)
         assert shared.render() == rebuilt.render()
         assert json.dumps(shared.to_dict()) == json.dumps(rebuilt.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# The plan an audit keeps on its script, and the memo of each reading
+
+_SWAP = {"L": "R", "R": "L"}
+
+
+def _mirrored(f):
+    if isinstance(f, Atom):
+        return Atom(_SWAP[f.name[0]] + f.name[1:])
+    if isinstance(f, Not):
+        return Not(_mirrored(f.arg))
+    return type(f)(_mirrored(f.left), _mirrored(f.right))
+
+
+def _rebuilt(script, transform):
+    """`script` with every formula passed through `transform`."""
+    lines = tuple(replace(ln, statement=transform(ln.statement)) for ln in script.lines)
+    sides = tuple(replace(sc, formula=transform(sc.formula)) for sc in script.side_conditions)
+    return ProofScript(lines, sides, script.notes)
+
+
+def _flat(f):
+    """`f` parsed afresh: no two of its nodes are one object."""
+    return parse(unparse(f))
+
+
+@pytest.fixture(scope="module")
+def mirrored_script():
+    # the builtin script with L and R swapped, interned: under
+    # TemporalOrder("R") its counterfactuals impose L choices, as they must
+    nodes = {}
+    return _rebuilt(builtin_script(), lambda f: _interned(_mirrored(f), nodes))
+
+
+def _outcome(call):
+    try:
+        report = call()
+    except Exception as exc:  # the error must match as well
+        return (type(exc), str(exc))
+    return report.render(), json.dumps(report.to_dict())
+
+
+def _without_memo(model, f, opts=semantics.DEFAULT_OPTIONS, memo=None):
+    return semantics.truth_mask(model, f, opts)
+
+
+def _verdicts(model, script, opts):
+    return [check_rule(model, script, ln.index, opts) for ln in script.lines]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("hardy", "control", "local", "uniform", "random")),
+    quantifier=st.sampled_from(("every", "some")),
+    self_world=st.booleans(),
+)
+def test_planned_audit_matches_a_fresh_one(
+    request, mirrored_script, seed, kind, quantifier, self_world
+):
+    # The kept scripts keep their plans and share their nodes.  They are
+    # checked against themselves audited without a memo, against a
+    # freshly built script, which has no plan yet, and against a
+    # flattened one, which shares no node.
+    # Each order runs twice, the other in between.  The builtin script
+    # raises under "R" (R1 is an earlier choice there) and the mirrored
+    # one under "L", and the errors must match too.
+    if kind == "random":
+        model = build_model(ProbabilityTable(random_table_rows(random.Random(seed))))
+    else:
+        model = request.getfixturevalue(f"{kind}_model")
+    for earlier in ("L", "R", "L", "R"):
+        opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
+        for kept in (builtin_script(), mirrored_script):
+            got = _outcome(lambda: audit(model, kept, opts))
+            with mock.patch.object(proof, "truth_mask", _without_memo):
+                assert got == _outcome(lambda: audit(model, kept, opts))
+            fresh = [_rebuilt(kept, _flat)]
+            if kept is builtin_script():
+                fresh.append(builtin_script.__wrapped__())
+            for other in fresh:
+                assert got == _outcome(lambda: audit(model, other, opts))
+                assert _verdicts(model, kept, opts) == _verdicts(model, other, opts)
+    # the mirrored script reads under "R": reports were compared, not only errors
+    assert isinstance(_outcome(lambda: audit(model, mirrored_script, opts))[0], str)
+
+
+def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monkeypatch):
+    # 327 truth_mask calls before the memo; now every compound node of
+    # the interned script is evaluated once per reading, atoms each time
+    # their parent is
+    calls = {"evaluated": 0, "looked up": 0}
+    real = semantics.truth_mask
+
+    def counting(model, f, opts=semantics.DEFAULT_OPTIONS, memo=None):
+        calls["looked up" if memo is not None and id(f) in memo else "evaluated"] += 1
+        return real(model, f, opts, memo)
+
+    monkeypatch.setattr(semantics, "truth_mask", counting)
+    monkeypatch.setattr(proof, "truth_mask", counting)
+    semantics.check_theorem(hardy_model)
+    assert calls == {"evaluated": 26, "looked up": 0}
+    audit(hardy_model)
+    assert calls == {"evaluated": 136, "looked up": 43}
+
+
+def test_second_audit_runs_no_rule_checker(hardy_model, monkeypatch):
+    runs = []
+    for tag, checker in proof._CHECKERS.items():
+
+        def counted(*args, checker=checker):
+            runs.append(args)
+            return checker(*args)
+
+        monkeypatch.setitem(proof._CHECKERS, tag, counted)
+    script = builtin_script.__wrapped__()
+    audit(hardy_model, script)
+    assert len(runs) == 14  # one per line
+    audit(hardy_model, script)
+    for ln in script.lines:
+        check_rule(hardy_model, script, ln.index)
+    assert len(runs) == 14
+    r_order = CfOptions(TemporalOrder("R"))
+    for _ in range(2):
+        for ln in script.lines:
+            check_rule(hardy_model, script, ln.index, r_order)
+    assert len(runs) == 28  # the other order has a plan of its own
+
+
+def test_plans_leave_the_script_as_it_was(hardy_model):
+    script = builtin_script()
+    audit(hardy_model, script)
+    with pytest.raises(semantics.UnsupportedCounterfactualError):
+        # R1 is an earlier-region choice under this order
+        audit(hardy_model, script, CfOptions(TemporalOrder("R")))
+    fresh = builtin_script.__wrapped__()
+    assert script == fresh
+    assert hash(script) == hash(fresh)
+    assert repr(script) == repr(fresh)
+    assert pickle.dumps(script) == pickle.dumps(fresh)  # no plan is pickled
+    for twin in (pickle.loads(pickle.dumps(script)), copy.deepcopy(script)):
+        assert twin == script
+        assert audit(hardy_model, twin).render() == audit(hardy_model, script).render()
+
+    line4 = script.line(4)
+    mutated = _with_line(script, ProofLine(4, line4.statement, "B7", (1, 2)))
+    assert not audit(hardy_model, mutated).final.rules_all_valid
+    ref = weakref.ref(mutated)
+    del mutated
+    gc.collect()
+    assert ref() is None  # its plan does not keep it alive

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,7 @@ from hardylogic.semantics import (
     eval_at,
     holds_globally,
 )
-from hardylogic.worlds import ProbabilityTable, World, build_model
+from hardylogic.worlds import CHOICE_PAIRS, ProbabilityTable, World, build_model
 from oracles import (
     brute_accessible,
     brute_counterexamples,
@@ -430,3 +431,98 @@ def test_mirroring_regions_and_order_preserves_verdicts(
     for w in model.possible_in_order():
         mirrored = eval_at(mirror, _mirror_world(w), mirror_f, mirror_opts)
         assert eval_at(model, w, f, opts) == mirrored
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_KNOWN_MODELS),
+    earlier=st.sampled_from("LR"),
+    quantifier=st.sampled_from(("every", "some")),
+    self_world=st.booleans(),
+)
+def test_one_memo_over_many_formulas_gives_fresh_masks(
+    request, seed, kind, earlier, quantifier, self_world
+):
+    rng = random.Random(seed)
+    model = _case_model(request, kind, rng)
+    opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
+    later = [Atom(c) for c in CHOICE_ATOMS if c[0] == _SWAP[earlier]]
+    parts = [random_formula(rng, antecedents=[a.name for a in later]) for _ in range(8)]
+    # later formulas hold earlier ones as subformulas, so the memo gets hits
+    formulas = parts + [And(f, g) for f, g in zip(parts, parts[1:])]
+    formulas += [Counterfactual(later[i % 2], f) for i, f in enumerate(formulas)]
+    formulas += [StrictImp(f, g) for f, g in zip(formulas, reversed(formulas))]
+
+    memo = {}
+    shared = [semantics.truth_mask(model, f, opts, memo) for f in formulas]
+    assert shared == [semantics.truth_mask(model, f, opts) for f in formulas]
+    assert all(id(node) == key for key, (node, _) in memo.items())
+    # far fewer entries than the compound nodes met: each node once
+    assert len(memo) < sum(_compound_nodes(f) for f in formulas) / 2
+
+
+def _compound_nodes(f) -> int:
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, Not):
+        return 1 + _compound_nodes(f.arg)
+    return 1 + _compound_nodes(f.left) + _compound_nodes(f.right)
+
+
+def test_check_theorem_refuses_local_strategies(local_model):
+    # both lines come out as on the Hardy model, but the table is
+    # classical: none of the four predictions holds
+    report = check_theorem(local_model)
+    assert report.line5.holds and not report.line6.holds
+    assert not report.hardy_conforming
+    assert not report.line5_vacuous
+    assert not report.confirmed
+    assert "dependence confirmed: NO" in report.render()
+
+
+def test_check_theorem_refuses_a_vacuous_line5(hardy_table):
+    # every prediction holds, but no possible L2 world records R2+, so
+    # line 5 holds with no world to test it
+    rows = {pair: dict(row) for pair, row in hardy_table.rows.items()}
+    row = rows[("L2", "R2")]
+    rows[("L2", "R2")] = {"++": 0.0, "+-": row["++"] + row["+-"], "-+": 0.0, "--": row["--"]}
+    report = check_theorem(build_model(ProbabilityTable(rows)))
+    assert report.hardy_conforming
+    assert report.line5.holds and not report.line6.holds
+    assert report.line5_vacuous
+    assert not report.confirmed
+    assert "holds: True  (vacuously: no possible L2 world has R2+)" in report.render()
+
+
+def test_no_even_mixture_of_two_local_strategies_is_confirmed():
+    # a strategy fixes the sign of every setting in advance; a mixture of
+    # strategies is a classical table, which must never confirm (the
+    # mixture of +++- and +--+ did, before conformance was required)
+    strategies = [
+        dict(zip(("L1", "L2", "R1", "R2"), signs)) for signs in itertools.product("+-", repeat=4)
+    ]
+    lines_as_in_hardy = 0
+    for i, a in enumerate(strategies):
+        for b in strategies[i:]:
+            rows = {pair: dict.fromkeys(("++", "+-", "-+", "--"), 0.0) for pair in CHOICE_PAIRS}
+            for s in (a, b):
+                for (cl, cr), row in rows.items():
+                    row[s[cl] + s[cr]] += 0.5
+            report = check_theorem(build_model(ProbabilityTable(rows)))
+            lines_as_in_hardy += report.line5.holds and not report.line6.holds
+            assert not report.confirmed, (a, b)
+    assert lines_as_in_hardy > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), quantifier=st.sampled_from(("every", "some")))
+def test_confirmed_needs_conformance_and_a_tested_line5(seed, quantifier):
+    model = build_model(ProbabilityTable(random_table_rows(random.Random(seed))))
+    report = check_theorem(model, CfOptions(quantifier=quantifier))
+    tested = any(w.choice_pair == ("L2", "R2") and w.outcome_r == "+" for w in model.possible)
+    assert report.line5_vacuous == (not tested)
+    assert report.confirmed == (
+        report.hardy_conforming and tested and report.line5.holds and not report.line6.holds
+    )
