@@ -71,6 +71,7 @@ _EXPORTS = {
             "check_theorem",
             "eval_at",
             "holds_globally",
+            "sr_truth_table",
         ),
         "proof": (
             "AuditReport",
@@ -80,7 +81,6 @@ _EXPORTS = {
             "audit",
             "builtin_script",
             "check_rule",
-            "sr_truth_table",
         ),
     }.items()
     for name in names

@@ -169,9 +169,9 @@ def _cmd_proof_audit(args) -> int:
 
 
 def _cmd_sr_table(args) -> int:
-    from . import proof
+    from . import semantics
 
-    rows = proof.sr_truth_table()
+    rows = semantics.sr_truth_table()
     fmt = {True: "t", False: "f"}
     print("RA  RA+  RC  RC-  |  SR")
     false_rows = 0

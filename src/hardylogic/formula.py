@@ -21,7 +21,7 @@ are accepted on input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 CHOICE_ATOMS = ("L1", "L2", "R1", "R2")
 OUTCOME_ATOMS = ("L1+", "L1-", "L2+", "L2-", "R1+", "R1-", "R2+", "R2-")
@@ -40,20 +40,69 @@ class LexError(ParseError):
     """Character sequence that is not a token of the language."""
 
 
-class Formula:
+class Value:
+    """Base of the package's frozen value classes.
+
+    A subclass names its fields, in constructor order, in `_fields`,
+    keeps them in `__slots__`, and stores them in an explicit `__init__`
+    with `object.__setattr__`.  From the field tuple the base derives
+    equality (same class and equal fields), a hash of the field tuple, a
+    repr in the form `Atom(name='L1')`, and pickling and copying that
+    call the constructor again.  Assigning or deleting an attribute
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            get = attrgetter(*cls._fields)
+            # the field tuple; attrgetter returns a lone field bare
+            cls._values = get if len(cls._fields) > 1 else lambda obj: (get(obj),)
+            cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self.__class__._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._values(self))
+
+    def __repr__(self):
+        values = self.__class__._values(self)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # pickle and copy call the constructor, not __setattr__
+        return (self.__class__, self.__class__._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Formula(Value):
     """Base class for formula AST nodes."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return unparse(self)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if self.name not in ATOM_NAMES:
-            raise ValueError(f"unknown atom {self.name!r}; expected one of {ATOM_NAMES}")
+    def __init__(self, name: str):
+        if name not in ATOM_NAMES:
+            raise ValueError(f"unknown atom {name!r}; expected one of {ATOM_NAMES}")
+        object.__setattr__(self, "name", name)
 
     @property
     def region(self) -> str:
@@ -83,39 +132,41 @@ class Atom(Formula):
         return Atom(self.setting)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Formula):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The fields and constructor the five binary connectives share."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MatImp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrictImp(Formula):
-    left: Formula
-    right: Formula
+class MatImp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Counterfactual(Formula):
-    left: Formula
-    right: Formula
+class StrictImp(_Binary):
+    __slots__ = ()
+
+
+class Counterfactual(_Binary):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +189,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# a token is the tuple (kind, text, position)
+_Token = tuple[str, str, int]
 
 
 def _lex(text: str) -> list[_Token]:
@@ -153,9 +201,9 @@ def _lex(text: str) -> list[_Token]:
         if m is None:
             raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
         if m.lastgroup != "WS":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
+            tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("EOF", "", len(text)))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -180,93 +228,94 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.i]
 
+    def kind(self) -> str:
+        return self.tokens[self.i][0]
+
     def take(self) -> _Token:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def node(self, cls, tok: _Token, left: tuple, right: tuple | None = None) -> tuple:
+    def node(self, cls, pos: int, left: tuple, right: tuple | None = None) -> tuple:
         """A node over one or two (formula, height) pairs, rejected past MAX_NESTING."""
         if right is None:
             f, height = cls(left[0]), left[1] + 1
         else:
             f, height = cls(left[0], right[0]), max(left[1], right[1]) + 1
         if height > MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
         return f, height
 
     def formula(self) -> tuple[Formula, int]:
         f = self.strict()
-        tok = self.peek()
-        if tok.kind == "STRICT":
-            raise ParseError("'=>' does not associate; parenthesize one side", tok.pos)
-        if tok.kind in ("MATIMP", "CF"):
+        kind, text, pos = self.peek()
+        if kind == "STRICT":
+            raise ParseError("'=>' does not associate; parenthesize one side", pos)
+        if kind in ("MATIMP", "CF"):
             raise ParseError(
-                f"conditional {tok.text!r} cannot follow a strict conditional without parentheses",
-                tok.pos,
+                f"conditional {text!r} cannot follow a strict conditional without parentheses",
+                pos,
             )
         return f
 
     def strict(self) -> tuple[Formula, int]:
         left = self.binary()
-        if self.peek().kind == "STRICT":
-            tok = self.take()
-            return self.node(StrictImp, tok, left, self.binary())
+        if self.kind() == "STRICT":
+            pos = self.take()[2]
+            return self.node(StrictImp, pos, left, self.binary())
         return left
 
     def binary(self) -> tuple[Formula, int]:
         left = self.disj()
-        tok = self.peek()
-        if tok.kind in ("MATIMP", "CF"):
+        kind, text, pos = self.peek()
+        if kind in ("MATIMP", "CF"):
             self.take()
             right = self.disj()
-            nxt = self.peek()
-            if nxt.kind in ("MATIMP", "CF"):
+            nxt_kind, nxt_text, nxt_pos = self.peek()
+            if nxt_kind in ("MATIMP", "CF"):
                 raise ParseError(
-                    f"'{tok.text}' and '{nxt.text}' do not associate; parenthesize to disambiguate",
-                    nxt.pos,
+                    f"'{text}' and '{nxt_text}' do not associate; parenthesize to disambiguate",
+                    nxt_pos,
                 )
-            return self.node(MatImp if tok.kind == "MATIMP" else Counterfactual, tok, left, right)
+            return self.node(MatImp if kind == "MATIMP" else Counterfactual, pos, left, right)
         return left
 
     def disj(self) -> tuple[Formula, int]:
         f = self.conj()
-        while self.peek().kind == "OR":
-            tok = self.take()
-            f = self.node(Or, tok, f, self.conj())
+        while self.kind() == "OR":
+            pos = self.take()[2]
+            f = self.node(Or, pos, f, self.conj())
         return f
 
     def conj(self) -> tuple[Formula, int]:
         f = self.neg()
-        while self.peek().kind == "AND":
-            tok = self.take()
-            f = self.node(And, tok, f, self.neg())
+        while self.kind() == "AND":
+            pos = self.take()[2]
+            f = self.node(And, pos, f, self.neg())
         return f
 
     def neg(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok.kind in ("NOT", "LPAREN"):
-            self.take()
+        kind, text, pos = self.take()
+        if kind in ("NOT", "LPAREN"):
             self.open += 1
             if self.open > MAX_NESTING:
-                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
-            if tok.kind == "NOT":
-                f = self.node(Not, tok, self.neg())
+                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+            if kind == "NOT":
+                f = self.node(Not, pos, self.neg())
             else:
                 f = self.formula()
-                closing = self.take()
-                if closing.kind != "RPAREN":
+                closing, closing_text, closing_pos = self.take()
+                if closing != "RPAREN":
                     raise ParseError(
-                        f"expected ')', found {closing.text or 'end of input'!r}", closing.pos
+                        f"expected ')', found {closing_text or 'end of input'!r}", closing_pos
                     )
             self.open -= 1
             return f
-        if tok.kind == "ATOM":
-            self.take()
-            return Atom(tok.text), 0
-        if tok.kind == "EOF":
-            raise ParseError("missing operand: unexpected end of input", tok.pos)
-        raise ParseError(f"expected an atom, '~' or '(', found {tok.text!r}", tok.pos)
+        if kind == "ATOM":
+            return Atom(text), 0
+        if kind == "EOF":
+            raise ParseError("missing operand: unexpected end of input", pos)
+        raise ParseError(f"expected an atom, '~' or '(', found {text!r}", pos)
 
 
 def parse(text: str) -> Formula:
@@ -276,9 +325,9 @@ def parse(text: str) -> Formula:
     """
     parser = _Parser(_lex(text))
     f, _ = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"expected end of input, found {trailing.text!r}", trailing.pos)
+    kind, trailing, pos = parser.peek()
+    if kind != "EOF":
+        raise ParseError(f"expected end of input, found {trailing!r}", pos)
     return f
 
 
@@ -324,10 +373,12 @@ def _wrap(f: Formula, min_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # Normal form used by the derivation lines
 
-@dataclass(frozen=True)
-class PaperNormalReport:
-    ok: bool
-    violation: str | None = None
+class PaperNormalReport(Value):
+    __slots__ = _fields = ("ok", "violation")
+
+    def __init__(self, ok: bool, violation: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violation", violation)
 
     def __bool__(self) -> bool:
         return self.ok

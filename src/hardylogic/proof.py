@@ -41,54 +41,78 @@ later-region choice atoms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 
-from .formula import And, Atom, Counterfactual, Formula, MatImp, Not, StrictImp, parse, unparse
+from .formula import (
+    And,
+    Atom,
+    Counterfactual,
+    Formula,
+    MatImp,
+    Not,
+    StrictImp,
+    Value,
+    parse,
+    unparse,
+)
 from .semantics import DEFAULT_OPTIONS, LINE5, LINE6, CfOptions, TemporalOrder, truth_mask
+from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
 from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World, worlds_in
 
 VALID = "valid"
 INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    index: int
-    statement: Formula
-    rule: str
-    premises: tuple[int, ...] = ()
-    hypothesis_scope: frozenset[int] = frozenset()
-    note: str | None = None
+class ProofLine(Value):
+    __slots__ = _fields = ("index", "statement", "rule", "premises", "hypothesis_scope", "note")
 
-    def __post_init__(self):
-        if self.rule not in RULE_TAGS:
-            raise ValueError(f"unknown rule tag {self.rule!r}")
-        if any(p >= self.index for p in self.premises):
-            raise ValueError(f"line {self.index} cites a premise at or after itself")
+    def __init__(
+        self,
+        index: int,
+        statement: Formula,
+        rule: str,
+        premises: tuple[int, ...] = (),
+        hypothesis_scope: frozenset[int] = frozenset(),
+        note: str | None = None,
+    ):
+        if rule not in RULE_TAGS:
+            raise ValueError(f"unknown rule tag {rule!r}")
+        if any(p >= index for p in premises):
+            raise ValueError(f"line {index} cites a premise at or after itself")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "hypothesis_scope", hypothesis_scope)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class SideCondition:
+class SideCondition(Value):
     """A nonemptiness claim: some possible world satisfies the formula."""
 
-    formula: Formula
-    description: str
+    __slots__ = _fields = ("formula", "description")
+
+    def __init__(self, formula: Formula, description: str):
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "description", description)
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    lines: tuple[ProofLine, ...]
-    side_conditions: tuple[SideCondition, ...]
-    notes: tuple[str, ...] = ()
+class ProofScript(Value):
+    _fields = ("lines", "side_conditions", "notes")
+    # `_plans`: audit plans by earlier region, built on first use (`_plan`);
+    # not a field, so equality, hashing, repr, pickling and copies ignore them
+    __slots__ = (*_fields, "_plans", "__weakref__")
 
-    def __post_init__(self):
-        # audit plans by earlier region, built on first use (`_plan`); not
-        # a field, so equality, hashing and repr ignore them
+    def __init__(
+        self,
+        lines: tuple[ProofLine, ...],
+        side_conditions: tuple[SideCondition, ...],
+        notes: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "side_conditions", side_conditions)
+        object.__setattr__(self, "notes", notes)
         object.__setattr__(self, "_plans", {})
-
-    def __reduce__(self):  # pickle and copy rebuild the script, without its plans
-        return (type(self), (self.lines, self.side_conditions, self.notes))
 
     def line(self, index: int) -> ProofLine:
         for ln in self.lines:
@@ -200,10 +224,12 @@ def _is_subsequence(short: list[Formula], long: list[Formula]) -> bool:
     return all(any(x == y for y in it) for x in short)
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    status: str
-    detail: str
+class RuleVerdict(Value):
+    __slots__ = _fields = ("status", "detail")
+
+    def __init__(self, status: str, detail: str):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def ok(self) -> bool:
@@ -656,17 +682,40 @@ def _clashes(script: ProofScript, hyp_index: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Semantic audit
 
-@dataclass(frozen=True)
-class LineAudit:
-    index: int
-    rule: str
-    premises: tuple[int, ...]
-    scope: tuple[int, ...]
-    rule_status: str
-    rule_detail: str
-    sem_every: bool
-    sem_some: bool
-    note: str | None = None
+class LineAudit(Value):
+    __slots__ = _fields = (
+        "index",
+        "rule",
+        "premises",
+        "scope",
+        "rule_status",
+        "rule_detail",
+        "sem_every",
+        "sem_some",
+        "note",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        rule: str,
+        premises: tuple[int, ...],
+        scope: tuple[int, ...],
+        rule_status: str,
+        rule_detail: str,
+        sem_every: bool,
+        sem_some: bool,
+        note: str | None = None,
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "rule_status", rule_status)
+        object.__setattr__(self, "rule_detail", rule_detail)
+        object.__setattr__(self, "sem_every", sem_every)
+        object.__setattr__(self, "sem_some", sem_some)
+        object.__setattr__(self, "note", note)
 
     @property
     def rule_ok(self) -> bool:
@@ -677,22 +726,43 @@ class LineAudit:
         return self.sem_every != self.sem_some
 
 
-@dataclass(frozen=True)
-class FinalVerdict:
-    line5_true: bool
-    line6_refuted: bool
-    rules_all_valid: bool
-    side_conditions_hold: bool
-    contradiction_lines: tuple[int, int] | None
-    bridge_world: World | None
-    detail: str
+class FinalVerdict(Value):
+    __slots__ = _fields = (
+        "line5_true",
+        "line6_refuted",
+        "rules_all_valid",
+        "side_conditions_hold",
+        "contradiction_lines",
+        "bridge_world",
+        "detail",
+    )
+
+    def __init__(
+        self,
+        line5_true: bool,
+        line6_refuted: bool,
+        rules_all_valid: bool,
+        side_conditions_hold: bool,
+        contradiction_lines: tuple[int, int] | None,
+        bridge_world: World | None,
+        detail: str,
+    ):
+        object.__setattr__(self, "line5_true", line5_true)
+        object.__setattr__(self, "line6_refuted", line6_refuted)
+        object.__setattr__(self, "rules_all_valid", rules_all_valid)
+        object.__setattr__(self, "side_conditions_hold", side_conditions_hold)
+        object.__setattr__(self, "contradiction_lines", contradiction_lines)
+        object.__setattr__(self, "bridge_world", bridge_world)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    lines: tuple[LineAudit, ...]
-    final: FinalVerdict
-    notes: tuple[str, ...]
+class AuditReport(Value):
+    __slots__ = _fields = ("lines", "final", "notes")
+
+    def __init__(self, lines: tuple[LineAudit, ...], final: FinalVerdict, notes: tuple[str, ...]):
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "notes", notes)
 
     def to_dict(self) -> dict:
         return {
@@ -793,7 +863,9 @@ def audit(
         raise KeyError(*scope_problems.args)
 
     hyp = plan.hyp
-    readings = {q: replace(opts, quantifier=q) for q in ("every", "some")}
+    readings = {
+        q: CfOptions(opts.order, q, opts.self_world_when_consistent) for q in ("every", "some")
+    }
     memos = {q: {} for q in readings}
     raw = {
         ln.index: {
@@ -871,29 +943,3 @@ def audit(
     )
     return AuditReport(lines=tuple(audits), final=final, notes=script.notes)
 
-
-# ---------------------------------------------------------------------------
-# The sixteen-row truth table behind the dependence claim
-
-@dataclass(frozen=True)
-class SrRow:
-    ra: bool
-    ra_plus: bool
-    rc: bool
-    rc_minus: bool
-
-    @property
-    def sr(self) -> bool:
-        return (not (self.ra and self.ra_plus and self.rc)) or self.rc_minus
-
-
-def sr_truth_table() -> list[SrRow]:
-    """All assignments to (RA, RA+, RC, RC-); exactly one makes SR false."""
-    values = (True, False)
-    return [
-        SrRow(ra, ra_plus, rc, rc_minus)
-        for ra in values
-        for ra_plus in values
-        for rc in values
-        for rc_minus in values
-    ]

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
+from .formula import Value
 from .worlds import (
     CHOICE_PAIRS,
     FORBIDDEN_WORLDS,
@@ -45,22 +45,24 @@ class SearchError(RuntimeError):
     """The optimal configuration failed verification."""
 
 
-@dataclass(frozen=True)
-class HardyConfig:
+class HardyConfig(Value):
     """State parameter plus one measurement angle per setting (radians).
 
     The state is entangled (non-product) exactly when theta lies
     strictly inside (0, pi/2).
     """
 
-    theta: float
-    angle_l1: float
-    angle_l2: float
-    angle_r1: float
-    angle_r2: float
+    __slots__ = _fields = ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2")
 
-    def __post_init__(self):
-        for name in ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2"):
+    def __init__(
+        self, theta: float, angle_l1: float, angle_l2: float, angle_r1: float, angle_r2: float
+    ):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "angle_l1", angle_l1)
+        object.__setattr__(self, "angle_l2", angle_l2)
+        object.__setattr__(self, "angle_r1", angle_r1)
+        object.__setattr__(self, "angle_r2", angle_r2)
+        for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -118,15 +120,28 @@ def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class PredictionReport:
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    marginal_l1_minus: float
-    tolerance: float
-    positivity_floor: float
+class PredictionReport(Value):
+    __slots__ = _fields = (
+        "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
+    )
+
+    def __init__(
+        self,
+        c1: float,
+        c2: float,
+        c3: float,
+        c4: float,
+        marginal_l1_minus: float,
+        tolerance: float,
+        positivity_floor: float,
+    ):
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "marginal_l1_minus", marginal_l1_minus)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "positivity_floor", positivity_floor)
 
     @property
     def pass_c1(self) -> bool:
@@ -187,20 +202,20 @@ def verify_hardy(
 # ---------------------------------------------------------------------------
 # The paradox optimum
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(Value):
     """Accepted for compatibility; neither field has any effect.
 
     `find_hardy` returns the closed-form optimum, so every seed and grid
     gives the same configuration.  `grid` below 2 is rejected.
     """
 
-    seed: int = 0
-    grid: int = 96
+    __slots__ = _fields = ("seed", "grid")
 
-    def __post_init__(self):
-        if self.grid < 2:
-            raise ValueError(f"grid must be at least 2, got {self.grid}")
+    def __init__(self, seed: int = 0, grid: int = 96):
+        if grid < 2:
+            raise ValueError(f"grid must be at least 2, got {grid}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "grid", grid)
 
 
 def _project(theta: float, angle_r2: float) -> HardyConfig | None:
@@ -273,17 +288,33 @@ def config_to_dict(cfg: HardyConfig) -> dict:
     }
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"bad config file structure: {what} is not a number")
+    return float(value)
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"bad config file structure: {what} must be a mapping, got {type(value).__name__}"
+        )
+    return value
+
+
 def config_from_dict(data: dict) -> HardyConfig:
     try:
-        angles = data["angles"]
+        _mapping(data, "the file")
+        angles = _mapping(data["angles"], "'angles'")
         return HardyConfig(
-            theta=float(data["theta"]),
-            angle_l1=float(angles["L1"]),
-            angle_l2=float(angles["L2"]),
-            angle_r1=float(angles["R1"]),
-            angle_r2=float(angles["R2"]),
+            theta=_number(data["theta"], "'theta'"),
+            angle_l1=_number(angles["L1"], "angle 'L1'"),
+            angle_l2=_number(angles["L2"], "angle 'L2'"),
+            angle_r1=_number(angles["R1"], "angle 'R1'"),
+            angle_r2=_number(angles["R2"], "angle 'R2'"),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, OverflowError) as exc:
         raise ValueError(f"bad config file structure: {exc!r}") from exc
 
 

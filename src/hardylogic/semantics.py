@@ -24,13 +24,12 @@ ranges over everything the table leaves possible.
 The region-R statement SR and the two conclusion lines, 5 and 6, live
 here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`) and as
 the formula parsed once at import (`SR`, `LINE5`, `LINE6`), which
-`check_theorem` and the proof script read.  The prediction cells that
+`check_theorem` and the proof script read; SR's sixteen-row truth
+table (`sr_truth_table`) lives here too.  The prediction cells that
 `hardy_conformance` checks live in `worlds`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .formula import (
     OUTCOME_ATOMS,
@@ -42,6 +41,7 @@ from .formula import (
     Not,
     Or,
     StrictImp,
+    Value,
     parse,
 )
 from .worlds import (
@@ -59,15 +59,15 @@ class UnsupportedCounterfactualError(ValueError):
     """Counterfactual antecedent outside the defined fragment."""
 
 
-@dataclass(frozen=True)
-class TemporalOrder:
+class TemporalOrder(Value):
     """Which region precedes the cut time in the preferred frame."""
 
-    earlier_region: str = "L"
+    __slots__ = _fields = ("earlier_region",)
 
-    def __post_init__(self):
-        if self.earlier_region not in ("L", "R"):
-            raise ValueError(f"earlier_region must be 'L' or 'R', got {self.earlier_region!r}")
+    def __init__(self, earlier_region: str = "L"):
+        if earlier_region not in ("L", "R"):
+            raise ValueError(f"earlier_region must be 'L' or 'R', got {earlier_region!r}")
+        object.__setattr__(self, "earlier_region", earlier_region)
 
     @property
     def later_region(self) -> str:
@@ -77,15 +77,20 @@ class TemporalOrder:
 L_EARLIER = TemporalOrder("L")
 
 
-@dataclass(frozen=True)
-class CfOptions:
-    order: TemporalOrder = L_EARLIER
-    quantifier: str = "every"  # 'every' or 'some', over accessible worlds
-    self_world_when_consistent: bool = True
+class CfOptions(Value):
+    __slots__ = _fields = ("order", "quantifier", "self_world_when_consistent")
 
-    def __post_init__(self):
-        if self.quantifier not in ("every", "some"):
-            raise ValueError(f"quantifier must be 'every' or 'some', got {self.quantifier!r}")
+    def __init__(
+        self,
+        order: TemporalOrder = L_EARLIER,
+        quantifier: str = "every",  # 'every' or 'some', over accessible worlds
+        self_world_when_consistent: bool = True,
+    ):
+        if quantifier not in ("every", "some"):
+            raise ValueError(f"quantifier must be 'every' or 'some', got {quantifier!r}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "quantifier", quantifier)
+        object.__setattr__(self, "self_world_when_consistent", self_world_when_consistent)
 
 
 DEFAULT_OPTIONS = CfOptions()
@@ -205,11 +210,13 @@ def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OP
     return bool(truth_mask(model, f, opts) >> WORLD_INDEX[world] & 1)
 
 
-@dataclass(frozen=True)
-class GlobalCheck:
-    holds: bool
-    witness: World | None
-    counterexamples: tuple[World, ...]
+class GlobalCheck(Value):
+    __slots__ = _fields = ("holds", "witness", "counterexamples")
+
+    def __init__(self, holds: bool, witness: World | None, counterexamples: tuple[World, ...]):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "counterexamples", counterexamples)
 
 
 def holds_globally(
@@ -239,8 +246,7 @@ LINE6_TEXT = "L1 => (R2 & R2+) -> (R1 []-> R1 & R1-)"
 SR, LINE5, LINE6 = (parse(text) for text in (SR_TEXT, LINE5_TEXT, LINE6_TEXT))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Value):
     """Both conclusion lines on one model, and whether they show the dependence.
 
     The dependence is confirmed only on a table that realizes Hardy's
@@ -250,13 +256,33 @@ class TheoremReport:
     both lines, and a line 5 that no world tests holds vacuously.
     """
 
-    hardy_conforming: bool
-    conformance_detail: str
-    line5: GlobalCheck
-    line6: GlobalCheck
-    sr_true_on_all_l2_worlds: bool
-    sr_false_l1_witness: World | None
-    line5_vacuous: bool
+    __slots__ = _fields = (
+        "hardy_conforming",
+        "conformance_detail",
+        "line5",
+        "line6",
+        "sr_true_on_all_l2_worlds",
+        "sr_false_l1_witness",
+        "line5_vacuous",
+    )
+
+    def __init__(
+        self,
+        hardy_conforming: bool,
+        conformance_detail: str,
+        line5: GlobalCheck,
+        line6: GlobalCheck,
+        sr_true_on_all_l2_worlds: bool,
+        sr_false_l1_witness: World | None,
+        line5_vacuous: bool,
+    ):
+        object.__setattr__(self, "hardy_conforming", hardy_conforming)
+        object.__setattr__(self, "conformance_detail", conformance_detail)
+        object.__setattr__(self, "line5", line5)
+        object.__setattr__(self, "line6", line6)
+        object.__setattr__(self, "sr_true_on_all_l2_worlds", sr_true_on_all_l2_worlds)
+        object.__setattr__(self, "sr_false_l1_witness", sr_false_l1_witness)
+        object.__setattr__(self, "line5_vacuous", line5_vacuous)
 
     @property
     def confirmed(self) -> bool:
@@ -331,11 +357,41 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     )
 
 
+# ---------------------------------------------------------------------------
+# The sixteen-row truth table behind the dependence claim
+
+class SrRow(Value):
+    __slots__ = _fields = ("ra", "ra_plus", "rc", "rc_minus")
+
+    def __init__(self, ra: bool, ra_plus: bool, rc: bool, rc_minus: bool):
+        object.__setattr__(self, "ra", ra)
+        object.__setattr__(self, "ra_plus", ra_plus)
+        object.__setattr__(self, "rc", rc)
+        object.__setattr__(self, "rc_minus", rc_minus)
+
+    @property
+    def sr(self) -> bool:
+        return (not (self.ra and self.ra_plus and self.rc)) or self.rc_minus
+
+
+def sr_truth_table() -> list[SrRow]:
+    """All assignments to (RA, RA+, RC, RC-); exactly one makes SR false."""
+    values = (True, False)
+    return [
+        SrRow(ra, ra_plus, rc, rc_minus)
+        for ra in values
+        for ra_plus in values
+        for rc in values
+        for rc_minus in values
+    ]
+
+
 __all__ = [
     "CfOptions",
     "DEFAULT_OPTIONS",
     "GlobalCheck",
     "L_EARLIER",
+    "SrRow",
     "TemporalOrder",
     "TheoremReport",
     "UnsupportedCounterfactualError",
@@ -344,5 +400,6 @@ __all__ = [
     "eval_at",
     "hardy_conformance",
     "holds_globally",
+    "sr_truth_table",
     "truth_mask",
 ]

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
-from .formula import ATOM_NAMES, Atom
+from .formula import ATOM_NAMES, Atom, Value
 
 CHOICES_L = ("L1", "L2")
 CHOICES_R = ("R1", "R2")
@@ -41,18 +40,43 @@ class DegenerateModelError(ValueError):
     """Some choice pair has no possible world at the given threshold."""
 
 
-@dataclass(frozen=True, order=True)
-class World:
-    choice_l: str
-    choice_r: str
-    outcome_l: str
-    outcome_r: str
+class World(Value):
+    """One history; worlds order as their field tuples."""
 
-    def __post_init__(self):
-        if self.choice_l not in CHOICES_L or self.choice_r not in CHOICES_R:
-            raise ValueError(f"bad choices ({self.choice_l}, {self.choice_r})")
-        if self.outcome_l not in SIGNS or self.outcome_r not in SIGNS:
-            raise ValueError(f"bad outcomes ({self.outcome_l}, {self.outcome_r})")
+    __slots__ = _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
+
+    def __init__(self, choice_l: str, choice_r: str, outcome_l: str, outcome_r: str):
+        if choice_l not in CHOICES_L or choice_r not in CHOICES_R:
+            raise ValueError(f"bad choices ({choice_l}, {choice_r})")
+        if outcome_l not in SIGNS or outcome_r not in SIGNS:
+            raise ValueError(f"bad outcomes ({outcome_l}, {outcome_r})")
+        object.__setattr__(self, "choice_l", choice_l)
+        object.__setattr__(self, "choice_r", choice_r)
+        object.__setattr__(self, "outcome_l", outcome_l)
+        object.__setattr__(self, "outcome_r", outcome_r)
+
+    def __hash__(self):  # the base's hash, spelled out: every model build hashes each world
+        return hash((self.choice_l, self.choice_r, self.outcome_l, self.outcome_r))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return World._values(self) < World._values(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return World._values(self) <= World._values(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return World._values(self) > World._values(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return World._values(self) >= World._values(other)
+        return NotImplemented
 
     @property
     def choice_pair(self) -> tuple[str, str]:
@@ -150,8 +174,7 @@ class _ReadOnlyDict(dict):
         return (type(self), (dict(self),))
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+class ProbabilityTable(Value):
     """Joint outcome distribution for each of the four choice pairs.
 
     `rows` maps (choice_l, choice_r) to {outcome pair: probability},
@@ -161,10 +184,10 @@ class ProbabilityTable:
     can be hashed.
     """
 
-    rows: dict[tuple[str, str], dict[str, float]]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = {pair: _ReadOnlyDict(row) for pair, row in self.rows.items()}
+    def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
+        rows = {pair: _ReadOnlyDict(row) for pair, row in rows.items()}
         object.__setattr__(self, "rows", _ReadOnlyDict(rows))
 
     def prob(self, world: World) -> float:
@@ -247,17 +270,21 @@ class ProbabilityTable:
         return cls({pair: {key: 0.25 for key in OUTCOME_PAIRS} for pair in CHOICE_PAIRS})
 
 
-@dataclass(frozen=True)
-class Model:
-    """Immutable possibility structure; `mask` is `possible` as a world-set mask."""
+class Model(Value):
+    """Immutable possibility structure; `mask` is `possible` as a world-set mask.
 
-    table: ProbabilityTable
-    epsilon: float
-    possible: frozenset[World]
-    mask: int = field(init=False, repr=False, compare=False)
+    `mask` is derived, so it is not a field: equality, hashing and repr
+    ignore it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "mask", sum(1 << WORLD_INDEX[w] for w in self.possible))
+    _fields = ("table", "epsilon", "possible")
+    __slots__ = (*_fields, "mask")
+
+    def __init__(self, table: ProbabilityTable, epsilon: float, possible: frozenset[World]):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "possible", possible)
+        object.__setattr__(self, "mask", sum(1 << WORLD_INDEX[w] for w in possible))
 
     def possible_in_order(self) -> list[World]:
         return worlds_in(self.mask)

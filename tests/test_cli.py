@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import errno
 import io
 import json
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylogic.cli import main
-from hardylogic.quantum import verify_hardy
+from hardylogic.quantum import PredictionReport, verify_hardy
 from hardylogic.worlds import save_model
 
 
@@ -183,6 +182,47 @@ def test_huge_config_number_exits_2(cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad config file structure")
 
 
+@pytest.mark.parametrize("command", [["hardy", "verify"], ["model", "build"]])
+@pytest.mark.parametrize(
+    "where, value, field",
+    [
+        ("theta", "0.3", "'theta'"),
+        ("theta", True, "'theta'"),
+        ("L2", "1e0", "angle 'L2'"),
+        ("L1", True, "angle 'L1'"),
+    ],
+)
+def test_config_value_that_is_not_a_number_exits_2(
+    cfg_path, tmp_path, command, where, value, field, capsys
+):
+    with open(cfg_path) as fh:
+        data = json.load(fh)
+    if where == "theta":
+        data["theta"] = value
+    else:
+        data["angles"][where] = value
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps(data))
+    assert main([*command, str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: bad config file structure: {field} is not a number\n",
+    )
+
+
+@pytest.mark.parametrize("command", [["hardy", "verify"], ["model", "build"]])
+def test_config_angles_of_the_wrong_type_exit_2(cfg_path, tmp_path, command, capsys):
+    with open(cfg_path) as fh:
+        data = json.load(fh)
+    data["angles"] = list(data["angles"].values())
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps(data))
+    assert main([*command, str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad config file structure: 'angles' must be a mapping, got list\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["check-theorem", "{dir}"], ["hardy", "find", "--out", "{dir}"]])
 def test_directory_path_exits_2(tmp_path, argv, capsys):
     assert main([a.format(dir=tmp_path) for a in argv]) == 2
@@ -203,7 +243,10 @@ def test_os_error_without_a_path_exits_2(tmp_path, monkeypatch, exc, capsys):
 
 def test_search_error_exits_2(monkeypatch, capsys):
     def failing(cfg, **kw):
-        return dataclasses.replace(verify_hardy(cfg, **kw), c1=1.0)
+        r = verify_hardy(cfg, **kw)
+        return PredictionReport(
+            1.0, r.c2, r.c3, r.c4, r.marginal_l1_minus, r.tolerance, r.positivity_floor
+        )
 
     monkeypatch.setattr("hardylogic.quantum.verify_hardy", failing)
     assert main(["hardy", "find"]) == 2

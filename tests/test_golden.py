@@ -4,7 +4,8 @@ Each file under `tests/golden/` holds the stdout, stderr and exit code
 of one command, byte for byte.  The model files are the conftest
 `hardy_model`, `control_model` and `local_model` written with
 `save_model`; the configuration is `find_hardy()` written with
-`save_config`.  A change
+`save_config`, and the bad-value one is the same with theta as a
+string.  A change
 that alters any byte of these outputs fails here.  When an output
 change is intended, rewrite the files with
 
@@ -13,6 +14,7 @@ change is intended, rewrite the files with
 
 import contextlib
 import io
+import json
 import shlex
 import tempfile
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 
 from hardylogic import build_model, export_table, find_hardy, save_config, save_model
 from hardylogic.cli import main
+from hardylogic.quantum import config_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,17 +55,21 @@ CASES["check-theorem.local"] = ["check-theorem", "{local}"]
 CASES["proof-audit.local"] = ["proof", "audit", "{local}"]
 CASES["sr-table"] = ["sr-table"]
 CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
+CASES["hardy-verify.bad-value"] = ["hardy", "verify", "{bad_value}"]
 CASES["model-build"] = ["model", "build", "{config}"]
 
 
 def write_inputs(where: Path, hardy_model, control_model, local_model) -> dict[str, str]:
     """Save the three models and the configuration; their paths by placeholder."""
-    names = ("hardy", "control", "local", "config")
+    names = ("hardy", "control", "local", "config", "bad_value")
     paths = {name: str(where / f"{name}.json") for name in names}
     save_model(hardy_model, paths["hardy"])
     save_model(control_model, paths["control"])
     save_model(local_model, paths["local"])
     save_config(find_hardy(), paths["config"])
+    bad = config_to_dict(find_hardy())
+    bad["theta"] = str(bad["theta"])  # a number in a string is not a JSON number
+    Path(paths["bad_value"]).write_text(json.dumps(bad), encoding="utf-8")
     return paths
 
 

@@ -4,7 +4,6 @@ import json
 import pickle
 import random
 import weakref
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -16,6 +15,7 @@ from hardylogic.formula import Atom, Not, StrictImp, parse, unparse
 from hardylogic.proof import (
     ProofLine,
     ProofScript,
+    SideCondition,
     _interned,
     audit,
     builtin_script,
@@ -357,8 +357,11 @@ def _mirrored(f):
 
 def _rebuilt(script, transform):
     """`script` with every formula passed through `transform`."""
-    lines = tuple(replace(ln, statement=transform(ln.statement)) for ln in script.lines)
-    sides = tuple(replace(sc, formula=transform(sc.formula)) for sc in script.side_conditions)
+    lines = tuple(
+        ProofLine(ln.index, transform(ln.statement), ln.rule, ln.premises, ln.hypothesis_scope, ln.note)
+        for ln in script.lines
+    )
+    sides = tuple(SideCondition(transform(sc.formula), sc.description) for sc in script.side_conditions)
     return ProofScript(lines, sides, script.notes)
 
 

@@ -209,3 +209,29 @@ def test_config_dict_schema():
     assert config_from_dict(data) == HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5)
     with pytest.raises(ValueError):
         config_from_dict({"theta": 0.4})
+
+
+@pytest.mark.parametrize(
+    "theta, angles, message",
+    [
+        ("0.4", {}, "'theta' is not a number"),
+        (True, {}, "'theta' is not a number"),
+        (None, {}, "'theta' is not a number"),
+        (0.4, {"L2": "1e0"}, "angle 'L2' is not a number"),
+        (0.4, {"R1": True}, "angle 'R1' is not a number"),
+        (0.4, {"R2": [0.5]}, "angle 'R2' is not a number"),
+        (0.4, [0.1, 0.2, 0.3, 0.5], "'angles' must be a mapping, got list"),
+        (0.4, "0.1", "'angles' must be a mapping, got str"),
+    ],
+)
+def test_config_values_must_be_json_numbers(theta, angles, message):
+    data = config_to_dict(HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5))
+    data["theta"] = theta
+    if isinstance(angles, dict):
+        data["angles"].update(angles)
+    else:
+        data["angles"] = angles
+    with pytest.raises(ValueError, match=f"^bad config file structure: {message}$"):
+        config_from_dict(data)
+    with pytest.raises(ValueError, match="^bad config file structure: the file must be a mapping"):
+        config_from_dict([data])

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import math
 import pickle
@@ -244,8 +243,8 @@ def test_model_survives_pickle_and_copy(hardy_model):
         assert again == hardy_model and hash(again) == hash(hardy_model)
         with pytest.raises(TypeError):
             again.table.rows[("L1", "R1")]["++"] = 0.0
-    rows = dataclasses.asdict(hardy_model)["table"]["rows"]
-    assert rows == {pair: dict(row) for pair, row in hardy_model.table.rows.items()}
+    rows = model_to_dict(hardy_model)["table"]
+    assert rows == {f"{cl},{cr}": dict(row) for (cl, cr), row in hardy_model.table.rows.items()}
 
 
 def test_model_json_roundtrip_is_exact(hardy_model, control_model):
