@@ -374,11 +374,16 @@ def _wrap(f: Formula, min_prec: int) -> str:
 # Normal form used by the derivation lines
 
 class PaperNormalReport(Value):
-    __slots__ = _fields = ("ok", "violation")
+    """The first violation of the normal form, or None when there is none."""
 
-    def __init__(self, ok: bool, violation: str | None = None):
-        object.__setattr__(self, "ok", ok)
+    __slots__ = _fields = ("violation",)
+
+    def __init__(self, violation: str | None = None):
         object.__setattr__(self, "violation", violation)
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -390,8 +395,7 @@ def check_paper_normal(f: Formula) -> PaperNormalReport:
     Holds iff a strict conditional appears at most once, and only at the
     root, and every counterfactual antecedent is a single choice atom.
     """
-    violation = _first_violation(f, at_root=True)
-    return PaperNormalReport(violation is None, violation)
+    return PaperNormalReport(_first_violation(f, at_root=True))
 
 
 def _first_violation(f: Formula, at_root: bool) -> str | None:

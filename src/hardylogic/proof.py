@@ -98,6 +98,8 @@ class SideCondition(Value):
 
 
 class ProofScript(Value):
+    """Derivation lines: each index once, each premise a line of the script, or ValueError."""
+
     _fields = ("lines", "side_conditions", "notes")
     # `_plans`: audit plans by earlier region, built on first use (`_plan`);
     # not a field, so equality, hashing, repr, pickling and copies ignore them
@@ -109,6 +111,13 @@ class ProofScript(Value):
         side_conditions: tuple[SideCondition, ...],
         notes: tuple[str, ...] = (),
     ):
+        indices = [ln.index for ln in lines]
+        for ln in lines:
+            if indices.count(ln.index) > 1:
+                raise ValueError(f"line {ln.index} appears more than once")
+            for p in ln.premises:
+                if p not in indices:
+                    raise ValueError(f"line {ln.index} cites line {p}, which the script lacks")
         object.__setattr__(self, "lines", lines)
         object.__setattr__(self, "side_conditions", side_conditions)
         object.__setattr__(self, "notes", notes)
@@ -594,32 +603,21 @@ class _Plan:
     """What an audit reads off the script alone, for one temporal order.
 
     `rules` maps each line index to its verdict or, for a prediction
-    line, to the cell it pins, which each model confirms or refutes.  A
-    lookup of a line the script lacks keeps its `KeyError`, in `rules`
-    or as `scope_problems`, to raise again where it used to raise.
+    line, to the cell it pins, which each model confirms or refutes.
     """
 
     def __init__(self, script: ProofScript, order: TemporalOrder):
-        try:
-            self.scope_problems: list[str] | KeyError = validate_scopes(script)
-        except KeyError as exc:
-            self.scope_problems = exc
-        self.rules: dict[int, RuleVerdict | World | KeyError] = {}
-        for ln in script.lines:
-            if ln.index in self.rules:  # a repeated index reads its first line
-                continue
-            try:
-                premises = [script.line(i).statement for i in ln.premises]
-            except KeyError as exc:
-                self.rules[ln.index] = exc
-            else:
-                self.rules[ln.index] = _CHECKERS[ln.rule](ln, premises, order)
-        self.checked = tuple(i for i in self.rules if script.line(i).rule != "HYPOTHESIS")
+        self.scope_problems = validate_scopes(script)
+        by_index = {ln.index: ln for ln in script.lines}
+        self.rules: dict[int, RuleVerdict | World] = {
+            ln.index: _CHECKERS[ln.rule](ln, [by_index[i].statement for i in ln.premises], order)
+            for ln in script.lines
+        }
+        self.checked = tuple(ln.index for ln in script.lines if ln.rule != "HYPOTHESIS")
         self.hyp = next((ln for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
         self.counterpart, self.clashes = None, ()
         if self.hyp is not None:
-            before = [ln for ln in script.lines if ln.index == self.hyp.index - 1]
-            self.counterpart = before[0] if before else None
+            self.counterpart = by_index.get(self.hyp.index - 1)
             self.clashes = _clashes(script, self.hyp.index)
 
 
@@ -631,10 +629,8 @@ def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
     return plan
 
 
-def _verdict(model: Model, rule: RuleVerdict | World | KeyError) -> RuleVerdict:
+def _verdict(model: Model, rule: RuleVerdict | World) -> RuleVerdict:
     """A plan's entry for one line, read in `model`."""
-    if isinstance(rule, KeyError):
-        raise KeyError(*rule.args)
     if not isinstance(rule, World):
         return rule
     cell = _cell(rule)
@@ -729,7 +725,6 @@ class LineAudit(Value):
 class FinalVerdict(Value):
     __slots__ = _fields = (
         "line5_true",
-        "line6_refuted",
         "rules_all_valid",
         "side_conditions_hold",
         "contradiction_lines",
@@ -740,7 +735,6 @@ class FinalVerdict(Value):
     def __init__(
         self,
         line5_true: bool,
-        line6_refuted: bool,
         rules_all_valid: bool,
         side_conditions_hold: bool,
         contradiction_lines: tuple[int, int] | None,
@@ -748,12 +742,21 @@ class FinalVerdict(Value):
         detail: str,
     ):
         object.__setattr__(self, "line5_true", line5_true)
-        object.__setattr__(self, "line6_refuted", line6_refuted)
         object.__setattr__(self, "rules_all_valid", rules_all_valid)
         object.__setattr__(self, "side_conditions_hold", side_conditions_hold)
         object.__setattr__(self, "contradiction_lines", contradiction_lines)
         object.__setattr__(self, "bridge_world", bridge_world)
         object.__setattr__(self, "detail", detail)
+
+    @property
+    def line6_refuted(self) -> bool:
+        """Every rule valid, the side conditions met, and a clash with a bridge world."""
+        return bool(
+            self.rules_all_valid
+            and self.side_conditions_hold
+            and self.contradiction_lines
+            and self.bridge_world
+        )
 
 
 class AuditReport(Value):
@@ -858,10 +861,6 @@ def audit(
     if script is None:
         script = builtin_script()
     plan = _plan(script, opts.order)
-    scope_problems = plan.scope_problems
-    if isinstance(scope_problems, KeyError):
-        raise KeyError(*scope_problems.args)
-
     hyp = plan.hyp
     readings = {
         q: CfOptions(opts.order, q, opts.self_world_when_consistent) for q in ("every", "some")
@@ -898,7 +897,7 @@ def audit(
             )
         )
 
-    rules_ok = all(verdicts[i].ok for i in plan.checked) and not scope_problems
+    rules_ok = all(verdicts[i].ok for i in plan.checked) and not plan.scope_problems
     memo = memos[opts.quantifier]  # `opts` is the reading of its own quantifier
     side_ok = all(truth_mask(model, sc.formula, opts, memo) for sc in script.side_conditions)
 
@@ -915,14 +914,13 @@ def audit(
             contradiction, bridge = pair, bridges[0]
             break
 
-    refuted = bool(rules_ok and side_ok and contradiction and bridge)
     line5_true = False
     if plan.counterpart is not None:  # true at every possible world, as `holds_globally` reads
         line5_true = truth_mask(model, plan.counterpart.statement, opts, memo) == model.mask
 
     details = []
-    if scope_problems:
-        details.append("scope problems: " + "; ".join(scope_problems))
+    if plan.scope_problems:
+        details.append("scope problems: " + "; ".join(plan.scope_problems))
     if contradiction:
         details.append(
             f"lines {contradiction[0]} and {contradiction[1]} impose complementary "
@@ -934,7 +932,6 @@ def audit(
 
     final = FinalVerdict(
         line5_true=line5_true,
-        line6_refuted=refuted,
         rules_all_valid=rules_ok,
         side_conditions_hold=side_ok,
         contradiction_lines=contradiction,

@@ -100,9 +100,7 @@ def export_table(cfg: HardyConfig) -> ProbabilityTable:
             p = joint_probability(cfg, cl, cr, key[0], key[1])
             row[key] = 0.0 if p <= ZERO_CLAMP else p
         rows[(cl, cr)] = row
-    table = ProbabilityTable(rows)
-    table.validate()
-    return table
+    return ProbabilityTable(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +286,21 @@ def config_to_dict(cfg: HardyConfig) -> dict:
     }
 
 
-def _number(value, what: str) -> float:
+def _entry(mapping: dict, key: str, what: str):
+    if key not in mapping:
+        raise ValueError(f"bad config file structure: missing {what}")
+    return mapping[key]
+
+
+def _number(mapping: dict, key: str, what: str) -> float:
     """A JSON number as a float; strings and booleans are not numbers."""
+    value = _entry(mapping, key, what)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"bad config file structure: {what} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValueError(f"bad config file structure: {what} is out of range") from None
 
 
 def _mapping(value, what: str) -> dict:
@@ -304,18 +312,15 @@ def _mapping(value, what: str) -> dict:
 
 
 def config_from_dict(data: dict) -> HardyConfig:
-    try:
-        _mapping(data, "the file")
-        angles = _mapping(data["angles"], "'angles'")
-        return HardyConfig(
-            theta=_number(data["theta"], "'theta'"),
-            angle_l1=_number(angles["L1"], "angle 'L1'"),
-            angle_l2=_number(angles["L2"], "angle 'L2'"),
-            angle_r1=_number(angles["R1"], "angle 'R1'"),
-            angle_r2=_number(angles["R2"], "angle 'R2'"),
-        )
-    except (KeyError, OverflowError) as exc:
-        raise ValueError(f"bad config file structure: {exc!r}") from exc
+    _mapping(data, "the file")
+    angles = _mapping(_entry(data, "angles", "'angles'"), "'angles'")
+    return HardyConfig(
+        theta=_number(data, "theta", "'theta'"),
+        angle_l1=_number(angles, "L1", "angle 'L1'"),
+        angle_l2=_number(angles, "L2", "angle 'L2'"),
+        angle_r1=_number(angles, "R1", "angle 'R1'"),
+        angle_r2=_number(angles, "R2", "angle 'R2'"),
+    )
 
 
 def save_config(cfg: HardyConfig, path: str) -> None:

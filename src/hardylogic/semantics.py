@@ -22,9 +22,9 @@ choice and recorded outcome fixed, while the later region's outcome
 ranges over everything the table leaves possible.
 
 The region-R statement SR and the two conclusion lines, 5 and 6, live
-here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`) and as
-the formula parsed once at import (`SR`, `LINE5`, `LINE6`), which
-`check_theorem` and the proof script read; SR's sixteen-row truth
+here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`), and
+the two lines as the formulas parsed once at import (`LINE5`, `LINE6`),
+which `check_theorem` and the proof script read; SR's sixteen-row truth
 table (`sr_truth_table`) lives here too.  The prediction cells that
 `hardy_conformance` checks live in `worlds`.
 """
@@ -96,6 +96,14 @@ class CfOptions(Value):
 DEFAULT_OPTIONS = CfOptions()
 
 
+def _possible_index(model: Model, world: World) -> int:
+    """The world's bit in the canonical order, if the world is possible in `model`."""
+    i = WORLD_INDEX.get(world)
+    if i is None or not model.mask >> i & 1:
+        raise ValueError(f"world {world} is not possible in this model")
+    return i
+
+
 def _imposable(choice: Formula, order: TemporalOrder) -> Atom:
     """The antecedent as a choice the temporal order lets be imposed."""
     if not (isinstance(choice, Atom) and choice.is_choice):
@@ -126,10 +134,9 @@ def accessible(
     Returned in canonical world order.
     """
     _imposable(choice, order)
-    if world not in model.possible:
-        raise ValueError(f"world {world} is not possible in this model")
+    i = _possible_index(model, world)
     imposed = ATOM_MASKS[choice.name]
-    if self_world_when_consistent and imposed >> WORLD_INDEX[world] & 1:
+    if self_world_when_consistent and imposed >> i & 1:
         return [world]
     if order.earlier_region == "L":
         pinned = world.choice_l + world.outcome_l
@@ -205,9 +212,8 @@ def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OP
     Strict conditionals are world-independent and evaluate to their
     global value, so the evaluator is total on the whole language.
     """
-    if world not in model.possible:
-        raise ValueError(f"world {world} is not possible in this model")
-    return bool(truth_mask(model, f, opts) >> WORLD_INDEX[world] & 1)
+    i = _possible_index(model, world)
+    return bool(truth_mask(model, f, opts) >> i & 1)
 
 
 class GlobalCheck(Value):
@@ -241,9 +247,9 @@ def holds_globally(
 # The dependence theorem: one region's statement flips with the faraway choice
 
 SR_TEXT = "(R2 & R2+) -> (R1 []-> R1 & R1-)"
-LINE5_TEXT = "L2 => (R2 & R2+) -> (R1 []-> R1 & R1-)"
-LINE6_TEXT = "L1 => (R2 & R2+) -> (R1 []-> R1 & R1-)"
-SR, LINE5, LINE6 = (parse(text) for text in (SR_TEXT, LINE5_TEXT, LINE6_TEXT))
+LINE5_TEXT = f"L2 => {SR_TEXT}"
+LINE6_TEXT = f"L1 => {SR_TEXT}"
+LINE5, LINE6 = parse(LINE5_TEXT), parse(LINE6_TEXT)
 
 
 class TheoremReport(Value):
@@ -257,13 +263,7 @@ class TheoremReport(Value):
     """
 
     __slots__ = _fields = (
-        "hardy_conforming",
-        "conformance_detail",
-        "line5",
-        "line6",
-        "sr_true_on_all_l2_worlds",
-        "sr_false_l1_witness",
-        "line5_vacuous",
+        "hardy_conforming", "conformance_detail", "line5", "line6", "line5_vacuous"
     )
 
     def __init__(
@@ -272,17 +272,23 @@ class TheoremReport(Value):
         conformance_detail: str,
         line5: GlobalCheck,
         line6: GlobalCheck,
-        sr_true_on_all_l2_worlds: bool,
-        sr_false_l1_witness: World | None,
         line5_vacuous: bool,
     ):
         object.__setattr__(self, "hardy_conforming", hardy_conforming)
         object.__setattr__(self, "conformance_detail", conformance_detail)
         object.__setattr__(self, "line5", line5)
         object.__setattr__(self, "line6", line6)
-        object.__setattr__(self, "sr_true_on_all_l2_worlds", sr_true_on_all_l2_worlds)
-        object.__setattr__(self, "sr_false_l1_witness", sr_false_l1_witness)
         object.__setattr__(self, "line5_vacuous", line5_vacuous)
+
+    @property
+    def sr_true_on_all_l2_worlds(self) -> bool:
+        """Line 5, `L2 => SR`, holds exactly when no possible L2 world falsifies SR."""
+        return self.line5.holds
+
+    @property
+    def sr_false_l1_witness(self) -> World | None:
+        """Line 6's witness is the first possible L1 world where SR is false."""
+        return self.line6.witness
 
     @property
     def confirmed(self) -> bool:
@@ -342,17 +348,11 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conforming model where line 5 is not vacuous.
     """
     conforming, detail = hardy_conformance(model)
-    line5 = holds_globally(model, LINE5, opts)
-    line6 = holds_globally(model, LINE6, opts)
-    sr_false = model.mask & ~truth_mask(model, SR, opts)
-    sr_false_l1 = worlds_in(sr_false & ATOM_MASKS["L1"])
     return TheoremReport(
         hardy_conforming=conforming,
         conformance_detail=detail,
-        line5=line5,
-        line6=line6,
-        sr_true_on_all_l2_worlds=not sr_false & ATOM_MASKS["L2"],
-        sr_false_l1_witness=sr_false_l1[0] if sr_false_l1 else None,
+        line5=holds_globally(model, LINE5, opts),
+        line6=holds_globally(model, LINE6, opts),
         line5_vacuous=not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],
     )
 

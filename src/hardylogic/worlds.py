@@ -179,6 +179,8 @@ class ProbabilityTable(Value):
 
     `rows` maps (choice_l, choice_r) to {outcome pair: probability},
     outcome pairs written L sign first ('+-' means L got +, R got -).
+    The constructor checks that every choice pair has all four cells,
+    finite and nonnegative, summing to 1, and raises TableError if not.
     The rows are copied into read-only dicts on construction, so a
     table, and a model built from it, cannot change after the fact and
     can be hashed.
@@ -188,19 +190,10 @@ class ProbabilityTable(Value):
 
     def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
         rows = {pair: _ReadOnlyDict(row) for pair, row in rows.items()}
-        object.__setattr__(self, "rows", _ReadOnlyDict(rows))
-
-    def prob(self, world: World) -> float:
-        return self.rows[world.choice_pair][world.outcome_pair]
-
-    def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
-        return self.rows[(choice_l, choice_r)][outcomes]
-
-    def validate(self) -> None:
         for pair in CHOICE_PAIRS:
-            if pair not in self.rows:
+            if pair not in rows:
                 raise TableError(f"missing distribution for choice pair {pair}")
-            row = self.rows[pair]
+            row = rows[pair]
             for key in OUTCOME_PAIRS:
                 if key not in row:
                     raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
@@ -211,6 +204,13 @@ class ProbabilityTable(Value):
             total = sum(row[key] for key in OUTCOME_PAIRS)
             if abs(total - 1.0) > DISTRIBUTION_TOL:
                 raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
+        object.__setattr__(self, "rows", _ReadOnlyDict(rows))
+
+    def prob(self, world: World) -> float:
+        return self.rows[world.choice_pair][world.outcome_pair]
+
+    def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
+        return self.rows[(choice_l, choice_r)][outcomes]
 
     def marginal(self, region: str, choice: str, other_choice: str, sign: str) -> float:
         """P(outcome sign in `region` | choice, other region's choice)."""
@@ -261,9 +261,7 @@ class ProbabilityTable(Value):
                     raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
                 cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
             rows[parts] = cells
-        table = cls(rows)
-        table.validate()
-        return table
+        return cls(rows)
 
     @classmethod
     def uniform(cls) -> "ProbabilityTable":
@@ -271,20 +269,28 @@ class ProbabilityTable(Value):
 
 
 class Model(Value):
-    """Immutable possibility structure; `mask` is `possible` as a world-set mask.
+    """The worlds whose cell exceeds `epsilon`, as `possible` and as the mask `mask`.
 
-    `mask` is derived, so it is not a field: equality, hashing and repr
-    ignore it.
+    Both are worked out from the table, so they are not fields: equality,
+    hashing and repr ignore them.
     """
 
-    _fields = ("table", "epsilon", "possible")
-    __slots__ = (*_fields, "mask")
+    _fields = ("table", "epsilon")
+    __slots__ = (*_fields, "possible", "mask")
 
-    def __init__(self, table: ProbabilityTable, epsilon: float, possible: frozenset[World]):
+    def __init__(self, table: ProbabilityTable, epsilon: float):
+        if not 0.0 <= epsilon <= 1e-3:
+            raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
+        mask = sum(1 << i for i, w in enumerate(WORLDS) if table.prob(w) > epsilon)
+        for cl, cr in CHOICE_PAIRS:
+            if not mask & ATOM_MASKS[cl] & ATOM_MASKS[cr]:
+                raise DegenerateModelError(
+                    f"choice pair {(cl, cr)} has no possible world at epsilon={epsilon}"
+                )
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "possible", possible)
-        object.__setattr__(self, "mask", sum(1 << WORLD_INDEX[w] for w in possible))
+        object.__setattr__(self, "possible", frozenset(worlds_in(mask)))
+        object.__setattr__(self, "mask", mask)
 
     def possible_in_order(self) -> list[World]:
         return worlds_in(self.mask)
@@ -295,16 +301,7 @@ class Model(Value):
 
 def build_model(table: ProbabilityTable, epsilon: float = DEFAULT_EPSILON) -> Model:
     """Filter the sixteen worlds down to those with probability above epsilon."""
-    if not 0.0 <= epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
-    table.validate()
-    possible = frozenset(w for w in WORLDS if table.prob(w) > epsilon)
-    for pair in CHOICE_PAIRS:
-        if not any(w.choice_pair == pair for w in possible):
-            raise DegenerateModelError(
-                f"choice pair {pair} has no possible world at epsilon={epsilon}"
-            )
-    return Model(table=table, epsilon=epsilon, possible=possible)
+    return Model(table, epsilon)
 
 
 # ---------------------------------------------------------------------------

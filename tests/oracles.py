@@ -7,6 +7,7 @@ constrained refinement.  Expected values frozen into tests were derived
 with these routines.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -160,20 +161,21 @@ def brute_accessible(possible, world, choice, earlier="L", self_world=True):
     ]
 
 
-def brute_sr(possible, world):
-    """(R2 & R2+) -> (R1 []-> R1 & R1-) at `world`, universal box quantifier."""
+def brute_sr(possible, world, quantifier="every"):
+    """(R2 & R2+) -> (R1 []-> R1 & R1-) at `world`; the box reads `all` or `any`."""
     if not (sat(world, "R2") and sat(world, "R2+")):
         return True
     reachable = brute_accessible(possible, world, "R1")
-    return all(sat(w, "R1") and sat(w, "R1-") for w in reachable)
+    box = all if quantifier == "every" else any
+    return box(sat(w, "R1") and sat(w, "R1-") for w in reachable)
 
 
-def brute_line6_counterexamples(possible):
-    return [w for w in possible if sat(w, "L1") and not brute_sr(possible, w)]
+def brute_line6_counterexamples(possible, quantifier="every"):
+    return [w for w in possible if sat(w, "L1") and not brute_sr(possible, w, quantifier)]
 
 
-def brute_line5_counterexamples(possible):
-    return [w for w in possible if sat(w, "L2") and not brute_sr(possible, w)]
+def brute_line5_counterexamples(possible, quantifier="every"):
+    return [w for w in possible if sat(w, "L2") and not brute_sr(possible, w, quantifier)]
 
 
 def brute_supported(f, earlier="L"):
@@ -232,6 +234,35 @@ def brute_counterexamples(possible, f, earlier="L", quantifier="every", self_wor
     if type(f).__name__ == "StrictImp":
         return [w for w in possible if at(w, f.left) and not at(w, f.right)]
     return [w for w in possible if not at(w, f)]
+
+
+# ---------------------------------------------------------------------------
+# Local realisability: the possibility patterns a local hidden-variable
+# model can produce
+
+def strategy_support(strategy):
+    """The four worlds a deterministic strategy allows, one per choice pair.
+
+    `strategy` is each setting's fixed sign, in (L1, L2, R1, R2) order.
+    """
+    sign = dict(zip(CHOICES_L + CHOICES_R, strategy))
+    return frozenset((cl, cr, sign[cl], sign[cr]) for cl in CHOICES_L for cr in CHOICES_R)
+
+
+def locally_realisable_patterns():
+    """Every set of worlds that some local hidden-variable model makes possible.
+
+    Such a model mixes the 16 deterministic strategies, so its possible
+    worlds are the union of the supports of the strategies it mixes.
+    Each distinct nonempty union is returned once.
+    """
+    bit = {w: 1 << i for i, w in enumerate(WORLDS)}
+    unions = {0}  # as bit masks over WORLDS, to keep the closure quick
+    for strategy in itertools.product(SIGNS, repeat=4):
+        support = sum(bit[w] for w in strategy_support(strategy))
+        unions |= {u | support for u in unions}
+    unions.discard(0)
+    return {frozenset(w for w in WORLDS if u & bit[w]) for u in unions}
 
 
 # ---------------------------------------------------------------------------

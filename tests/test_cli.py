@@ -211,6 +211,26 @@ def test_config_value_that_is_not_a_number_exits_2(
 
 
 @pytest.mark.parametrize("command", [["hardy", "verify"], ["model", "build"]])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.pop("angles"), "missing 'angles'"),
+        (lambda data: data["angles"].pop("L2"), "missing angle 'L2'"),
+        (lambda data: data.update(theta=10**400), "'theta' is out of range"),
+    ],
+    ids=["angles", "L2", "theta"],
+)
+def test_config_error_names_the_entry(cfg_path, tmp_path, command, edit, message, capsys):
+    with open(cfg_path) as fh:
+        data = json.load(fh)
+    edit(data)
+    bad = tmp_path / "cfg.json"
+    bad.write_text(json.dumps(data))
+    assert main([*command, str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad config file structure: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["hardy", "verify"], ["model", "build"]])
 def test_config_angles_of_the_wrong_type_exit_2(cfg_path, tmp_path, command, capsys):
     with open(cfg_path) as fh:
         data = json.load(fh)

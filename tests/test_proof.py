@@ -117,6 +117,18 @@ def test_forward_premise_rejected():
         ProofLine(3, parse("L1"), "A5", premises=(3,))
 
 
+def test_repeated_line_index_rejected(script):
+    lines = (*script.lines, script.line(4))
+    with pytest.raises(ValueError, match="^line 4 appears more than once$"):
+        ProofScript(lines, script.side_conditions)
+
+
+def test_premise_naming_an_absent_line_rejected(script):
+    lines = tuple(ln for ln in script.lines if ln.index != 1)  # line 4 cites 1
+    with pytest.raises(ValueError, match="^line 4 cites line 1, which the script lacks$"):
+        ProofScript(lines, script.side_conditions)
+
+
 def test_all_rules_valid_on_hardy_model(hardy_model, script):
     for ln in script.lines:
         verdict = check_rule(hardy_model, script, ln.index)
@@ -445,9 +457,9 @@ def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monk
     monkeypatch.setattr(semantics, "truth_mask", counting)
     monkeypatch.setattr(proof, "truth_mask", counting)
     semantics.check_theorem(hardy_model)
-    assert calls == {"evaluated": 26, "looked up": 0}
+    assert calls == {"evaluated": 18, "looked up": 0}  # lines 5 and 6, nine nodes each
     audit(hardy_model)
-    assert calls == {"evaluated": 136, "looked up": 43}
+    assert calls == {"evaluated": 128, "looked up": 43}
 
 
 def test_second_audit_runs_no_rule_checker(hardy_model, monkeypatch):

@@ -235,3 +235,26 @@ def test_config_values_must_be_json_numbers(theta, angles, message):
         config_from_dict(data)
     with pytest.raises(ValueError, match="^bad config file structure: the file must be a mapping"):
         config_from_dict([data])
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("angles", None, "missing 'angles'"),
+        ("theta", None, "missing 'theta'"),
+        ("L1", None, "missing angle 'L1'"),
+        ("theta", 10**400, "'theta' is out of range"),
+        ("R2", -(10**400), "angle 'R2' is out of range"),
+    ],
+    ids=["no-angles", "no-theta", "no-L1", "huge-theta", "huge-R2"],
+)
+def test_config_errors_name_the_entry(key, value, message):
+    # None removes the entry
+    data = config_to_dict(HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5))
+    where = data if key in data else data["angles"]
+    if value is None:
+        del where[key]
+    else:
+        where[key] = value
+    with pytest.raises(ValueError, match=f"^bad config file structure: {message}$"):
+        config_from_dict(data)

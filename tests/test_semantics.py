@@ -25,7 +25,7 @@ from hardylogic.semantics import (
     eval_at,
     holds_globally,
 )
-from hardylogic.worlds import CHOICE_PAIRS, ProbabilityTable, World, build_model
+from hardylogic.worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable, World, build_model
 from oracles import (
     brute_accessible,
     brute_counterexamples,
@@ -33,6 +33,7 @@ from oracles import (
     brute_line5_counterexamples,
     brute_line6_counterexamples,
     brute_supported,
+    locally_realisable_patterns,
     possible_worlds,
     random_formula,
     random_rudimentary,
@@ -274,7 +275,7 @@ def test_check_theorem_on_hardy_model(hardy_model):
 
 
 def test_check_theorem_parses_nothing_per_call(hardy_model, monkeypatch):
-    # the conclusion lines and SR are parsed once, when the module loads
+    # the conclusion lines are parsed once, when the module loads
     expected = check_theorem(hardy_model)
 
     def refuse(text):
@@ -514,6 +515,32 @@ def test_no_even_mixture_of_two_local_strategies_is_confirmed():
             lines_as_in_hardy += report.line5.holds and not report.line6.holds
             assert not report.confirmed, (a, b)
     assert lines_as_in_hardy > 0
+
+
+def test_no_locally_realisable_pattern_is_confirmed():
+    # A local hidden-variable model makes possible a union of the
+    # supports of deterministic strategies.  Truth depends only on the
+    # possible worlds, so one table per such pattern, each row uniform on
+    # its possible cells, covers every local model.  Lines 5 and 6 come
+    # out as in Hardy on 92 patterns under 'every' and 276 under 'some'
+    # (the Mermin/Unruh objection), yet no pattern realizes the four
+    # predictions, so none confirms.
+    patterns = locally_realisable_patterns()
+    assert len(patterns) == 1721
+    lines_as_in_hardy = {"every": 0, "some": 0}
+    for pattern in patterns:
+        rows = {}
+        for pair in CHOICE_PAIRS:
+            cells = [w[2] + w[3] for w in pattern if w[:2] == pair]
+            rows[pair] = {k: 1 / len(cells) if k in cells else 0.0 for k in OUTCOME_PAIRS}
+        model = build_model(ProbabilityTable(rows))
+        assert {_as_tuple(w) for w in model.possible} == pattern
+        for quantifier in lines_as_in_hardy:
+            report = check_theorem(model, CfOptions(quantifier=quantifier))
+            lines_as_in_hardy[quantifier] += report.line5.holds and not report.line6.holds
+            assert not report.hardy_conforming, (sorted(pattern), quantifier)
+            assert not report.confirmed, (sorted(pattern), quantifier)
+    assert lines_as_in_hardy == {"every": 92, "some": 276}
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,9 @@ Each value class lists its fields, and equality, hashing, repr,
 ordering, immutability, pickling and copying follow from them the way
 they did when these classes were frozen dataclasses.  The expected
 reprs are literal strings in the dataclass form, and `FIELDS` names each
-class's fields independently of the classes themselves.
+class's fields independently of the classes themselves.  What a value
+works out from its fields or its model is not a field; the last section
+checks each such value against a source that does not read it.
 """
 
 import copy
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import local_strategies, paradox_free
 from hardylogic import formula
 from hardylogic.formula import (
     And,
@@ -25,6 +28,7 @@ from hardylogic.formula import (
     Or,
     PaperNormalReport,
     StrictImp,
+    check_paper_normal,
 )
 from hardylogic.proof import (
     AuditReport,
@@ -34,11 +38,27 @@ from hardylogic.proof import (
     ProofScript,
     RuleVerdict,
     SideCondition,
+    audit,
 )
-from hardylogic.quantum import HardyConfig, PredictionReport, SearchParams
-from hardylogic.semantics import CfOptions, GlobalCheck, SrRow, TemporalOrder, TheoremReport
-from hardylogic.worlds import WORLDS, Model, ProbabilityTable, World
-from oracles import random_formula
+from hardylogic.quantum import HardyConfig, PredictionReport, SearchParams, export_table, find_hardy
+from hardylogic.semantics import (
+    CfOptions,
+    GlobalCheck,
+    SrRow,
+    TemporalOrder,
+    TheoremReport,
+    check_theorem,
+    holds_globally,
+)
+from hardylogic.worlds import CHOICE_PAIRS, WORLDS, Model, ProbabilityTable, World, build_model
+from oracles import (
+    brute_line5_counterexamples,
+    brute_line6_counterexamples,
+    brute_sr,
+    possible_worlds,
+    random_formula,
+    random_table_rows,
+)
 
 # each value class and its fields, in constructor order
 FIELDS = {
@@ -49,10 +69,10 @@ FIELDS = {
     MatImp: ("left", "right"),
     StrictImp: ("left", "right"),
     Counterfactual: ("left", "right"),
-    PaperNormalReport: ("ok", "violation"),
+    PaperNormalReport: ("violation",),
     World: ("choice_l", "choice_r", "outcome_l", "outcome_r"),
     ProbabilityTable: ("rows",),
-    Model: ("table", "epsilon", "possible"),
+    Model: ("table", "epsilon"),
     HardyConfig: ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2"),
     PredictionReport: (
         "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
@@ -66,8 +86,6 @@ FIELDS = {
         "conformance_detail",
         "line5",
         "line6",
-        "sr_true_on_all_l2_worlds",
-        "sr_false_l1_witness",
         "line5_vacuous",
     ),
     ProofLine: ("index", "statement", "rule", "premises", "hypothesis_scope", "note"),
@@ -87,7 +105,6 @@ FIELDS = {
     ),
     FinalVerdict: (
         "line5_true",
-        "line6_refuted",
         "rules_all_valid",
         "side_conditions_hold",
         "contradiction_lines",
@@ -103,8 +120,21 @@ _W = World("L1", "R2", "-", "+")
 _W_REPR = "World(choice_l='L1', choice_r='R2', outcome_l='-', outcome_r='+')"
 _CHECK = GlobalCheck(False, _W, (_W,))
 _CHECK_REPR = f"GlobalCheck(holds=False, witness={_W_REPR}, counterexamples=({_W_REPR},))"
-_TABLE = ProbabilityTable({("L1", "R1"): {"++": 0.5, "-+": 0.5}})
-_TABLE_REPR = "ProbabilityTable(rows={('L1', 'R1'): {'++': 0.5, '-+': 0.5}})"
+# every row gives R the + outcome and L either sign
+_TABLE = ProbabilityTable(
+    dict.fromkeys(CHOICE_PAIRS, {"++": 0.5, "+-": 0.0, "-+": 0.5, "--": 0.0})
+)
+_ROW_REPR = "{'++': 0.5, '+-': 0.0, '-+': 0.5, '--': 0.0}"
+_TABLE_REPR = (
+    f"ProbabilityTable(rows={{('L1', 'R1'): {_ROW_REPR}, ('L1', 'R2'): {_ROW_REPR}, "
+    f"('L2', 'R1'): {_ROW_REPR}, ('L2', 'R2'): {_ROW_REPR}}})"
+)
+_MODEL = Model(_TABLE, 1e-12)
+_HYP = ProofLine(1, _A, "HYPOTHESIS")
+_HYP_REPR = (
+    "ProofLine(index=1, statement=Atom(name='L1'), rule='HYPOTHESIS', premises=(), "
+    "hypothesis_scope=frozenset(), note=None)"
+)
 _LINE = ProofLine(2, StrictImp(_A, _B), "A5", (1,), frozenset({1}), "n")
 _LINE_REPR = (
     "ProofLine(index=2, statement=StrictImp(left=Atom(name='L1'), right=Atom(name='R2-')), "
@@ -115,15 +145,15 @@ _AUDIT_REPR = (
     "LineAudit(index=1, rule='B6', premises=(), scope=(6,), rule_status='valid', "
     "rule_detail='ok', sem_every=True, sem_some=False, note=None)"
 )
-_FINAL = FinalVerdict(True, False, True, True, (11, 14), _W, "d")
+_FINAL = FinalVerdict(True, True, True, (11, 14), _W, "d")
 _FINAL_REPR = (
-    "FinalVerdict(line5_true=True, line6_refuted=False, rules_all_valid=True, "
-    f"side_conditions_hold=True, contradiction_lines=(11, 14), bridge_world={_W_REPR}, "
-    "detail='d')"
+    "FinalVerdict(line5_true=True, rules_all_valid=True, side_conditions_hold=True, "
+    f"contradiction_lines=(11, 14), bridge_world={_W_REPR}, detail='d')"
 )
+_THEOREM = TheoremReport(True, "all", _CHECK, GlobalCheck(True, None, ()), False)
 
-# one or more instances of every value class, each with its repr as the
-# frozen dataclasses printed it
+# one or more instances of every value class, each with its repr in the
+# form the frozen dataclasses printed, over the fields the class has
 SAMPLES = [
     (_A, "Atom(name='L1')"),
     (Not(_A), "Not(arg=Atom(name='L1'))"),
@@ -132,14 +162,11 @@ SAMPLES = [
     (MatImp(_A, _B), "MatImp(left=Atom(name='L1'), right=Atom(name='R2-'))"),
     (StrictImp(_A, _B), "StrictImp(left=Atom(name='L1'), right=Atom(name='R2-'))"),
     (Counterfactual(_A, _B), "Counterfactual(left=Atom(name='L1'), right=Atom(name='R2-'))"),
-    (PaperNormalReport(True), "PaperNormalReport(ok=True, violation=None)"),
-    (PaperNormalReport(False, "v"), "PaperNormalReport(ok=False, violation='v')"),
+    (PaperNormalReport(), "PaperNormalReport(violation=None)"),
+    (PaperNormalReport("v"), "PaperNormalReport(violation='v')"),
     (_W, _W_REPR),
     (_TABLE, _TABLE_REPR),
-    (
-        Model(_TABLE, 1e-12, frozenset({_W})),
-        f"Model(table={_TABLE_REPR}, epsilon=1e-12, possible=frozenset({{{_W_REPR}}}))",
-    ),
+    (_MODEL, f"Model(table={_TABLE_REPR}, epsilon=1e-12)"),
     (
         HardyConfig(0.5, -1.0, 2.0, 0.25, 1e-3),
         "HardyConfig(theta=0.5, angle_l1=-1.0, angle_l2=2.0, angle_r1=0.25, angle_r2=0.001)",
@@ -165,10 +192,9 @@ SAMPLES = [
     ),
     (_CHECK, _CHECK_REPR),
     (
-        TheoremReport(True, "all", _CHECK, GlobalCheck(True, None, ()), False, None, False),
+        _THEOREM,
         f"TheoremReport(hardy_conforming=True, conformance_detail='all', line5={_CHECK_REPR}, "
-        "line6=GlobalCheck(holds=True, witness=None, counterexamples=()), "
-        "sr_true_on_all_l2_worlds=False, sr_false_l1_witness=None, line5_vacuous=False)",
+        "line6=GlobalCheck(holds=True, witness=None, counterexamples=()), line5_vacuous=False)",
     ),
     (_LINE, _LINE_REPR),
     (
@@ -177,8 +203,8 @@ SAMPLES = [
         "description='desc')",
     ),
     (
-        ProofScript((_LINE,), (SideCondition(_A, "s"),), ("note",)),
-        f"ProofScript(lines=({_LINE_REPR},), side_conditions=(SideCondition("
+        ProofScript((_HYP, _LINE), (SideCondition(_A, "s"),), ("note",)),
+        f"ProofScript(lines=({_HYP_REPR}, {_LINE_REPR}), side_conditions=(SideCondition("
         "formula=Atom(name='L1'), description='s'),), notes=('note',))",
     ),
     (RuleVerdict("invalid", "why"), "RuleVerdict(status='invalid', detail='why')"),
@@ -267,13 +293,41 @@ def test_pickle_and_copies_round_trip(value):
 
 
 def test_model_mask_is_not_a_field():
-    model = Model(_TABLE, 1e-12, frozenset({_W}))
-    twin = copy.copy(model)
-    assert twin.mask == model.mask == 1 << WORLDS.index(_W)
-    object.__setattr__(twin, "mask", 0)  # a mask that disagrees with `possible`
-    assert twin == model and hash(twin) == hash(model) == hash(_fields(model))
-    assert repr(twin) == repr(model)
-    assert "mask" not in repr(model)
+    twin = copy.copy(_MODEL)
+    plus = [w for w in WORLDS if w.outcome_r == "+"]
+    assert twin.possible == _MODEL.possible == frozenset(plus)
+    assert twin.mask == _MODEL.mask == sum(1 << WORLDS.index(w) for w in plus)
+    object.__setattr__(twin, "mask", 0)  # a mask and a set that disagree with the table
+    object.__setattr__(twin, "possible", frozenset())
+    assert twin == _MODEL and hash(twin) == hash(_MODEL) == hash(_fields(_MODEL))
+    assert repr(twin) == repr(_MODEL)
+    assert "mask" not in repr(_MODEL) and "possible" not in repr(_MODEL)
+
+
+# what each former field, now worked out from the fields, reads on its sample
+DERIVED = [
+    (_MODEL, "possible", frozenset(w for w in WORLDS if w.outcome_r == "+")),
+    (_THEOREM, "sr_true_on_all_l2_worlds", False),
+    (_THEOREM, "sr_false_l1_witness", None),
+    (TheoremReport(True, "", GlobalCheck(True, None, ()), _CHECK, False), "sr_false_l1_witness", _W),
+    (_FINAL, "line6_refuted", True),
+    (FinalVerdict(True, True, False, (11, 14), _W, "d"), "line6_refuted", False),
+    (FinalVerdict(True, True, True, None, None, "d"), "line6_refuted", False),
+    (PaperNormalReport(), "ok", True),
+    (PaperNormalReport("v"), "ok", False),
+]
+
+
+@pytest.mark.parametrize(
+    "value, name, expected", DERIVED, ids=[f"{type(v).__name__}.{n}" for v, n, _ in DERIVED]
+)
+def test_former_fields_read_as_derived_values(value, name, expected):
+    assert getattr(value, name) == expected
+    with pytest.raises(AttributeError):
+        setattr(value, name, expected)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == expected
 
 
 def test_fields_match_positional_patterns():
@@ -302,3 +356,61 @@ def test_formula_repr_evaluates_back_and_equality_follows_the_tree(seed, other_d
     assert hash(f) == hash(_fields(f))
     if f == g:
         assert hash(f) == hash(g)
+
+
+# ---------------------------------------------------------------------------
+# Fields that other fields or the model determine, each checked against a
+# source that does not read it: the brute-force oracles, or the fields it
+# restates
+
+_HARDY_TABLE = export_table(find_hardy())
+_TABLES = {
+    "hardy": _HARDY_TABLE,
+    "control": paradox_free(_HARDY_TABLE),
+    "local": local_strategies(),
+}
+
+
+def _world(w) -> tuple | None:
+    return None if w is None else _fields(w)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("random", *_TABLES)),
+    quantifier=st.sampled_from(("every", "some")),
+)
+@settings(max_examples=120, deadline=None)
+def test_derived_fields_agree_with_independent_sources(seed, kind, quantifier):
+    rng = random.Random(seed)
+    table = ProbabilityTable(random_table_rows(rng)) if kind == "random" else _TABLES[kind]
+    model = build_model(table)
+    opts = CfOptions(quantifier=quantifier)
+    possible = possible_worlds(table.rows)
+
+    report = check_theorem(model, opts)
+    line5 = brute_line5_counterexamples(possible, quantifier)
+    line6 = brute_line6_counterexamples(possible, quantifier)
+    assert [_fields(w) for w in report.line5.counterexamples] == line5
+    assert [_fields(w) for w in report.line6.counterexamples] == line6
+    l2_true = all(brute_sr(possible, w, quantifier) for w in possible if w[0] == "L2")
+    l1_false = [w for w in possible if w[0] == "L1" and not brute_sr(possible, w, quantifier)]
+    assert report.sr_true_on_all_l2_worlds == l2_true
+    assert _world(report.sr_false_l1_witness) == (l1_false[0] if l1_false else None)
+
+    f = random_formula(rng, depth=4, antecedents=("R1", "R2"))
+    for check in (report.line5, report.line6, holds_globally(model, f, opts)):
+        cex = check.counterexamples
+        assert check.holds == (not cex)
+        assert check.witness == (cex[0] if cex else None)
+
+    normal = check_paper_normal(f)
+    assert normal.ok == bool(normal) == (normal.violation is None)
+
+    final = audit(model, opts=opts).final
+    assert final.line6_refuted == bool(
+        final.rules_all_valid
+        and final.side_conditions_hold
+        and final.contradiction_lines
+        and final.bridge_world
+    )

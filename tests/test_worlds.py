@@ -9,7 +9,9 @@ import pytest
 from hardylogic.formula import Atom
 from hardylogic.worlds import (
     CHOICE_PAIRS,
+    WORLDS,
     DegenerateModelError,
+    Model,
     ProbabilityTable,
     TableError,
     World,
@@ -145,10 +147,45 @@ def test_threshold_sensitive_row_and_zero_row():
 def test_table_validation_errors():
     bad_sum = {pair: {"++": 0.5, "+-": 0.25, "-+": 0.25, "--": 0.25} for pair in CHOICE_PAIRS}
     with pytest.raises(TableError):
-        ProbabilityTable(bad_sum).validate()
+        ProbabilityTable(bad_sum)
     negative = {pair: {"++": 1.25, "+-": -0.25, "-+": 0.0, "--": 0.0} for pair in CHOICE_PAIRS}
     with pytest.raises(TableError):
-        ProbabilityTable(negative).validate()
+        ProbabilityTable(negative)
+
+
+_ROW = {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25}
+
+
+@pytest.mark.parametrize(
+    "pair, row, message",
+    [
+        (("L2", "R1"), None, r"missing distribution for choice pair \('L2', 'R1'\)"),
+        (("L1", "R2"), {"++": 0.5, "+-": 0.5}, "choice pair .* missing outcome cell '-\\+'"),
+        (("L1", "R1"), {**_ROW, "--": math.nan}, "non-finite probability nan"),
+        (("L2", "R2"), {**_ROW, "++": 0.5}, r"sums to 1\.25, not 1"),
+    ],
+)
+def test_table_constructor_rejects_a_bad_row(pair, row, message):
+    # the constructor checks the table, so no table in use is unchecked
+    rows = dict.fromkeys(CHOICE_PAIRS, _ROW)
+    if row is None:
+        del rows[pair]
+    else:
+        rows[pair] = row
+    with pytest.raises(TableError, match=message):
+        ProbabilityTable(rows)
+
+
+def test_model_works_out_its_possible_worlds(hardy_table):
+    model = Model(hardy_table, 1e-12)
+    assert model == build_model(hardy_table)
+    assert model.possible == build_model(hardy_table).possible
+    assert model.possible == {w for w in WORLDS if hardy_table.prob(w) > 1e-12}
+    assert model.mask == sum(1 << WORLDS.index(w) for w in model.possible)
+    with pytest.raises(TypeError):  # the possible worlds are the table's, not the caller's
+        Model(hardy_table, 1e-12, frozenset(WORLDS))
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        Model(hardy_table, 0.01)
 
 
 def test_no_signaling_gap_uniform():
