@@ -37,7 +37,6 @@ _EXPORTS = {
             "unparse",
         ),
         "worlds": (
-            "DegenerateModelError",
             "Model",
             "ProbabilityTable",
             "TableError",

@@ -9,11 +9,13 @@ hypothesis.
 
 Everything that reads only the script is worked out once per script
 and temporal order, into a plan the script keeps (`_Plan`): the scope
-check, every structural rule verdict, the cell each prediction line
-pins, the complementary line pairs and the hypothesis's counterpart.
-Both `check_rule` and `audit` read it; what is left per model is
-whether each pinned cell is possible, the two readings, the side
-condition and the bridge world.
+check, every structural rule verdict and the cell each prediction line
+pins, which `check_rule` and `audit` read, and, on the first audit,
+the script compiled into one mask program, with the slots of each
+line's statement, the side conditions, the complementary line pairs
+and the hypothesis's counterpart.  What is left per model is whether
+each pinned cell is possible and one run of the program, which gives
+the two readings, the side condition and the bridge world.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -55,9 +57,17 @@ from .formula import (
     parse,
     unparse,
 )
-from .semantics import DEFAULT_OPTIONS, LINE5, LINE6, CfOptions, TemporalOrder, truth_mask
+from .semantics import (
+    DEFAULT_OPTIONS,
+    LINE5,
+    LINE6,
+    CfOptions,
+    MaskProgram,
+    TemporalOrder,
+    worlds_where,
+)
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World, worlds_in
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World
 
 VALID = "valid"
 INVALID = "invalid"
@@ -145,8 +155,8 @@ def builtin_script() -> ProofScript:
 
     Built once and shared: the script and every node in it are frozen.
     Its formulas are interned, so equal subformulas, within a line and
-    across lines, are one object, which `truth_mask` evaluates once per
-    reading of an audit.
+    across lines, are one object, and so one slot of the mask program
+    an audit compiles.
 
     Two normalizations from the printed source are applied and logged in
     the script notes: the mislabeled prediction citation on line 12 is
@@ -604,6 +614,8 @@ class _Plan:
 
     `rules` maps each line index to its verdict or, for a prediction
     line, to the cell it pins, which each model confirms or refutes.
+    `program` is None until the first audit compiles the script
+    (`compile`); `check_rule` never does.
     """
 
     def __init__(self, script: ProofScript, order: TemporalOrder):
@@ -613,12 +625,45 @@ class _Plan:
             ln.index: _CHECKERS[ln.rule](ln, [by_index[i].statement for i in ln.premises], order)
             for ln in script.lines
         }
-        self.checked = tuple(ln.index for ln in script.lines if ln.rule != "HYPOTHESIS")
-        self.hyp = next((ln for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
-        self.counterpart, self.clashes = None, ()
-        if self.hyp is not None:
-            self.counterpart = by_index.get(self.hyp.index - 1)
-            self.clashes = _clashes(script, self.hyp.index)
+        self.program: MaskProgram | None = None
+
+    def compile(self, script: ProofScript, order: TemporalOrder) -> MaskProgram:
+        """The script as one mask program, keeping the slot of each part an audit reads.
+
+        `lines` has, per line: the slots of its statement and of the two
+        parts its existential reading meets (a strict conditional's
+        antecedent and consequent, else the statement twice), whether
+        the hypothesis scopes it, and its scope.  Then come each side
+        condition's slot, each clash's line pair with the slots of its
+        shared antecedent X and of `c []-> c`, and the slot of the
+        hypothesis's counterpart.
+        """
+        hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
+        clashes, counterpart = (), None
+        if hyp is not None:
+            clashes = _clashes(script, hyp)
+            counterpart = next((ln for ln in script.lines if ln.index == hyp - 1), None)
+        formulas = []
+        for ln in script.lines:
+            formulas += (ln.statement, *(_strict(ln.statement) or (ln.statement,) * 2))
+        formulas += [sc.formula for sc in script.side_conditions]
+        for _, x, reaches in clashes:
+            formulas += (x, reaches)
+        if counterpart is not None:
+            formulas.append(counterpart.statement)
+        program = MaskProgram(formulas, order)  # raises here for an unsupported antecedent
+        slots = iter(program.slots)
+        self.lines = tuple(
+            (next(slots), next(slots), next(slots), hyp in ln.hypothesis_scope,
+             tuple(sorted(ln.hypothesis_scope)))
+            for ln in script.lines
+        )
+        self.hyp_line = next((k for k, ln in enumerate(script.lines) if ln.index == hyp), None)
+        self.sides = tuple(next(slots) for _ in script.side_conditions)
+        self.clashes = tuple((pair, next(slots), next(slots)) for pair, _, _ in clashes)
+        self.counterpart = next(slots, None)
+        self.program = program
+        return program
 
 
 def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
@@ -828,17 +873,6 @@ class AuditReport(Value):
         return "\n".join(out)
 
 
-def _reading_truth(model: Model, stmt: Formula, ropts: CfOptions, memo: dict) -> bool:
-    """Universal reading: no escaping world.  Existential: a conforming world."""
-    if ropts.quantifier == "every":
-        return truth_mask(model, stmt, ropts, memo) == model.mask
-    if isinstance(stmt, StrictImp):
-        return bool(
-            truth_mask(model, stmt.left, ropts, memo) & truth_mask(model, stmt.right, ropts, memo)
-        )
-    return bool(truth_mask(model, stmt, ropts, memo))
-
-
 def audit(
     model: Model,
     script: ProofScript | None = None,
@@ -855,68 +889,57 @@ def audit(
     hypothesis's unconditional counterpart (the line just before it)
     must hold outright.
 
-    What reads only the script comes from its plan for `opts.order`;
-    each reading evaluates the model through one `truth_mask` memo.
+    What reads only the script comes from its plan for `opts.order`,
+    including the script compiled into one mask program on the first
+    audit; each model runs that program once, its counterfactual nodes
+    once per reading.
     """
     if script is None:
         script = builtin_script()
     plan = _plan(script, opts.order)
-    hyp = plan.hyp
-    readings = {
-        q: CfOptions(opts.order, q, opts.self_world_when_consistent) for q in ("every", "some")
-    }
-    memos = {q: {} for q in readings}
-    raw = {
-        ln.index: {
-            q: _reading_truth(model, ln.statement, ropts, memos[q])
-            for q, ropts in readings.items()
-        }
-        for ln in script.lines
-    }
+    program = plan.program if plan.program is not None else plan.compile(script, opts.order)
+    every, some = program.run(model, ("every", "some"), opts.self_world_when_consistent)
+    # universal reading: no escaping world; existential: a conforming world
+    raw = [(every.everywhere(s), some.somewhere(a, c)) for s, a, c, _, _ in plan.lines]
+    hyp = raw[plan.hyp_line] if plan.hyp_line is not None else None
 
     audits = []
-    verdicts = {}
-    for ln in script.lines:
+    rules_ok = not plan.scope_problems
+    for ln, (sem_every, sem_some), (*_, scoped, scope) in zip(script.lines, raw, plan.lines):
         verdict = _verdict(model, plan.rules[ln.index])
-        verdicts[ln.index] = verdict
-        sem = dict(raw[ln.index])
-        if hyp is not None and hyp.index in ln.hypothesis_scope:
-            for reading in readings:
-                sem[reading] = (not raw[hyp.index][reading]) or sem[reading]
+        if ln.rule != "HYPOTHESIS":
+            rules_ok = rules_ok and verdict.ok
+        if scoped:
+            sem_every, sem_some = (not hyp[0]) or sem_every, (not hyp[1]) or sem_some
         audits.append(
             LineAudit(
                 index=ln.index,
                 rule=ln.rule,
                 premises=ln.premises,
-                scope=tuple(sorted(ln.hypothesis_scope)),
+                scope=scope,
                 rule_status=verdict.status,
                 rule_detail=verdict.detail,
-                sem_every=sem["every"],
-                sem_some=sem["some"],
+                sem_every=sem_every,
+                sem_some=sem_some,
                 note=ln.note,
             )
         )
 
-    rules_ok = all(verdicts[i].ok for i in plan.checked) and not plan.scope_problems
-    memo = memos[opts.quantifier]  # `opts` is the reading of its own quantifier
-    side_ok = all(truth_mask(model, sc.formula, opts, memo) for sc in script.side_conditions)
+    reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
+    side_ok = all(reading.somewhere(slot) for slot in plan.sides)
 
     contradiction = None
     bridge = None
     for pair, x, reaches in plan.clashes:
         # the imposed choice holds throughout what it reaches, so `c []-> c`
         # read existentially marks the worlds whose accessible set is nonempty
-        bridges = worlds_in(
-            truth_mask(model, x, opts, memo)
-            & truth_mask(model, reaches, readings["some"], memos["some"])
-        )
+        bridges = worlds_where((reading, x), (some, reaches))
         if bridges:
             contradiction, bridge = pair, bridges[0]
             break
 
-    line5_true = False
-    if plan.counterpart is not None:  # true at every possible world, as `holds_globally` reads
-        line5_true = truth_mask(model, plan.counterpart.statement, opts, memo) == model.mask
+    # true at every possible world, as `holds_globally` reads
+    line5_true = plan.counterpart is not None and reading.everywhere(plan.counterpart)
 
     details = []
     if plan.scope_problems:

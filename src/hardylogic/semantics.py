@@ -7,6 +7,11 @@ set.  Counterfactual antecedents are checked for the whole formula up
 front: an antecedent outside the fragment is an error wherever it sits,
 even under a connective whose other side already settles the value.
 
+A fixed set of formulas read on many models, such as the proof script
+or the two conclusion lines, is compiled once into a `MaskProgram`: a
+straight-line list of the set's distinct nodes that each model runs
+without walking a tree.
+
 Three conditionals with three different scopes:
 
 * material (->): world-local, false antecedent or true consequent;
@@ -30,6 +35,8 @@ table (`sr_truth_table`) lives here too.  The prediction cells that
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .formula import (
     OUTCOME_ATOMS,
@@ -145,65 +152,193 @@ def accessible(
     return worlds_in(model.mask & imposed & ATOM_MASKS[pinned])
 
 
-# each region's (choice, outcome) cells, as outcome atom names
-_OUTCOME_CELLS = {r: tuple(a for a in OUTCOME_ATOMS if a[0] == r) for r in ("L", "R")}
+# each region's four (choice, outcome) cells, as world masks
+_CELL_MASKS = {r: tuple(ATOM_MASKS[a] for a in OUTCOME_ATOMS if a[0] == r) for r in ("L", "R")}
 
 
-def truth_mask(
-    model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS, memo: dict | None = None
+def _counterfactual_mask(
+    possible: int, imposed: int, cells: tuple, consequent: int, every: bool, self_world: bool
 ) -> int:
+    """The worlds from which imposing a choice reaches only worlds of `consequent`.
+
+    With `every` false, some world of it instead.  `imposed` is the
+    choice's mask and `cells` the earlier region's four cell masks.
+    """
+    out = 0
+    # every world of one earlier-region (choice, outcome) cell reaches the same worlds
+    for cell in cells:
+        reach = possible & imposed & cell
+        if not reach & ~consequent if every else reach & consequent:
+            out |= cell
+    if self_world:  # a world where the choice holds reaches itself
+        out = out & ~imposed | imposed & consequent
+    return out & possible
+
+
+def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> int:
     """The possible worlds where `f` holds, as a world-set mask.
 
     A strict conditional denotes all possible worlds or none.  A
     counterfactual holds at a world when the worlds its antecedent
     reaches lie inside the consequent's set ('every') or meet it
     ('some').
-
-    `memo`, when given, is a dict the caller keeps for this one
-    (model, opts) pair.  It maps the id of each compound node evaluated
-    to the node and its mask, so a node met again is looked up, not
-    evaluated; an interned tree meets each repeated subformula again.
-    Holding the node keeps its id from being reused while the memo
-    lives.
     """
     possible = model.mask
     if isinstance(f, Atom):
         return ATOM_MASKS[f.name] & possible
-    if memo is not None:
-        hit = memo.get(id(f))
-        if hit is not None:
-            return hit[1]
     if isinstance(f, Not):
-        out = possible & ~truth_mask(model, f.arg, opts, memo)
-    elif isinstance(f, Counterfactual):
+        return possible & ~truth_mask(model, f.arg, opts)
+    if isinstance(f, Counterfactual):
         imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
-        consequent = truth_mask(model, f.right, opts, memo)
-        out = 0
-        every = opts.quantifier == "every"
-        # every world of one earlier-region (choice, outcome) cell reaches the same worlds
-        for cell in _OUTCOME_CELLS[opts.order.earlier_region]:
-            reach = possible & imposed & ATOM_MASKS[cell]
-            if not reach & ~consequent if every else reach & consequent:
-                out |= ATOM_MASKS[cell]
-        if opts.self_world_when_consistent:  # a world where the choice holds reaches itself
-            out = out & ~imposed | imposed & consequent
-        out &= possible
-    else:
-        left = truth_mask(model, f.left, opts, memo)
-        right = truth_mask(model, f.right, opts, memo)
-        if isinstance(f, And):
-            out = left & right
-        elif isinstance(f, Or):
-            out = left | right
-        elif isinstance(f, MatImp):
-            out = possible & (~left | right)
-        elif isinstance(f, StrictImp):
-            out = 0 if left & ~right else possible
+        return _counterfactual_mask(
+            possible,
+            imposed,
+            _CELL_MASKS[opts.order.earlier_region],
+            truth_mask(model, f.right, opts),
+            opts.quantifier == "every",
+            opts.self_world_when_consistent,
+        )
+    left = truth_mask(model, f.left, opts)
+    right = truth_mask(model, f.right, opts)
+    if isinstance(f, And):
+        return left & right
+    if isinstance(f, Or):
+        return left | right
+    if isinstance(f, MatImp):
+        return possible & (~left | right)
+    if isinstance(f, StrictImp):
+        return 0 if left & ~right else possible
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+# a mask program's opcodes; an instruction is (op, a, b): an atom's mask
+# and None for _ATOM, the consequent's slot and (imposed choice mask, cell
+# masks) for _CF, the operand slots for the others (b None for _NOT)
+_AND, _OR, _MATIMP, _STRICT, _NOT, _CF, _ATOM = range(7)
+_BINARY = {And: _AND, Or: _OR, MatImp: _MATIMP, StrictImp: _STRICT}
+
+
+class MaskProgram:
+    """A fixed set of formulas compiled into a straight-line world-mask program.
+
+    Each distinct node, by identity, has one slot, so the repeated
+    subformulas of an interned formula set are computed once.  The
+    instructions list the nodes children first: `free`, the nodes that
+    contain no counterfactual, which `run` computes once per model, then
+    `tail`, the nodes that do, which it computes once per reading.
+    `slots[i]` is the slot of `formulas[i]`.
+
+    An antecedent outside the fragment raises the error `truth_mask`
+    raises, for the first such counterfactual `truth_mask` would meet
+    evaluating the formulas in order.
+    """
+
+    __slots__ = ("free", "tail", "slots")
+
+    def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
+        cells = _CELL_MASKS[order.earlier_region]
+        numbers: dict[int, int] = {}  # id of a node met -> its number, in post-order
+        nodes: list[tuple] = []  # by number: op, a, b over numbers, and whether it has a []->
+
+        def number(f) -> int:  # visits nodes in `truth_mask`'s order, so errors match
+            n = numbers.get(id(f))
+            if n is not None:
+                return n
+            if isinstance(f, Atom):
+                node = (_ATOM, ATOM_MASKS[f.name], None, False)
+            elif isinstance(f, Not):
+                arg = number(f.arg)
+                node = (_NOT, arg, None, nodes[arg][3])
+            elif isinstance(f, Counterfactual):
+                imposed = ATOM_MASKS[_imposable(f.left, order).name]
+                node = (_CF, number(f.right), (imposed, cells), True)
+            else:
+                left, right = number(f.left), number(f.right)
+                op = _BINARY.get(type(f))
+                if op is None:
+                    raise TypeError(f"not a formula node: {f!r}")
+                node = (op, left, right, nodes[left][3] or nodes[right][3])
+            numbers[id(f)] = len(nodes)
+            nodes.append(node)
+            return len(nodes) - 1
+
+        given = [number(f) for f in formulas]
+        slot: dict[int, int] = {}  # number -> slot: the free nodes first, each part in post-order
+        free: list[tuple] = []
+        tail: list[tuple] = []
+        for in_tail, code in ((False, free), (True, tail)):
+            for n, (op, a, b, has_cf) in enumerate(nodes):
+                if has_cf == in_tail:
+                    slot[n] = len(slot)
+                    code.append((op, a if op == _ATOM else slot[a], slot[b] if op < _NOT else b))
+        self.free, self.tail = tuple(free), tuple(tail)
+        self.slots = tuple(slot[n] for n in given)
+
+    def __len__(self) -> int:
+        return len(self.free) + len(self.tail)
+
+    def run(
+        self, model: Model, quantifiers: tuple[str, ...], self_world: bool = True
+    ) -> list[Denotation]:
+        """Every slot's mask in `model`, one `Denotation` per quantifier."""
+        possible = model.mask
+        masks: list[int] = []
+        _execute(self.free, masks, possible, True, self_world)
+        readings = []
+        for quantifier in quantifiers:
+            reading = masks[:]
+            _execute(self.tail, reading, possible, quantifier == "every", self_world)
+            readings.append(Denotation(possible, reading))
+        return readings
+
+
+def _execute(code: tuple, masks: list, possible: int, every: bool, self_world: bool) -> None:
+    """Append the mask of each instruction of `code` to `masks`."""
+    append = masks.append
+    for op, a, b in code:
+        if op == _AND:
+            append(masks[a] & masks[b])
+        elif op == _ATOM:
+            append(a & possible)
+        elif op == _CF:
+            append(_counterfactual_mask(possible, *b, masks[a], every, self_world))
+        elif op == _NOT:
+            append(possible & ~masks[a])
+        elif op == _MATIMP:
+            append(possible & (~masks[a] | masks[b]))
+        elif op == _OR:
+            append(masks[a] | masks[b])
         else:
-            raise TypeError(f"not a formula node: {f!r}")
-    if memo is not None:
-        memo[id(f)] = (f, out)
-    return out
+            append(0 if masks[a] & ~masks[b] else possible)
+
+
+class Denotation:
+    """A mask program's slots in one model under one reading."""
+
+    __slots__ = ("possible", "masks")
+
+    def __init__(self, possible: int, masks: list[int]):
+        self.possible = possible
+        self.masks = masks
+
+    def everywhere(self, slot: int) -> bool:
+        """Does the slot hold at every possible world?"""
+        return self.masks[slot] == self.possible
+
+    def somewhere(self, *slots: int) -> bool:
+        """Does some possible world satisfy every one of the slots?"""
+        common = self.possible
+        for slot in slots:
+            common &= self.masks[slot]
+        return bool(common)
+
+
+def worlds_where(*terms: tuple[Denotation, int]) -> list[World]:
+    """The worlds where each (denotation, slot) term holds, in canonical order."""
+    common = -1
+    for denotation, slot in terms:
+        common &= denotation.masks[slot]
+    return worlds_in(common)
 
 
 def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> bool:
@@ -239,6 +374,11 @@ def holds_globally(
         bad = truth_mask(model, f.left, opts) & ~truth_mask(model, f.right, opts)
     else:
         bad = model.mask & ~truth_mask(model, f, opts)
+    return _global_check(bad)
+
+
+def _global_check(bad: int) -> GlobalCheck:
+    """The check whose counterexamples are the worlds of the mask `bad`."""
     worlds = tuple(worlds_in(bad))
     return GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
 
@@ -348,12 +488,23 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conforming model where line 5 is not vacuous.
     """
     conforming, detail = hardy_conformance(model)
+    program = _theorem_program(opts.order.earlier_region)
+    (reading,) = program.run(model, (opts.quantifier,), opts.self_world_when_consistent)
+    masks = [reading.masks[s] for s in program.slots]
     return TheoremReport(
         hardy_conforming=conforming,
         conformance_detail=detail,
-        line5=holds_globally(model, LINE5, opts),
-        line6=holds_globally(model, LINE6, opts),
+        line5=_global_check(masks[0] & ~masks[1]),
+        line6=_global_check(masks[2] & ~masks[3]),
         line5_vacuous=not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],
+    )
+
+
+@cache
+def _theorem_program(earlier_region: str) -> MaskProgram:
+    """Both lines' antecedents and consequents, compiled once per temporal order."""
+    return MaskProgram(
+        (LINE5.left, LINE5.right, LINE6.left, LINE6.right), TemporalOrder(earlier_region)
     )
 
 
@@ -389,8 +540,10 @@ def sr_truth_table() -> list[SrRow]:
 __all__ = [
     "CfOptions",
     "DEFAULT_OPTIONS",
+    "Denotation",
     "GlobalCheck",
     "L_EARLIER",
+    "MaskProgram",
     "SrRow",
     "TemporalOrder",
     "TheoremReport",
@@ -402,4 +555,5 @@ __all__ = [
     "holds_globally",
     "sr_truth_table",
     "truth_mask",
+    "worlds_where",
 ]

@@ -36,10 +36,6 @@ class TableError(ValueError):
     """Probability table violating its invariants or schema."""
 
 
-class DegenerateModelError(ValueError):
-    """Some choice pair has no possible world at the given threshold."""
-
-
 class World(Value):
     """One history; worlds order as their field tuples."""
 
@@ -179,8 +175,9 @@ class ProbabilityTable(Value):
 
     `rows` maps (choice_l, choice_r) to {outcome pair: probability},
     outcome pairs written L sign first ('+-' means L got +, R got -).
-    The constructor checks that every choice pair has all four cells,
-    finite and nonnegative, summing to 1, and raises TableError if not.
+    The constructor checks that the rows are the four choice pairs, each
+    with the four cells and no other, each cell a finite nonnegative
+    int or float, summing to 1, and raises TableError if not.
     The rows are copied into read-only dicts on construction, so a
     table, and a model built from it, cannot change after the fact and
     can be hashed.
@@ -193,14 +190,27 @@ class ProbabilityTable(Value):
         for pair in CHOICE_PAIRS:
             if pair not in rows:
                 raise TableError(f"missing distribution for choice pair {pair}")
+        if len(rows) != len(CHOICE_PAIRS):
+            extra = next(pair for pair in rows if pair not in CHOICE_PAIRS)
+            raise TableError(f"unknown choice pair {extra!r}")
+        for pair in CHOICE_PAIRS:
             row = rows[pair]
             for key in OUTCOME_PAIRS:
                 if key not in row:
                     raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
-                if not math.isfinite(row[key]):
-                    raise TableError(f"non-finite probability {row[key]} in {pair} cell {key!r}")
-                if row[key] < 0:
-                    raise TableError(f"negative probability {row[key]} in {pair} cell {key!r}")
+                p = row[key]
+                # a float, the usual case, passes the first test alone
+                if p.__class__ is not float and (
+                    isinstance(p, bool) or not isinstance(p, (int, float))
+                ):
+                    raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
+                if not math.isfinite(p):
+                    raise TableError(f"non-finite probability {p} in {pair} cell {key!r}")
+                if p < 0:
+                    raise TableError(f"negative probability {p} in {pair} cell {key!r}")
+            if len(row) != len(OUTCOME_PAIRS):
+                extra = next(key for key in row if key not in OUTCOME_PAIRS)
+                raise TableError(f"choice pair {pair} has unknown outcome cell {extra!r}")
             total = sum(row[key] for key in OUTCOME_PAIRS)
             if abs(total - 1.0) > DISTRIBUTION_TOL:
                 raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
@@ -281,12 +291,9 @@ class Model(Value):
     def __init__(self, table: ProbabilityTable, epsilon: float):
         if not 0.0 <= epsilon <= 1e-3:
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
+        # every choice pair keeps a possible world: a row sums to 1 over four
+        # cells, so its largest is at least about 0.25, far above 1e-3
         mask = sum(1 << i for i, w in enumerate(WORLDS) if table.prob(w) > epsilon)
-        for cl, cr in CHOICE_PAIRS:
-            if not mask & ATOM_MASKS[cl] & ATOM_MASKS[cr]:
-                raise DegenerateModelError(
-                    f"choice pair {(cl, cr)} has no possible world at epsilon={epsilon}"
-                )
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "possible", frozenset(worlds_in(mask)))

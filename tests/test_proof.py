@@ -4,7 +4,6 @@ import json
 import pickle
 import random
 import weakref
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from hardylogic.proof import (
     validate_scopes,
 )
 from hardylogic.semantics import CfOptions, TemporalOrder
-from hardylogic.worlds import ProbabilityTable, build_model
+from hardylogic.worlds import ProbabilityTable, build_model, worlds_in
 from oracles import random_table_rows
 
 
@@ -354,7 +353,7 @@ def test_builtin_script_is_built_once(hardy_model, control_model):
 
 
 # ---------------------------------------------------------------------------
-# The plan an audit keeps on its script, and the memo of each reading
+# The plan an audit keeps on its script, and the mask program it compiles
 
 _SWAP = {"L": "R", "R": "L"}
 
@@ -390,16 +389,64 @@ def mirrored_script():
     return _rebuilt(builtin_script(), lambda f: _interned(_mirrored(f), nodes))
 
 
-def _outcome(call):
+def _outcome(call, show=lambda report: (report.render(), json.dumps(report.to_dict()))):
     try:
-        report = call()
+        result = call()
     except Exception as exc:  # the error must match as well
         return (type(exc), str(exc))
-    return report.render(), json.dumps(report.to_dict())
+    return show(result)
 
 
-def _without_memo(model, f, opts=semantics.DEFAULT_OPTIONS, memo=None):
-    return semantics.truth_mask(model, f, opts)
+def _line_readings(model, script, opts):
+    """Each line's (every, some) reading, `truth_mask` evaluated line by line.
+
+    Universal: the statement holds at every possible world.  Existential:
+    some possible world satisfies it or, for a strict conditional, both
+    its antecedent and its consequent.  Scoped lines are read as material
+    consequences of the hypothesis, and then come the final verdict's
+    line 5, side conditions and first clash with a bridge world: one
+    satisfying the clash's antecedent, all under `opts`, and `c []-> c`
+    read existentially.
+    """
+    truth = {
+        q: lambda f, q=q: semantics.truth_mask(
+            model, f, CfOptions(opts.order, q, opts.self_world_when_consistent)
+        )
+        for q in ("every", "some")
+    }
+    raw = {}
+    for ln in script.lines:
+        stmt = ln.statement
+        parts = (stmt.left, stmt.right) if isinstance(stmt, StrictImp) else (stmt,)
+        common = model.mask
+        for part in parts:
+            common &= truth["some"](part)
+        raw[ln.index] = (truth["every"](stmt) == model.mask, bool(common))
+    hyp = next(ln.index for ln in script.lines if ln.rule == "HYPOTHESIS")
+    lines = [
+        tuple((not h) or r for h, r in zip(raw[hyp], raw[ln.index]))
+        if hyp in ln.hypothesis_scope
+        else raw[ln.index]
+        for ln in script.lines
+    ]
+    line5 = truth[opts.quantifier](script.line(hyp - 1).statement) == model.mask
+    sides = all(truth[opts.quantifier](sc.formula) for sc in script.side_conditions)
+    clash = next(
+        (
+            (pair, worlds[0])
+            for pair, x, reaches in proof._clashes(script, hyp)
+            if (worlds := worlds_in(truth[opts.quantifier](x) & truth["some"](reaches)))
+        ),
+        (None, None),
+    )
+    return lines, line5, sides, clash
+
+
+def _readings(report):
+    lines = [(la.sem_every, la.sem_some) for la in report.lines]
+    final = report.final
+    clash = (final.contradiction_lines, final.bridge_world)
+    return lines, final.line5_true, final.side_conditions_hold, clash
 
 
 def _verdicts(model, script, opts):
@@ -416,10 +463,11 @@ def _verdicts(model, script, opts):
 def test_planned_audit_matches_a_fresh_one(
     request, mirrored_script, seed, kind, quantifier, self_world
 ):
-    # The kept scripts keep their plans and share their nodes.  They are
-    # checked against themselves audited without a memo, against a
-    # freshly built script, which has no plan yet, and against a
-    # flattened one, which shares no node.
+    # The kept scripts keep their plans and compiled programs and share
+    # their nodes.  Their line readings are checked against `truth_mask`
+    # evaluated line by line, and their reports against a freshly built
+    # script, which has no plan yet, and against a flattened one, which
+    # shares no node.
     # Each order runs twice, the other in between.  The builtin script
     # raises under "R" (R1 is an earlier choice there) and the mirrored
     # one under "L", and the errors must match too.
@@ -431,8 +479,9 @@ def test_planned_audit_matches_a_fresh_one(
         opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
         for kept in (builtin_script(), mirrored_script):
             got = _outcome(lambda: audit(model, kept, opts))
-            with mock.patch.object(proof, "truth_mask", _without_memo):
-                assert got == _outcome(lambda: audit(model, kept, opts))
+            assert _outcome(lambda: audit(model, kept, opts), _readings) == _outcome(
+                lambda: _line_readings(model, kept, opts), lambda readings: readings
+            )
             fresh = [_rebuilt(kept, _flat)]
             if kept is builtin_script():
                 fresh.append(builtin_script.__wrapped__())
@@ -443,23 +492,66 @@ def test_planned_audit_matches_a_fresh_one(
     assert isinstance(_outcome(lambda: audit(model, mirrored_script, opts))[0], str)
 
 
+# the lines whose rule fails under TemporalOrder("R"), where R1 is an
+# earlier choice, and how each verdict's detail begins; the rest are valid
+_R_ORDER_INVALID = {
+    1: "expected (E ^ r ^ o) => [c []-> (E ^ c ^ o)] with E, o pinned in the earlier region",
+    5: "no import/export match between premise",
+    11: "expected X => [E -> (c []-> D)] commuting to X => [c []-> (E -> D)]",
+    14: "imposed choice and box consequent must match the premise",
+}
+
+
 def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monkeypatch):
-    # 327 truth_mask calls before the memo; now every compound node of
-    # the interned script is evaluated once per reading, atoms each time
-    # their parent is
-    calls = {"evaluated": 0, "looked up": 0}
+    # Neither reads `truth_mask`: each runs a mask program compiled once,
+    # whose nodes free of counterfactuals run once per model and the rest
+    # once per reading.
+    calls = []
     real = semantics.truth_mask
+    monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
+    compiled = []
 
-    def counting(model, f, opts=semantics.DEFAULT_OPTIONS, memo=None):
-        calls["looked up" if memo is not None and id(f) in memo else "evaluated"] += 1
-        return real(model, f, opts, memo)
+    class Counted(semantics.MaskProgram):
+        __slots__ = ()
 
-    monkeypatch.setattr(semantics, "truth_mask", counting)
-    monkeypatch.setattr(proof, "truth_mask", counting)
+        def __init__(self, *args):
+            compiled.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(proof, "MaskProgram", Counted)
+    assert not hasattr(proof, "truth_mask")
+
     semantics.check_theorem(hardy_model)
-    assert calls == {"evaluated": 18, "looked up": 0}  # lines 5 and 6, nine nodes each
-    audit(hardy_model)
-    assert calls == {"evaluated": 128, "looked up": 43}
+    script = builtin_script.__wrapped__()
+    for ln in script.lines:
+        check_rule(hardy_model, script, ln.index)
+    assert compiled == []  # rule checks never compile the script
+    audit(hardy_model, script)
+    assert len(compiled) == 1
+    program = proof._plan(script, semantics.L_EARLIER).program
+    # the 45 distinct nodes of the lines and the side condition, and `R1 []-> R1`
+    assert len(program) == 46
+    assert len(program.free) == 29  # free of counterfactuals, 8 of them atoms
+    assert len(program.tail) == 17
+    audit(hardy_model, script)
+    semantics.check_theorem(hardy_model)
+    assert len(compiled) == 1  # a second audit compiles nothing
+    assert calls == []
+
+    r_order = CfOptions(TemporalOrder("R"))
+    for ln in script.lines:
+        verdict = check_rule(hardy_model, script, ln.index, r_order)
+        assert verdict.ok == (ln.index not in _R_ORDER_INVALID), ln.index
+        assert verdict.detail.startswith(_R_ORDER_INVALID.get(ln.index, "")), ln.index
+    for _ in range(2):  # nothing is kept from a compile that failed
+        with pytest.raises(
+            semantics.UnsupportedCounterfactualError,
+            match=r"^counterfactual antecedent R1 picks the earlier region; "
+            r"only later-region choices can be imposed$",
+        ):
+            audit(hardy_model, script, r_order)
+    assert proof._plan(script, r_order.order).program is None
+    assert len(compiled) == 3
 
 
 def test_second_audit_runs_no_rule_checker(hardy_model, monkeypatch):

@@ -435,41 +435,81 @@ def test_mirroring_regions_and_order_preserves_verdicts(
 
 
 
-@settings(max_examples=150, deadline=None)
+def _distinct_nodes(formulas) -> list:
+    """Every node of `formulas`, each object once, children before parents."""
+    seen, nodes = set(), []
+
+    def visit(f):
+        if id(f) in seen:
+            return
+        seen.add(id(f))
+        if isinstance(f, Not):
+            visit(f.arg)
+        elif not isinstance(f, Atom):
+            visit(f.left)
+            visit(f.right)
+        nodes.append(f)
+
+    for f in formulas:
+        visit(f)
+    return nodes
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(_KNOWN_MODELS),
     earlier=st.sampled_from("LR"),
-    quantifier=st.sampled_from(("every", "some")),
+    quantifiers=st.sampled_from((("every", "some"), ("some", "every"))),
     self_world=st.booleans(),
+    unsupported=st.booleans(),
 )
-def test_one_memo_over_many_formulas_gives_fresh_masks(
-    request, seed, kind, earlier, quantifier, self_world
+def test_mask_program_matches_truth_mask_and_the_oracle(
+    request, seed, kind, earlier, quantifiers, self_world, unsupported
 ):
+    # a formula set whose later members hold earlier ones as subformulas,
+    # by object, so the program computes each shared node once
     rng = random.Random(seed)
     model = _case_model(request, kind, rng)
-    opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
-    later = [Atom(c) for c in CHOICE_ATOMS if c[0] == _SWAP[earlier]]
-    parts = [random_formula(rng, antecedents=[a.name for a in later]) for _ in range(8)]
-    # later formulas hold earlier ones as subformulas, so the memo gets hits
+    order = TemporalOrder(earlier)
+    later = [c for c in CHOICE_ATOMS if c[0] == order.later_region]
+    # without a fixed antecedent most counterfactuals are outside the fragment
+    parts = [random_formula(rng, 2, None if unsupported else later) for _ in range(5)]
     formulas = parts + [And(f, g) for f, g in zip(parts, parts[1:])]
-    formulas += [Counterfactual(later[i % 2], f) for i, f in enumerate(formulas)]
-    formulas += [StrictImp(f, g) for f, g in zip(formulas, reversed(formulas))]
+    formulas += [Counterfactual(Atom(later[i % 2]), f) for i, f in enumerate(formulas[::2])]
+    formulas += [StrictImp(f, g) for f, g in zip(parts, reversed(formulas))]
+    if unsupported:  # an antecedent checked before the consequent's own antecedents
+        outer = Counterfactual(Atom(rng.choice(CHOICE_ATOMS)), rng.choice(formulas))
+        formulas.insert(rng.randrange(len(formulas) + 1), outer)
+    readings = [CfOptions(order, q, self_world) for q in quantifiers]
 
-    memo = {}
-    shared = [semantics.truth_mask(model, f, opts, memo) for f in formulas]
-    assert shared == [semantics.truth_mask(model, f, opts) for f in formulas]
-    assert all(id(node) == key for key, (node, _) in memo.items())
-    # far fewer entries than the compound nodes met: each node once
-    assert len(memo) < sum(_compound_nodes(f) for f in formulas) / 2
+    try:  # the first error `truth_mask` meets, formula by formula
+        for f in formulas:
+            semantics.truth_mask(model, f, readings[0])
+    except UnsupportedCounterfactualError as exc:
+        with pytest.raises(UnsupportedCounterfactualError) as raised:
+            semantics.MaskProgram(formulas, order)
+        assert str(raised.value) == str(exc)
+        return
 
-
-def _compound_nodes(f) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return 1 + _compound_nodes(f.arg)
-    return 1 + _compound_nodes(f.left) + _compound_nodes(f.right)
+    nodes = _distinct_nodes(formulas)
+    program = semantics.MaskProgram(formulas + nodes, order)
+    node_slots = program.slots[len(formulas) :]
+    assert len(program) == len(set(node_slots)) == len(nodes)  # each object once, no other
+    slot_of = dict(zip(map(id, nodes), node_slots))
+    assert program.slots[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
+    runs = program.run(model, quantifiers, self_world)
+    for opts, reading in zip(readings, runs):  # the second reading reuses the first's prefix
+        for f, slot in zip(formulas + nodes, program.slots):
+            assert reading.masks[slot] == semantics.truth_mask(model, f, opts)
+    # the oracle, under the first reading only: it re-evaluates every subtree
+    live = [_as_tuple(w) for w in model.possible_in_order()]
+    for f, slot in zip(nodes, node_slots):
+        got = [_as_tuple(w) for w in semantics.worlds_where((runs[0], slot))]
+        oracle = [w for w in live if brute_eval(live, w, f, earlier, quantifiers[0], self_world)]
+        assert got == oracle
+        assert runs[0].everywhere(slot) == (got == live)
+        assert runs[0].somewhere(slot) == bool(got)
 
 
 def test_check_theorem_refuses_local_strategies(local_model):

@@ -5,12 +5,14 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylogic.formula import Atom
 from hardylogic.worlds import (
     CHOICE_PAIRS,
+    OUTCOME_PAIRS,
     WORLDS,
-    DegenerateModelError,
     Model,
     ProbabilityTable,
     TableError,
@@ -118,11 +120,34 @@ def test_epsilon_monotone():
         table = ProbabilityTable(random_table_rows(rng))
         sizes = []
         for eps in (0.0, 1e-12, 1e-6, 1e-4, 1e-3):
-            try:
-                sizes.append(len(build_model(table, eps).possible))
-            except DegenerateModelError:
-                sizes.append(0)
+            sizes.append(len(build_model(table, eps).possible))
         assert sizes == sorted(sizes, reverse=True)
+
+
+_CELLS = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda cells: sum(cells) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(_CELLS, min_size=4, max_size=4),
+    drift=st.floats(-1e-9, 1e-9),
+    epsilon=st.floats(0.0, 1e-3),
+)
+def test_every_choice_pair_keeps_a_possible_world(rows, drift, epsilon):
+    # an accepted row sums to 1 within 1e-9, so its largest cell is about
+    # 0.25 or more, and no threshold a model accepts removes all four
+    table_rows = {}
+    for pair, cells in zip(CHOICE_PAIRS, rows):
+        total = sum(cells)
+        table_rows[pair] = {key: c / total for key, c in zip(OUTCOME_PAIRS, cells)}
+        table_rows[pair]["++"] += drift
+    try:
+        table = ProbabilityTable(table_rows)
+    except TableError:  # a drift below zero or beyond the sum tolerance
+        return
+    model = build_model(table, epsilon)
+    for pair in CHOICE_PAIRS:
+        assert any(w.choice_pair == pair for w in model.possible), pair
 
 
 def test_epsilon_range_checked():
@@ -163,6 +188,10 @@ _ROW = {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25}
         (("L1", "R2"), {"++": 0.5, "+-": 0.5}, "choice pair .* missing outcome cell '-\\+'"),
         (("L1", "R1"), {**_ROW, "--": math.nan}, "non-finite probability nan"),
         (("L2", "R2"), {**_ROW, "++": 0.5}, r"sums to 1\.25, not 1"),
+        (("L3", "R9"), _ROW, r"unknown choice pair \('L3', 'R9'\)"),
+        (("L1", "R1"), {**_ROW, "xx": 7.0}, r"choice pair .* has unknown outcome cell 'xx'"),
+        (("L2", "R1"), {**_ROW, "++": "0.25"}, r"non-numeric probability '0\.25' in"),
+        (("L2", "R1"), {**_ROW, "+-": True}, r"non-numeric probability True in"),
     ],
 )
 def test_table_constructor_rejects_a_bad_row(pair, row, message):
