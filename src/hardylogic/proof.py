@@ -13,9 +13,12 @@ check, every structural rule verdict and the cell each prediction line
 pins, which `check_rule` and `audit` read, and, on the first audit,
 the script compiled into one mask program, with the slots of each
 line's statement, the side conditions, the complementary line pairs
-and the hypothesis's counterpart.  What is left per model is whether
-each pinned cell is possible and one run of the program, which gives
-the two readings, the side condition and the bridge world.
+and the hypothesis's counterpart, and each line's finished report for
+each pair of readings and state of its pinned cell (all but a possible
+zero cell, whose verdict quotes the model's probability).  What is
+left per model is one run of the program, which gives the two
+readings, the side condition and the bridge world, and the bit of
+each pinned cell.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -67,7 +70,7 @@ from .semantics import (
     worlds_where,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, Model, World
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World
 
 VALID = "valid"
 INVALID = "invalid"
@@ -270,7 +273,10 @@ def check_rule(
     rules = _plan(script, opts.order).rules
     if index not in rules:
         raise KeyError(f"no line {index}")
-    return _verdict(model, rules[index])
+    rule = rules[index]
+    if not isinstance(rule, World):
+        return rule
+    return _prediction_verdict(rule, model.mask >> WORLD_INDEX[rule] & 1, model.table.prob(rule))
 
 
 # the cell each prediction tag pins: PRED21-23 the vanishing ones, in
@@ -614,6 +620,8 @@ class _Plan:
 
     `rules` maps each line index to its verdict or, for a prediction
     line, to the cell it pins, which each model confirms or refutes.
+    `rules_ok` is the share of `rules_all_valid` that no model changes:
+    the scopes, and every verdict but the pinned cells'.
     `program` is None until the first audit compiles the script
     (`compile`); `check_rule` never does.
     """
@@ -625,6 +633,11 @@ class _Plan:
             ln.index: _CHECKERS[ln.rule](ln, [by_index[i].statement for i in ln.premises], order)
             for ln in script.lines
         }
+        self.rules_ok = not self.scope_problems and all(
+            rule.ok
+            for index, rule in self.rules.items()
+            if by_index[index].rule != "HYPOTHESIS" and not isinstance(rule, World)
+        )
         self.program: MaskProgram | None = None
 
     def compile(self, script: ProofScript, order: TemporalOrder) -> MaskProgram:
@@ -633,10 +646,11 @@ class _Plan:
         `lines` has, per line: the slots of its statement and of the two
         parts its existential reading meets (a strict conditional's
         antecedent and consequent, else the statement twice), whether
-        the hypothesis scopes it, and its scope.  Then come each side
-        condition's slot, each clash's line pair with the slots of its
-        shared antecedent X and of `c []-> c`, and the slot of the
-        hypothesis's counterpart.
+        the hypothesis scopes it, and its finished `LineAudit`s (see
+        `_line_audits`).  `hyp` has the hypothesis's three slots.  Then
+        come each side condition's slot, each clash's line pair with
+        the slots of its shared antecedent X and of `c []-> c`, and the
+        slot of the hypothesis's counterpart.
         """
         hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
         clashes, counterpart = (), None
@@ -655,10 +669,10 @@ class _Plan:
         slots = iter(program.slots)
         self.lines = tuple(
             (next(slots), next(slots), next(slots), hyp in ln.hypothesis_scope,
-             tuple(sorted(ln.hypothesis_scope)))
+             *_line_audits(ln, self.rules[ln.index]))
             for ln in script.lines
         )
-        self.hyp_line = next((k for k, ln in enumerate(script.lines) if ln.index == hyp), None)
+        self.hyp = next((e[:3] for e, ln in zip(self.lines, script.lines) if ln.index == hyp), None)
         self.sides = tuple(next(slots) for _ in script.side_conditions)
         self.clashes = tuple((pair, next(slots), next(slots)) for pair, _, _ in clashes)
         self.counterpart = next(slots, None)
@@ -674,23 +688,42 @@ def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
     return plan
 
 
-def _verdict(model: Model, rule: RuleVerdict | World) -> RuleVerdict:
-    """A plan's entry for one line, read in `model`."""
-    if not isinstance(rule, World):
-        return rule
-    cell = _cell(rule)
-    if rule == PARADOX_WORLD:
-        if rule in model.possible:
+def _prediction_verdict(world: World, possible: bool, prob: float | None = None) -> RuleVerdict:
+    """A prediction line's verdict on the cell it pins, possible or not, with its probability."""
+    cell = _cell(world)
+    if world == PARADOX_WORLD:
+        if possible:
             return RuleVerdict(VALID, f"witness cell {cell} confirmed possible in the model")
         return RuleVerdict(
             INVALID, f"witness cell {cell} carries no probability above the threshold"
         )
-    if rule in model.possible:
-        return RuleVerdict(
-            INVALID,
-            f"cell {cell} carries probability {model.table.prob(rule)!r}; not a zero cell",
-        )
+    if possible:
+        return RuleVerdict(INVALID, f"cell {cell} carries probability {prob!r}; not a zero cell")
     return RuleVerdict(VALID, f"zero cell {cell} confirmed in the model")
+
+
+def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
+    """A line's `LineAudit`s, as (bit, table) with `table[sem_every, sem_some]`.
+
+    For a fixed verdict the bit is None.  A prediction line has its
+    pinned cell's bit and one table for the cell impossible and one for
+    it possible; a zero cell has None for the second, since its verdict
+    then quotes the model's probability.
+    """
+    scope = tuple(sorted(ln.hypothesis_scope))
+
+    def table(v):
+        return {
+            (e, s): LineAudit(
+                ln.index, ln.rule, ln.premises, scope, v.status, v.detail, e, s, ln.note
+            )
+            for e in (False, True) for s in (False, True)
+        }
+
+    if not isinstance(rule, World):
+        return None, table(rule)
+    witness = table(_prediction_verdict(rule, True)) if rule == PARADOX_WORLD else None
+    return WORLD_INDEX[rule], (table(_prediction_verdict(rule, False)), witness)
 
 
 def _clashes(script: ProofScript, hyp_index: int) -> tuple:
@@ -891,39 +924,37 @@ def audit(
 
     What reads only the script comes from its plan for `opts.order`,
     including the script compiled into one mask program on the first
-    audit; each model runs that program once, its counterfactual nodes
-    once per reading.
+    audit, and each line's finished `LineAudit`s; each model runs that
+    program once, its counterfactual nodes once per reading, reads the
+    pinned cells' bits and looks each line's audit up.
     """
     if script is None:
         script = builtin_script()
     plan = _plan(script, opts.order)
     program = plan.program if plan.program is not None else plan.compile(script, opts.order)
     every, some = program.run(model, ("every", "some"), opts.self_world_when_consistent)
-    # universal reading: no escaping world; existential: a conforming world
-    raw = [(every.everywhere(s), some.somewhere(a, c)) for s, a, c, _, _ in plan.lines]
-    hyp = raw[plan.hyp_line] if plan.hyp_line is not None else None
+    if plan.hyp is not None:  # scoped lines read as material consequences of it
+        s, a, c = plan.hyp
+        not_hyp = (not every.everywhere(s), not some.somewhere(a, c))
 
-    audits = []
-    rules_ok = not plan.scope_problems
-    for ln, (sem_every, sem_some), (*_, scoped, scope) in zip(script.lines, raw, plan.lines):
-        verdict = _verdict(model, plan.rules[ln.index])
-        if ln.rule != "HYPOTHESIS":
-            rules_ok = rules_ok and verdict.ok
+    mask, rules_ok, audits = model.mask, plan.rules_ok, []
+    for s, a, c, scoped, bit, reports in plan.lines:
+        # universal reading: no escaping world; existential: a conforming world
+        sem_every, sem_some = every.everywhere(s), some.somewhere(a, c)
         if scoped:
-            sem_every, sem_some = (not hyp[0]) or sem_every, (not hyp[1]) or sem_some
-        audits.append(
-            LineAudit(
-                index=ln.index,
-                rule=ln.rule,
-                premises=ln.premises,
-                scope=scope,
-                rule_status=verdict.status,
-                rule_detail=verdict.detail,
-                sem_every=sem_every,
-                sem_some=sem_some,
-                note=ln.note,
-            )
-        )
+            sem_every, sem_some = not_hyp[0] or sem_every, not_hyp[1] or sem_some
+        table = reports
+        if bit is not None:  # a prediction line: the table for its cell, possible or not
+            table = reports[mask >> bit & 1]
+            if table is None:  # a possible zero cell: the verdict quotes its probability
+                la = reports[0][sem_every, sem_some]
+                v = _prediction_verdict(WORLDS[bit], True, model.table.prob(WORLDS[bit]))
+                fields = (la.index, la.rule, la.premises, la.scope, v.status, v.detail)
+                audits.append(LineAudit(*fields, sem_every, sem_some, la.note))
+                rules_ok = False
+                continue
+            rules_ok = rules_ok and table[False, False].rule_ok
+        audits.append(table[sem_every, sem_some])
 
     reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
     side_ok = all(reading.somewhere(slot) for slot in plan.sides)
@@ -941,25 +972,15 @@ def audit(
     # true at every possible world, as `holds_globally` reads
     line5_true = plan.counterpart is not None and reading.everywhere(plan.counterpart)
 
-    details = []
-    if plan.scope_problems:
-        details.append("scope problems: " + "; ".join(plan.scope_problems))
-    if contradiction:
-        details.append(
-            f"lines {contradiction[0]} and {contradiction[1]} impose complementary "
-            f"box consequents; bridge world {bridge} reaches the clash"
-        )
-    else:
-        details.append("no complementary counterfactual pair found")
+    details = ["scope problems: " + "; ".join(plan.scope_problems)] if plan.scope_problems else []
+    details.append(
+        f"lines {contradiction[0]} and {contradiction[1]} impose complementary "
+        f"box consequents; bridge world {bridge} reaches the clash"
+        if contradiction
+        else "no complementary counterfactual pair found"
+    )
     details.append(f"side conditions hold: {side_ok}; all rules valid: {rules_ok}")
 
-    final = FinalVerdict(
-        line5_true=line5_true,
-        rules_all_valid=rules_ok,
-        side_conditions_hold=side_ok,
-        contradiction_lines=contradiction,
-        bridge_world=bridge,
-        detail="; ".join(details),
-    )
-    return AuditReport(lines=tuple(audits), final=final, notes=script.notes)
+    final = FinalVerdict(line5_true, rules_ok, side_ok, contradiction, bridge, "; ".join(details))
+    return AuditReport(tuple(audits), final, script.notes)
 

@@ -28,10 +28,10 @@ ranges over everything the table leaves possible.
 
 The region-R statement SR and the two conclusion lines, 5 and 6, live
 here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`), and
-the two lines as the formulas parsed once at import (`LINE5`, `LINE6`),
-which `check_theorem` and the proof script read; SR's sixteen-row truth
-table (`sr_truth_table`) lives here too.  The prediction cells that
-`hardy_conformance` checks live in `worlds`.
+the two lines as formulas built once at import (`LINE5`, `LINE6`, one
+SR node between them), which `check_theorem` and the proof script
+read; SR's sixteen-row truth table (`sr_truth_table`) lives here too.
+The prediction cells that `hardy_conformance` checks live in `worlds`.
 """
 
 from __future__ import annotations
@@ -389,7 +389,9 @@ def _global_check(bad: int) -> GlobalCheck:
 SR_TEXT = "(R2 & R2+) -> (R1 []-> R1 & R1-)"
 LINE5_TEXT = f"L2 => {SR_TEXT}"
 LINE6_TEXT = f"L1 => {SR_TEXT}"
-LINE5, LINE6 = parse(LINE5_TEXT), parse(LINE6_TEXT)
+LINE5 = parse(LINE5_TEXT)
+# line 6 shares line 5's SR node, so a program over both computes SR once
+LINE6 = StrictImp(Atom("L1"), LINE5.right)
 
 
 class TheoremReport(Value):
@@ -467,13 +469,15 @@ class TheoremReport(Value):
         return "\n".join(lines)
 
 
+_FORBIDDEN_BITS = tuple((w, 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS)
+_PARADOX_BIT = 1 << WORLD_INDEX[PARADOX_WORLD]
+
+
 def hardy_conformance(model: Model) -> tuple[bool, str]:
     """Does the model's possibility pattern realize the four predictions?"""
-    problems = []
-    for w in FORBIDDEN_WORLDS:
-        if w in model.possible:
-            problems.append(f"forbidden world {w} is possible")
-    if PARADOX_WORLD not in model.possible:
+    mask = model.mask
+    problems = [f"forbidden world {w} is possible" for w, bit in _FORBIDDEN_BITS if mask & bit]
+    if not mask & _PARADOX_BIT:
         problems.append(f"paradox world {PARADOX_WORLD} is not possible")
     if problems:
         return False, "; ".join(problems)

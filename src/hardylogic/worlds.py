@@ -96,6 +96,8 @@ WORLDS = tuple(
     for outcome_r in SIGNS
 )
 WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
+# each world's bit and table cell, in canonical order, as a model reads them
+_WORLD_CELLS = tuple((1 << i, w.choice_pair, w.outcome_pair) for i, w in enumerate(WORLDS))
 
 # Hardy's four predictions (PRL 71, 1665, 1993), in order: the three
 # cells that vanish, then the paradox cell that carries probability.
@@ -256,11 +258,14 @@ class ProbabilityTable(Value):
     def from_dict(cls, data: dict) -> "ProbabilityTable":
         if not isinstance(data, dict):
             raise TableError(f"table must be a mapping, got {type(data).__name__}")
-        rows = {}
+        rows, keys = {}, {}
         for key, row in data.items():
             parts = tuple(p.strip() for p in str(key).split(","))
             if len(parts) != 2 or parts not in CHOICE_PAIRS:
                 raise TableError(f"bad choice-pair key {key!r}")
+            if parts in keys:
+                raise TableError(f"choice-pair keys {keys[parts]!r} and {key!r} name the same pair")
+            keys[parts] = key
             if not isinstance(row, dict):
                 raise TableError(f"row for {key!r} must be a mapping")
             cells = {}
@@ -293,7 +298,8 @@ class Model(Value):
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
         # every choice pair keeps a possible world: a row sums to 1 over four
         # cells, so its largest is at least about 0.25, far above 1e-3
-        mask = sum(1 << i for i, w in enumerate(WORLDS) if table.prob(w) > epsilon)
+        rows = table.rows
+        mask = sum(bit for bit, pair, key in _WORLD_CELLS if rows[pair][key] > epsilon)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "possible", frozenset(worlds_in(mask)))

@@ -172,6 +172,18 @@ def test_huge_model_number_exits_2(model_path, tmp_path, where, capsys):
     assert "is out of range" in capsys.readouterr().err
 
 
+def test_two_keys_for_one_choice_pair_exit_2(model_path, tmp_path, capsys):
+    with open(model_path) as fh:
+        data = json.load(fh)
+    data["table"]["L1 , R1"] = data["table"]["L1,R1"]
+    bad = tmp_path / "twice.json"
+    bad.write_text(json.dumps(data))
+    assert main(["proof", "audit", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: choice-pair keys 'L1,R1' and 'L1 , R1' name the same pair\n"
+    )
+
+
 def test_huge_config_number_exits_2(cfg_path, tmp_path, capsys):
     with open(cfg_path) as fh:
         data = json.load(fh)

@@ -599,3 +599,77 @@ def test_plans_leave_the_script_as_it_was(hardy_model):
     del mutated
     gc.collect()
     assert ref() is None  # its plan does not keep it alive
+
+
+# ---------------------------------------------------------------------------
+# The finished line reports a plan keeps
+
+
+def _stored_audits(plan):
+    """How many `LineAudit`s the plan holds, through its tuples and dicts."""
+
+    def count(x):
+        if isinstance(x, proof.LineAudit):
+            return 1
+        if isinstance(x, dict):
+            x = tuple(x.values())
+        return sum(map(count, x)) if isinstance(x, (tuple, list)) else 0
+
+    return count(tuple(vars(plan).values()))
+
+
+def test_second_audit_of_a_conforming_model_builds_no_line_report(
+    hardy_model, hardy_table, uniform_model, monkeypatch
+):
+    script = builtin_script.__wrapped__()
+    audit(hardy_model, script)
+    built = []
+    for cls in (proof.LineAudit, proof.RuleVerdict):
+
+        def counted(self, *args, init=cls.__init__):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for model in (hardy_model, build_model(hardy_table, 1e-6)):
+        report = audit(model, script)
+        assert report.final.rules_all_valid
+    assert built == []
+    # every forbidden cell is possible in the uniform model: each of the
+    # three zero-cell lines gets a report of its own, quoting the cell's
+    # probability
+    report = audit(uniform_model, script)
+    assert built == ["RuleVerdict", "LineAudit"] * 3
+    assert [la.rule_detail for la in report.lines[1:3]] == [
+        "cell ('L2', 'R2', '-+') carries probability 0.25; not a zero cell",
+        "cell ('L2', 'R1', '++') carries probability 0.25; not a zero cell",
+    ]
+
+
+def test_stored_line_reports_are_bounded_by_the_script():
+    # 200 tables that differ only in the probability of the forbidden cell
+    # (L2,R2,-,+) that line 2 pins, the mass taken from the (L2,R2,+,+) cell
+    script = builtin_script.__wrapped__()
+    plan = proof._plan(script, semantics.L_EARLIER)
+    uniform = ProbabilityTable.uniform().rows
+    for k in range(1, 201):
+        p = 0.25 + k / 1000
+        rows = {**uniform, ("L2", "R2"): {**uniform[("L2", "R2")], "-+": p, "++": 0.5 - p}}
+        report = audit(build_model(ProbabilityTable(rows)), script)
+        assert report.lines[1].rule_detail == (
+            f"cell ('L2', 'R2', '-+') carries probability {p!r}; not a zero cell"
+        )
+        if k == 1:
+            stored = _stored_audits(plan)
+    # four per line and reading pair, eight for the witness line 12
+    assert stored == _stored_audits(plan) == 60
+
+
+def test_reports_that_share_line_reports_survive_pickle_and_copy(hardy_model, hardy_table):
+    reports = (audit(hardy_model), audit(build_model(hardy_table, 1e-6)))
+    assert all(a is b for a, b in zip(reports[0].lines, reports[1].lines))
+    for twins in (pickle.loads(pickle.dumps(reports)), copy.deepcopy(reports)):
+        assert twins == reports
+        for twin, report in zip(twins, reports):
+            assert twin.render() == report.render()
+            assert json.dumps(twin.to_dict()) == json.dumps(report.to_dict())

@@ -593,3 +593,59 @@ def test_confirmed_needs_conformance_and_a_tested_line5(seed, quantifier):
     assert report.confirmed == (
         report.hardy_conforming and tested and report.line5.holds and not report.line6.holds
     )
+
+
+def test_conclusion_lines_share_one_sr_node():
+    # line 6 is built on line 5's SR, so the theorem program computes SR
+    # once: L2, L1 and SR's eight nodes
+    assert semantics.LINE5 == parse(semantics.LINE5_TEXT)
+    assert semantics.LINE6 == parse(semantics.LINE6_TEXT)
+    assert semantics.LINE6.right is semantics.LINE5.right
+    assert len(semantics._theorem_program("L")) == 10
+
+
+def _pattern_models():
+    """One model per possibility pattern with a possible world in each choice pair.
+
+    A row may make possible any of the 15 nonempty sets of its four
+    cells, and is uniform on that set: 15**4 = 50,625 patterns.
+    """
+    cell_sets = [cells for n in range(1, 5) for cells in itertools.combinations(OUTCOME_PAIRS, n)]
+    rows = [{k: 1 / len(cells) if k in cells else 0.0 for k in OUTCOME_PAIRS} for cells in cell_sets]
+    for choice in itertools.product(rows, repeat=len(CHOICE_PAIRS)):
+        yield build_model(ProbabilityTable(dict(zip(CHOICE_PAIRS, choice))))
+
+
+def test_theorem_over_every_possibility_pattern():
+    # Truth depends only on the possible worlds, so these models cover
+    # every table.  Per quantifier: confirmed, Hardy-conforming,
+    # conforming with lines 5 and 6 as in Hardy, and of those, the ones
+    # whose line 5 no possible world tests.
+    opts = {q: CfOptions(quantifier=q) for q in ("every", "some")}
+    counts = {q: [0, 0, 0, 0] for q in opts}
+    sample = set(random.Random(10).sample(range(15**4), 250))
+    for k, model in enumerate(_pattern_models()):
+        for q, count in counts.items():
+            report = check_theorem(model, opts[q])
+            as_in_hardy = report.hardy_conforming and report.line5.holds and not report.line6.holds
+            count[0] += report.confirmed
+            count[1] += report.hardy_conforming
+            count[2] += as_in_hardy
+            count[3] += as_in_hardy and report.line5_vacuous
+            if report.confirmed:
+                assert report.hardy_conforming and not report.line5_vacuous
+            if k in sample:
+                live = possible_worlds(model.table.rows)
+                assert list(map(_as_tuple, report.line5.counterexamples)) == (
+                    brute_line5_counterexamples(live, q)
+                )
+                assert list(map(_as_tuple, report.line6.counterexamples)) == (
+                    brute_line6_counterexamples(live, q)
+                )
+    assert k + 1 == 15**4
+    assert counts == {"every": [1120, 2744, 1960, 840], "some": [448, 2744, 1036, 588]}
+    # under the other order R1 is an earlier choice, which no line can impose
+    with pytest.raises(
+        UnsupportedCounterfactualError, match="^counterfactual antecedent R1 picks the earlier region"
+    ):
+        check_theorem(model, CfOptions(TemporalOrder("R")))

@@ -266,6 +266,18 @@ def test_model_json_schema_violations():
         model_from_dict(bad)
 
 
+def test_two_keys_for_one_choice_pair_rejected(hardy_model):
+    # keys are stripped, so both name (L1, R1): the second row must not
+    # quietly replace the first
+    table = model_to_dict(hardy_model)["table"]
+    table[" L1,R1"] = {"++": 1.0, "+-": 0.0, "-+": 0.0, "--": 0.0}
+    assert len(table) == 5
+    with pytest.raises(
+        TableError, match=r"^choice-pair keys 'L1,R1' and ' L1,R1' name the same pair$"
+    ):
+        ProbabilityTable.from_dict(table)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_model_json_rejects_non_finite_cells(hardy_model, value):
     data = model_to_dict(hardy_model)
