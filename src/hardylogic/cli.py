@@ -115,7 +115,7 @@ def _cmd_model_build(args) -> int:
     cfg = quantum.load_config(args.config)
     table = quantum.export_table(cfg)
     model = worlds.build_model(table, epsilon=args.epsilon)
-    print(f"possible worlds: {len(model.possible)} of 16 at epsilon={args.epsilon:g}")
+    print(f"possible worlds: {model.mask.bit_count()} of 16 at epsilon={args.epsilon:g}")
     for w in model.excluded_in_order():
         print(f"excluded: {w}")
     if args.out:

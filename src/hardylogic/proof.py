@@ -713,12 +713,15 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
     scope = tuple(sorted(ln.hypothesis_scope))
 
     def table(v):
-        return {
+        table = {
             (e, s): LineAudit(
                 ln.index, ln.rule, ln.premises, scope, v.status, v.detail, e, s, ln.note
             )
             for e in (False, True) for s in (False, True)
         }
+        for la in table.values():  # each stored report's JSON row, made with the plan
+            la._json_row()
+        return table
 
     if not isinstance(rule, World):
         return None, table(rule)
@@ -757,7 +760,9 @@ def _clashes(script: ProofScript, hyp_index: int) -> tuple:
 # Semantic audit
 
 class LineAudit(Value):
-    __slots__ = _fields = (
+    """One line's report.  `_row` keeps its JSON row once made, and is not a field."""
+
+    _fields = (
         "index",
         "rule",
         "premises",
@@ -768,6 +773,7 @@ class LineAudit(Value):
         "sem_some",
         "note",
     )
+    __slots__ = (*_fields, "_row")
 
     def __init__(
         self,
@@ -790,6 +796,7 @@ class LineAudit(Value):
         object.__setattr__(self, "sem_every", sem_every)
         object.__setattr__(self, "sem_some", sem_some)
         object.__setattr__(self, "note", note)
+        object.__setattr__(self, "_row", None)
 
     @property
     def rule_ok(self) -> bool:
@@ -798,6 +805,25 @@ class LineAudit(Value):
     @property
     def divergence(self) -> bool:
         return self.sem_every != self.sem_some
+
+    def _json_row(self) -> dict:
+        """The line's JSON row, `premises` and `scope` as tuples; made once, so callers copy it."""
+        if self._row is None:
+            row = {
+                "index": self.index,
+                "rule": self.rule,
+                "premises": self.premises,
+                "scope": self.scope,
+                "rule_ok": self.rule_ok,
+                "rule_status": self.rule_status,
+                "rule_detail": self.rule_detail,
+                "sem_every": self.sem_every,
+                "sem_some": self.sem_some,
+                "divergence": self.divergence,
+                "note": self.note,
+            }
+            object.__setattr__(self, "_row", row)
+        return self._row
 
 
 class FinalVerdict(Value):
@@ -846,23 +872,13 @@ class AuditReport(Value):
         object.__setattr__(self, "notes", notes)
 
     def to_dict(self) -> dict:
+        lines = []
+        for la in self.lines:  # a copy of the line's row, with lists of its own
+            row = la._json_row().copy()
+            row["premises"], row["scope"] = list(la.premises), list(la.scope)
+            lines.append(row)
         return {
-            "lines": [
-                {
-                    "index": la.index,
-                    "rule": la.rule,
-                    "premises": list(la.premises),
-                    "scope": list(la.scope),
-                    "rule_ok": la.rule_ok,
-                    "rule_status": la.rule_status,
-                    "rule_detail": la.rule_detail,
-                    "sem_every": la.sem_every,
-                    "sem_some": la.sem_some,
-                    "divergence": la.divergence,
-                    "note": la.note,
-                }
-                for la in self.lines
-            ],
+            "lines": lines,
             "final": {
                 "line5_true": self.final.line5_true,
                 "line6_refuted": self.final.line6_refuted,

@@ -172,6 +172,49 @@ class _ReadOnlyDict(dict):
         return (type(self), (dict(self),))
 
 
+# a model file's exact choice-pair keys, a row's cell names, and the one
+# cell type `from_dict` keeps as it is
+_PAIR_KEYS = {f"{cl},{cr}": (cl, cr) for cl, cr in CHOICE_PAIRS}
+_CELL_KEYS = frozenset(OUTCOME_PAIRS)
+_FLOAT = frozenset({float})
+
+
+def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
+    """`rows`, each a `_ReadOnlyDict` already, made read-only, or the first TableError.
+
+    `ProbabilityTable` lists the rules.  `typed` adds the test that each
+    cell is an int or float; `from_dict` made each cell a float already.
+    """
+    for pair in CHOICE_PAIRS:
+        if pair not in rows:
+            raise TableError(f"missing distribution for choice pair {pair}")
+    if len(rows) != len(CHOICE_PAIRS):
+        extra = next(pair for pair in rows if pair not in CHOICE_PAIRS)
+        raise TableError(f"unknown choice pair {extra!r}")
+    for pair in CHOICE_PAIRS:
+        row = rows[pair]
+        for key in OUTCOME_PAIRS:
+            if key not in row:
+                raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
+            p = row[key]
+            # a float, the usual case, passes the first test alone
+            if typed and p.__class__ is not float and (
+                isinstance(p, bool) or not isinstance(p, (int, float))
+            ):
+                raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
+            if not math.isfinite(p):
+                raise TableError(f"non-finite probability {p} in {pair} cell {key!r}")
+            if p < 0:
+                raise TableError(f"negative probability {p} in {pair} cell {key!r}")
+        if len(row) != len(OUTCOME_PAIRS):
+            extra = next(key for key in row if key not in OUTCOME_PAIRS)
+            raise TableError(f"choice pair {pair} has unknown outcome cell {extra!r}")
+        total = sum(map(row.__getitem__, OUTCOME_PAIRS))
+        if abs(total - 1.0) > DISTRIBUTION_TOL:
+            raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
+    return _ReadOnlyDict(rows)
+
+
 class ProbabilityTable(Value):
     """Joint outcome distribution for each of the four choice pairs.
 
@@ -189,34 +232,7 @@ class ProbabilityTable(Value):
 
     def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
         rows = {pair: _ReadOnlyDict(row) for pair, row in rows.items()}
-        for pair in CHOICE_PAIRS:
-            if pair not in rows:
-                raise TableError(f"missing distribution for choice pair {pair}")
-        if len(rows) != len(CHOICE_PAIRS):
-            extra = next(pair for pair in rows if pair not in CHOICE_PAIRS)
-            raise TableError(f"unknown choice pair {extra!r}")
-        for pair in CHOICE_PAIRS:
-            row = rows[pair]
-            for key in OUTCOME_PAIRS:
-                if key not in row:
-                    raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
-                p = row[key]
-                # a float, the usual case, passes the first test alone
-                if p.__class__ is not float and (
-                    isinstance(p, bool) or not isinstance(p, (int, float))
-                ):
-                    raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
-                if not math.isfinite(p):
-                    raise TableError(f"non-finite probability {p} in {pair} cell {key!r}")
-                if p < 0:
-                    raise TableError(f"negative probability {p} in {pair} cell {key!r}")
-            if len(row) != len(OUTCOME_PAIRS):
-                extra = next(key for key in row if key not in OUTCOME_PAIRS)
-                raise TableError(f"choice pair {pair} has unknown outcome cell {extra!r}")
-            total = sum(row[key] for key in OUTCOME_PAIRS)
-            if abs(total - 1.0) > DISTRIBUTION_TOL:
-                raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
-        object.__setattr__(self, "rows", _ReadOnlyDict(rows))
+        object.__setattr__(self, "rows", _checked(rows, typed=True))
 
     def prob(self, world: World) -> float:
         return self.rows[world.choice_pair][world.outcome_pair]
@@ -256,27 +272,39 @@ class ProbabilityTable(Value):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbabilityTable":
+        """A table from a model file's `table` mapping, each cell checked once.
+
+        Keys, cell names and number types are read row by row in file
+        order, and each cell is made a float; the rows then go through
+        the constructor's checks, less its type test.
+        """
         if not isinstance(data, dict):
             raise TableError(f"table must be a mapping, got {type(data).__name__}")
         rows, keys = {}, {}
         for key, row in data.items():
-            parts = tuple(p.strip() for p in str(key).split(","))
-            if len(parts) != 2 or parts not in CHOICE_PAIRS:
-                raise TableError(f"bad choice-pair key {key!r}")
-            if parts in keys:
-                raise TableError(f"choice-pair keys {keys[parts]!r} and {key!r} name the same pair")
-            keys[parts] = key
+            pair = _PAIR_KEYS.get(key)
+            if pair is None:
+                pair = tuple(p.strip() for p in str(key).split(","))
+                if len(pair) != 2 or pair not in CHOICE_PAIRS:
+                    raise TableError(f"bad choice-pair key {key!r}")
+            if pair in keys:
+                raise TableError(f"choice-pair keys {keys[pair]!r} and {key!r} name the same pair")
+            keys[pair] = key
             if not isinstance(row, dict):
                 raise TableError(f"row for {key!r} must be a mapping")
-            cells = {}
-            for outcomes, value in row.items():
-                if outcomes not in OUTCOME_PAIRS:
-                    raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
-                cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
-            rows[parts] = cells
-        return cls(rows)
+            cells = row  # the usual row: known cells, all floats, nothing to convert
+            if not (_CELL_KEYS.issuperset(row) and _FLOAT.issuperset(map(type, row.values()))):
+                cells = {}
+                for outcomes, value in row.items():
+                    if outcomes not in OUTCOME_PAIRS:
+                        raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
+                    if not isinstance(value, (int, float)) or isinstance(value, bool):
+                        raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
+                    cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
+            rows[pair] = _ReadOnlyDict(cells)
+        table = cls.__new__(cls)
+        object.__setattr__(table, "rows", _checked(rows, typed=False))
+        return table
 
     @classmethod
     def uniform(cls) -> "ProbabilityTable":
@@ -284,14 +312,15 @@ class ProbabilityTable(Value):
 
 
 class Model(Value):
-    """The worlds whose cell exceeds `epsilon`, as `possible` and as the mask `mask`.
+    """The worlds whose cell exceeds `epsilon`, as the mask `mask`.
 
-    Both are worked out from the table, so they are not fields: equality,
-    hashing and repr ignore them.
+    The mask is worked out from the table, so it is not a field:
+    equality, hashing and repr ignore it.  `possible` is the same worlds
+    as a frozenset, made from the mask each time it is read.
     """
 
     _fields = ("table", "epsilon")
-    __slots__ = (*_fields, "possible", "mask")
+    __slots__ = (*_fields, "mask")
 
     def __init__(self, table: ProbabilityTable, epsilon: float):
         if not 0.0 <= epsilon <= 1e-3:
@@ -302,8 +331,11 @@ class Model(Value):
         mask = sum(bit for bit, pair, key in _WORLD_CELLS if rows[pair][key] > epsilon)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "possible", frozenset(worlds_in(mask)))
         object.__setattr__(self, "mask", mask)
+
+    @property
+    def possible(self) -> frozenset[World]:
+        return frozenset(worlds_in(self.mask))
 
     def possible_in_order(self) -> list[World]:
         return worlds_in(self.mask)

@@ -24,6 +24,7 @@ import pytest
 from hardylogic import build_model, export_table, find_hardy, save_config, save_model
 from hardylogic.cli import main
 from hardylogic.quantum import config_to_dict
+from hardylogic.worlds import FORBIDDEN_WORLDS, WORLDS, load_model
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +54,8 @@ CASES = {
 # a classical table: both commands must refuse it
 CASES["check-theorem.local"] = ["check-theorem", "{local}"]
 CASES["proof-audit.local"] = ["proof", "audit", "{local}"]
+# its possible forbidden cells: line reports built per model, quoting each cell's probability
+CASES["proof-audit-json.local"] = ["proof", "audit", "{local}", "--json"]
 CASES["sr-table"] = ["sr-table"]
 CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
 CASES["hardy-verify.bad-value"] = ["hardy", "verify", "{bad_value}"]
@@ -99,6 +102,13 @@ def test_cli_output_matches_golden(name, golden_paths):
 
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
+
+
+def test_local_model_fixture_is_the_local_model(local_model):
+    # the model file CI audits with warnings as errors, written by `save_model`
+    fixture = Path(__file__).parent / "fixtures" / "local-model.json"
+    assert load_model(str(fixture)) == local_model
+    assert local_model.mask & sum(1 << WORLDS.index(w) for w in FORBIDDEN_WORLDS)
 
 
 if __name__ == "__main__":

@@ -605,17 +605,22 @@ def test_plans_leave_the_script_as_it_was(hardy_model):
 # The finished line reports a plan keeps
 
 
-def _stored_audits(plan):
-    """How many `LineAudit`s the plan holds, through its tuples and dicts."""
+def _held_audits(plan):
+    """The `LineAudit`s the plan holds, through its tuples and dicts."""
 
-    def count(x):
+    def walk(x):
         if isinstance(x, proof.LineAudit):
-            return 1
+            return [x]
         if isinstance(x, dict):
             x = tuple(x.values())
-        return sum(map(count, x)) if isinstance(x, (tuple, list)) else 0
+        return [la for y in x for la in walk(y)] if isinstance(x, (tuple, list)) else []
 
-    return count(tuple(vars(plan).values()))
+    return walk(tuple(vars(plan).values()))
+
+
+def _stored_audits(plan):
+    """How many `LineAudit`s the plan holds."""
+    return len(_held_audits(plan))
 
 
 def test_second_audit_of_a_conforming_model_builds_no_line_report(
@@ -673,3 +678,71 @@ def test_reports_that_share_line_reports_survive_pickle_and_copy(hardy_model, ha
         for twin, report in zip(twins, reports):
             assert twin.render() == report.render()
             assert json.dumps(twin.to_dict()) == json.dumps(report.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# The rows of a report's JSON
+
+
+def _reference_row(la):
+    """A line report's JSON row, read off its fields one by one."""
+    return {
+        "index": la.index,
+        "rule": la.rule,
+        "premises": list(la.premises),
+        "scope": list(la.scope),
+        "rule_ok": la.rule_status == "valid",
+        "rule_status": la.rule_status,
+        "rule_detail": la.rule_detail,
+        "sem_every": la.sem_every,
+        "sem_some": la.sem_some,
+        "divergence": la.sem_every != la.sem_some,
+        "note": la.note,
+    }
+
+
+@pytest.mark.parametrize("earlier", ["L", "R"])
+def test_report_rows_are_the_line_fields(earlier, hardy_model, local_model, uniform_model):
+    # the builtin script under L, its mirror under R with Hardy's own four
+    # prediction lines kept: the plan's 60 stored line reports and the
+    # zero-cell ones each model builds for itself
+    nodes = {}
+    script = builtin_script.__wrapped__()
+    if earlier == "R":
+        kept = {ln.statement for ln in script.lines if ln.rule.startswith("PRED")}
+        script = _rebuilt(script, lambda f: f if f in kept else _interned(_mirrored(f), nodes))
+    opts = CfOptions(TemporalOrder(earlier))
+    reports = [audit(model, script, opts) for model in (hardy_model, local_model, uniform_model)]
+    held = _held_audits(proof._plan(script, opts.order))
+    assert len(held) == 60
+    own = [la for report in reports for la in report.lines if not any(la is h for h in held)]
+    assert len(own) == 5  # two possible forbidden cells in the local table, three in the uniform
+    assert all("; not a zero cell" in la.rule_detail for la in own)
+    final, notes = reports[0].final, reports[0].notes
+    for la in held + own:
+        row = proof.AuditReport((la,), final, notes).to_dict()["lines"][0]
+        assert json.dumps(row) == json.dumps(_reference_row(la))  # key order and types too
+    for report in reports:
+        rows = report.to_dict()["lines"]
+        assert json.dumps(rows) == json.dumps([_reference_row(la) for la in report.lines])
+
+
+def test_report_dicts_are_fresh(hardy_model, hardy_table, uniform_model):
+    # two models with the same possible worlds share their line reports;
+    # writing into one report's dict changes neither report's next encoding
+    script = builtin_script.__wrapped__()
+    for model, epsilon in ((hardy_model, 1e-6), (uniform_model, 1e-6)):
+        first, second = audit(model, script), audit(build_model(model.table, epsilon), script)
+        assert sum(a is b for a, b in zip(first.lines, second.lines)) >= 11
+        expected = json.dumps(second.to_dict())
+        data = first.to_dict()
+        assert json.dumps(data) == expected and data["notes"]
+        for row in data["lines"]:
+            row["premises"].append(99)
+            row["scope"].append(98)
+            row["rule_detail"] = "changed"
+            row["extra"] = True
+        data["notes"].clear()
+        data["final"]["detail"] = "changed"
+        assert json.dumps(second.to_dict()) == expected
+        assert json.dumps(first.to_dict()) == expected

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import local_strategies, paradox_free
-from hardylogic import formula
+from hardylogic import formula, worlds
 from hardylogic.formula import (
     And,
     Atom,
@@ -50,7 +50,16 @@ from hardylogic.semantics import (
     check_theorem,
     holds_globally,
 )
-from hardylogic.worlds import CHOICE_PAIRS, WORLDS, Model, ProbabilityTable, World, build_model
+from hardylogic.worlds import (
+    CHOICE_PAIRS,
+    WORLDS,
+    Model,
+    ProbabilityTable,
+    World,
+    build_model,
+    model_from_dict,
+    model_to_dict,
+)
 from oracles import (
     brute_line5_counterexamples,
     brute_line6_counterexamples,
@@ -297,11 +306,38 @@ def test_model_mask_is_not_a_field():
     plus = [w for w in WORLDS if w.outcome_r == "+"]
     assert twin.possible == _MODEL.possible == frozenset(plus)
     assert twin.mask == _MODEL.mask == sum(1 << WORLDS.index(w) for w in plus)
-    object.__setattr__(twin, "mask", 0)  # a mask and a set that disagree with the table
-    object.__setattr__(twin, "possible", frozenset())
+    object.__setattr__(twin, "mask", 0)  # a mask that disagrees with the table
     assert twin == _MODEL and hash(twin) == hash(_MODEL) == hash(_fields(_MODEL))
     assert repr(twin) == repr(_MODEL)
     assert "mask" not in repr(_MODEL) and "possible" not in repr(_MODEL)
+    # `possible` is the mask's worlds, worked out when read
+    assert twin.possible == frozenset()
+    object.__setattr__(twin, "mask", 1 << 5)
+    assert twin.possible == {WORLDS[5]}
+    # and it cannot be set, through the value class or around it
+    for assign in (setattr, object.__setattr__):
+        with pytest.raises(AttributeError):
+            assign(twin, "possible", frozenset(plus))
+    for delete in (delattr, object.__delattr__):
+        with pytest.raises(AttributeError):
+            delete(twin, "possible")
+    assert twin.possible == {WORLDS[5]} and _MODEL.possible == frozenset(plus)
+
+
+def test_building_a_model_hashes_no_world(monkeypatch):
+    # a model keeps its possible worlds as a mask: no world is hashed and
+    # no frozenset built until `possible` is read
+    hashed, sets, expected = [], [], _MODEL.possible
+    world_hash = World.__hash__
+    monkeypatch.setattr(World, "__hash__", lambda w: hashed.append(w) or world_hash(w))
+    monkeypatch.setattr(
+        worlds, "frozenset", lambda *args: sets.append(args) or frozenset(*args), raising=False
+    )
+    table = _MODEL.table
+    built = [Model(table, 1e-12), build_model(table), model_from_dict(model_to_dict(_MODEL))]
+    assert hashed == [] and sets == []
+    assert all(model.possible == expected for model in built)
+    assert len(sets) == 3 and len(hashed) >= 8  # the spies see the reads
 
 
 # what each former field, now worked out from the fields, reads on its sample

@@ -331,3 +331,114 @@ def test_model_json_roundtrip_is_exact(hardy_model, control_model):
         loaded = model_from_dict(json.loads(json.dumps(data)))
         assert loaded == model and hash(loaded) == hash(model)
         assert model_to_dict(loaded) == data
+
+
+# ---------------------------------------------------------------------------
+# Loading a table with several defects: the first one found is reported
+
+def _rows_text(**rows):
+    """A model file's table, every row uniform but those given by key."""
+    table = {f"{cl},{cr}": dict(_ROW) for cl, cr in CHOICE_PAIRS}
+    table.update(rows)
+    return table
+
+
+_MULTI_DEFECT = [
+    # a row's keys and cells are read in file order before any row is checked as a distribution
+    ("bad outcome key + missing pair",
+     {"L1,R1": {**_ROW, "xx": 0.0}, "L1,R2": _ROW, "L2,R1": _ROW},
+     "bad outcome key 'xx' in row 'L1,R1'"),
+    ("missing pair + negative cell",
+     {"L1,R1": {**_ROW, "++": -0.25, "+-": 0.75}, "L1,R2": _ROW, "L2,R2": _ROW},
+     "missing distribution for choice pair ('L2', 'R1')"),
+    ("int and bool cells",
+     _rows_text(**{"L1,R2": {"++": 1, "+-": 0, "-+": 0, "--": True}}),
+     "cell 'L1,R2'/'--' is not a number"),
+    ("int cells, then a bool cell in a later row",
+     _rows_text(**{"L1,R1": {"++": 1, "+-": 0, "-+": 0, "--": 0}, "L2,R2": {**_ROW, "-+": False}}),
+     "cell 'L2,R2'/'-+' is not a number"),
+    ("int cells + negative int",
+     _rows_text(**{"L1,R1": {"++": 2, "+-": -1, "-+": 0, "--": 0}}),
+     "negative probability -1.0 in ('L1', 'R1') cell '+-'"),
+    ("huge int cell + negative cell",
+     _rows_text(**{"L2,R1": {**_ROW, "+-": 10**400}, "L2,R2": {**_ROW, "++": -1.0}}),
+     "cell 'L2,R1'/'+-' is out of range"),
+    ("bad sum + extra cell in a later row",
+     _rows_text(**{"L1,R1": {**_ROW, "++": 0.5}, "L2,R2": {**_ROW, "??": 0.0}}),
+     "bad outcome key '??' in row 'L2,R2'"),
+    ("missing cell + extra cell",
+     _rows_text(**{"L1,R2": {"++": 0.5, "+-": 0.5, "xx": 0.0}}),
+     "bad outcome key 'xx' in row 'L1,R2'"),
+    ("missing cell + negative cell in a later row",
+     _rows_text(**{"L2,R1": {"++": 0.5, "+-": 0.5, "-+": -0.0}, "L2,R2": {**_ROW, "--": -1.0}}),
+     "choice pair ('L2', 'R1') missing outcome cell '--'"),
+    ("negative cell + NaN in a later row",
+     _rows_text(**{"L1,R2": {**_ROW, "++": -0.5, "+-": 1.0}, "L2,R1": {**_ROW, "--": math.nan}}),
+     "negative probability -0.5 in ('L1', 'R2') cell '++'"),
+    ("NaN + negative cell in a later row",
+     _rows_text(**{"L1,R1": {**_ROW, "--": math.nan}, "L2,R2": {**_ROW, "++": -0.5, "+-": 1.0}}),
+     "non-finite probability nan in ('L1', 'R1') cell '--'"),
+    ("duplicate stripped key + bad cell",
+     _rows_text(**{"L2,R2 ": {**_ROW, "--": "x"}}),
+     "choice-pair keys 'L2,R2' and 'L2,R2 ' name the same pair"),
+    ("duplicate stripped key + row not a mapping",
+     _rows_text(**{" L1 , R2": [0.25]}),
+     "choice-pair keys 'L1,R2' and ' L1 , R2' name the same pair"),
+    ("row not a mapping + duplicate stripped key",
+     {"L1,R1": 3, " L1,R1": _ROW},
+     "row for 'L1,R1' must be a mapping"),
+]
+
+
+@pytest.mark.parametrize(
+    "table, message", [case[1:] for case in _MULTI_DEFECT], ids=[case[0] for case in _MULTI_DEFECT]
+)
+def test_load_reports_the_first_of_several_defects(table, message):
+    with pytest.raises(TableError) as raised:
+        ProbabilityTable.from_dict(table)
+    assert str(raised.value) == message
+    with pytest.raises(TableError) as raised:
+        model_from_dict({"epsilon": 1e-12, "table": table})
+    assert str(raised.value) == message
+
+
+# the defects a table of float cells can have, each as (kind, pair index,
+# cell index); each one applied keeps the table defective
+_DEFECTS = st.lists(
+    st.tuples(
+        st.sampled_from(["missing pair", "missing cell", "nan", "inf", "negative", "sum"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_CELLS, min_size=4, max_size=4), defects=_DEFECTS)
+def test_constructor_and_loader_report_a_float_table_alike(rows, defects):
+    table_rows = {
+        pair: {key: c / sum(cells) for key, c in zip(OUTCOME_PAIRS, cells)}
+        for pair, cells in zip(CHOICE_PAIRS, rows)
+    }
+    for kind, p, c in defects:
+        pair, key = CHOICE_PAIRS[p], OUTCOME_PAIRS[c]
+        row = table_rows.get(pair)
+        if kind == "missing pair":
+            table_rows.pop(pair, None)
+        elif row is None:
+            continue
+        elif kind == "missing cell":
+            row.pop(key, None)
+        elif kind in ("nan", "inf"):
+            row[key] = math.nan if kind == "nan" else -math.inf * (-1) ** c
+        elif kind == "negative":
+            row[key] = -abs(row.get(key, 0.5)) - 0.125
+        else:  # doubling a row keeps its other defects
+            row.update((k, 2 * v) for k, v in row.items())
+    with pytest.raises(TableError) as direct:
+        ProbabilityTable(table_rows)
+    with pytest.raises(TableError) as loaded:
+        ProbabilityTable.from_dict({f"{cl},{cr}": row for (cl, cr), row in table_rows.items()})
+    assert str(loaded.value) == str(direct.value)
