@@ -3,19 +3,13 @@
 Twelve atoms: four measurement choices (L1, L2, R1, R2) and eight
 outcomes (L1+, L1-, ..., R2-).  An outcome atom such as ``R1-`` is a
 single token and asserts both that R1 is performed and that its result
-is minus.  Connectives, tightest to loosest:
-
-    ~        negation
-    &        conjunction
-    |        disjunction
-    ->       material conditional   (world-local)
-    []->     counterfactual conditional
-    =>       strict conditional     (global)
-
-``->`` and ``[]->`` share one precedence level and do not associate,
-with each other or with themselves; mixing them without parentheses is
-a parse error.  ``=>`` is likewise non-associative.  Unicode aliases
-are accepted on input.
+is minus.  ``~`` (negation) binds tightest.  The binary connectives,
+with their binding, associativity and Unicode alias, are listed once, in
+`_CONNECTIVES`; the lexer, the parser and the printer all read that
+table.  The three conditionals, ``->`` (material, world-local), ``[]->``
+(counterfactual) and ``=>`` (strict, global), do not associate: chaining
+or mixing ``->`` and ``[]->``, or chaining ``=>``, without parentheses
+is a parse error.
 """
 
 from __future__ import annotations
@@ -170,22 +164,37 @@ class Counterfactual(_Binary):
 
 
 # ---------------------------------------------------------------------------
+# Connectives
+
+# The binary connectives, tightest first: token kind, class, binding,
+# whether a chain of them associates (to the left), printed symbol and
+# Unicode alias.  Atoms and negation bind tighter than all of them.
+_CONNECTIVES = (
+    ("AND", And, 4, True, "&", "∧"),
+    ("OR", Or, 3, True, "|", "∨"),
+    ("MATIMP", MatImp, 2, False, "->", "→"),
+    ("CF", Counterfactual, 2, False, "[]->", "□→"),
+    ("STRICT", StrictImp, 1, False, "=>", "⇒"),
+)
+_ATOMIC = 5  # the binding of atoms and negations
+
+# token kind -> (binding, class, associates); class -> (binding, symbol, associates)
+_BY_KIND = {kind: (b, cls, assoc) for kind, cls, b, assoc, _, _ in _CONNECTIVES}
+_BY_CLASS = {cls: (b, symbol, assoc) for _, cls, b, assoc, symbol, _ in _CONNECTIVES}
+
+
+# ---------------------------------------------------------------------------
 # Lexer
 
+# Each match skips whitespace and then takes one token.  EOF matches only
+# at the end of the text; BAD matches the empty string, so it is reached
+# only where no token starts.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<ATOM>[LR][12][+-]?)
-  | (?P<CF>\[\]->|□→)
-  | (?P<STRICT>=>|⇒)
-  | (?P<MATIMP>->|→)
-  | (?P<NOT>~|¬)
-  | (?P<AND>&|∧)
-  | (?P<OR>\||∨)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-    """,
-    re.VERBOSE,
+    r"\s*(?:(?P<ATOM>[LR][12][+-]?)|"
+    + "".join(
+        f"(?P<{kind}>{re.escape(symbol)}|{alias})|" for kind, _, _, _, symbol, alias in _CONNECTIVES
+    )
+    + r"(?P<NOT>~|¬)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<EOF>\Z)|(?P<BAD>))"
 )
 
 
@@ -195,127 +204,94 @@ _Token = tuple[str, str, int]
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos = m.start(kind)
+        if kind == "BAD":
             raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
-        if m.lastgroup != "WS":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+        tokens.append((kind, m[kind], pos))
+        if kind == "EOF":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent, one function per grammar level)
+# Parser (precedence climbing over _CONNECTIVES)
 
 # Deepest nesting `parse` accepts, counting both the formula tree's
-# height and open '(' and '~'.  Parsing one '(' level takes six Python
-# frames and printing or evaluating one tree level takes at most two,
-# so accepted formulas stay well inside the default recursion limit.
+# height and open '(' and '~'.  Parsing one '(' level takes two Python
+# frames, or up to six while connectives of every binding wait on their
+# right operands; printing or evaluating one tree level takes at most
+# two.  So accepted formulas stay well inside the default recursion limit.
 MAX_NESTING = 100
 
 
+def _node(cls, pos: int, height: int, *parts) -> tuple[Formula, int]:
+    """The node `cls(*parts)` of tree height `height`, rejected past MAX_NESTING."""
+    if height > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+    return cls(*parts), height
+
+
 class _Parser:
-    """Recursive descent; each method returns (formula, tree height)."""
+    """Precedence climbing; each method returns (formula, tree height).
+
+    The state lives on the instance, not in closures, so a parse leaves
+    no reference cycle for the garbage collector.
+    """
+
+    __slots__ = ("tokens", "i")
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
-        self.open = 0  # '(' and '~' the parser is currently inside
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def kind(self) -> str:
-        return self.tokens[self.i][0]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
+    def operand(self, depth: int) -> tuple[Formula, int]:
+        """An atom, '~' operand or '( formula )', inside `depth` open '(' and '~'."""
+        kind, text, pos = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def node(self, cls, pos: int, left: tuple, right: tuple | None = None) -> tuple:
-        """A node over one or two (formula, height) pairs, rejected past MAX_NESTING."""
-        if right is None:
-            f, height = cls(left[0]), left[1] + 1
-        else:
-            f, height = cls(left[0], right[0]), max(left[1], right[1]) + 1
-        if height > MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-        return f, height
-
-    def formula(self) -> tuple[Formula, int]:
-        f = self.strict()
-        kind, text, pos = self.peek()
-        if kind == "STRICT":
-            raise ParseError("'=>' does not associate; parenthesize one side", pos)
-        if kind in ("MATIMP", "CF"):
-            raise ParseError(
-                f"conditional {text!r} cannot follow a strict conditional without parentheses",
-                pos,
-            )
-        return f
-
-    def strict(self) -> tuple[Formula, int]:
-        left = self.binary()
-        if self.kind() == "STRICT":
-            pos = self.take()[2]
-            return self.node(StrictImp, pos, left, self.binary())
-        return left
-
-    def binary(self) -> tuple[Formula, int]:
-        left = self.disj()
-        kind, text, pos = self.peek()
-        if kind in ("MATIMP", "CF"):
-            self.take()
-            right = self.disj()
-            nxt_kind, nxt_text, nxt_pos = self.peek()
-            if nxt_kind in ("MATIMP", "CF"):
-                raise ParseError(
-                    f"'{text}' and '{nxt_text}' do not associate; parenthesize to disambiguate",
-                    nxt_pos,
-                )
-            return self.node(MatImp if kind == "MATIMP" else Counterfactual, pos, left, right)
-        return left
-
-    def disj(self) -> tuple[Formula, int]:
-        f = self.conj()
-        while self.kind() == "OR":
-            pos = self.take()[2]
-            f = self.node(Or, pos, f, self.conj())
-        return f
-
-    def conj(self) -> tuple[Formula, int]:
-        f = self.neg()
-        while self.kind() == "AND":
-            pos = self.take()[2]
-            f = self.node(And, pos, f, self.neg())
-        return f
-
-    def neg(self) -> tuple[Formula, int]:
-        kind, text, pos = self.take()
-        if kind in ("NOT", "LPAREN"):
-            self.open += 1
-            if self.open > MAX_NESTING:
-                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-            if kind == "NOT":
-                f = self.node(Not, pos, self.neg())
-            else:
-                f = self.formula()
-                closing, closing_text, closing_pos = self.take()
-                if closing != "RPAREN":
-                    raise ParseError(
-                        f"expected ')', found {closing_text or 'end of input'!r}", closing_pos
-                    )
-            self.open -= 1
-            return f
         if kind == "ATOM":
             return Atom(text), 0
+        if kind == "NOT" or kind == "LPAREN":
+            if depth == MAX_NESTING:
+                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+            if kind == "NOT":
+                f, height = self.operand(depth + 1)
+                return _node(Not, pos, height + 1, f)
+            inner = self.binary(0, depth + 1)
+            kind, text, pos = self.tokens[self.i]
+            if kind != "RPAREN":
+                raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
+            self.i += 1
+            return inner
         if kind == "EOF":
             raise ParseError("missing operand: unexpected end of input", pos)
         raise ParseError(f"expected an atom, '~' or '(', found {text!r}", pos)
+
+    def binary(self, loosest: int, depth: int) -> tuple[Formula, int]:
+        """Operands joined by connectives that bind tighter than `loosest`."""
+        tokens = self.tokens
+        left, height = self.operand(depth)
+        while True:
+            kind, text, pos = tokens[self.i]
+            connective = _BY_KIND.get(kind)
+            if connective is None or connective[0] <= loosest:
+                return left, height
+            binding, cls, associates = connective
+            self.i += 1
+            right, right_height = self.binary(binding, depth)
+            # the right operand stopped at a connective binding no tighter
+            # than this one; the same binding there makes a chain, which only
+            # `&` and `|` allow.  A chain of conditionals is reported before
+            # this node's height check and a chain of `=>` after it.
+            chained = not associates and _BY_KIND.get(tokens[self.i][0], (0,))[0] == binding
+            if chained and cls is not StrictImp:
+                _, nxt, nxt_pos = tokens[self.i]
+                raise ParseError(
+                    f"'{text}' and '{nxt}' do not associate; parenthesize to disambiguate", nxt_pos
+                )
+            left, height = _node(cls, pos, max(height, right_height) + 1, left, right)
+            if chained:
+                raise ParseError("'=>' does not associate; parenthesize one side", tokens[self.i][2])
 
 
 def parse(text: str) -> Formula:
@@ -324,8 +300,8 @@ def parse(text: str) -> Formula:
     Formulas nested deeper than MAX_NESTING are rejected with ParseError.
     """
     parser = _Parser(_lex(text))
-    f, _ = parser.formula()
-    kind, trailing, pos = parser.peek()
+    f, _ = parser.binary(0, 0)
+    kind, trailing, pos = parser.tokens[parser.i]
     if kind != "EOF":
         raise ParseError(f"expected end of input, found {trailing!r}", pos)
     return f
@@ -334,40 +310,22 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printer
 
-_PRECEDENCE = {
-    Atom: 5,
-    Not: 5,
-    And: 4,
-    Or: 3,
-    MatImp: 2,
-    Counterfactual: 2,
-    StrictImp: 1,
-}
-
-_INFIX = {And: "&", Or: "|", MatImp: "->", Counterfactual: "[]->", StrictImp: "=>"}
-
-
 def unparse(f: Formula) -> str:
     """Canonical text with minimal parentheses; parse(unparse(f)) == f."""
+    return _text(f, 0)
+
+
+def _text(f: Formula, binding: int) -> str:
+    """`f` printed, in parentheses if it binds looser than `binding`."""
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
-        return "~" + _wrap(f.arg, 5)
-    op = _INFIX[type(f)]
-    if isinstance(f, And):
-        # right-nested same-operator trees keep parentheses so the
-        # left-associating parser rebuilds the identical AST
-        return f"{_wrap(f.left, 4)} {op} {_wrap(f.right, 5)}"
-    if isinstance(f, Or):
-        return f"{_wrap(f.left, 3)} {op} {_wrap(f.right, 4)}"
-    if isinstance(f, (MatImp, Counterfactual)):
-        return f"{_wrap(f.left, 3)} {op} {_wrap(f.right, 3)}"
-    return f"{_wrap(f.left, 2)} {op} {_wrap(f.right, 2)}"
-
-
-def _wrap(f: Formula, min_prec: int) -> str:
-    text = unparse(f)
-    return f"({text})" if _PRECEDENCE[type(f)] < min_prec else text
+        return "~" + _text(f.arg, _ATOMIC)
+    # a left-associating chain nests to the left, so only there may the
+    # left operand bind as loosely as the connective itself
+    own, symbol, associates = _BY_CLASS[type(f)]
+    text = f"{_text(f.left, own if associates else own + 1)} {symbol} {_text(f.right, own + 1)}"
+    return f"({text})" if own < binding else text
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ CHOICE_PAIRS = tuple((cl, cr) for cl in CHOICES_L for cr in CHOICES_R)
 OUTCOME_PAIRS = tuple(sl + sr for sl in SIGNS for sr in SIGNS)  # L sign first
 
 DISTRIBUTION_TOL = 1e-9
-NO_SIGNALING_TOL = 1e-9
 DEFAULT_EPSILON = 1e-12
 
 
@@ -260,9 +259,6 @@ class ProbabilityTable(Value):
                 values = [self.marginal("R", choice, cl, sign) for cl in CHOICES_L]
                 gap = max(gap, abs(values[0] - values[1]))
         return gap
-
-    def is_no_signaling(self, tol: float = NO_SIGNALING_TOL) -> bool:
-        return self.no_signaling_gap() <= tol
 
     def to_dict(self) -> dict:
         return {

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -224,3 +225,142 @@ def test_parser_is_total(text):
         parse(text)
     except ParseError:
         pass  # includes LexError; anything else is a genuine crash
+
+
+# Every error text of the language, with the exact message and position.
+# The last three inputs have two defects each; the one reported first is
+# part of the contract.
+_AND_CHAIN_101 = " & ".join(["L1"] * 101)  # a tree of height 100, the most allowed
+
+
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ("L1 & $L2", LexError, "unknown token starting at '$L2'", 5),
+        ("L1->R1", LexError, "unknown token starting at '>R1'", 3),
+        ("L1 &", ParseError, "missing operand: unexpected end of input", 4),
+        ("", ParseError, "missing operand: unexpected end of input", 0),
+        ("L1 & & L2", ParseError, "expected an atom, '~' or '(', found '&'", 5),
+        ("L1 & )", ParseError, "expected an atom, '~' or '(', found ')'", 5),
+        ("(L1 & L2", ParseError, "expected ')', found 'end of input'", 8),
+        ("(L1 L2)", ParseError, "expected ')', found 'L2'", 4),
+        ("L1 & L2)", ParseError, "expected end of input, found ')'", 7),
+        ("L1 => L2 => R1", ParseError, "'=>' does not associate; parenthesize one side", 9),
+        ("(L1 ⇒ L2 ⇒ R1)", ParseError, "'=>' does not associate; parenthesize one side", 9),
+        (
+            "L1 -> L2 []-> R1",
+            ParseError,
+            "'->' and '[]->' do not associate; parenthesize to disambiguate",
+            9,
+        ),
+        (
+            "L1 => L2 □→ R1 → R2",
+            ParseError,
+            "'□→' and '→' do not associate; parenthesize to disambiguate",
+            15,
+        ),
+        (_AND_CHAIN_101 + " & L1", ParseError, "formula nests deeper than 100 levels", 503),
+        ("~" * 101 + "L1", ParseError, "formula nests deeper than 100 levels", 100),
+        ("(" * 101 + "L1" + ")" * 101, ParseError, "formula nests deeper than 100 levels", 100),
+        (_AND_CHAIN_101 + " => L2 => R2", ParseError, "formula nests deeper than 100 levels", 503),
+        (
+            _AND_CHAIN_101 + " -> L2 -> R2",
+            ParseError,
+            "'->' and '->' do not associate; parenthesize to disambiguate",
+            509,
+        ),
+        ("(L1 -> L2 -> $", LexError, "unknown token starting at '$'", 13),
+    ],
+)
+def test_error_texts_and_positions(text, error, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+_BINARIES = {"&": And, "|": Or, "->": MatImp, "[]->": Counterfactual, "=>": StrictImp}
+
+
+# (outer, inner, side of outer the inner sits on, printed text)
+@pytest.mark.parametrize(
+    "outer, inner, side, text",
+    [
+        ("&", "&", "left", "L1 & L2 & R1"),
+        ("&", "&", "right", "R1 & (L1 & L2)"),
+        ("&", "|", "left", "(L1 | L2) & R1"),
+        ("&", "|", "right", "R1 & (L1 | L2)"),
+        ("&", "->", "left", "(L1 -> L2) & R1"),
+        ("&", "->", "right", "R1 & (L1 -> L2)"),
+        ("&", "[]->", "left", "(L1 []-> L2) & R1"),
+        ("&", "[]->", "right", "R1 & (L1 []-> L2)"),
+        ("&", "=>", "left", "(L1 => L2) & R1"),
+        ("&", "=>", "right", "R1 & (L1 => L2)"),
+        ("|", "&", "left", "L1 & L2 | R1"),
+        ("|", "&", "right", "R1 | L1 & L2"),
+        ("|", "|", "left", "L1 | L2 | R1"),
+        ("|", "|", "right", "R1 | (L1 | L2)"),
+        ("|", "->", "left", "(L1 -> L2) | R1"),
+        ("|", "->", "right", "R1 | (L1 -> L2)"),
+        ("|", "[]->", "left", "(L1 []-> L2) | R1"),
+        ("|", "[]->", "right", "R1 | (L1 []-> L2)"),
+        ("|", "=>", "left", "(L1 => L2) | R1"),
+        ("|", "=>", "right", "R1 | (L1 => L2)"),
+        ("->", "&", "left", "L1 & L2 -> R1"),
+        ("->", "&", "right", "R1 -> L1 & L2"),
+        ("->", "|", "left", "L1 | L2 -> R1"),
+        ("->", "|", "right", "R1 -> L1 | L2"),
+        ("->", "->", "left", "(L1 -> L2) -> R1"),
+        ("->", "->", "right", "R1 -> (L1 -> L2)"),
+        ("->", "[]->", "left", "(L1 []-> L2) -> R1"),
+        ("->", "[]->", "right", "R1 -> (L1 []-> L2)"),
+        ("->", "=>", "left", "(L1 => L2) -> R1"),
+        ("->", "=>", "right", "R1 -> (L1 => L2)"),
+        ("[]->", "&", "left", "L1 & L2 []-> R1"),
+        ("[]->", "&", "right", "R1 []-> L1 & L2"),
+        ("[]->", "|", "left", "L1 | L2 []-> R1"),
+        ("[]->", "|", "right", "R1 []-> L1 | L2"),
+        ("[]->", "->", "left", "(L1 -> L2) []-> R1"),
+        ("[]->", "->", "right", "R1 []-> (L1 -> L2)"),
+        ("[]->", "[]->", "left", "(L1 []-> L2) []-> R1"),
+        ("[]->", "[]->", "right", "R1 []-> (L1 []-> L2)"),
+        ("[]->", "=>", "left", "(L1 => L2) []-> R1"),
+        ("[]->", "=>", "right", "R1 []-> (L1 => L2)"),
+        ("=>", "&", "left", "L1 & L2 => R1"),
+        ("=>", "&", "right", "R1 => L1 & L2"),
+        ("=>", "|", "left", "L1 | L2 => R1"),
+        ("=>", "|", "right", "R1 => L1 | L2"),
+        ("=>", "->", "left", "L1 -> L2 => R1"),
+        ("=>", "->", "right", "R1 => L1 -> L2"),
+        ("=>", "[]->", "left", "L1 []-> L2 => R1"),
+        ("=>", "[]->", "right", "R1 => L1 []-> L2"),
+        ("=>", "=>", "left", "(L1 => L2) => R1"),
+        ("=>", "=>", "right", "R1 => (L1 => L2)"),
+    ],
+)
+def test_unparse_parenthesizes_minimally(outer, inner, side, text):
+    nested = _BINARIES[inner](L1, L2)
+    f = _BINARIES[outer](nested, R1) if side == "left" else _BINARIES[outer](R1, nested)
+    assert unparse(f) == text
+    assert parse(text) == f
+    if "(" in text:  # the parentheses are needed: without them the text reads otherwise
+        try:
+            assert parse(text.replace("(", "").replace(")", "")) != f
+        except ParseError:
+            pass
+
+
+def test_parsing_leaves_no_reference_cycles():
+    # a cycle per parse would be freed only by the cyclic collector,
+    # whose pauses then land inside callers' timed work
+    rng = random.Random(7)
+    texts = [unparse(random_formula(rng)) for _ in range(300)]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            parse(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
