@@ -10,6 +10,9 @@ table.  The three conditionals, ``->`` (material, world-local), ``[]->``
 (counterfactual) and ``=>`` (strict, global), do not associate: chaining
 or mixing ``->`` and ``[]->``, or chaining ``=>``, without parentheses
 is a parse error.
+
+`parse` lexes the whole text in one regex pass, so a lex error wins over
+any parse error.  Parsed formulas share the twelve atom instances.
 """
 
 from __future__ import annotations
@@ -166,132 +169,119 @@ class Counterfactual(_Binary):
 # ---------------------------------------------------------------------------
 # Connectives
 
-# The binary connectives, tightest first: token kind, class, binding,
-# whether a chain of them associates (to the left), printed symbol and
-# Unicode alias.  Atoms and negation bind tighter than all of them.
+# The binary connectives, tightest first: class, binding, whether a chain
+# of them associates (to the left), printed symbol and Unicode alias.
+# Atoms and negation bind tighter than all of them.
 _CONNECTIVES = (
-    ("AND", And, 4, True, "&", "∧"),
-    ("OR", Or, 3, True, "|", "∨"),
-    ("MATIMP", MatImp, 2, False, "->", "→"),
-    ("CF", Counterfactual, 2, False, "[]->", "□→"),
-    ("STRICT", StrictImp, 1, False, "=>", "⇒"),
+    (And, 4, True, "&", "∧"),
+    (Or, 3, True, "|", "∨"),
+    (MatImp, 2, False, "->", "→"),
+    (Counterfactual, 2, False, "[]->", "□→"),
+    (StrictImp, 1, False, "=>", "⇒"),
 )
 _ATOMIC = 5  # the binding of atoms and negations
 
-# token kind -> (binding, class, associates); class -> (binding, symbol, associates)
-_BY_KIND = {kind: (b, cls, assoc) for kind, cls, b, assoc, _, _ in _CONNECTIVES}
-_BY_CLASS = {cls: (b, symbol, assoc) for _, cls, b, assoc, symbol, _ in _CONNECTIVES}
+# token text -> (binding, class, associates); class -> (binding, symbol, associates)
+_BY_TEXT = {text: (b, cls, assoc) for cls, b, assoc, *texts in _CONNECTIVES for text in texts}
+_BY_CLASS = {cls: (b, symbol, assoc) for cls, b, assoc, symbol, _ in _CONNECTIVES}
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-# Each match skips whitespace and then takes one token.  EOF matches only
-# at the end of the text; BAD matches the empty string, so it is reached
-# only where no token starts.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ATOM>[LR][12][+-]?)|"
-    + "".join(
-        f"(?P<{kind}>{re.escape(symbol)}|{alias})|" for kind, _, _, _, symbol, alias in _CONNECTIVES
-    )
-    + r"(?P<NOT>~|¬)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<EOF>\Z)|(?P<BAD>))"
-)
-
-
-# a token is the tuple (kind, text, position)
-_Token = tuple[str, str, int]
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        pos = m.start(kind)
-        if kind == "BAD":
-            raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
-        tokens.append((kind, m[kind], pos))
-        if kind == "EOF":
-            return tokens
+# A token is its text.  A character that starts no token of the language
+# matches the final \S on its own, and `parse` rejects it; whitespace
+# matches nothing, so it only separates tokens.
+_SYMBOLS = (*_BY_TEXT, "~", "¬", "(", ")")
+_TOKEN_RE = re.compile("|".join([r"[LR][12][+-]?", *map(re.escape, _SYMBOLS), r"\S"]))
+_KNOWN = frozenset(ATOM_NAMES + _SYMBOLS)
 
 
 # ---------------------------------------------------------------------------
 # Parser (precedence climbing over _CONNECTIVES)
 
-# Deepest nesting `parse` accepts, counting both the formula tree's
-# height and open '(' and '~'.  Parsing one '(' level takes two Python
-# frames, or up to six while connectives of every binding wait on their
-# right operands; printing or evaluating one tree level takes at most
-# two.  So accepted formulas stay well inside the default recursion limit.
+# Deepest nesting `parse` accepts, counting both the tree's height and
+# open '(' and '~'.  Parsing takes two frames per open '(' and one per '~'
+# or connective awaiting its right operand (303 for `L1 & (` nested 100
+# deep, the most found); printing or evaluating one per tree level.  So
+# accepted formulas stay well inside the default recursion limit.
 MAX_NESTING = 100
 
-
-def _node(cls, pos: int, height: int, *parts) -> tuple[Formula, int]:
-    """The node `cls(*parts)` of tree height `height`, rejected past MAX_NESTING."""
-    if height > MAX_NESTING:
-        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-    return cls(*parts), height
+# the twelve atoms, one shared instance each: formulas are immutable
+_ATOMS = {name: Atom(name) for name in ATOM_NAMES}
 
 
 class _Parser:
-    """Precedence climbing; each method returns (formula, tree height).
+    """Precedence climbing; the reducing methods return (formula, tree height).
 
     The state lives on the instance, not in closures, so a parse leaves
     no reference cycle for the garbage collector.
     """
 
-    __slots__ = ("tokens", "i")
+    __slots__ = ("text", "tokens", "i")
 
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, text: str, tokens: list[str]):
+        self.text = text
         self.tokens = tokens
         self.i = 0
 
+    def error(self, message: str, k: int) -> ParseError:
+        """`message` at token `k`; tokens carry no positions, so this lexes the text again."""
+        starts = (m.start() for j, m in enumerate(_TOKEN_RE.finditer(self.text)) if j == k)
+        return ParseError(message, next(starts, len(self.text)))
+
+    def _node(self, cls, k: int, height: int, *parts) -> tuple[Formula, int]:
+        """The node `cls(*parts)` of height `height` at token `k`, rejected past MAX_NESTING."""
+        if height > MAX_NESTING:
+            raise self.error(f"formula nests deeper than {MAX_NESTING} levels", k)
+        return cls(*parts), height
+
     def operand(self, depth: int) -> tuple[Formula, int]:
         """An atom, '~' operand or '( formula )', inside `depth` open '(' and '~'."""
-        kind, text, pos = self.tokens[self.i]
+        k = self.i
+        text = self.tokens[k]
+        self.i = k + 1
+        if (atom := _ATOMS.get(text)) is not None:
+            return atom, 0
+        if not text:
+            raise self.error("missing operand: unexpected end of input", k)
+        if text != "(" and text != "~" and text != "¬":
+            raise self.error(f"expected an atom, '~' or '(', found {text!r}", k)
+        if depth == MAX_NESTING:
+            raise self.error(f"formula nests deeper than {MAX_NESTING} levels", k)
+        if text != "(":
+            f, height = self.operand(depth + 1)
+            return self._node(Not, k, height + 1, f)
+        inner = self.binary(0, depth + 1)
+        text = self.tokens[self.i]
+        if text != ")":
+            raise self.error(f"expected ')', found {text or 'end of input'!r}", self.i)
         self.i += 1
-        if kind == "ATOM":
-            return Atom(text), 0
-        if kind == "NOT" or kind == "LPAREN":
-            if depth == MAX_NESTING:
-                raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-            if kind == "NOT":
-                f, height = self.operand(depth + 1)
-                return _node(Not, pos, height + 1, f)
-            inner = self.binary(0, depth + 1)
-            kind, text, pos = self.tokens[self.i]
-            if kind != "RPAREN":
-                raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
-            self.i += 1
-            return inner
-        if kind == "EOF":
-            raise ParseError("missing operand: unexpected end of input", pos)
-        raise ParseError(f"expected an atom, '~' or '(', found {text!r}", pos)
+        return inner
 
     def binary(self, loosest: int, depth: int) -> tuple[Formula, int]:
         """Operands joined by connectives that bind tighter than `loosest`."""
         tokens = self.tokens
         left, height = self.operand(depth)
         while True:
-            kind, text, pos = tokens[self.i]
-            connective = _BY_KIND.get(kind)
+            k = self.i
+            connective = _BY_TEXT.get(tokens[k])
             if connective is None or connective[0] <= loosest:
                 return left, height
             binding, cls, associates = connective
-            self.i += 1
+            self.i = k + 1
             right, right_height = self.binary(binding, depth)
             # the right operand stopped at a connective binding no tighter
             # than this one; the same binding there makes a chain, which only
             # `&` and `|` allow.  A chain of conditionals is reported before
             # this node's height check and a chain of `=>` after it.
-            chained = not associates and _BY_KIND.get(tokens[self.i][0], (0,))[0] == binding
+            chained = not associates and _BY_TEXT.get(tokens[self.i], (0,))[0] == binding
             if chained and cls is not StrictImp:
-                _, nxt, nxt_pos = tokens[self.i]
-                raise ParseError(
-                    f"'{text}' and '{nxt}' do not associate; parenthesize to disambiguate", nxt_pos
-                )
-            left, height = _node(cls, pos, max(height, right_height) + 1, left, right)
+                pair = f"'{tokens[k]}' and '{tokens[self.i]}'"
+                raise self.error(f"{pair} do not associate; parenthesize to disambiguate", self.i)
+            left, height = self._node(cls, k, max(height, right_height) + 1, left, right)
             if chained:
-                raise ParseError("'=>' does not associate; parenthesize one side", tokens[self.i][2])
+                raise self.error("'=>' does not associate; parenthesize one side", self.i)
 
 
 def parse(text: str) -> Formula:
@@ -299,11 +289,15 @@ def parse(text: str) -> Formula:
 
     Formulas nested deeper than MAX_NESTING are rejected with ParseError.
     """
-    parser = _Parser(_lex(text))
+    tokens = _TOKEN_RE.findall(text)
+    if not _KNOWN.issuperset(tokens):
+        pos = next(m.start() for m in _TOKEN_RE.finditer(text) if m[0] not in _KNOWN)
+        raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
+    tokens.append("")  # the end of input
+    parser = _Parser(text, tokens)
     f, _ = parser.binary(0, 0)
-    kind, trailing, pos = parser.tokens[parser.i]
-    if kind != "EOF":
-        raise ParseError(f"expected end of input, found {trailing!r}", pos)
+    if tokens[parser.i]:
+        raise parser.error(f"expected end of input, found {tokens[parser.i]!r}", parser.i)
     return f
 
 

@@ -181,14 +181,15 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
     A strict conditional denotes all possible worlds or none.  A
     counterfactual holds at a world when the worlds its antecedent
     reaches lie inside the consequent's set ('every') or meet it
-    ('some').
+    ('some').  A node of any other class, a subclass included, is a TypeError.
     """
     possible = model.mask
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return ATOM_MASKS[f.name] & possible
-    if isinstance(f, Not):
+    if kind is Not:
         return possible & ~truth_mask(model, f.arg, opts)
-    if isinstance(f, Counterfactual):
+    if kind is Counterfactual:
         imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
         return _counterfactual_mask(
             possible,
@@ -198,16 +199,15 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
             opts.quantifier == "every",
             opts.self_world_when_consistent,
         )
-    left = truth_mask(model, f.left, opts)
-    right = truth_mask(model, f.right, opts)
-    if isinstance(f, And):
-        return left & right
-    if isinstance(f, Or):
-        return left | right
-    if isinstance(f, MatImp):
-        return possible & (~left | right)
-    if isinstance(f, StrictImp):
-        return 0 if left & ~right else possible
+    if kind is And:
+        return truth_mask(model, f.left, opts) & truth_mask(model, f.right, opts)
+    if kind is Or:
+        return truth_mask(model, f.left, opts) | truth_mask(model, f.right, opts)
+    if kind is MatImp:
+        return possible & (~truth_mask(model, f.left, opts) | truth_mask(model, f.right, opts))
+    if kind is StrictImp:
+        bad = truth_mask(model, f.left, opts) & ~truth_mask(model, f.right, opts)
+        return 0 if bad else possible
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -244,19 +244,19 @@ class MaskProgram:
             n = numbers.get(id(f))
             if n is not None:
                 return n
-            if isinstance(f, Atom):
+            if type(f) is Atom:
                 node = (_ATOM, ATOM_MASKS[f.name], None, False)
-            elif isinstance(f, Not):
+            elif type(f) is Not:
                 arg = number(f.arg)
                 node = (_NOT, arg, None, nodes[arg][3])
-            elif isinstance(f, Counterfactual):
+            elif type(f) is Counterfactual:
                 imposed = ATOM_MASKS[_imposable(f.left, order).name]
                 node = (_CF, number(f.right), (imposed, cells), True)
             else:
-                left, right = number(f.left), number(f.right)
                 op = _BINARY.get(type(f))
                 if op is None:
                     raise TypeError(f"not a formula node: {f!r}")
+                left, right = number(f.left), number(f.right)
                 node = (op, left, right, nodes[left][3] or nodes[right][3])
             numbers[id(f)] = len(nodes)
             nodes.append(node)
@@ -370,7 +370,7 @@ def holds_globally(
     holds globally iff it is true at every possible world.  The witness
     is the first counterexample in canonical world order.
     """
-    if isinstance(f, StrictImp):
+    if type(f) is StrictImp:
         bad = truth_mask(model, f.left, opts) & ~truth_mask(model, f.right, opts)
     else:
         bad = model.mask & ~truth_mask(model, f, opts)

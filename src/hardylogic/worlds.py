@@ -114,8 +114,13 @@ def enumerate_worlds() -> list[World]:
 
 
 def worlds_in(mask: int) -> list[World]:
-    """The worlds of a world-set mask, in canonical order."""
-    return [w for i, w in enumerate(WORLDS) if mask >> i & 1]
+    """The worlds of a world-set mask, in canonical order; higher bits are ignored."""
+    mask &= 0xFFFF  # `~model.mask` and an all-ones start have every higher bit set
+    worlds = []
+    while mask:
+        worlds.append(WORLDS[(mask & -mask).bit_length() - 1])  # the lowest set bit's world
+        mask &= mask - 1
+    return worlds
 
 
 def parse_world(text: str) -> World:

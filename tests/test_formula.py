@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 
 import pytest
@@ -131,6 +133,15 @@ def test_unparse_right_nested_conjunction_keeps_parens():
     f = And(L1, And(L2, R1))
     assert unparse(f) == "L1 & (L2 & R1)"
     assert parse(unparse(f)) == f
+
+
+def test_parsed_formulas_share_the_twelve_atoms():
+    assert parse("L1 & L1").left is parse("R1 -> L1").right
+    f = parse("(L1 & R2+) => (R1 []-> ~L1 | R2+)")
+    assert f.left.left is f.right.right.left.arg
+    copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in (2, 3, 4, 5)]
+    for again in copies + [copy.copy(f), copy.deepcopy(f)]:
+        assert again == f and unparse(again) == unparse(f)
 
 
 def test_atom_accessors():
@@ -270,6 +281,14 @@ _AND_CHAIN_101 = " & ".join(["L1"] * 101)  # a tree of height 100, the most allo
             509,
         ),
         ("(L1 -> L2 -> $", LexError, "unknown token starting at '$'", 13),
+        # whitespace other than spaces separates tokens and counts in positions
+        ("L1\t& $L2", LexError, "unknown token starting at '$L2'", 5),
+        ("L1 &\n", ParseError, "missing operand: unexpected end of input", 5),
+        ("L1\u00a0&\u3000", ParseError, "missing operand: unexpected end of input", 5),
+        # end of input lies past any trailing whitespace
+        ("(L1 & L2 \t ", ParseError, "expected ')', found 'end of input'", 11),
+        # the whole text is lexed first, so a lex error beats the nesting bound
+        ("(" * 101 + "L1 & $", LexError, "unknown token starting at '$'", 106),
     ],
 )
 def test_error_texts_and_positions(text, error, message, position):

@@ -13,6 +13,7 @@ from hardylogic.formula import (
     Atom,
     Counterfactual,
     Not,
+    Or,
     StrictImp,
     parse,
 )
@@ -593,6 +594,27 @@ def test_confirmed_needs_conformance_and_a_tested_line5(seed, quantifier):
     assert report.confirmed == (
         report.hardy_conforming and tested and report.line5.holds and not report.line6.holds
     )
+
+
+class _Conjunction(And):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "foreign", [_Conjunction(Atom("L1"), Atom("R1")), object()], ids=["And subclass", "object"]
+)
+def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
+    # both evaluators dispatch on the exact node class
+    f = Or(Atom("L2"), foreign)
+    message = f"not a formula node: {foreign!r}"
+    for evaluate in (
+        lambda: semantics.truth_mask(hardy_model, f),
+        lambda: semantics.MaskProgram([f]),
+        lambda: holds_globally(hardy_model, StrictImp(Atom("L2"), f)),
+    ):
+        with pytest.raises(TypeError) as raised:
+            evaluate()
+        assert str(raised.value) == message
 
 
 def test_conclusion_lines_share_one_sr_node():

@@ -25,6 +25,7 @@ from hardylogic.worlds import (
     parse_world,
     satisfies_atom,
     save_model,
+    worlds_in,
 )
 from oracles import possible_worlds, random_table_rows
 
@@ -215,6 +216,17 @@ def test_model_works_out_its_possible_worlds(hardy_table):
         Model(hardy_table, 1e-12, frozenset(WORLDS))
     with pytest.raises(ValueError, match="epsilon must lie in"):
         Model(hardy_table, 0.01)
+
+
+def test_worlds_in_lists_the_sixteen_bits_of_any_mask():
+    def listed(mask):  # every world whose bit is set, walking all sixteen
+        return [w for i, w in enumerate(WORLDS) if mask >> i & 1]
+
+    assert worlds_in(-1) == list(WORLDS)
+    for m in range(1 << 16):
+        assert worlds_in(m) == listed(m)
+        assert worlds_in(~m) == listed(~m)  # a complement has every higher bit set
+        assert worlds_in(m | 1 << 20) == listed(m)
 
 
 def test_no_signaling_gap_uniform():
