@@ -311,13 +311,16 @@ def unparse(f: Formula) -> str:
 
 def _text(f: Formula, binding: int) -> str:
     """`f` printed, in parentheses if it binds looser than `binding`."""
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if isinstance(f, Not):
+    if kind is Not:
         return "~" + _text(f.arg, _ATOMIC)
+    if kind not in _BY_CLASS:
+        raise TypeError(f"not a formula node: {f!r}")
     # a left-associating chain nests to the left, so only there may the
     # left operand bind as loosely as the connective itself
-    own, symbol, associates = _BY_CLASS[type(f)]
+    own, symbol, associates = _BY_CLASS[kind]
     text = f"{_text(f.left, own if associates else own + 1)} {symbol} {_text(f.right, own + 1)}"
     return f"({text})" if own < binding else text
 
@@ -351,17 +354,17 @@ def check_paper_normal(f: Formula) -> PaperNormalReport:
 
 
 def _first_violation(f: Formula, at_root: bool) -> str | None:
-    if isinstance(f, Atom):
+    """The first violation in pre-order; every node is visited, so a foreign one raises."""
+    kind = type(f)
+    if kind is Atom:
         return None
-    if isinstance(f, StrictImp):
-        if not at_root:
-            return f"nested strict conditional: {unparse(f)}"
-        return _first_violation(f.left, False) or _first_violation(f.right, False)
-    if isinstance(f, Counterfactual):
-        ant = f.left
-        if not (isinstance(ant, Atom) and ant.is_choice):
-            return f"counterfactual antecedent is not a choice atom: {unparse(ant)}"
-        return _first_violation(f.right, False)
-    if isinstance(f, Not):
+    if kind is Not:
         return _first_violation(f.arg, False)
-    return _first_violation(f.left, False) or _first_violation(f.right, False)
+    if kind not in _BY_CLASS:
+        raise TypeError(f"not a formula node: {f!r}")
+    left, right = _first_violation(f.left, False), _first_violation(f.right, False)
+    if kind is StrictImp and not at_root:
+        return f"nested strict conditional: {unparse(f)}"
+    if kind is Counterfactual and not (type(f.left) is Atom and f.left.is_choice):
+        return f"counterfactual antecedent is not a choice atom: {unparse(f.left)}"
+    return left or right

@@ -7,16 +7,16 @@ analyzer vectors are
     |plus>  =  cos(a)|0> + sin(a)|1>
     |minus> = -sin(a)|0> + cos(a)|1>
 
+and every cell is read from a configuration's eight analyzer vectors.
 This real five-parameter family is rich enough to realize the four
 target constraints: three joint-outcome cells at exactly zero and the
 remaining paradox cell strictly positive.
 
-The optimum (find_hardy): the three zero constraints are solved in
-closed form for (angle_l1, angle_l2, angle_r1) given the two free
-parameters (theta, angle_r2), which pins the zero cells at
-machine-precision zero.  The paradox cell is then a rational function
-of the free pair whose maximum, (5 sqrt(5) - 11) / 2, has a closed form
-too, so no search runs; find_hardy derives it.
+The optimum, HARDY_CONFIG, is built once at import: the three zero
+constraints are solved in closed form for (angle_l1, angle_l2,
+angle_r1) given the free pair (theta, angle_r2), which pins the zero
+cells at machine-precision zero.  The paradox cell's maximum over the
+free pair, (5 sqrt(5) - 11) / 2, has a closed form too: no search runs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ import math
 from .formula import Value
 from .worlds import (
     CHOICE_PAIRS,
+    CHOICES_L,
+    CHOICES_R,
     FORBIDDEN_WORLDS,
     OUTCOME_PAIRS,
     PARADOX_WORLD,
+    SIGNS,
     ProbabilityTable,
     read_json,
 )
@@ -39,6 +42,10 @@ ZERO_CLAMP = 1e-10
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POSITIVITY_FLOOR = 1e-9
+
+# setting -> HardyConfig field, in field order; the (plus, minus) labels of each setting
+_ANGLES = {"L1": "angle_l1", "L2": "angle_l2", "R1": "angle_r1", "R2": "angle_r2"}
+_LABELS = tuple((setting + "+", setting + "-") for setting in _ANGLES)
 
 
 class SearchError(RuntimeError):
@@ -67,44 +74,60 @@ class HardyConfig(Value):
                 raise ValueError(f"{name} must be finite")
 
     def angle(self, setting: str) -> float:
-        return {
-            "L1": self.angle_l1,
-            "L2": self.angle_l2,
-            "R1": self.angle_r1,
-            "R2": self.angle_r2,
-        }[setting]
+        return getattr(self, _ANGLES[setting])
 
 
-def _analyzer(angle: float, sign: str) -> tuple[float, float]:
-    if sign == "+":
-        return (math.cos(angle), math.sin(angle))
-    return (-math.sin(angle), math.cos(angle))
+def _born(cfg: HardyConfig):
+    """The cell function of `cfg` over its eight analyzer vectors, labelled "L1+" to "R2-"."""
+    cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
+    vectors = {}
+    angles = (cfg.angle_l1, cfg.angle_l2, cfg.angle_r1, cfg.angle_r2)
+    for (plus, minus), angle in zip(_LABELS, angles):
+        c, s = math.cos(angle), math.sin(angle)
+        vectors[plus], vectors[minus] = (c, s), (-s, c)
+
+    def cell(left: str, right: str) -> float:
+        vl, vr = vectors[left], vectors[right]
+        amp = cos_t * vl[0] * vr[0] + sin_t * vl[1] * vr[1]
+        return amp * amp
+
+    return cell
 
 
 def joint_probability(
     cfg: HardyConfig, choice_l: str, choice_r: str, sign_l: str, sign_r: str
 ) -> float:
     """Born-rule probability of the (sign_l, sign_r) outcome pair."""
-    vl = _analyzer(cfg.angle(choice_l), sign_l)
-    vr = _analyzer(cfg.angle(choice_r), sign_r)
-    amp = math.cos(cfg.theta) * vl[0] * vr[0] + math.sin(cfg.theta) * vl[1] * vr[1]
-    return amp * amp
+    if choice_l not in CHOICES_L or choice_r not in CHOICES_R:
+        raise ValueError(f"no choice pair ({choice_l!r}, {choice_r!r}): L1 or L2, then R1 or R2")
+    if sign_l not in SIGNS or sign_r not in SIGNS:
+        raise ValueError(f"outcome signs must be '+' or '-', got {sign_l!r} and {sign_r!r}")
+    return _born(cfg)(choice_l + sign_l, choice_r + sign_r)
+
+
+# per row: the choice pair and, per cell, its outcome key and the two labels
+_ROWS = tuple(((cl, cr), tuple((k, cl + k[0], cr + k[1]) for k in OUTCOME_PAIRS))
+              for cl, cr in CHOICE_PAIRS)
 
 
 def export_table(cfg: HardyConfig) -> ProbabilityTable:
     """Full 4x4 probability table, with sub-clamp cells snapped to exact zero."""
+    cell = _born(cfg)
     rows = {}
-    for cl, cr in CHOICE_PAIRS:
-        row = {}
-        for key in OUTCOME_PAIRS:
-            p = joint_probability(cfg, cl, cr, key[0], key[1])
+    for pair, cells in _ROWS:
+        row = rows[pair] = {}
+        for key, left, right in cells:
+            p = cell(left, right)
             row[key] = 0.0 if p <= ZERO_CLAMP else p
-        rows[(cl, cr)] = row
     return ProbabilityTable(rows)
 
 
 # ---------------------------------------------------------------------------
 # The four target constraints
+
+_CONSTRAINTS = tuple((w.choice_l + w.outcome_l, w.choice_r + w.outcome_r)
+                     for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
+
 
 def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     """(c1, c2, c3, c4): the three must-vanish cells and the paradox cell.
@@ -112,10 +135,8 @@ def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     c1 = P(L2-, R2+ | L2,R2)   c2 = P(L2+, R1+ | L2,R1)
     c3 = P(L1-, R2- | L1,R2)   c4 = P(L1-, R1+ | L1,R1)
     """
-    return tuple(
-        joint_probability(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
-        for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD)
-    )
+    cell = _born(cfg)
+    return tuple(cell(left, right) for left, right in _CONSTRAINTS)
 
 
 class PredictionReport(Value):
@@ -184,17 +205,10 @@ def verify_hardy(
     """Check the three vanishing cells and the positive paradox cell."""
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
-    c1, c2, c3, c4 = constraint_values(cfg)
-    marginal = c4 + joint_probability(cfg, "L1", "R1", "-", "-")
-    return PredictionReport(
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        marginal_l1_minus=marginal,
-        tolerance=tol,
-        positivity_floor=positivity_floor,
-    )
+    cell = _born(cfg)
+    c1, c2, c3, c4 = (cell(left, right) for left, right in _CONSTRAINTS)
+    marginal = c4 + cell("L1-", "R1-")
+    return PredictionReport(c1, c2, c3, c4, marginal, tol, positivity_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +217,8 @@ def verify_hardy(
 class SearchParams(Value):
     """Accepted for compatibility; neither field has any effect.
 
-    `find_hardy` returns the closed-form optimum, so every seed and grid
-    gives the same configuration.  `grid` below 2 is rejected.
+    `find_hardy` returns HARDY_CONFIG, so every seed and grid gives the
+    same configuration.  `grid` below 2 is rejected.
     """
 
     __slots__ = _fields = ("seed", "grid")
@@ -238,52 +252,39 @@ def _project(theta: float, angle_r2: float) -> HardyConfig | None:
     )
 
 
+# The optimum.  After `_project`, with S = sin(theta), C = cos(theta) and
+# u = tan(angle_r2)**2, the paradox cell is
+#
+#     c4 = u S^2 C^2 cos^2(2 theta) / ((u S^4 + C^4) (u C^2 + S^2)).
+#
+# For fixed theta, dc4/du = 0 gives u = C/S: the ridge
+# tan(theta) * tan(angle_r2)**2 = 1.  On the ridge, with x = sin(2 theta),
+#
+#     c4 = x^2 (1 - x) / (2 - x)^2,
+#
+# which vanishes at x = 0 and x = 1.  d ln(c4)/dx = 0 reduces to
+# x^2 - 6x + 4 = 0, whose one root in (0, 1) is x = 3 - sqrt(5), so the
+# maximum is c4 = (5 sqrt(5) - 11) / 2 (Hardy, PRL 71, 1665, 1993).  This
+# takes the theta < pi/4 root; the mirror pi/2 - theta gives the same cell.
+_THETA = 0.5 * math.asin(3 - math.sqrt(5))
+HARDY_CONFIG = _project(_THETA, math.atan(math.tan(_THETA) ** -0.5))
+
+
 def find_hardy(params: SearchParams = SearchParams()) -> HardyConfig:
-    """The configuration with the largest paradox cell, in closed form.
-
-    `params` is accepted for compatibility and has no effect.
-
-    After `_project`, with S = sin(theta), C = cos(theta) and
-    u = tan(angle_r2)**2, the paradox cell is
-
-        c4 = u S^2 C^2 cos^2(2 theta) / ((u S^4 + C^4) (u C^2 + S^2)).
-
-    For fixed theta, dc4/du = 0 gives u = C/S: the ridge
-    tan(theta) * tan(angle_r2)**2 = 1.  On the ridge, with
-    x = sin(2 theta),
-
-        c4 = x^2 (1 - x) / (2 - x)^2,
-
-    which vanishes at x = 0 and x = 1.  d ln(c4)/dx = 0 reduces to
-    x^2 - 6x + 4 = 0, whose one root in (0, 1) is x = 3 - sqrt(5), so
-    the maximum is c4 = (5 sqrt(5) - 11) / 2 (Hardy, PRL 71, 1665, 1993).
-    This takes the theta < pi/4 root; the mirror pi/2 - theta gives the
-    same cell.  The zero cells hold by construction, and the returned
-    configuration passes verify_hardy at the default tolerance.
-    """
-    theta = 0.5 * math.asin(3 - math.sqrt(5))
-    cfg = _project(theta, math.atan(math.tan(theta) ** -0.5))
-    if not verify_hardy(cfg).passed:
+    """HARDY_CONFIG, checked by verify_hardy on every call; `params` has no effect."""
+    if not verify_hardy(HARDY_CONFIG).passed:
         raise SearchError(
             "the closed-form optimum failed verification; "
             "this family is known to contain solutions, so this indicates a bug"
         )
-    return cfg
+    return HARDY_CONFIG
 
 
 # ---------------------------------------------------------------------------
 # Config file schema: {"theta": n, "angles": {"L1": n, "L2": n, "R1": n, "R2": n}}
 
 def config_to_dict(cfg: HardyConfig) -> dict:
-    return {
-        "theta": cfg.theta,
-        "angles": {
-            "L1": cfg.angle_l1,
-            "L2": cfg.angle_l2,
-            "R1": cfg.angle_r1,
-            "R2": cfg.angle_r2,
-        },
-    }
+    return {"theta": cfg.theta, "angles": {s: getattr(cfg, f) for s, f in _ANGLES.items()}}
 
 
 def _entry(mapping: dict, key: str, what: str):
@@ -314,13 +315,8 @@ def _mapping(value, what: str) -> dict:
 def config_from_dict(data: dict) -> HardyConfig:
     _mapping(data, "the file")
     angles = _mapping(_entry(data, "angles", "'angles'"), "'angles'")
-    return HardyConfig(
-        theta=_number(data, "theta", "'theta'"),
-        angle_l1=_number(angles, "L1", "angle 'L1'"),
-        angle_l2=_number(angles, "L2", "angle 'L2'"),
-        angle_r1=_number(angles, "R1", "angle 'R1'"),
-        angle_r2=_number(angles, "R2", "angle 'R2'"),
-    )
+    theta = _number(data, "theta", "'theta'")
+    return HardyConfig(theta, *(_number(angles, s, f"angle {s!r}") for s in _ANGLES))
 
 
 def save_config(cfg: HardyConfig, path: str) -> None:

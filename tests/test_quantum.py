@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from hardylogic import quantum
 from hardylogic.quantum import (
+    HARDY_CONFIG,
+    ZERO_CLAMP,
     HardyConfig,
     SearchParams,
     _project,
@@ -17,6 +20,7 @@ from hardylogic.quantum import (
     save_config,
     verify_hardy,
 )
+from hardylogic.worlds import FORBIDDEN_WORLDS, PARADOX_WORLD
 from oracles import (
     OPTIMAL_PARADOX,
     born_probability_matrix,
@@ -69,6 +73,91 @@ def test_matches_matrix_route_oracle():
             cfg.theta, cfg.angle(cl), cfg.angle(cr), sl, sr
         )
         assert joint_probability(cfg, cl, cr, sl, sr) == pytest.approx(expected, abs=1e-12)
+
+
+def _scalar_cell(cfg, choice_l, choice_r, sign_l, sign_r):
+    """The documented cell formula, written out: the engine must match it bit for bit."""
+    def vector(angle, sign):
+        return (math.cos(angle), math.sin(angle)) if sign == "+" else (-math.sin(angle), math.cos(angle))
+
+    vl, vr = vector(cfg.angle(choice_l), sign_l), vector(cfg.angle(choice_r), sign_r)
+    amp = math.cos(cfg.theta) * vl[0] * vr[0] + math.sin(cfg.theta) * vl[1] * vr[1]
+    return amp * amp
+
+
+def test_cells_agree_bit_for_bit():
+    # ==, not approx: the goldens print cells as small as 7.704e-34
+    rng = random.Random(14)
+    prediction_worlds = (*FORBIDDEN_WORLDS, PARADOX_WORLD)
+    for cfg in [_random_config(rng) for _ in range(200)] + [HARDY_CONFIG]:
+        for (cl, cr), row in export_table(cfg).rows.items():
+            for key, p in row.items():
+                exact = joint_probability(cfg, cl, cr, key[0], key[1])
+                assert exact == _scalar_cell(cfg, cl, cr, key[0], key[1])
+                assert p == (0.0 if exact <= ZERO_CLAMP else exact)
+        cells = tuple(
+            joint_probability(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+            for w in prediction_worlds
+        )
+        assert constraint_values(cfg) == cells
+        report = verify_hardy(cfg)
+        assert (report.c1, report.c2, report.c3, report.c4) == cells
+        assert report.marginal_l1_minus == cells[3] + joint_probability(cfg, "L1", "R1", "-", "-")
+
+
+class _CountingMath:
+    """Stands in for the math module and records each cos and sin argument."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.calls.append(("cos", x))
+        return math.cos(x)
+
+    def sin(self, x):
+        self.calls.append(("sin", x))
+        return math.sin(x)
+
+
+def test_each_call_takes_cos_and_sin_of_each_parameter_once(monkeypatch):
+    counting = _CountingMath()
+    monkeypatch.setattr(quantum, "math", counting)
+    cfg = HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5)
+    expected = sorted((fn, x) for fn in ("cos", "sin") for x in (0.4, 0.1, 0.2, 0.3, 0.5))
+    for call in (
+        lambda: export_table(cfg),
+        lambda: verify_hardy(cfg),
+        lambda: constraint_values(cfg),
+        lambda: joint_probability(cfg, "L2", "R1", "-", "+"),
+    ):
+        counting.calls.clear()
+        call()
+        assert sorted(counting.calls) == expected
+    # find_hardy only verifies the constant
+    counting.calls.clear()
+    assert find_hardy() is HARDY_CONFIG
+    assert len(counting.calls) == 10
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (("L1", "R1", "x", "+"), r"outcome signs must be '\+' or '-', got 'x' and '\+'"),
+        (("L1", "R1", "+", ""), r"outcome signs must be '\+' or '-', got '\+' and ''"),
+        (("L1", "R1", "+-", "+"), "outcome signs must be"),
+        (("R1", "L1", "-", "+"), r"no choice pair \('R1', 'L1'\): L1 or L2, then R1 or R2"),
+        (("L1", "L2", "+", "+"), r"no choice pair \('L1', 'L2'\)"),
+        (("L3", "R1", "+", "+"), r"no choice pair \('L3', 'R1'\)"),
+    ],
+    ids=["sign x", "empty sign", "two signs", "swapped regions", "both left", "unknown setting"],
+)
+def test_joint_probability_rejects_malformed_cells(cell, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        joint_probability(HARDY_CONFIG, *cell)
 
 
 def test_export_rows_sum_to_one():
@@ -143,6 +232,12 @@ def test_find_is_deterministic(hardy_config):
     for seed in (0, 123, 2**31 - 1):
         for grid in (2, 48):
             assert find_hardy(SearchParams(seed=seed, grid=grid)) == hardy_config
+
+
+def test_find_returns_the_module_constant(hardy_config):
+    assert hardy_config is HARDY_CONFIG
+    for seed in (0, 3, 2**31 - 1):
+        assert find_hardy(SearchParams(seed=seed)) is HARDY_CONFIG
 
 
 def test_find_passes_across_seeds():

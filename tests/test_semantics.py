@@ -15,7 +15,9 @@ from hardylogic.formula import (
     Not,
     Or,
     StrictImp,
+    check_paper_normal,
     parse,
+    unparse,
 )
 from hardylogic.semantics import (
     CfOptions,
@@ -604,13 +606,21 @@ class _Conjunction(And):
     "foreign", [_Conjunction(Atom("L1"), Atom("R1")), object()], ids=["And subclass", "object"]
 )
 def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
-    # both evaluators dispatch on the exact node class
+    # both evaluators, the printer and the normal-form check dispatch on
+    # the exact node class; the check visits every node, also past a
+    # violation or inside a counterfactual's antecedent
     f = Or(Atom("L2"), foreign)
     message = f"not a formula node: {foreign!r}"
     for evaluate in (
         lambda: semantics.truth_mask(hardy_model, f),
         lambda: semantics.MaskProgram([f]),
         lambda: holds_globally(hardy_model, StrictImp(Atom("L2"), f)),
+        lambda: unparse(f),
+        lambda: str(Not(f)),
+        lambda: check_paper_normal(f),
+        lambda: check_paper_normal(StrictImp(Atom("L2"), f)),
+        lambda: check_paper_normal(And(StrictImp(Atom("L1"), Atom("R1")), f)),
+        lambda: check_paper_normal(Counterfactual(Or(foreign, Atom("L1")), Atom("R1"))),
     ):
         with pytest.raises(TypeError) as raised:
             evaluate()
