@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     model = worlds.load_model(args.model)
     f = parse(args.formula)
     opts = semantics.CfOptions(quantifier=args.quantifier)
-    if args.at:
+    if args.at is not None:
         world = worlds.parse_world(args.at)
         value = semantics.eval_at(model, world, f, opts)
         print("true" if value else "false")

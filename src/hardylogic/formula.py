@@ -42,7 +42,9 @@ class Value:
 
     A subclass names its fields, in constructor order, in `_fields`,
     keeps them in `__slots__`, and stores them in an explicit `__init__`
-    with `object.__setattr__`.  From the field tuple the base derives
+    with `object.__setattr__`; a hot constructor may instead call each
+    slot's member descriptor, as in `Not.arg.__set__(self, arg)`, which
+    skips the lookup by name.  From the field tuple the base derives
     equality (same class and equal fields), a hash of the field tuple, a
     repr in the form `Atom(name='L1')`, and pickling and copying that
     call the constructor again.  Assigning or deleting an attribute
@@ -133,7 +135,7 @@ class Not(Formula):
     __slots__ = _fields = ("arg",)
 
     def __init__(self, arg: Formula):
-        object.__setattr__(self, "arg", arg)
+        _set_arg(self, arg)
 
 
 class _Binary(Formula):
@@ -142,8 +144,14 @@ class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+# the slots' own setters: a parse builds a node per connective, and these
+# skip the name lookup `object.__setattr__` makes
+_set_arg = Not.arg.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 class And(_Binary):

@@ -56,6 +56,8 @@ from .worlds import (
     FORBIDDEN_WORLDS,
     PARADOX_WORLD,
     WORLD_INDEX,
+    _HIGH,
+    _LOW,
     Model,
     World,
     worlds_in,
@@ -355,9 +357,16 @@ class GlobalCheck(Value):
     __slots__ = _fields = ("holds", "witness", "counterexamples")
 
     def __init__(self, holds: bool, witness: World | None, counterexamples: tuple[World, ...]):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "counterexamples", counterexamples)
+        _set_holds(self, holds)
+        _set_witness(self, witness)
+        _set_counterexamples(self, counterexamples)
+
+
+# the slots' own setters: every global check builds one, and these skip
+# the name lookup `object.__setattr__` makes
+_set_holds = GlobalCheck.holds.__set__
+_set_witness = GlobalCheck.witness.__set__
+_set_counterexamples = GlobalCheck.counterexamples.__set__
 
 
 def holds_globally(
@@ -379,7 +388,7 @@ def holds_globally(
 
 def _global_check(bad: int) -> GlobalCheck:
     """The check whose counterexamples are the worlds of the mask `bad`."""
-    worlds = tuple(worlds_in(bad))
+    worlds = _LOW[bad & 0xFF] + _HIGH[bad >> 8 & 0xFF]  # `worlds_in`, as a tuple
     return GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
 
 

@@ -95,6 +95,8 @@ WORLDS = tuple(
     for outcome_r in SIGNS
 )
 WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
+# each world by its field tuple, so a parsed literal is the shared instance
+_BY_FIELDS = {World._values(w): w for w in WORLDS}
 # each world's bit and table cell, in canonical order, as a model reads them
 _WORLD_CELLS = tuple((1 << i, w.choice_pair, w.outcome_pair) for i, w in enumerate(WORLDS))
 
@@ -113,22 +115,38 @@ def enumerate_worlds() -> list[World]:
     return list(WORLDS)
 
 
+def _byte_table(first: int) -> tuple[tuple[World, ...], ...]:
+    """Entry b is the worlds `WORLDS[first + i]` for each set bit i of the byte b, in order.
+
+    Built by doubling: the entries with bit i set are those without it,
+    each with world `first + i` appended, which sorts after all of theirs.
+    """
+    table = [()]
+    for w in WORLDS[first:first + 8]:
+        table += [worlds + (w,) for worlds in table]
+    return tuple(table)
+
+
+# a mask's low and high byte, each to its worlds in canonical order
+_LOW, _HIGH = _byte_table(0), _byte_table(8)
+
+
 def worlds_in(mask: int) -> list[World]:
-    """The worlds of a world-set mask, in canonical order; higher bits are ignored."""
-    mask &= 0xFFFF  # `~model.mask` and an all-ones start have every higher bit set
-    worlds = []
-    while mask:
-        worlds.append(WORLDS[(mask & -mask).bit_length() - 1])  # the lowest set bit's world
-        mask &= mask - 1
-    return worlds
+    """The worlds of a world-set mask, in canonical order; higher bits are ignored.
+
+    A negative mask, such as `~model.mask` or -1, reads as its two's
+    complement, so its sixteen low bits count as for any other mask.
+    """
+    return [*_LOW[mask & 0xFF], *_HIGH[mask >> 8 & 0xFF]]
 
 
 def parse_world(text: str) -> World:
-    """Parse a world literal like 'L1,R2,-,+'."""
+    """Parse a world literal like 'L1,R2,-,+' into the shared instance in `WORLDS`."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"world literal needs 4 comma-separated fields, got {text!r}")
-    return World(*parts)
+    world = _BY_FIELDS.get(tuple(parts))
+    return world if world is not None else World(*parts)  # a miss raises World's own error
 
 
 def satisfies_atom(world: World, atom: Atom) -> bool:

@@ -310,6 +310,14 @@ def test_bad_world_literal_exits_2(model_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_empty_world_literal_exits_2(model_path, capsys):
+    # an empty --at is a literal to parse, not an absent option
+    assert main(["eval", model_path, "L1 -> L1", "--at", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: world literal needs 4 comma-separated fields, got ''\n"
+
+
 def test_unknown_flag_rejected(model_path):
     with pytest.raises(SystemExit) as exc:
         main(["check-theorem", model_path, "--frobnicate"])

@@ -28,7 +28,14 @@ from hardylogic.semantics import (
     eval_at,
     holds_globally,
 )
-from hardylogic.worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable, World, build_model
+from hardylogic.worlds import (
+    CHOICE_PAIRS,
+    OUTCOME_PAIRS,
+    WORLDS,
+    ProbabilityTable,
+    World,
+    build_model,
+)
 from oracles import (
     brute_accessible,
     brute_counterexamples,
@@ -376,6 +383,46 @@ def test_truth_sets_match_per_world_oracle(request, seed, kind, earlier, quantif
             assert [_as_tuple(x) for x in got] == brute_accessible(
                 live, world, choice, earlier, self_world
             )
+
+
+def _bit_loop_counterexamples(model, f, opts) -> tuple:
+    """The reference: each possible world, taken bit by bit, at which `f` fails.
+
+    A strict conditional fails where its antecedent holds and its
+    consequent does not; any other formula where it is false.
+    """
+    def fails(w):
+        if type(f) is StrictImp:
+            return eval_at(model, w, f.left, opts) and not eval_at(model, w, f.right, opts)
+        return not eval_at(model, w, f, opts)
+
+    return tuple(w for i, w in enumerate(WORLDS) if model.mask >> i & 1 and fails(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_KNOWN_MODELS),
+    quantifier=st.sampled_from(("every", "some")),
+)
+def test_global_checks_list_the_worlds_a_bit_loop_finds(request, seed, kind, quantifier):
+    rng = random.Random(seed)
+    model = _case_model(request, kind, rng)
+    opts = CfOptions(quantifier=quantifier)
+    f, g = (random_formula(rng, depth=4, antecedents=("R1", "R2")) for _ in range(2))
+    report = check_theorem(model, opts)
+    cases = [
+        (holds_globally(model, f, opts), f),
+        (holds_globally(model, StrictImp(f, g), opts), StrictImp(f, g)),
+        (report.line5, semantics.LINE5),
+        (report.line6, semantics.LINE6),
+    ]
+    for check, line in cases:
+        expected = _bit_loop_counterexamples(model, line, opts)
+        assert check.counterexamples == expected
+        assert check.witness == (expected[0] if expected else None)
+        assert check.holds == (not expected)
+        assert all(w is WORLDS[WORLDS.index(w)] for w in check.counterexamples)
 
 
 _SWAP = {"L": "R", "R": "L"}

@@ -226,6 +226,17 @@ SAMPLES = [
     (SrRow(True, False, True, False), "SrRow(ra=True, ra_plus=False, rc=True, rc_minus=False)"),
 ]
 VALUES = [value for value, _ in SAMPLES]
+# the same classes as the hot paths build them, through the slots' own
+# setters: each connective as parsed, and a check that fails and one that holds
+_PARSED = [
+    formula.parse(text)
+    for text in ("~L1", "L1 & R2-", "L1 | R2-", "L1 -> R2-", "L1 => R2-", "R1 []-> R2-")
+]
+_BUILT = [
+    *(pytest.param(f, id=f"{type(f).__name__}-parsed") for f in _PARSED),
+    pytest.param(holds_globally(_MODEL, Atom("L1")), id="GlobalCheck-fails"),
+    pytest.param(holds_globally(_MODEL, formula.parse("R1+ | R2+")), id="GlobalCheck-holds"),
+]
 
 
 def _fields(value) -> tuple:
@@ -245,7 +256,7 @@ def test_repr_is_the_dataclass_form(value, expected):
     assert repr(value) == expected
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("value", [*VALUES, *_BUILT], ids=lambda x: type(x).__name__)
 def test_a_rebuilt_value_is_equal_and_hashes_as_its_field_tuple(value):
     twin = type(value)(*_fields(value))
     assert twin is not value
@@ -280,7 +291,7 @@ def test_world_sorts_like_its_field_tuples():
         _W < ("L1", "R2", "-", "+")
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("value", [*VALUES, *_BUILT], ids=lambda x: type(x).__name__)
 def test_fields_cannot_be_assigned_or_deleted(value):
     before = _fields(value)
     for name in (*FIELDS[type(value)], "extra"):
@@ -291,7 +302,7 @@ def test_fields_cannot_be_assigned_or_deleted(value):
     assert _fields(value) == before
 
 
-@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("value", [*VALUES, *_BUILT], ids=lambda x: type(x).__name__)
 def test_pickle_and_copies_round_trip(value):
     copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in (2, 3, 4, 5)]
     copies += [copy.copy(value), copy.deepcopy(value)]

@@ -58,6 +58,29 @@ def test_parse_world_literal():
         parse_world("L1,R2,-")
 
 
+@pytest.mark.parametrize("pad", ["", " ", " \t"])
+def test_parse_world_returns_the_shared_instance(pad):
+    for w in WORLDS:
+        fields = (w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+        assert parse_world(pad + f"{pad},{pad}".join(fields) + pad) is w
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("L1,R2,-", "world literal needs 4 comma-separated fields, got 'L1,R2,-'"),
+        ("L1,R2", "world literal needs 4 comma-separated fields, got 'L1,R2'"),
+        ("", "world literal needs 4 comma-separated fields, got ''"),
+        ("R1,L1,+,+", "bad choices (R1, L1)"),
+        ("L1,R1,+,0", "bad outcomes (+, 0)"),
+    ],
+)
+def test_parse_world_rejects_a_bad_literal_with_its_message(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_world(text)
+    assert str(exc.value) == message
+
+
 def test_satisfies_outcome_atom_when_performed():
     assert satisfies_atom(World("L1", "R2", "-", "+"), Atom("L1-"))
 
