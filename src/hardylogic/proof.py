@@ -949,14 +949,17 @@ def audit(
     plan = _plan(script, opts.order)
     program = plan.program if plan.program is not None else plan.compile(script, opts.order)
     every, some = program.run(model, ("every", "some"), opts.self_world_when_consistent)
+    # each slot's mask lies within the possible worlds, so a mask equal to
+    # `mask` holds everywhere, and a nonzero one somewhere
+    mask, every_masks, some_masks = model.mask, every.masks, some.masks
     if plan.hyp is not None:  # scoped lines read as material consequences of it
         s, a, c = plan.hyp
-        not_hyp = (not every.everywhere(s), not some.somewhere(a, c))
+        not_hyp = (every_masks[s] != mask, not some_masks[a] & some_masks[c])
 
-    mask, rules_ok, audits = model.mask, plan.rules_ok, []
+    rules_ok, audits = plan.rules_ok, []
     for s, a, c, scoped, bit, reports in plan.lines:
         # universal reading: no escaping world; existential: a conforming world
-        sem_every, sem_some = every.everywhere(s), some.somewhere(a, c)
+        sem_every, sem_some = every_masks[s] == mask, some_masks[a] & some_masks[c] != 0
         if scoped:
             sem_every, sem_some = not_hyp[0] or sem_every, not_hyp[1] or sem_some
         table = reports
@@ -973,7 +976,7 @@ def audit(
         audits.append(table[sem_every, sem_some])
 
     reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
-    side_ok = all(reading.somewhere(slot) for slot in plan.sides)
+    side_ok = all(reading.masks[slot] for slot in plan.sides)
 
     contradiction = None
     bridge = None
@@ -986,7 +989,7 @@ def audit(
             break
 
     # true at every possible world, as `holds_globally` reads
-    line5_true = plan.counterpart is not None and reading.everywhere(plan.counterpart)
+    line5_true = plan.counterpart is not None and reading.masks[plan.counterpart] == mask
 
     details = ["scope problems: " + "; ".join(plan.scope_problems)] if plan.scope_problems else []
     details.append(

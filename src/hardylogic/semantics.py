@@ -10,7 +10,8 @@ even under a connective whose other side already settles the value.
 A fixed set of formulas read on many models, such as the proof script
 or the two conclusion lines, is compiled once into a `MaskProgram`: a
 straight-line list of the set's distinct nodes that each model runs
-without walking a tree.
+without walking a tree.  The program runs as generated straight-line
+Python code, built on its first run under each reading.
 
 Three conditionals with three different scopes:
 
@@ -86,6 +87,11 @@ class TemporalOrder(Value):
 L_EARLIER = TemporalOrder("L")
 
 
+def _check_quantifier(quantifier: str) -> None:
+    if quantifier not in ("every", "some"):
+        raise ValueError(f"quantifier must be 'every' or 'some', got {quantifier!r}")
+
+
 class CfOptions(Value):
     __slots__ = _fields = ("order", "quantifier", "self_world_when_consistent")
 
@@ -95,8 +101,7 @@ class CfOptions(Value):
         quantifier: str = "every",  # 'every' or 'some', over accessible worlds
         self_world_when_consistent: bool = True,
     ):
-        if quantifier not in ("every", "some"):
-            raise ValueError(f"quantifier must be 'every' or 'some', got {quantifier!r}")
+        _check_quantifier(quantifier)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "quantifier", quantifier)
         object.__setattr__(self, "self_world_when_consistent", self_world_when_consistent)
@@ -165,6 +170,8 @@ def _counterfactual_mask(
 
     With `every` false, some world of it instead.  `imposed` is the
     choice's mask and `cells` the earlier region's four cell masks.
+    A mask program's kernel unrolls this same rule (`_kernel`), so a
+    change here is made there too.
     """
     out = 0
     # every world of one earlier-region (choice, outcome) cell reaches the same worlds
@@ -228,14 +235,20 @@ class MaskProgram:
     instructions list the nodes children first: `free`, the nodes that
     contain no counterfactual, which `run` computes once per model, then
     `tail`, the nodes that do, which it computes once per reading.
-    `slots[i]` is the slot of `formulas[i]`.
+    `slots[i]` is the slot of `formulas[i]`.  Every slot's mask lies
+    within the model's possible worlds.
+
+    `run` executes the instructions as generated straight-line Python
+    (`_kernel`): one function for `free`, built on the first run, and
+    one for `tail` per reading, the quantifier with `self_world`, built
+    on the first run under that reading and kept on the program.
 
     An antecedent outside the fragment raises the error `truth_mask`
     raises, for the first such counterfactual `truth_mask` would meet
     evaluating the formulas in order.
     """
 
-    __slots__ = ("free", "tail", "slots")
+    __slots__ = ("free", "tail", "slots", "_free_kernel", "_tail_kernels")
 
     def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
         cells = _CELL_MASKS[order.earlier_region]
@@ -275,6 +288,8 @@ class MaskProgram:
                     code.append((op, a if op == _ATOM else slot[a], slot[b] if op < _NOT else b))
         self.free, self.tail = tuple(free), tuple(tail)
         self.slots = tuple(slot[n] for n in given)
+        self._free_kernel = None
+        self._tail_kernels: dict[tuple, object] = {}  # (quantifier, self_world) -> kernel
 
     def __len__(self) -> int:
         return len(self.free) + len(self.tail)
@@ -284,34 +299,78 @@ class MaskProgram:
     ) -> list[Denotation]:
         """Every slot's mask in `model`, one `Denotation` per quantifier."""
         possible = model.mask
-        masks: list[int] = []
-        _execute(self.free, masks, possible, True, self_world)
+        if self._free_kernel is None:
+            self._free_kernel = _kernel(self.free, 0)
+        masks = self._free_kernel(possible)
         readings = []
         for quantifier in quantifiers:
-            reading = masks[:]
-            _execute(self.tail, reading, possible, quantifier == "every", self_world)
-            readings.append(Denotation(possible, reading))
+            kernel = self._tail_kernels.get((quantifier, self_world))
+            if kernel is None:
+                _check_quantifier(quantifier)
+                reading = (quantifier == "every", self_world)
+                kernel = self._tail_kernels[quantifier, self_world] = _kernel(
+                    self.tail, len(self.free), reading
+                )
+            readings.append(Denotation(possible, kernel(possible, masks)))
         return readings
 
 
-def _execute(code: tuple, masks: list, possible: int, every: bool, self_world: bool) -> None:
-    """Append the mask of each instruction of `code` to `masks`."""
-    append = masks.append
-    for op, a, b in code:
-        if op == _AND:
-            append(masks[a] & masks[b])
-        elif op == _ATOM:
-            append(a & possible)
-        elif op == _CF:
-            append(_counterfactual_mask(possible, *b, masks[a], every, self_world))
+def _kernel(code: tuple, first: int, reading: tuple[bool, bool] | None = None):
+    """`code`, whose first slot is `first`, as one generated straight-line function.
+
+    For a program's free part (`reading` None) the function takes the
+    possible-world mask `p` and returns the list of its slots' masks.
+    For its tail, `reading` is (every, self_world), and the function
+    also takes that list, the slots before `first`, and returns it
+    extended.  Slot n is the local `m<n>`, and each instruction one
+    assignment.  A counterfactual is `_counterfactual_mask` unrolled
+    over the earlier region's four cells, each `imposed & cell` an int
+    constant, with the reading fixed here, so the function never
+    branches on it.  The source holds only slot names, operators and
+    int literals, and runs in a namespace of its own with no builtins.
+    """
+    body = []
+    loaded = set()  # the earlier slots read from the list passed in
+
+    def m(n: int) -> str:
+        if n < first and n not in loaded:
+            loaded.add(n)
+            body.append(f"m{n} = earlier[{n}]")
+        return f"m{n}"
+
+    for n, (op, a, b) in enumerate(code, first):
+        if op == _ATOM:
+            value = f"{a} & p"
         elif op == _NOT:
-            append(possible & ~masks[a])
-        elif op == _MATIMP:
-            append(possible & (~masks[a] | masks[b]))
+            value = f"p & ~{m(a)}"
+        elif op == _AND:
+            value = f"{m(a)} & {m(b)}"
         elif op == _OR:
-            append(masks[a] | masks[b])
-        else:
-            append(0 if masks[a] & ~masks[b] else possible)
+            value = f"{m(a)} | {m(b)}"
+        elif op == _MATIMP:
+            value = f"p & (~{m(a)} | {m(b)})"
+        elif op == _STRICT:
+            value = f"0 if {m(a)} & ~{m(b)} else p"
+        else:  # _CF: a cell whose reach escapes the consequent ('every') or meets it ('some')
+            (every, self_world), consequent, (imposed, cells) = reading, m(a), b
+            if every:
+                terms = [f"(0 if p & {imposed & c} & ~{consequent} else {c})" for c in cells]
+            else:
+                terms = [f"({c} if p & {imposed & c} & {consequent} else 0)" for c in cells]
+            value = " | ".join(terms)
+            if self_world:  # a world where the choice holds reaches itself
+                value = f"({value}) & ~{imposed} | {imposed} & {consequent}"
+            value = f"({value}) & p"
+        body.append(f"m{n} = {value}")
+    own = ", ".join(f"m{n}" for n in range(first, first + len(code)))
+    if reading is None:
+        head, result = "def kernel(p):", f"[{own}]"
+    else:
+        head, result = "def kernel(p, earlier):", f"earlier + [{own}]"
+    source = "\n    ".join([head, *body, f"return {result}"])
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<mask program kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class Denotation:

@@ -502,13 +502,20 @@ _R_ORDER_INVALID = {
 }
 
 
-def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monkeypatch):
+def test_audit_and_theorem_evaluate_each_node_once_per_reading(
+    hardy_model, control_model, monkeypatch
+):
     # Neither reads `truth_mask`: each runs a mask program compiled once,
     # whose nodes free of counterfactuals run once per model and the rest
-    # once per reading.
+    # once per reading, each part as a kernel generated once.
     calls = []
     real = semantics.truth_mask
     monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
+    kernels = []
+    real_kernel = semantics._kernel
+    monkeypatch.setattr(
+        semantics, "_kernel", lambda *args: kernels.append(args) or real_kernel(*args)
+    )
     compiled = []
 
     class Counted(semantics.MaskProgram):
@@ -526,6 +533,7 @@ def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monk
     for ln in script.lines:
         check_rule(hardy_model, script, ln.index)
     assert compiled == []  # rule checks never compile the script
+    theorem_kernels = len(kernels)  # none if an earlier check built the theorem's
     audit(hardy_model, script)
     assert len(compiled) == 1
     program = proof._plan(script, semantics.L_EARLIER).program
@@ -533,9 +541,15 @@ def test_audit_and_theorem_evaluate_each_node_once_per_reading(hardy_model, monk
     assert len(program) == 46
     assert len(program.free) == 29  # free of counterfactuals, 8 of them atoms
     assert len(program.tail) == 17
-    audit(hardy_model, script)
-    semantics.check_theorem(hardy_model)
+    # one kernel for the free nodes, then the tail's under 'every' and 'some'
+    generated = kernels[theorem_kernels:]
+    assert [args[0] for args in generated] == [program.free, program.tail, program.tail]
+    assert [args[2] for args in generated[1:]] == [(True, True), (False, True)]
+    built = len(kernels)
+    audit(control_model, script)
+    semantics.check_theorem(control_model)
     assert len(compiled) == 1  # a second audit compiles nothing
+    assert len(kernels) == built  # and generates no kernel, nor does a second theorem check
     assert calls == []
 
     r_order = CfOptions(TemporalOrder("R"))

@@ -549,7 +549,12 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     slot_of = dict(zip(map(id, nodes), node_slots))
     assert program.slots[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
     runs = program.run(model, quantifiers, self_world)
-    for opts, reading in zip(readings, runs):  # the second reading reuses the first's prefix
+    # a second run, under the other self-world and the quantifiers reversed,
+    # needs kernels of its own: one per (quantifier, self-world)
+    swapped = tuple(reversed(quantifiers))
+    reruns = program.run(model, swapped, not self_world)
+    readings += [CfOptions(order, q, not self_world) for q in swapped]
+    for opts, reading in zip(readings, runs + reruns):  # each reading reuses the free prefix
         for f, slot in zip(formulas + nodes, program.slots):
             assert reading.masks[slot] == semantics.truth_mask(model, f, opts)
     # the oracle, under the first reading only: it re-evaluates every subtree
@@ -560,6 +565,24 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
         assert got == oracle
         assert runs[0].everywhere(slot) == (got == live)
         assert runs[0].somewhere(slot) == bool(got)
+
+
+@pytest.mark.parametrize("quantifier", ["evry", "Every", ""])
+def test_mask_program_refuses_an_unknown_quantifier(hardy_model, quantifier):
+    # checked as `CfOptions` checks it, not read as 'some'
+    program = semantics._theorem_program("L")
+    with pytest.raises(ValueError) as expected:
+        CfOptions(quantifier=quantifier)
+    for quantifiers in ((quantifier,), ("every", quantifier)):
+        with pytest.raises(ValueError) as raised:
+            program.run(hardy_model, quantifiers)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_an_empty_mask_program_runs(hardy_model):
+    # no free part and no tail: each reading is an empty list of its own
+    every, some = semantics.MaskProgram([]).run(hardy_model, ("every", "some"))
+    assert every.masks == some.masks == [] and every.masks is not some.masks
 
 
 def test_check_theorem_refuses_local_strategies(local_model):
