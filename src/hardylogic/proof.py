@@ -17,8 +17,9 @@ and the hypothesis's counterpart, and each line's finished report for
 each pair of readings and state of its pinned cell (all but a possible
 zero cell, whose verdict quotes the model's probability).  What is
 left per model is one run of the program, which gives the two
-readings, the side condition and the bridge world, and the bit of
-each pinned cell.
+readings, the side condition, the bridge world, whether the
+counterpart is tested and the hypothesis fails, and the bit of each
+pinned cell.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -649,8 +650,10 @@ class _Plan:
         the hypothesis scopes it, and its finished `LineAudit`s (see
         `_line_audits`).  `hyp` has the hypothesis's three slots.  Then
         come each side condition's slot, each clash's line pair with
-        the slots of its shared antecedent X and of `c []-> c`, and the
-        slot of the hypothesis's counterpart.
+        the slots of its shared antecedent X and of `c []-> c`, and
+        `counterpart`: the hypothesis's counterpart's index, its slot
+        and the slots of its premise (see `_premise`).  `hyp_index` is
+        the hypothesis's index.
         """
         hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
         clashes, counterpart = (), None
@@ -664,7 +667,7 @@ class _Plan:
         for _, x, reaches in clashes:
             formulas += (x, reaches)
         if counterpart is not None:
-            formulas.append(counterpart.statement)
+            formulas += (counterpart.statement, *_premise(counterpart.statement))
         program = MaskProgram(formulas, order)  # raises here for an unsupported antecedent
         slots = iter(program.slots)
         self.lines = tuple(
@@ -675,9 +678,25 @@ class _Plan:
         self.hyp = next((e[:3] for e, ln in zip(self.lines, script.lines) if ln.index == hyp), None)
         self.sides = tuple(next(slots) for _ in script.side_conditions)
         self.clashes = tuple((pair, next(slots), next(slots)) for pair, _, _ in clashes)
-        self.counterpart = next(slots, None)
+        self.hyp_index = hyp
+        self.counterpart = None
+        if counterpart is not None:
+            self.counterpart = (counterpart.index, next(slots), tuple(slots))
         self.program = program
         return program
+
+
+def _premise(f: Formula) -> tuple[Formula, ...]:
+    """The parts of `f` that a world must satisfy to test it.
+
+    A strict conditional's antecedent and, where its consequent (or `f`,
+    if not strict) is a material conditional, that one's antecedent too:
+    for line 5, `L2` and `R2 & R2+`.  A statement no possible world
+    tests holds vacuously.
+    """
+    strict = _strict(f)
+    parts, body = ((strict[0],), strict[1]) if strict else ((), f)
+    return (*parts, body.left) if isinstance(body, MatImp) else parts
 
 
 def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
@@ -827,6 +846,13 @@ class LineAudit(Value):
 
 
 class FinalVerdict(Value):
+    """The closing refutation of the hypothesis (line 6) on one model.
+
+    `line5_vacuous` says that no possible world tests the hypothesis's
+    counterpart (line 5), and `line6_holds` that the hypothesis itself
+    holds under the audit's reading.
+    """
+
     __slots__ = _fields = (
         "line5_true",
         "rules_all_valid",
@@ -834,6 +860,8 @@ class FinalVerdict(Value):
         "contradiction_lines",
         "bridge_world",
         "detail",
+        "line5_vacuous",
+        "line6_holds",
     )
 
     def __init__(
@@ -844,6 +872,8 @@ class FinalVerdict(Value):
         contradiction_lines: tuple[int, int] | None,
         bridge_world: World | None,
         detail: str,
+        line5_vacuous: bool,
+        line6_holds: bool,
     ):
         object.__setattr__(self, "line5_true", line5_true)
         object.__setattr__(self, "rules_all_valid", rules_all_valid)
@@ -851,15 +881,24 @@ class FinalVerdict(Value):
         object.__setattr__(self, "contradiction_lines", contradiction_lines)
         object.__setattr__(self, "bridge_world", bridge_world)
         object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "line5_vacuous", line5_vacuous)
+        object.__setattr__(self, "line6_holds", line6_holds)
 
     @property
     def line6_refuted(self) -> bool:
-        """Every rule valid, the side conditions met, and a clash with a bridge world."""
+        """The derivation goes through, and the model lets it refute line 6.
+
+        Every rule valid, the side conditions met and a clash with a
+        bridge world, on a model where line 5 is not vacuous and line 6
+        fails, as `check_theorem` asks.
+        """
         return bool(
             self.rules_all_valid
             and self.side_conditions_hold
             and self.contradiction_lines
             and self.bridge_world
+            and not self.line5_vacuous
+            and not self.line6_holds
         )
 
 
@@ -936,7 +975,11 @@ def audit(
     and a bridging world make them jointly unsatisfiable, and every
     derivation step is rule-valid, so the hypothesis is refuted.  The
     hypothesis's unconditional counterpart (the line just before it)
-    must hold outright.
+    must hold outright.  As `check_theorem` asks, the refutation also
+    needs that counterpart tested by some possible world (see
+    `_premise`) and the hypothesis false under `opts`'s reading; where
+    the derivation goes through without them, the detail says which
+    failed.
 
     What reads only the script comes from its plan for `opts.order`,
     including the script compiled into one mask program on the first
@@ -989,7 +1032,14 @@ def audit(
             break
 
     # true at every possible world, as `holds_globally` reads
-    line5_true = plan.counterpart is not None and reading.masks[plan.counterpart] == mask
+    line5_true = line5_vacuous = False
+    if plan.counterpart is not None:
+        index, slot, premise = plan.counterpart
+        line5_true, tested = reading.masks[slot] == mask, mask
+        for part in premise:
+            tested &= reading.masks[part]
+        line5_vacuous = not tested
+    line6_holds = plan.hyp is not None and reading.masks[plan.hyp[0]] == mask
 
     details = ["scope problems: " + "; ".join(plan.scope_problems)] if plan.scope_problems else []
     details.append(
@@ -999,7 +1049,21 @@ def audit(
         else "no complementary counterfactual pair found"
     )
     details.append(f"side conditions hold: {side_ok}; all rules valid: {rules_ok}")
+    if rules_ok and side_ok and bridge:  # the derivation goes through: say what withholds it
+        reasons = []
+        if line5_vacuous:
+            reasons.append(f"line {index} holds vacuously: no possible world tests it")
+        if line6_holds:
+            reasons.append(
+                f"line {plan.hyp_index} holds in this model, so the clash at lines "
+                f"{contradiction[0]} and {contradiction[1]} does not refute it"
+            )
+        if reasons:
+            details.append("derivation goes through, but " + ", and ".join(reasons))
 
-    final = FinalVerdict(line5_true, rules_ok, side_ok, contradiction, bridge, "; ".join(details))
+    final = FinalVerdict(
+        line5_true, rules_ok, side_ok, contradiction, bridge, "; ".join(details),
+        line5_vacuous, line6_holds,
+    )
     return AuditReport(tuple(audits), final, script.notes)
 

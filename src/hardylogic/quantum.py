@@ -17,6 +17,7 @@ constraints are solved in closed form for (angle_l1, angle_l2,
 angle_r1) given the free pair (theta, angle_r2), which pins the zero
 cells at machine-precision zero.  The paradox cell's maximum over the
 free pair, (5 sqrt(5) - 11) / 2, has a closed form too: no search runs.
+The optimum is verified once, at import too, as HARDY_REPORT.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def verify_hardy(
     """Check the three vanishing cells and the positive paradox cell."""
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
+    if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
+        raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
     cell = _born(cfg)
     c1, c2, c3, c4 = (cell(left, right) for left, right in _CONSTRAINTS)
     marginal = c4 + cell("L1-", "R1-")
@@ -268,11 +271,12 @@ def _project(theta: float, angle_r2: float) -> HardyConfig | None:
 # takes the theta < pi/4 root; the mirror pi/2 - theta gives the same cell.
 _THETA = 0.5 * math.asin(3 - math.sqrt(5))
 HARDY_CONFIG = _project(_THETA, math.atan(math.tan(_THETA) ** -0.5))
+HARDY_REPORT = verify_hardy(HARDY_CONFIG)
 
 
 def find_hardy(params: SearchParams = SearchParams()) -> HardyConfig:
-    """HARDY_CONFIG, checked by verify_hardy on every call; `params` has no effect."""
-    if not verify_hardy(HARDY_CONFIG).passed:
+    """HARDY_CONFIG, verified once, at import, as HARDY_REPORT; `params` has no effect."""
+    if not HARDY_REPORT.passed:
         raise SearchError(
             "the closed-form optimum failed verification; "
             "this family is known to contain solutions, so this indicates a bug"

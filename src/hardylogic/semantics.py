@@ -311,7 +311,7 @@ class MaskProgram:
                 kernel = self._tail_kernels[quantifier, self_world] = _kernel(
                     self.tail, len(self.free), reading
                 )
-            readings.append(Denotation(possible, kernel(possible, masks)))
+            readings.append(Denotation(kernel(possible, masks)))
         return readings
 
 
@@ -376,22 +376,10 @@ def _kernel(code: tuple, first: int, reading: tuple[bool, bool] | None = None):
 class Denotation:
     """A mask program's slots in one model under one reading."""
 
-    __slots__ = ("possible", "masks")
+    __slots__ = ("masks",)
 
-    def __init__(self, possible: int, masks: list[int]):
-        self.possible = possible
+    def __init__(self, masks: list[int]):
         self.masks = masks
-
-    def everywhere(self, slot: int) -> bool:
-        """Does the slot hold at every possible world?"""
-        return self.masks[slot] == self.possible
-
-    def somewhere(self, *slots: int) -> bool:
-        """Does some possible world satisfy every one of the slots?"""
-        common = self.possible
-        for slot in slots:
-            common &= self.masks[slot]
-        return bool(common)
 
 
 def worlds_where(*terms: tuple[Denotation, int]) -> list[World]:

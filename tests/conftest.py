@@ -1,7 +1,12 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from hardylogic import build_model, export_table, find_hardy
-from hardylogic.worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable
+from hardylogic.worlds import CHOICE_PAIRS, OUTCOME_PAIRS, ProbabilityTable, load_model
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +73,30 @@ def local_strategies():
 @pytest.fixture(scope="session")
 def local_model():
     return build_model(local_strategies())
+
+
+@pytest.fixture(scope="session")
+def line6_holds_model():
+    """A Hardy-conforming table on which line 6 holds and line 5 is tested.
+
+    Each row is uniform on its possible cells: (L1,R1) and (L2,R1) on
+    +-, -+ and --, (L1,R2) on ++ and +-, (L2,R2) on ++, +- and --.
+    The derivation goes through, but its clash cannot refute a line 6
+    that holds, so neither `check_theorem` nor `audit` may confirm.
+    """
+    return load_model(str(FIXTURES / "line6-holds-model.json"))
+
+
+def pattern_models():
+    """One model per possibility pattern with a possible world in each choice pair.
+
+    A row may make possible any of the 15 nonempty sets of its four
+    cells, and is uniform on that set: 15**4 = 50,625 patterns.
+    """
+    cell_sets = [cells for n in range(1, 5) for cells in itertools.combinations(OUTCOME_PAIRS, n)]
+    rows = [{k: 1 / len(cells) if k in cells else 0.0 for k in OUTCOME_PAIRS} for cells in cell_sets]
+    for choice in itertools.product(rows, repeat=len(CHOICE_PAIRS)):
+        yield build_model(ProbabilityTable(dict(zip(CHOICE_PAIRS, choice))))
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylogic import quantum
 from hardylogic.cli import main
-from hardylogic.quantum import PredictionReport, verify_hardy
+from hardylogic.quantum import PredictionReport
 from hardylogic.worlds import save_model
 
 
@@ -274,17 +275,25 @@ def test_os_error_without_a_path_exits_2(tmp_path, monkeypatch, exc, capsys):
 
 
 def test_search_error_exits_2(monkeypatch, capsys):
-    def failing(cfg, **kw):
-        r = verify_hardy(cfg, **kw)
-        return PredictionReport(
-            1.0, r.c2, r.c3, r.c4, r.marginal_l1_minus, r.tolerance, r.positivity_floor
-        )
-
-    monkeypatch.setattr("hardylogic.quantum.verify_hardy", failing)
+    r = quantum.HARDY_REPORT
+    failing = PredictionReport(
+        1.0, r.c2, r.c3, r.c4, r.marginal_l1_minus, r.tolerance, r.positivity_floor
+    )
+    monkeypatch.setattr(quantum, "HARDY_REPORT", failing)
     assert main(["hardy", "find"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the closed-form optimum failed verification")
     assert "Traceback" not in err
+
+
+def test_find_prints_the_report_built_at_import_and_verifies_nothing(monkeypatch, capsys):
+    # the optimum was verified once, at import; the command verifies nothing again
+    calls, verify_hardy = [], quantum.verify_hardy
+    monkeypatch.setattr(quantum, "verify_hardy", lambda *args, **kw: calls.append(args))
+    assert main(["hardy", "find"]) == 0
+    assert calls == []
+    lines = capsys.readouterr().out.splitlines()  # theta and four angles, then the report
+    assert lines[5:] == verify_hardy(quantum.HARDY_CONFIG).summary().splitlines()
 
 
 @pytest.mark.parametrize("grid", ["0", "1"])

@@ -25,6 +25,7 @@ from hardylogic import build_model, export_table, find_hardy, save_config, save_
 from hardylogic.cli import main
 from hardylogic.quantum import config_to_dict
 from hardylogic.worlds import FORBIDDEN_WORLDS, WORLDS, load_model
+from conftest import FIXTURES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,6 +57,8 @@ CASES["check-theorem.local"] = ["check-theorem", "{local}"]
 CASES["proof-audit.local"] = ["proof", "audit", "{local}"]
 # its possible forbidden cells: line reports built per model, quoting each cell's probability
 CASES["proof-audit-json.local"] = ["proof", "audit", "{local}", "--json"]
+# a Hardy-conforming table on which line 6 holds: the derivation goes through, yet refutes nothing
+CASES["proof-audit.line6-holds"] = ["proof", "audit", "{line6_holds}"]
 CASES["sr-table"] = ["sr-table"]
 CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
 CASES["hardy-verify.bad-value"] = ["hardy", "verify", "{bad_value}"]
@@ -63,9 +66,13 @@ CASES["model-build"] = ["model", "build", "{config}"]
 
 
 def write_inputs(where: Path, hardy_model, control_model, local_model) -> dict[str, str]:
-    """Save the three models and the configuration; their paths by placeholder."""
+    """Save the three models and the configuration; their paths by placeholder.
+
+    The line-6-holds model is read from its fixture file as it stands.
+    """
     names = ("hardy", "control", "local", "config", "bad_value")
     paths = {name: str(where / f"{name}.json") for name in names}
+    paths["line6_holds"] = str(FIXTURES / "line6-holds-model.json")
     save_model(hardy_model, paths["hardy"])
     save_model(control_model, paths["control"])
     save_model(local_model, paths["local"])

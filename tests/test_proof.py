@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -22,8 +23,9 @@ from hardylogic.proof import (
     sr_truth_table,
     validate_scopes,
 )
-from hardylogic.semantics import CfOptions, TemporalOrder
+from hardylogic.semantics import CfOptions, TemporalOrder, check_theorem
 from hardylogic.worlds import ProbabilityTable, build_model, worlds_in
+from conftest import pattern_models
 from oracles import random_table_rows
 
 
@@ -760,3 +762,31 @@ def test_report_dicts_are_fresh(hardy_model, hardy_table, uniform_model):
         data["final"]["detail"] = "changed"
         assert json.dumps(second.to_dict()) == expected
         assert json.dumps(first.to_dict()) == expected
+
+
+def test_audit_certifies_exactly_the_dependences_check_theorem_confirms(
+    hardy_model, control_model, local_model, line6_holds_model
+):
+    # `proof audit` exits 0 on a line 5 that holds and a refuted line 6.
+    # Over the named tables and every possibility pattern, under both
+    # quantifiers, that certificate is given exactly where `check_theorem`
+    # confirms the dependence and the derivation finds a clash with a
+    # bridge world.  Under `every` each confirmed pattern has one; under
+    # `some`, 64 patterns have no world from which R1 is reachable, so
+    # the derivation cannot close there, and the audit says so.
+    readings = {q: CfOptions(quantifier=q) for q in ("every", "some")}
+    counts = {q: [0, 0, 0] for q in readings}  # models, confirmed, certified
+    named = [hardy_model, control_model, local_model, line6_holds_model]
+    for k, model in enumerate(itertools.chain(named, pattern_models())):
+        for q, opts in readings.items():
+            count = counts[q]
+            final = audit(model, opts=opts).final
+            certified = final.line5_true and final.line6_refuted
+            confirmed = check_theorem(model, opts).confirmed
+            assert certified == (confirmed and final.bridge_world is not None), (k, q)
+            if k < len(named):  # only Hardy's table, and only under `every`
+                assert certified == (k == 0 and q == "every"), (k, q)
+            count[0] += 1
+            count[1] += confirmed
+            count[2] += certified
+    assert counts == {"every": [50629, 1121, 1121], "some": [50629, 448, 384]}

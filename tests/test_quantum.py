@@ -6,6 +6,7 @@ import pytest
 from hardylogic import quantum
 from hardylogic.quantum import (
     HARDY_CONFIG,
+    HARDY_REPORT,
     ZERO_CLAMP,
     HardyConfig,
     SearchParams,
@@ -137,10 +138,10 @@ def test_each_call_takes_cos_and_sin_of_each_parameter_once(monkeypatch):
         counting.calls.clear()
         call()
         assert sorted(counting.calls) == expected
-    # find_hardy only verifies the constant
+    # find_hardy reads the report built at import, and does no Born-rule work
     counting.calls.clear()
     assert find_hardy() is HARDY_CONFIG
-    assert len(counting.calls) == 10
+    assert counting.calls == []
 
 
 @pytest.mark.parametrize(
@@ -207,6 +208,22 @@ def test_verify_tolerance_semantics():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             verify_hardy(cfg, tol=bad)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+def test_verify_refuses_a_floor_that_is_not_positive(floor):
+    # the maximally entangled state has no paradox: its c4 vanishes up to
+    # rounding (about 4.9e-32), which a zero floor would pass, and a NaN
+    # floor would fail every configuration without a word
+    cfg = _project(math.pi / 4, 0.7)
+    assert constraint_values(cfg)[3] < 1e-30
+    with pytest.raises(ValueError, match=f"^positivity_floor must be positive, got {floor}$"):
+        verify_hardy(cfg, positivity_floor=floor)
+
+
+def test_the_optimum_is_verified_once_at_import():
+    assert HARDY_REPORT == verify_hardy(HARDY_CONFIG)
+    assert HARDY_REPORT.passed
 
 
 def test_product_state_cannot_pass_all_four():

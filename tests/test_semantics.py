@@ -36,6 +36,7 @@ from hardylogic.worlds import (
     World,
     build_model,
 )
+from conftest import pattern_models
 from oracles import (
     brute_accessible,
     brute_counterexamples,
@@ -563,8 +564,9 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
         got = [_as_tuple(w) for w in semantics.worlds_where((runs[0], slot))]
         oracle = [w for w in live if brute_eval(live, w, f, earlier, quantifiers[0], self_world)]
         assert got == oracle
-        assert runs[0].everywhere(slot) == (got == live)
-        assert runs[0].somewhere(slot) == bool(got)
+        # every slot lies within the possible worlds: all of them, or some
+        assert (runs[0].masks[slot] == model.mask) == (got == live)
+        assert bool(runs[0].masks[slot]) == bool(got)
 
 
 @pytest.mark.parametrize("quantifier", ["evry", "Every", ""])
@@ -706,18 +708,6 @@ def test_conclusion_lines_share_one_sr_node():
     assert len(semantics._theorem_program("L")) == 10
 
 
-def _pattern_models():
-    """One model per possibility pattern with a possible world in each choice pair.
-
-    A row may make possible any of the 15 nonempty sets of its four
-    cells, and is uniform on that set: 15**4 = 50,625 patterns.
-    """
-    cell_sets = [cells for n in range(1, 5) for cells in itertools.combinations(OUTCOME_PAIRS, n)]
-    rows = [{k: 1 / len(cells) if k in cells else 0.0 for k in OUTCOME_PAIRS} for cells in cell_sets]
-    for choice in itertools.product(rows, repeat=len(CHOICE_PAIRS)):
-        yield build_model(ProbabilityTable(dict(zip(CHOICE_PAIRS, choice))))
-
-
 def test_theorem_over_every_possibility_pattern():
     # Truth depends only on the possible worlds, so these models cover
     # every table.  Per quantifier: confirmed, Hardy-conforming,
@@ -726,7 +716,7 @@ def test_theorem_over_every_possibility_pattern():
     opts = {q: CfOptions(quantifier=q) for q in ("every", "some")}
     counts = {q: [0, 0, 0, 0] for q in opts}
     sample = set(random.Random(10).sample(range(15**4), 250))
-    for k, model in enumerate(_pattern_models()):
+    for k, model in enumerate(pattern_models()):
         for q, count in counts.items():
             report = check_theorem(model, opts[q])
             as_in_hardy = report.hardy_conforming and report.line5.holds and not report.line6.holds

@@ -119,6 +119,8 @@ FIELDS = {
         "contradiction_lines",
         "bridge_world",
         "detail",
+        "line5_vacuous",
+        "line6_holds",
     ),
     AuditReport: ("lines", "final", "notes"),
     SrRow: ("ra", "ra_plus", "rc", "rc_minus"),
@@ -154,10 +156,11 @@ _AUDIT_REPR = (
     "LineAudit(index=1, rule='B6', premises=(), scope=(6,), rule_status='valid', "
     "rule_detail='ok', sem_every=True, sem_some=False, note=None)"
 )
-_FINAL = FinalVerdict(True, True, True, (11, 14), _W, "d")
+_FINAL = FinalVerdict(True, True, True, (11, 14), _W, "d", False, False)
 _FINAL_REPR = (
     "FinalVerdict(line5_true=True, rules_all_valid=True, side_conditions_hold=True, "
-    f"contradiction_lines=(11, 14), bridge_world={_W_REPR}, detail='d')"
+    f"contradiction_lines=(11, 14), bridge_world={_W_REPR}, detail='d', "
+    "line5_vacuous=False, line6_holds=False)"
 )
 _THEOREM = TheoremReport(True, "all", _CHECK, GlobalCheck(True, None, ()), False)
 
@@ -358,8 +361,10 @@ DERIVED = [
     (_THEOREM, "sr_false_l1_witness", None),
     (TheoremReport(True, "", GlobalCheck(True, None, ()), _CHECK, False), "sr_false_l1_witness", _W),
     (_FINAL, "line6_refuted", True),
-    (FinalVerdict(True, True, False, (11, 14), _W, "d"), "line6_refuted", False),
-    (FinalVerdict(True, True, True, None, None, "d"), "line6_refuted", False),
+    (FinalVerdict(True, True, False, (11, 14), _W, "d", False, False), "line6_refuted", False),
+    (FinalVerdict(True, True, True, None, None, "d", False, False), "line6_refuted", False),
+    (FinalVerdict(True, True, True, (11, 14), _W, "d", True, False), "line6_refuted", False),
+    (FinalVerdict(True, True, True, (11, 14), _W, "d", False, True), "line6_refuted", False),
     (PaperNormalReport(), "ok", True),
     (PaperNormalReport("v"), "ok", False),
 ]
@@ -455,9 +460,15 @@ def test_derived_fields_agree_with_independent_sources(seed, kind, quantifier):
     assert normal.ok == bool(normal) == (normal.violation is None)
 
     final = audit(model, opts=opts).final
+    assert final.line6_holds == (not line6)
+    assert final.line5_vacuous == (
+        not any(w[0] == "L2" and w[1] == "R2" and w[3] == "+" for w in possible)
+    )
     assert final.line6_refuted == bool(
         final.rules_all_valid
         and final.side_conditions_hold
         and final.contradiction_lines
         and final.bridge_world
+        and not final.line5_vacuous
+        and not final.line6_holds
     )
