@@ -40,19 +40,25 @@ class LexError(ParseError):
 class Value:
     """Base of the package's frozen value classes.
 
-    A subclass names its fields, in constructor order, in `_fields`,
-    keeps them in `__slots__`, and stores them in an explicit `__init__`
-    with `object.__setattr__`; a hot constructor may instead call each
-    slot's member descriptor, as in `Not.arg.__set__(self, arg)`, which
-    skips the lookup by name.  From the field tuple the base derives
-    equality (same class and equal fields), a hash of the field tuple, a
-    repr in the form `Atom(name='L1')`, and pickling and copying that
-    call the constructor again.  Assigning or deleting an attribute
-    raises AttributeError.
+    A subclass names its fields, in constructor order, in `_fields` and
+    keeps them in `__slots__`; `_defaults` gives the trailing fields'
+    defaults.  From the field tuple the base derives the constructor,
+    which takes each field by position or by name and raises TypeError
+    for a missing, repeated, unknown or extra argument, and stores each
+    through its slot's own setter (`_setters`).  A class that checks its
+    fields calls it first and then reads them.  The hot `Not`, `_Binary`
+    and `GlobalCheck` keep constructors of their own that call those
+    setters directly.  The base also derives equality (same class and
+    equal fields), a hash of the field tuple, a repr in the form
+    `Atom(name='L1')`, and pickling and copying that call the
+    constructor again.  Assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -61,6 +67,34 @@ class Value:
             # the field tuple; attrgetter returns a lone field bare
             cls._values = get if len(cls._fields) > 1 else lambda obj: (get(obj),)
             cls.__match_args__ = cls._fields
+            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls = self.__class__
+        setters = cls._setters
+        if kwargs or len(args) != len(setters):
+            args = cls._arguments(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value, in order, from a call's arguments and the defaults."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            given[key] = value
+        values = {**dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults)), **given}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return tuple(values[key] for key in fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -340,9 +374,7 @@ class PaperNormalReport(Value):
     """The first violation of the normal form, or None when there is none."""
 
     __slots__ = _fields = ("violation",)
-
-    def __init__(self, violation: str | None = None):
-        object.__setattr__(self, "violation", violation)
+    _defaults = (None,)
 
     @property
     def ok(self) -> bool:

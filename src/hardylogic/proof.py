@@ -68,10 +68,9 @@ from .semantics import (
     CfOptions,
     MaskProgram,
     TemporalOrder,
-    worlds_where,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World, worlds_in
 
 VALID = "valid"
 INVALID = "invalid"
@@ -79,36 +78,20 @@ INVALID = "invalid"
 
 class ProofLine(Value):
     __slots__ = _fields = ("index", "statement", "rule", "premises", "hypothesis_scope", "note")
+    _defaults = ((), frozenset(), None)
 
-    def __init__(
-        self,
-        index: int,
-        statement: Formula,
-        rule: str,
-        premises: tuple[int, ...] = (),
-        hypothesis_scope: frozenset[int] = frozenset(),
-        note: str | None = None,
-    ):
-        if rule not in RULE_TAGS:
-            raise ValueError(f"unknown rule tag {rule!r}")
-        if any(p >= index for p in premises):
-            raise ValueError(f"line {index} cites a premise at or after itself")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "hypothesis_scope", hypothesis_scope)
-        object.__setattr__(self, "note", note)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.rule not in RULE_TAGS:
+            raise ValueError(f"unknown rule tag {self.rule!r}")
+        if any(p >= self.index for p in self.premises):
+            raise ValueError(f"line {self.index} cites a premise at or after itself")
 
 
 class SideCondition(Value):
     """A nonemptiness claim: some possible world satisfies the formula."""
 
     __slots__ = _fields = ("formula", "description")
-
-    def __init__(self, formula: Formula, description: str):
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "description", description)
 
 
 class ProofScript(Value):
@@ -249,10 +232,6 @@ def _is_subsequence(short: list[Formula], long: list[Formula]) -> bool:
 
 class RuleVerdict(Value):
     __slots__ = _fields = ("status", "detail")
-
-    def __init__(self, status: str, detail: str):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
 
     @property
     def ok(self) -> bool:
@@ -793,28 +772,10 @@ class LineAudit(Value):
         "note",
     )
     __slots__ = (*_fields, "_row")
+    _defaults = (None,)
 
-    def __init__(
-        self,
-        index: int,
-        rule: str,
-        premises: tuple[int, ...],
-        scope: tuple[int, ...],
-        rule_status: str,
-        rule_detail: str,
-        sem_every: bool,
-        sem_some: bool,
-        note: str | None = None,
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "rule_status", rule_status)
-        object.__setattr__(self, "rule_detail", rule_detail)
-        object.__setattr__(self, "sem_every", sem_every)
-        object.__setattr__(self, "sem_some", sem_some)
-        object.__setattr__(self, "note", note)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "_row", None)
 
     @property
@@ -864,26 +825,6 @@ class FinalVerdict(Value):
         "line6_holds",
     )
 
-    def __init__(
-        self,
-        line5_true: bool,
-        rules_all_valid: bool,
-        side_conditions_hold: bool,
-        contradiction_lines: tuple[int, int] | None,
-        bridge_world: World | None,
-        detail: str,
-        line5_vacuous: bool,
-        line6_holds: bool,
-    ):
-        object.__setattr__(self, "line5_true", line5_true)
-        object.__setattr__(self, "rules_all_valid", rules_all_valid)
-        object.__setattr__(self, "side_conditions_hold", side_conditions_hold)
-        object.__setattr__(self, "contradiction_lines", contradiction_lines)
-        object.__setattr__(self, "bridge_world", bridge_world)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "line5_vacuous", line5_vacuous)
-        object.__setattr__(self, "line6_holds", line6_holds)
-
     @property
     def line6_refuted(self) -> bool:
         """The derivation goes through, and the model lets it refute line 6.
@@ -904,11 +845,6 @@ class FinalVerdict(Value):
 
 class AuditReport(Value):
     __slots__ = _fields = ("lines", "final", "notes")
-
-    def __init__(self, lines: tuple[LineAudit, ...], final: FinalVerdict, notes: tuple[str, ...]):
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "notes", notes)
 
     def to_dict(self) -> dict:
         lines = []
@@ -994,15 +930,15 @@ def audit(
     every, some = program.run(model, ("every", "some"), opts.self_world_when_consistent)
     # each slot's mask lies within the possible worlds, so a mask equal to
     # `mask` holds everywhere, and a nonzero one somewhere
-    mask, every_masks, some_masks = model.mask, every.masks, some.masks
+    mask = model.mask
     if plan.hyp is not None:  # scoped lines read as material consequences of it
         s, a, c = plan.hyp
-        not_hyp = (every_masks[s] != mask, not some_masks[a] & some_masks[c])
+        not_hyp = (every[s] != mask, not some[a] & some[c])
 
     rules_ok, audits = plan.rules_ok, []
     for s, a, c, scoped, bit, reports in plan.lines:
         # universal reading: no escaping world; existential: a conforming world
-        sem_every, sem_some = every_masks[s] == mask, some_masks[a] & some_masks[c] != 0
+        sem_every, sem_some = every[s] == mask, some[a] & some[c] != 0
         if scoped:
             sem_every, sem_some = not_hyp[0] or sem_every, not_hyp[1] or sem_some
         table = reports
@@ -1019,14 +955,14 @@ def audit(
         audits.append(table[sem_every, sem_some])
 
     reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
-    side_ok = all(reading.masks[slot] for slot in plan.sides)
+    side_ok = all(reading[slot] for slot in plan.sides)
 
     contradiction = None
     bridge = None
     for pair, x, reaches in plan.clashes:
         # the imposed choice holds throughout what it reaches, so `c []-> c`
         # read existentially marks the worlds whose accessible set is nonempty
-        bridges = worlds_where((reading, x), (some, reaches))
+        bridges = worlds_in(reading[x] & some[reaches])
         if bridges:
             contradiction, bridge = pair, bridges[0]
             break
@@ -1035,11 +971,11 @@ def audit(
     line5_true = line5_vacuous = False
     if plan.counterpart is not None:
         index, slot, premise = plan.counterpart
-        line5_true, tested = reading.masks[slot] == mask, mask
+        line5_true, tested = reading[slot] == mask, mask
         for part in premise:
-            tested &= reading.masks[part]
+            tested &= reading[part]
         line5_vacuous = not tested
-    line6_holds = plan.hyp is not None and reading.masks[plan.hyp[0]] == mask
+    line6_holds = plan.hyp is not None and reading[plan.hyp[0]] == mask
 
     details = ["scope problems: " + "; ".join(plan.scope_problems)] if plan.scope_problems else []
     details.append(

@@ -62,14 +62,8 @@ class HardyConfig(Value):
 
     __slots__ = _fields = ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2")
 
-    def __init__(
-        self, theta: float, angle_l1: float, angle_l2: float, angle_r1: float, angle_r2: float
-    ):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "angle_l1", angle_l1)
-        object.__setattr__(self, "angle_l2", angle_l2)
-        object.__setattr__(self, "angle_r1", angle_r1)
-        object.__setattr__(self, "angle_r2", angle_r2)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -145,24 +139,6 @@ class PredictionReport(Value):
         "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
     )
 
-    def __init__(
-        self,
-        c1: float,
-        c2: float,
-        c3: float,
-        c4: float,
-        marginal_l1_minus: float,
-        tolerance: float,
-        positivity_floor: float,
-    ):
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "c4", c4)
-        object.__setattr__(self, "marginal_l1_minus", marginal_l1_minus)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "positivity_floor", positivity_floor)
-
     @property
     def pass_c1(self) -> bool:
         return self.c1 <= self.tolerance
@@ -225,12 +201,12 @@ class SearchParams(Value):
     """
 
     __slots__ = _fields = ("seed", "grid")
+    _defaults = (0, 96)
 
-    def __init__(self, seed: int = 0, grid: int = 96):
-        if grid < 2:
-            raise ValueError(f"grid must be at least 2, got {grid}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "grid", grid)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.grid < 2:
+            raise ValueError(f"grid must be at least 2, got {self.grid}")
 
 
 def _project(theta: float, angle_r2: float) -> HardyConfig | None:

@@ -73,11 +73,12 @@ class TemporalOrder(Value):
     """Which region precedes the cut time in the preferred frame."""
 
     __slots__ = _fields = ("earlier_region",)
+    _defaults = ("L",)
 
-    def __init__(self, earlier_region: str = "L"):
-        if earlier_region not in ("L", "R"):
-            raise ValueError(f"earlier_region must be 'L' or 'R', got {earlier_region!r}")
-        object.__setattr__(self, "earlier_region", earlier_region)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.earlier_region not in ("L", "R"):
+            raise ValueError(f"earlier_region must be 'L' or 'R', got {self.earlier_region!r}")
 
     @property
     def later_region(self) -> str:
@@ -94,17 +95,12 @@ def _check_quantifier(quantifier: str) -> None:
 
 class CfOptions(Value):
     __slots__ = _fields = ("order", "quantifier", "self_world_when_consistent")
+    # `quantifier` is 'every' or 'some', over accessible worlds
+    _defaults = (L_EARLIER, "every", True)
 
-    def __init__(
-        self,
-        order: TemporalOrder = L_EARLIER,
-        quantifier: str = "every",  # 'every' or 'some', over accessible worlds
-        self_world_when_consistent: bool = True,
-    ):
-        _check_quantifier(quantifier)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "quantifier", quantifier)
-        object.__setattr__(self, "self_world_when_consistent", self_world_when_consistent)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _check_quantifier(self.quantifier)
 
 
 DEFAULT_OPTIONS = CfOptions()
@@ -296,8 +292,8 @@ class MaskProgram:
 
     def run(
         self, model: Model, quantifiers: tuple[str, ...], self_world: bool = True
-    ) -> list[Denotation]:
-        """Every slot's mask in `model`, one `Denotation` per quantifier."""
+    ) -> list[list[int]]:
+        """Every slot's mask in `model`, one list per quantifier."""
         possible = model.mask
         if self._free_kernel is None:
             self._free_kernel = _kernel(self.free, 0)
@@ -311,7 +307,7 @@ class MaskProgram:
                 kernel = self._tail_kernels[quantifier, self_world] = _kernel(
                     self.tail, len(self.free), reading
                 )
-            readings.append(Denotation(kernel(possible, masks)))
+            readings.append(kernel(possible, masks))
         return readings
 
 
@@ -371,23 +367,6 @@ def _kernel(code: tuple, first: int, reading: tuple[bool, bool] | None = None):
     namespace: dict = {"__builtins__": {}}
     exec(compile(source, "<mask program kernel>", "exec"), namespace)
     return namespace["kernel"]
-
-
-class Denotation:
-    """A mask program's slots in one model under one reading."""
-
-    __slots__ = ("masks",)
-
-    def __init__(self, masks: list[int]):
-        self.masks = masks
-
-
-def worlds_where(*terms: tuple[Denotation, int]) -> list[World]:
-    """The worlds where each (denotation, slot) term holds, in canonical order."""
-    common = -1
-    for denotation, slot in terms:
-        common &= denotation.masks[slot]
-    return worlds_in(common)
 
 
 def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> bool:
@@ -464,20 +443,6 @@ class TheoremReport(Value):
         "hardy_conforming", "conformance_detail", "line5", "line6", "line5_vacuous"
     )
 
-    def __init__(
-        self,
-        hardy_conforming: bool,
-        conformance_detail: str,
-        line5: GlobalCheck,
-        line6: GlobalCheck,
-        line5_vacuous: bool,
-    ):
-        object.__setattr__(self, "hardy_conforming", hardy_conforming)
-        object.__setattr__(self, "conformance_detail", conformance_detail)
-        object.__setattr__(self, "line5", line5)
-        object.__setattr__(self, "line6", line6)
-        object.__setattr__(self, "line5_vacuous", line5_vacuous)
-
     @property
     def sr_true_on_all_l2_worlds(self) -> bool:
         """Line 5, `L2 => SR`, holds exactly when no possible L2 world falsifies SR."""
@@ -550,13 +515,13 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conforming, detail = hardy_conformance(model)
     program = _theorem_program(opts.order.earlier_region)
     (reading,) = program.run(model, (opts.quantifier,), opts.self_world_when_consistent)
-    masks = [reading.masks[s] for s in program.slots]
+    masks = [reading[s] for s in program.slots]
     return TheoremReport(
-        hardy_conforming=conforming,
-        conformance_detail=detail,
-        line5=_global_check(masks[0] & ~masks[1]),
-        line6=_global_check(masks[2] & ~masks[3]),
-        line5_vacuous=not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],
+        conforming,
+        detail,
+        _global_check(masks[0] & ~masks[1]),  # line 5
+        _global_check(masks[2] & ~masks[3]),  # line 6
+        not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],  # line 5 vacuous
     )
 
 
@@ -573,12 +538,6 @@ def _theorem_program(earlier_region: str) -> MaskProgram:
 
 class SrRow(Value):
     __slots__ = _fields = ("ra", "ra_plus", "rc", "rc_minus")
-
-    def __init__(self, ra: bool, ra_plus: bool, rc: bool, rc_minus: bool):
-        object.__setattr__(self, "ra", ra)
-        object.__setattr__(self, "ra_plus", ra_plus)
-        object.__setattr__(self, "rc", rc)
-        object.__setattr__(self, "rc_minus", rc_minus)
 
     @property
     def sr(self) -> bool:
@@ -600,7 +559,6 @@ def sr_truth_table() -> list[SrRow]:
 __all__ = [
     "CfOptions",
     "DEFAULT_OPTIONS",
-    "Denotation",
     "GlobalCheck",
     "L_EARLIER",
     "MaskProgram",
@@ -615,5 +573,4 @@ __all__ = [
     "holds_globally",
     "sr_truth_table",
     "truth_mask",
-    "worlds_where",
 ]

@@ -40,15 +40,12 @@ class World(Value):
 
     __slots__ = _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
 
-    def __init__(self, choice_l: str, choice_r: str, outcome_l: str, outcome_r: str):
-        if choice_l not in CHOICES_L or choice_r not in CHOICES_R:
-            raise ValueError(f"bad choices ({choice_l}, {choice_r})")
-        if outcome_l not in SIGNS or outcome_r not in SIGNS:
-            raise ValueError(f"bad outcomes ({outcome_l}, {outcome_r})")
-        object.__setattr__(self, "choice_l", choice_l)
-        object.__setattr__(self, "choice_r", choice_r)
-        object.__setattr__(self, "outcome_l", outcome_l)
-        object.__setattr__(self, "outcome_r", outcome_r)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.choice_l not in CHOICES_L or self.choice_r not in CHOICES_R:
+            raise ValueError(f"bad choices ({self.choice_l}, {self.choice_r})")
+        if self.outcome_l not in SIGNS or self.outcome_r not in SIGNS:
+            raise ValueError(f"bad outcomes ({self.outcome_l}, {self.outcome_r})")
 
     def __hash__(self):  # the base's hash, spelled out: every model build hashes each world
         return hash((self.choice_l, self.choice_r, self.outcome_l, self.outcome_r))

@@ -35,6 +35,7 @@ from hardylogic.worlds import (
     ProbabilityTable,
     World,
     build_model,
+    worlds_in,
 )
 from conftest import pattern_models
 from oracles import (
@@ -557,16 +558,16 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     readings += [CfOptions(order, q, not self_world) for q in swapped]
     for opts, reading in zip(readings, runs + reruns):  # each reading reuses the free prefix
         for f, slot in zip(formulas + nodes, program.slots):
-            assert reading.masks[slot] == semantics.truth_mask(model, f, opts)
+            assert reading[slot] == semantics.truth_mask(model, f, opts)
     # the oracle, under the first reading only: it re-evaluates every subtree
     live = [_as_tuple(w) for w in model.possible_in_order()]
     for f, slot in zip(nodes, node_slots):
-        got = [_as_tuple(w) for w in semantics.worlds_where((runs[0], slot))]
+        got = [_as_tuple(w) for w in worlds_in(runs[0][slot])]
         oracle = [w for w in live if brute_eval(live, w, f, earlier, quantifiers[0], self_world)]
         assert got == oracle
         # every slot lies within the possible worlds: all of them, or some
-        assert (runs[0].masks[slot] == model.mask) == (got == live)
-        assert bool(runs[0].masks[slot]) == bool(got)
+        assert (runs[0][slot] == model.mask) == (got == live)
+        assert bool(runs[0][slot]) == bool(got)
 
 
 @pytest.mark.parametrize("quantifier", ["evry", "Every", ""])
@@ -584,7 +585,7 @@ def test_mask_program_refuses_an_unknown_quantifier(hardy_model, quantifier):
 def test_an_empty_mask_program_runs(hardy_model):
     # no free part and no tail: each reading is an empty list of its own
     every, some = semantics.MaskProgram([]).run(hardy_model, ("every", "some"))
-    assert every.masks == some.masks == [] and every.masks is not some.masks
+    assert every == some == [] and every is not some
 
 
 def test_check_theorem_refuses_local_strategies(local_model):

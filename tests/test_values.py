@@ -267,6 +267,28 @@ def test_a_rebuilt_value_is_equal_and_hashes_as_its_field_tuple(value):
     assert hash(twin) == hash(value) == hash(_fields(value))
 
 
+# the classes whose every field has a default, so a call may omit any of them
+_ALL_DEFAULTS = (PaperNormalReport, SearchParams, TemporalOrder, CfOptions)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+def test_fields_are_taken_by_position_or_name_and_a_bad_call_is_a_type_error(value):
+    cls, values, names = type(value), _fields(value), FIELDS[type(value)]
+    # every split: the first k fields by position, the rest by name
+    for k in range(len(values) + 1):
+        assert cls(*values[:k], **dict(zip(names[k:], values[k:]))) == value
+    bad_calls = [
+        lambda: cls(*values, values[0]),  # one argument too many
+        lambda: cls(*values, no_such_field=0),  # an unknown keyword
+        lambda: cls(*values, **{names[0]: values[0]}),  # a field given twice
+    ]
+    if cls not in _ALL_DEFAULTS:  # the first field has no default: leave it out
+        bad_calls.append(lambda: cls(**dict(zip(names[1:], values[1:]))))
+    for call in bad_calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_equality_follows_class_and_fields():
     # And, Or, MatImp, StrictImp and Counterfactual share their fields here
     for a in VALUES:
