@@ -11,8 +11,13 @@ table.  The three conditionals, ``->`` (material, world-local), ``[]->``
 or mixing ``->`` and ``[]->``, or chaining ``=>``, without parentheses
 is a parse error.
 
-`parse` lexes the whole text in one regex pass, so a lex error wins over
-any parse error.  Parsed formulas share the twelve atom instances.
+`parse` lexes the whole text before it parses any of it, so a lex error
+wins over any parse error.  The lexer splits the text at whitespace once
+the one-character tokens are padded, and falls back on one regex pass,
+the sole judge of rejected text, when a piece is no token.  Parsed
+formulas share the twelve atom instances, and the parser builds each
+negation and binary node through its slots' setters, not its
+constructor.
 """
 
 from __future__ import annotations
@@ -46,13 +51,13 @@ class Value:
     which takes each field by position or by name and raises TypeError
     for a missing, repeated, unknown or extra argument, and stores each
     through its slot's own setter (`_setters`).  A class that checks its
-    fields calls it first and then reads them.  The hot `Not`, `_Binary`
-    and `GlobalCheck` keep constructors of their own that call those
-    setters directly.  The base also derives equality (same class and
-    equal fields), a hash of the field tuple, a repr in the form
-    `Atom(name='L1')`, and pickling and copying that call the
-    constructor again.  Assigning or deleting an attribute raises
-    AttributeError.
+    fields calls it first and then reads them.  Two hot paths call those
+    setters directly: `parse` fills bare `Not` and binary nodes without
+    a constructor call, and `GlobalCheck` keeps a constructor of its
+    own.  The base also derives equality (same class and equal fields),
+    a hash of the field tuple, a repr in the form `Atom(name='L1')`, and
+    pickling and copying that call the constructor again.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -161,29 +166,24 @@ class Atom(Formula):
         return len(self.name) == 3
 
     def choice(self) -> "Atom":
-        """The choice atom this atom presupposes (identity on choice atoms)."""
-        return Atom(self.setting)
+        """The choice atom this atom presupposes, as the shared instance `parse` gives."""
+        return _ATOMS[self.setting]
 
 
 class Not(Formula):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: Formula):
-        _set_arg(self, arg)
-
 
 class _Binary(Formula):
-    """The fields and constructor the five binary connectives share."""
+    """The fields the five binary connectives share."""
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set_left(self, left)
-        _set_right(self, right)
 
-
-# the slots' own setters: a parse builds a node per connective, and these
-# skip the name lookup `object.__setattr__` makes
+# A parse builds a node per negation and connective without calling its
+# constructor: a bare instance, then the slots' own setters, which skip
+# the name lookup `object.__setattr__` makes.
+_new = object.__new__
 _set_arg = Not.arg.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
@@ -232,22 +232,48 @@ _BY_CLASS = {cls: (b, symbol, assoc) for cls, b, assoc, symbol, _ in _CONNECTIVE
 # Lexer
 
 # A token is its text.  A character that starts no token of the language
-# matches the final \S on its own, and `parse` rejects it; whitespace
+# matches the final \S on its own, and `_tokens` rejects it; whitespace
 # matches nothing, so it only separates tokens.
 _SYMBOLS = (*_BY_TEXT, "~", "¬", "(", ")")
 _TOKEN_RE = re.compile("|".join([r"[LR][12][+-]?", *map(re.escape, _SYMBOLS), r"\S"]))
 _KNOWN = frozenset(ATOM_NAMES + _SYMBOLS)
 
 
+def _tokens(text: str) -> list[str]:
+    """The token texts of `text`, as `_TOKEN_RE.findall` gives them.
+
+    Raises LexError at the first character that starts no token.  Most
+    texts need no regex: padding the one-character tokens that may touch
+    a neighbour and splitting at whitespace gives the same list whenever
+    every piece is a known token.  Each known piece is one `_TOKEN_RE`
+    token, no longer token contains a padded character, and `split`
+    cuts at exactly the `str.isspace` characters the regex skips.  Any
+    other text, and anything that is not a `str`, goes to the regex,
+    which alone decides what is rejected and where.
+    """
+    if type(text) is str:
+        padded = text.replace("(", " ( ").replace(")", " ) ")
+        tokens = padded.replace("~", " ~ ").replace("¬", " ¬ ").split()
+        if _KNOWN.issuperset(tokens):
+            return tokens
+    tokens = _TOKEN_RE.findall(text)
+    if not _KNOWN.issuperset(tokens):
+        pos = next(m.start() for m in _TOKEN_RE.finditer(text) if m[0] not in _KNOWN)
+        raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
+    return tokens
+
+
 # ---------------------------------------------------------------------------
 # Parser (precedence climbing over _CONNECTIVES)
 
 # Deepest nesting `parse` accepts, counting both the tree's height and
-# open '(' and '~'.  Parsing takes two frames per open '(' and one per '~'
-# or connective awaiting its right operand (303 for `L1 & (` nested 100
-# deep, the most found); printing or evaluating one per tree level.  So
-# accepted formulas stay well inside the default recursion limit.
+# open '(' and '~'.  Parsing takes two frames per open '(', one per '~'
+# and one per connective awaiting a right operand that is not a lone atom
+# (302 with `parse` itself for `L1 & (` or `(L1 & ` nested 100 deep, the
+# most found); printing or evaluating one per tree level.  So accepted
+# formulas stay well inside the default recursion limit.
 MAX_NESTING = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
 # the twelve atoms, one shared instance each: formulas are immutable
 _ATOMS = {name: Atom(name) for name in ATOM_NAMES}
@@ -272,12 +298,6 @@ class _Parser:
         starts = (m.start() for j, m in enumerate(_TOKEN_RE.finditer(self.text)) if j == k)
         return ParseError(message, next(starts, len(self.text)))
 
-    def _node(self, cls, k: int, height: int, *parts) -> tuple[Formula, int]:
-        """The node `cls(*parts)` of height `height` at token `k`, rejected past MAX_NESTING."""
-        if height > MAX_NESTING:
-            raise self.error(f"formula nests deeper than {MAX_NESTING} levels", k)
-        return cls(*parts), height
-
     def operand(self, depth: int) -> tuple[Formula, int]:
         """An atom, '~' operand or '( formula )', inside `depth` open '(' and '~'."""
         k = self.i
@@ -290,10 +310,14 @@ class _Parser:
         if text != "(" and text != "~" and text != "¬":
             raise self.error(f"expected an atom, '~' or '(', found {text!r}", k)
         if depth == MAX_NESTING:
-            raise self.error(f"formula nests deeper than {MAX_NESTING} levels", k)
+            raise self.error(_TOO_DEEP, k)
         if text != "(":
             f, height = self.operand(depth + 1)
-            return self._node(Not, k, height + 1, f)
+            if height >= MAX_NESTING:  # the negation is one level higher
+                raise self.error(_TOO_DEEP, k)
+            node = _new(Not)
+            _set_arg(node, f)
+            return node, height + 1
         inner = self.binary(0, depth + 1)
         text = self.tokens[self.i]
         if text != ")":
@@ -302,17 +326,34 @@ class _Parser:
         return inner
 
     def binary(self, loosest: int, depth: int) -> tuple[Formula, int]:
-        """Operands joined by connectives that bind tighter than `loosest`."""
+        """Operands joined by connectives that bind tighter than `loosest`.
+
+        An atom operand is taken here rather than through `operand`.  On
+        the right that holds only when the token after the atom binds no
+        tighter than the connective, so that the atom is the whole right
+        operand, as `self.binary(binding, depth)` would find.
+        """
         tokens = self.tokens
-        left, height = self.operand(depth)
+        k = self.i
+        left = _ATOMS.get(tokens[k])
+        if left is None:
+            left, height = self.operand(depth)
+        else:
+            self.i = k + 1
+            height = 0
         while True:
             k = self.i
             connective = _BY_TEXT.get(tokens[k])
             if connective is None or connective[0] <= loosest:
                 return left, height
             binding, cls, associates = connective
-            self.i = k + 1
-            right, right_height = self.binary(binding, depth)
+            right = _ATOMS.get(tokens[k + 1])  # an atom is never the end of input
+            if right is not None and _BY_TEXT.get(tokens[k + 2], (0,))[0] <= binding:
+                self.i = k + 2
+                right_height = 0
+            else:
+                self.i = k + 1
+                right, right_height = self.binary(binding, depth)
             # the right operand stopped at a connective binding no tighter
             # than this one; the same binding there makes a chain, which only
             # `&` and `|` allow.  A chain of conditionals is reported before
@@ -321,7 +362,13 @@ class _Parser:
             if chained and cls is not StrictImp:
                 pair = f"'{tokens[k]}' and '{tokens[self.i]}'"
                 raise self.error(f"{pair} do not associate; parenthesize to disambiguate", self.i)
-            left, height = self._node(cls, k, max(height, right_height) + 1, left, right)
+            height = (height if height > right_height else right_height) + 1
+            if height > MAX_NESTING:
+                raise self.error(_TOO_DEEP, k)
+            node = _new(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            left = node
             if chained:
                 raise self.error("'=>' does not associate; parenthesize one side", self.i)
 
@@ -331,10 +378,7 @@ def parse(text: str) -> Formula:
 
     Formulas nested deeper than MAX_NESTING are rejected with ParseError.
     """
-    tokens = _TOKEN_RE.findall(text)
-    if not _KNOWN.issuperset(tokens):
-        pos = next(m.start() for m in _TOKEN_RE.finditer(text) if m[0] not in _KNOWN)
-        raise LexError(f"unknown token starting at {text[pos:pos + 4]!r}", pos)
+    tokens = _tokens(text)
     tokens.append("")  # the end of input
     parser = _Parser(text, tokens)
     f, _ = parser.binary(0, 0)

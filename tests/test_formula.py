@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,9 @@ from hardylogic.formula import (
     Or,
     ParseError,
     StrictImp,
+    _KNOWN,
+    _TOKEN_RE,
+    _tokens,
     check_paper_normal,
     parse,
     unparse,
@@ -137,6 +141,7 @@ def test_unparse_right_nested_conjunction_keeps_parens():
 
 def test_parsed_formulas_share_the_twelve_atoms():
     assert parse("L1 & L1").left is parse("R1 -> L1").right
+    assert parse("R1-").choice() is parse("R1")
     f = parse("(L1 & R2+) => (R1 []-> ~L1 | R2+)")
     assert f.left.left is f.right.right.left.arg
     copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in (2, 3, 4, 5)]
@@ -201,6 +206,34 @@ def test_nesting_bound():
             parse(text)
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deepest_formulas_parse_within_the_stated_frames():
+    # the MAX_NESTING comment counts at most 302 frames for a parse,
+    # `parse` itself included; a parser that needs many more fails here
+    n = MAX_NESTING
+    deepest = (
+        "~" * n + "L1",
+        "(" * n + "L1" + ")" * n,
+        " & ".join(["L1"] * (n + 1)),
+        "L1 & (" * n + "L1" + ")" * n,
+        "(L1 & " * n + "L1" + ")" * n,
+    )
+    limit = sys.getrecursionlimit()
+    for text in deepest:
+        sys.setrecursionlimit(_stack_depth() + 350)
+        try:
+            f = parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert parse(unparse(f)) == f
+
+
 def test_roundtrip_seeded_random_formulas():
     rng = random.Random(42)
     for _ in range(2000):
@@ -236,6 +269,40 @@ def test_parser_is_total(text):
         parse(text)
     except ParseError:
         pass  # includes LexError; anything else is a genuine crash
+
+
+# Every token text and alias, whitespace that `str.split` and the regex
+# both skip (ASCII and Unicode), and characters that start no token
+_LEXER_PIECES = (
+    *ATOM_NAMES,
+    *("&", "∧", "|", "∨", "->", "→", "[]->", "□→", "=>", "⇒", "~", "¬", "(", ")"),
+    *(" ", "\t", "\x1c", "\u00a0", "\u2028", "\u3000"),
+    *("-", ">", "[", "x", "L3"),
+)
+
+
+@given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=24).map("".join))
+@settings(max_examples=500)
+def test_lexer_gives_the_regex_tokens(text):
+    expected = _TOKEN_RE.findall(text)
+    try:
+        tokens = _tokens(text)
+    except LexError as err:
+        unknown = [m.start() for m in _TOKEN_RE.finditer(text) if m[0] not in _KNOWN]
+        assert unknown and err.position == unknown[0]
+    else:
+        assert tokens == expected and _KNOWN.issuperset(tokens)
+    try:
+        f = parse(text)
+    except ParseError:
+        return
+    assert parse(unparse(f)) == f
+
+
+@pytest.mark.parametrize("text", [None, 3, ["L1"], b"L1"])
+def test_parse_rejects_what_is_not_text(text):
+    with pytest.raises(TypeError):
+        parse(text)
 
 
 # Every error text of the language, with the exact message and position.
