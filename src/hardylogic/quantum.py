@@ -7,10 +7,12 @@ analyzer vectors are
     |plus>  =  cos(a)|0> + sin(a)|1>
     |minus> = -sin(a)|0> + cos(a)|1>
 
-and every cell is read from a configuration's eight analyzer vectors.
-This real five-parameter family is rich enough to realize the four
-target constraints: three joint-outcome cells at exactly zero and the
-remaining paradox cell strictly positive.
+and the Born rule runs a choice pair at a time: each call takes cos and
+sin of each parameter once, and a row's four cells come from its two
+analyzer pairs, one expression per cell.  This real five-parameter
+family is rich enough to realize the four target constraints: three
+joint-outcome cells at exactly zero and the remaining paradox cell
+strictly positive.
 
 The optimum, HARDY_CONFIG, is built once at import: the three zero
 constraints are solved in closed form for (angle_l1, angle_l2,
@@ -44,9 +46,8 @@ ZERO_CLAMP = 1e-10
 DEFAULT_TOL = 1e-9
 DEFAULT_POSITIVITY_FLOOR = 1e-9
 
-# setting -> HardyConfig field, in field order; the (plus, minus) labels of each setting
+# setting -> HardyConfig field, in field order
 _ANGLES = {"L1": "angle_l1", "L2": "angle_l2", "R1": "angle_r1", "R2": "angle_r2"}
-_LABELS = tuple((setting + "+", setting + "-") for setting in _ANGLES)
 
 
 class SearchError(RuntimeError):
@@ -72,21 +73,24 @@ class HardyConfig(Value):
         return getattr(self, _ANGLES[setting])
 
 
-def _born(cfg: HardyConfig):
-    """The cell function of `cfg` over its eight analyzer vectors, labelled "L1+" to "R2-"."""
+def _born_rows(cfg: HardyConfig) -> list[tuple[float, float, float, float]]:
+    """Each choice pair's four cells, pairs in CHOICE_PAIRS and cells in OUTCOME_PAIRS order.
+
+    A cell is amp * amp, amp = cos(theta) * l[0] * r[0] + sin(theta) * l[1] * r[1]
+    for analyzer vectors l and r; moving a minus vector's sign flips out of
+    the products changes no magnitude, so each cell is that, bit for bit.
+    """
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
-    vectors = {}
-    angles = (cfg.angle_l1, cfg.angle_l2, cfg.angle_r1, cfg.angle_r2)
-    for (plus, minus), angle in zip(_LABELS, angles):
+    right = [(math.cos(angle), math.sin(angle)) for angle in (cfg.angle_r1, cfg.angle_r2)]
+    rows = []
+    for angle in (cfg.angle_l1, cfg.angle_l2):
         c, s = math.cos(angle), math.sin(angle)
-        vectors[plus], vectors[minus] = (c, s), (-s, c)
-
-    def cell(left: str, right: str) -> float:
-        vl, vr = vectors[left], vectors[right]
-        amp = cos_t * vl[0] * vr[0] + sin_t * vl[1] * vr[1]
-        return amp * amp
-
-    return cell
+        tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
+        for rc, rs in right:
+            pp, pm = tc * rc + ss * rs, ss * rc - tc * rs
+            mp, mm = sc * rs - ts * rc, ts * rs + sc * rc
+            rows.append((pp * pp, pm * pm, mp * mp, mm * mm))
+    return rows
 
 
 def joint_probability(
@@ -97,31 +101,29 @@ def joint_probability(
         raise ValueError(f"no choice pair ({choice_l!r}, {choice_r!r}): L1 or L2, then R1 or R2")
     if sign_l not in SIGNS or sign_r not in SIGNS:
         raise ValueError(f"outcome signs must be '+' or '-', got {sign_l!r} and {sign_r!r}")
-    return _born(cfg)(choice_l + sign_l, choice_r + sign_r)
-
-
-# per row: the choice pair and, per cell, its outcome key and the two labels
-_ROWS = tuple(((cl, cr), tuple((k, cl + k[0], cr + k[1]) for k in OUTCOME_PAIRS))
-              for cl, cr in CHOICE_PAIRS)
+    row = _born_rows(cfg)[CHOICE_PAIRS.index((choice_l, choice_r))]
+    return row[OUTCOME_PAIRS.index(sign_l + sign_r)]
 
 
 def export_table(cfg: HardyConfig) -> ProbabilityTable:
     """Full 4x4 probability table, with sub-clamp cells snapped to exact zero."""
-    cell = _born(cfg)
     rows = {}
-    for pair, cells in _ROWS:
-        row = rows[pair] = {}
-        for key, left, right in cells:
-            p = cell(left, right)
-            row[key] = 0.0 if p <= ZERO_CLAMP else p
+    for pair, (pp, pm, mp, mm) in zip(CHOICE_PAIRS, _born_rows(cfg)):
+        rows[pair] = {
+            "++": 0.0 if pp <= ZERO_CLAMP else pp, "+-": 0.0 if pm <= ZERO_CLAMP else pm,
+            "-+": 0.0 if mp <= ZERO_CLAMP else mp, "--": 0.0 if mm <= ZERO_CLAMP else mm,
+        }
     return ProbabilityTable(rows)
 
 
 # ---------------------------------------------------------------------------
 # The four target constraints
 
-_CONSTRAINTS = tuple((w.choice_l + w.outcome_l, w.choice_r + w.outcome_r)
+# each prediction cell, c1 to c4, as its (row, cell) place in `_born_rows`
+_CONSTRAINTS = tuple((CHOICE_PAIRS.index(w.choice_pair), OUTCOME_PAIRS.index(w.outcome_pair))
                      for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
+# the place of (L1-, R1-): c4 plus this cell is the P(L1-) marginal
+_L1_MINUS_R1_MINUS = (CHOICE_PAIRS.index(("L1", "R1")), OUTCOME_PAIRS.index("--"))
 
 
 def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
@@ -130,8 +132,8 @@ def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     c1 = P(L2-, R2+ | L2,R2)   c2 = P(L2+, R1+ | L2,R1)
     c3 = P(L1-, R2- | L1,R2)   c4 = P(L1-, R1+ | L1,R1)
     """
-    cell = _born(cfg)
-    return tuple(cell(left, right) for left, right in _CONSTRAINTS)
+    rows = _born_rows(cfg)
+    return tuple(rows[pair][cell] for pair, cell in _CONSTRAINTS)
 
 
 class PredictionReport(Value):
@@ -184,9 +186,10 @@ def verify_hardy(
         raise ValueError(f"tol must be positive, got {tol}")
     if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
         raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
-    cell = _born(cfg)
-    c1, c2, c3, c4 = (cell(left, right) for left, right in _CONSTRAINTS)
-    marginal = c4 + cell("L1-", "R1-")
+    rows = _born_rows(cfg)
+    c1, c2, c3, c4 = (rows[pair][cell] for pair, cell in _CONSTRAINTS)
+    pair, cell = _L1_MINUS_R1_MINUS
+    marginal = c4 + rows[pair][cell]
     return PredictionReport(c1, c2, c3, c4, marginal, tol, positivity_floor)
 
 

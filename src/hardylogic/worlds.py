@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 from .formula import ATOM_NAMES, Atom, Value
 
@@ -94,8 +95,6 @@ WORLDS = tuple(
 WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
 # each world by its field tuple, so a parsed literal is the shared instance
 _BY_FIELDS = {World._values(w): w for w in WORLDS}
-# each world's bit and table cell, in canonical order, as a model reads them
-_WORLD_CELLS = tuple((1 << i, w.choice_pair, w.outcome_pair) for i, w in enumerate(WORLDS))
 
 # Hardy's four predictions (PRL 71, 1665, 1993), in order: the three
 # cells that vanish, then the paradox cell that carries probability.
@@ -196,6 +195,8 @@ class _ReadOnlyDict(dict):
 _PAIR_KEYS = {f"{cl},{cr}": (cl, cr) for cl, cr in CHOICE_PAIRS}
 _CELL_KEYS = frozenset(OUTCOME_PAIRS)
 _FLOAT = frozenset({float})
+# a row's four cells, in OUTCOME_PAIRS order
+_row_cells = operator.itemgetter(*OUTCOME_PAIRS)
 
 
 def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
@@ -212,6 +213,15 @@ def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
         raise TableError(f"unknown choice pair {extra!r}")
     for pair in CHOICE_PAIRS:
         row = rows[pair]
+        # The usual row passes one test: the four cells and no other, each an
+        # exact float when typed and >= 0.0 (so no NaN), the loop's own total
+        # within tolerance (so no inf).  The loop alone rejects and words why.
+        if row.keys() == _CELL_KEYS:
+            a, b, c, d = cells = _row_cells(row)
+            if ((not typed or type(a) is type(b) is type(c) is type(d) is float)
+                    and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
+                    and abs(sum(cells) - 1.0) <= DISTRIBUTION_TOL):
+                continue
         for key in OUTCOME_PAIRS:
             if key not in row:
                 raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
@@ -228,7 +238,7 @@ def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
         if len(row) != len(OUTCOME_PAIRS):
             extra = next(key for key in row if key not in OUTCOME_PAIRS)
             raise TableError(f"choice pair {pair} has unknown outcome cell {extra!r}")
-        total = sum(map(row.__getitem__, OUTCOME_PAIRS))
+        total = sum(_row_cells(row))
         if abs(total - 1.0) > DISTRIBUTION_TOL:
             raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
     return _ReadOnlyDict(rows)
@@ -343,8 +353,12 @@ class Model(Value):
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
         # every choice pair keeps a possible world: a row sums to 1 over four
         # cells, so its largest is at least about 0.25, far above 1e-3
-        rows = table.rows
-        mask = sum(bit for bit, pair, key in _WORLD_CELLS if rows[pair][key] > epsilon)
+        # a row at a time, last pair first: pair p's cell c is bit 4*p + c
+        rows, mask = table.rows, 0
+        for pair in reversed(CHOICE_PAIRS):
+            a, b, c, d = _row_cells(rows[pair])
+            mask = (mask << 4 | (a > epsilon) | (b > epsilon) << 1
+                    | (c > epsilon) << 2 | (d > epsilon) << 3)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "mask", mask)
@@ -375,6 +389,11 @@ def model_to_dict(model: Model) -> dict:
 def model_from_dict(data: dict) -> Model:
     if not isinstance(data, dict) or "table" not in data:
         raise TableError("model file must be a mapping with a 'table' entry")
+    extra = [key for key in data if key not in ("epsilon", "table")]
+    if extra:  # a misspelt 'epsilon' must not load at the default
+        raise TableError(
+            f"unknown model file entry {extra[0]!r}: only 'epsilon' and 'table' are read"
+        )
     epsilon = data.get("epsilon", DEFAULT_EPSILON)
     if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
         raise TableError("'epsilon' must be a number")

@@ -135,6 +135,18 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_misspelt_epsilon_exits_2(model_path, tmp_path, capsys):
+    with open(model_path) as fh:
+        data = json.load(fh)
+    data["epsilom"] = data.pop("epsilon")
+    bad = tmp_path / "misspelt.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check-theorem", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown model file entry 'epsilom': only 'epsilon' and 'table' are read\n"
+    )
+
+
 def test_formula_parse_error_exits_2(model_path, capsys):
     assert main(["eval", model_path, "L1 &&& L2"]) == 2
     assert "error" in capsys.readouterr().err

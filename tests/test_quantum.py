@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylogic import quantum
 from hardylogic.quantum import (
@@ -21,7 +23,13 @@ from hardylogic.quantum import (
     save_config,
     verify_hardy,
 )
-from hardylogic.worlds import FORBIDDEN_WORLDS, PARADOX_WORLD
+from hardylogic.worlds import (
+    DISTRIBUTION_TOL,
+    FORBIDDEN_WORLDS,
+    OUTCOME_PAIRS,
+    PARADOX_WORLD,
+    ProbabilityTable,
+)
 from oracles import (
     OPTIMAL_PARADOX,
     born_probability_matrix,
@@ -167,6 +175,33 @@ def test_export_rows_sum_to_one():
         table = export_table(_random_config(rng))
         for row in table.rows.values():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+_EXTREME_ANGLES = (1e300, -1e300, 5e-324, -5e-324, 1e16, -1e16, 0.0)
+
+
+def _assert_passes_the_constructor(cfg):
+    table = export_table(cfg)
+    assert ProbabilityTable(table.rows) == table
+    for row in table.rows.values():  # after the ZERO_CLAMP snap
+        assert abs(sum(row[key] for key in OUTCOME_PAIRS) - 1.0) <= DISTRIBUTION_TOL
+
+
+def test_every_exported_table_passes_the_public_constructor():
+    rng = random.Random(20)
+    for _ in range(200):
+        _assert_passes_the_constructor(_random_config(rng))
+    for x in _EXTREME_ANGLES:
+        _assert_passes_the_constructor(HardyConfig(x, x, -x, x, -x))
+        _assert_passes_the_constructor(HardyConfig(0.3, x, x, -x, 1.0))
+        _assert_passes_the_constructor(HardyConfig(x, 0.1, 0.2, 0.3, 0.4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EXTREME_ANGLES),
+                min_size=5, max_size=5))
+def test_an_exported_table_of_any_finite_configuration_passes_the_constructor(params):
+    _assert_passes_the_constructor(HardyConfig(*params))
 
 
 def test_export_is_no_signaling():

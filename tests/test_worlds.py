@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hardylogic.formula import Atom
 from hardylogic.worlds import (
     CHOICE_PAIRS,
+    DISTRIBUTION_TOL,
     OUTCOME_PAIRS,
     WORLDS,
     Model,
@@ -301,6 +302,21 @@ def test_model_json_schema_violations():
         model_from_dict(bad)
 
 
+@pytest.mark.parametrize("key", ["epsilom", "Epsilon", "tabel", "mask"])
+def test_model_json_rejects_an_unknown_entry(key):
+    # a misspelt 'epsilon' would otherwise load at the default threshold
+    data = model_to_dict(build_model(ProbabilityTable.uniform()))
+    data[key] = 5e-4
+    with pytest.raises(TableError) as raised:
+        model_from_dict(data)
+    assert str(raised.value) == (
+        f"unknown model file entry {key!r}: only 'epsilon' and 'table' are read"
+    )
+    del data["epsilon"]
+    with pytest.raises(TableError, match=f"unknown model file entry {key!r}"):
+        model_from_dict(data)
+
+
 def test_two_keys_for_one_choice_pair_rejected(hardy_model):
     # keys are stripped, so both name (L1, R1): the second row must not
     # quietly replace the first
@@ -477,3 +493,149 @@ def test_constructor_and_loader_report_a_float_table_alike(rows, defects):
     with pytest.raises(TableError) as loaded:
         ProbabilityTable.from_dict({f"{cl},{cr}": row for (cl, cr), row in table_rows.items()})
     assert str(loaded.value) == str(direct.value)
+
+
+# ---------------------------------------------------------------------------
+# The constructor accepts a row in one test, else checks it cell by cell:
+# together they accept exactly the rows the cell rules accept
+
+def _cell_rules_accept(cells):
+    """Each cell a finite non-negative int or float (not a bool), the row summing to 1.
+
+    The total is `sum` over the cells in OUTCOME_PAIRS order, as the
+    constructor takes it: from Python 3.12 `sum` over floats is
+    compensated, so `a + b + c + d` can differ from it in the last bit.
+    """
+    if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in cells):
+        return False
+    if not all(math.isfinite(c) and c >= 0 for c in cells):
+        return False
+    return abs(sum(cells) - 1.0) <= DISTRIBUTION_TOL
+
+
+# 1 - tol and 1 + tol, each with its neighbours one ulp either side
+_EDGE_TOTALS = [
+    x
+    for t in (1.0 - DISTRIBUTION_TOL, 1.0 + DISTRIBUTION_TOL)
+    for x in (math.nextafter(t, 0.0), t, math.nextafter(t, 2.0))
+]
+
+
+def _drifted_row(cells, drift, i):
+    """`cells` normalized to sum to 1, with `drift` added to cell `i`."""
+    return [c / sum(cells) + (drift if j == i else 0.0) for j, c in enumerate(cells)]
+
+
+def _edge_row(total, first, halves):
+    """`total` in cell `first`, or halved exactly into it and the next, zeros elsewhere."""
+    shares = {first: total / 2, (first + 1) % 4: total / 2} if halves else {first: total}
+    return [shares.get(i, 0.0) for i in range(4)]
+
+
+_ROW_CELLS = st.one_of(
+    st.lists(
+        st.floats()  # NaN and both infinities included
+        | st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e308, 5e-324])
+        | st.integers(-1, 2)
+        | st.booleans()
+        | st.sampled_from(["0.25", None]),
+        min_size=4,
+        max_size=4,
+    ),
+    st.just([1e308] * 4),  # every cell finite, the total overflows to inf
+    st.builds(_edge_row, st.sampled_from(_EDGE_TOTALS), st.integers(0, 3), st.booleans()),
+    st.builds(
+        _drifted_row,
+        _CELLS,
+        st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, -2e-9]) | st.floats(-2e-9, 2e-9),
+        st.integers(0, 3),
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(cells=_ROW_CELLS, pair=st.sampled_from(CHOICE_PAIRS), reverse=st.booleans())
+def test_a_row_is_accepted_exactly_when_the_cell_rules_accept_it(cells, pair, reverse):
+    row = dict(zip(OUTCOME_PAIRS, cells))
+    if reverse:
+        row = dict(reversed(row.items()))
+    rows = dict.fromkeys(CHOICE_PAIRS, _ROW)
+    rows[pair] = row
+    file_table = {f"{cl},{cr}": r for (cl, cr), r in rows.items()}
+    accepted = _cell_rules_accept(cells)
+    try:
+        table = ProbabilityTable(rows)
+    except TableError as raised:
+        assert not accepted
+        message = str(raised)
+    else:
+        assert accepted
+        assert table.rows[pair] == row
+    try:
+        loaded = ProbabilityTable.from_dict(file_table)
+    except TableError as raised:
+        assert not accepted
+        if all(type(c) is float for c in cells):  # the loader turns ints into floats
+            assert str(raised) == message
+    else:
+        assert accepted and loaded == table
+
+
+# ---------------------------------------------------------------------------
+# The mask, a row at a time, against the sixteen-cell rule
+
+def _sixteen_cell_mask(table, epsilon):
+    return sum(1 << i for i, w in enumerate(WORLDS)
+               if table.rows[w.choice_pair][w.outcome_pair] > epsilon)
+
+
+@pytest.mark.parametrize(
+    "epsilon, cell, possible",
+    [
+        (1e-6, 1e-6, False),  # a cell equal to epsilon is impossible
+        (1e-6, math.nextafter(1e-6, 1.0), True),  # one ulp above it is possible
+        (1e-3, 1e-3, False),
+        (0.0, -0.0, False),
+        (0.0, 0.0, False),
+        (0.0, 5e-324, True),
+    ],
+)
+@pytest.mark.parametrize("index", range(16))
+def test_mask_bit_at_the_epsilon_boundary(epsilon, cell, possible, index):
+    world = WORLDS[index]
+    rows = {pair: dict(_ROW) for pair in CHOICE_PAIRS}
+    row = rows[world.choice_pair]
+    row[world.outcome_pair] = cell
+    neighbour = OUTCOME_PAIRS[(OUTCOME_PAIRS.index(world.outcome_pair) + 1) % 4]
+    row[neighbour] = 0.5 - cell  # the row still sums to 1
+    model = Model(ProbabilityTable(rows), epsilon)
+    assert model.mask == (0xFFFF if possible else 0xFFFF & ~(1 << index))
+
+
+_SMALL_OR_ANY = st.sampled_from([0.0, 1e-13, 1e-12, 1e-6, 1e-3]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(_SMALL_OR_ANY, min_size=4, max_size=4).filter(lambda cells: sum(cells) > 0.5),
+        min_size=4,
+        max_size=4,
+    ),
+    epsilon=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]) | st.floats(0.0, 1e-3),
+    reverse=st.booleans(),
+)
+def test_mask_is_the_sixteen_cell_rule(rows, epsilon, reverse):
+    table_rows = {}
+    for pair, cells in zip(CHOICE_PAIRS, rows):
+        total = sum(cells)
+        table_rows[pair] = {key: c / total for key, c in zip(OUTCOME_PAIRS, cells)}
+    if reverse:  # pairs and cells in reversed key order
+        table_rows = {
+            pair: dict(reversed(row.items())) for pair, row in reversed(table_rows.items())
+        }
+    try:
+        table = ProbabilityTable(table_rows)
+    except TableError:  # a rounded row beyond the sum tolerance
+        return
+    assert Model(table, epsilon).mask == _sixteen_cell_mask(table, epsilon)
