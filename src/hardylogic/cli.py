@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     find.set_defaults(handler=_cmd_hardy_find)
     verify = hardy_sub.add_parser("verify", help="verify a configuration file")
     verify.add_argument("config", metavar="CFG.json")
-    verify.add_argument("--tol", type=float, default=1e-9, help="zero-cell tolerance (default 1e-9)")
+    verify.add_argument("--tol", type=float, default=1e-9,
+                        help="zero-cell tolerance, in (0, 1e-3] (default 1e-9)")
     verify.set_defaults(handler=_cmd_hardy_verify)
 
     model = sub.add_parser("model", help="model construction")
@@ -102,6 +103,8 @@ def _cmd_hardy_find(args) -> int:
 def _cmd_hardy_verify(args) -> int:
     from . import quantum
 
+    if not 0 < args.tol <= 1e-3:  # NaN fails too; a cell above 1e-3 is no zero cell
+        raise ValueError(f"--tol must lie in (0, 1e-3], got {args.tol}")
     cfg = quantum.load_config(args.config)
     report = quantum.verify_hardy(cfg, tol=args.tol)
     print(report.summary())

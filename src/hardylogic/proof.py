@@ -256,7 +256,8 @@ def check_rule(
     rule = rules[index]
     if not isinstance(rule, World):
         return rule
-    return _prediction_verdict(rule, model.mask >> WORLD_INDEX[rule] & 1, model.table.prob(rule))
+    bit = WORLD_INDEX[rule]
+    return _prediction_verdict(rule, model.mask >> bit & 1, model.table.cells[bit])
 
 
 # the cell each prediction tag pins: PRED21-23 the vanishing ones, in
@@ -946,7 +947,7 @@ def audit(
             table = reports[mask >> bit & 1]
             if table is None:  # a possible zero cell: the verdict quotes its probability
                 la = reports[0][sem_every, sem_some]
-                v = _prediction_verdict(WORLDS[bit], True, model.table.prob(WORLDS[bit]))
+                v = _prediction_verdict(WORLDS[bit], True, model.table.cells[bit])
                 fields = (la.index, la.rule, la.premises, la.scope, v.status, v.detail)
                 audits.append(LineAudit(*fields, sem_every, sem_some, la.note))
                 rules_ok = False

@@ -7,8 +7,9 @@ analyzer vectors are
     |plus>  =  cos(a)|0> + sin(a)|1>
     |minus> = -sin(a)|0> + cos(a)|1>
 
-and the Born rule runs a choice pair at a time: each call takes cos and
-sin of each parameter once, and a row's four cells come from its two
+and the Born rule gives the sixteen cells flat, in world order
+(`_born_cells`), a choice pair at a time: each call takes cos and sin
+of each parameter once, and a pair's four cells come from its two
 analyzer pairs, one expression per cell.  This real five-parameter
 family is rich enough to realize the four target constraints: three
 joint-outcome cells at exactly zero and the remaining paradox cell
@@ -29,14 +30,14 @@ import math
 
 from .formula import Value
 from .worlds import (
-    CHOICE_PAIRS,
     CHOICES_L,
     CHOICES_R,
     FORBIDDEN_WORLDS,
-    OUTCOME_PAIRS,
     PARADOX_WORLD,
     SIGNS,
+    WORLD_INDEX,
     ProbabilityTable,
+    World,
     read_json,
 )
 
@@ -73,8 +74,8 @@ class HardyConfig(Value):
         return getattr(self, _ANGLES[setting])
 
 
-def _born_rows(cfg: HardyConfig) -> list[tuple[float, float, float, float]]:
-    """Each choice pair's four cells, pairs in CHOICE_PAIRS and cells in OUTCOME_PAIRS order.
+def _born_cells(cfg: HardyConfig) -> list[float]:
+    """The sixteen cells in world order: cell i is the probability of `WORLDS[i]`.
 
     A cell is amp * amp, amp = cos(theta) * l[0] * r[0] + sin(theta) * l[1] * r[1]
     for analyzer vectors l and r; moving a minus vector's sign flips out of
@@ -82,15 +83,15 @@ def _born_rows(cfg: HardyConfig) -> list[tuple[float, float, float, float]]:
     """
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
     right = [(math.cos(angle), math.sin(angle)) for angle in (cfg.angle_r1, cfg.angle_r2)]
-    rows = []
+    cells = []
     for angle in (cfg.angle_l1, cfg.angle_l2):
         c, s = math.cos(angle), math.sin(angle)
         tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
         for rc, rs in right:
             pp, pm = tc * rc + ss * rs, ss * rc - tc * rs
             mp, mm = sc * rs - ts * rc, ts * rs + sc * rc
-            rows.append((pp * pp, pm * pm, mp * mp, mm * mm))
-    return rows
+            cells += (pp * pp, pm * pm, mp * mp, mm * mm)
+    return cells
 
 
 def joint_probability(
@@ -101,29 +102,22 @@ def joint_probability(
         raise ValueError(f"no choice pair ({choice_l!r}, {choice_r!r}): L1 or L2, then R1 or R2")
     if sign_l not in SIGNS or sign_r not in SIGNS:
         raise ValueError(f"outcome signs must be '+' or '-', got {sign_l!r} and {sign_r!r}")
-    row = _born_rows(cfg)[CHOICE_PAIRS.index((choice_l, choice_r))]
-    return row[OUTCOME_PAIRS.index(sign_l + sign_r)]
+    return _born_cells(cfg)[WORLD_INDEX[World(choice_l, choice_r, sign_l, sign_r)]]
 
 
 def export_table(cfg: HardyConfig) -> ProbabilityTable:
     """Full 4x4 probability table, with sub-clamp cells snapped to exact zero."""
-    rows = {}
-    for pair, (pp, pm, mp, mm) in zip(CHOICE_PAIRS, _born_rows(cfg)):
-        rows[pair] = {
-            "++": 0.0 if pp <= ZERO_CLAMP else pp, "+-": 0.0 if pm <= ZERO_CLAMP else pm,
-            "-+": 0.0 if mp <= ZERO_CLAMP else mp, "--": 0.0 if mm <= ZERO_CLAMP else mm,
-        }
-    return ProbabilityTable(rows)
+    cells = tuple([0.0 if p <= ZERO_CLAMP else p for p in _born_cells(cfg)])
+    return ProbabilityTable._from_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # The four target constraints
 
-# each prediction cell, c1 to c4, as its (row, cell) place in `_born_rows`
-_CONSTRAINTS = tuple((CHOICE_PAIRS.index(w.choice_pair), OUTCOME_PAIRS.index(w.outcome_pair))
-                     for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
-# the place of (L1-, R1-): c4 plus this cell is the P(L1-) marginal
-_L1_MINUS_R1_MINUS = (CHOICE_PAIRS.index(("L1", "R1")), OUTCOME_PAIRS.index("--"))
+# each prediction cell, c1 to c4, as its world's index in `_born_cells`
+_CONSTRAINTS = tuple(WORLD_INDEX[w] for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
+# the index of (L1-, R1-): c4 plus this cell is the P(L1-) marginal
+_L1_MINUS_R1_MINUS = WORLD_INDEX[World("L1", "R1", "-", "-")]
 
 
 def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
@@ -132,8 +126,8 @@ def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
     c1 = P(L2-, R2+ | L2,R2)   c2 = P(L2+, R1+ | L2,R1)
     c3 = P(L1-, R2- | L1,R2)   c4 = P(L1-, R1+ | L1,R1)
     """
-    rows = _born_rows(cfg)
-    return tuple(rows[pair][cell] for pair, cell in _CONSTRAINTS)
+    cells = _born_cells(cfg)
+    return tuple(cells[i] for i in _CONSTRAINTS)
 
 
 class PredictionReport(Value):
@@ -182,14 +176,13 @@ def verify_hardy(
     positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
 ) -> PredictionReport:
     """Check the three vanishing cells and the positive paradox cell."""
-    if not tol > 0:  # NaN too
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # NaN too; an infinite tol would pass any cell
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
         raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
-    rows = _born_rows(cfg)
-    c1, c2, c3, c4 = (rows[pair][cell] for pair, cell in _CONSTRAINTS)
-    pair, cell = _L1_MINUS_R1_MINUS
-    marginal = c4 + rows[pair][cell]
+    cells = _born_cells(cfg)
+    c1, c2, c3, c4 = (cells[i] for i in _CONSTRAINTS)
+    marginal = c4 + cells[_L1_MINUS_R1_MINUS]
     return PredictionReport(c1, c2, c3, c4, marginal, tol, positivity_floor)
 
 

@@ -4,7 +4,9 @@ A world history fixes a measurement choice and an outcome in each of the
 two regions; there are exactly sixteen.  A model pairs a per-choice-pair
 outcome distribution with a possibility threshold: the physically
 possible worlds are those whose outcome cell carries probability above
-the threshold.
+the threshold.  A table is its sixteen cells in world order: cell i is
+the probability of `WORLDS[i]` and bit i of a model's mask, and its
+`rows` are a read-only view of them.
 
 The four prediction cells of the Hardy argument live here, as worlds,
 and nowhere else: `FORBIDDEN_WORLDS`, the three cells that must vanish,
@@ -190,20 +192,52 @@ class _ReadOnlyDict(dict):
         return (type(self), (dict(self),))
 
 
-# a model file's exact choice-pair keys, a row's cell names, and the one
-# cell type `from_dict` keeps as it is
+# a model file's exact choice-pair keys, and the one cell type a table keeps as it is
 _PAIR_KEYS = {f"{cl},{cr}": (cl, cr) for cl, cr in CHOICE_PAIRS}
-_CELL_KEYS = frozenset(OUTCOME_PAIRS)
 _FLOAT = frozenset({float})
-# a row's four cells, in OUTCOME_PAIRS order
+# a table's rows, by choice pair or by model-file key, in CHOICE_PAIRS
+# order, and a row's four cells, in OUTCOME_PAIRS order
+_pair_rows = operator.itemgetter(*CHOICE_PAIRS)
+_file_rows = operator.itemgetter(*_PAIR_KEYS)
 _row_cells = operator.itemgetter(*OUTCOME_PAIRS)
+# each (choice_l, choice_r, outcome pair) to its cell's index, as in WORLD_INDEX
+_CELL_INDEX = {(w.choice_l, w.choice_r, w.outcome_pair): i for i, w in enumerate(WORLDS)}
+_BITS = tuple(1 << i for i in range(len(WORLDS)))
 
 
-def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
-    """`rows`, each a `_ReadOnlyDict` already, made read-only, or the first TableError.
+def _flat(table, table_rows) -> tuple[float, ...] | None:
+    """A table's cells in world order if it is the four rows `table_rows` picks
+    out, four cells each, all exact floats, and nothing else; otherwise None."""
+    try:
+        a, b, c, d = table_rows(table)
+        cells = (*_row_cells(a), *_row_cells(b), *_row_cells(c), *_row_cells(d))
+    except (KeyError, TypeError):  # a row or cell missing, or not a mapping
+        return None
+    exact = len(table) == len(a) == len(b) == len(c) == len(d) == 4
+    return cells if exact and _FLOAT.issuperset(map(type, cells)) else None
+
+
+def _accepted(cells: tuple[float, ...]) -> tuple[float, ...]:
+    """Sixteen float cells in world order, or the first TableError.
+
+    One test passes the usual table: no cell below 0.0, and each row's
+    total, summed as `_checked` sums it, within tolerance, so no NaN
+    (which `min` may skip) and no inf.  Only `_checked` rejects.
+    """
+    if not (min(cells) >= 0.0
+            and abs(sum(cells[0:4]) - 1.0) <= DISTRIBUTION_TOL
+            and abs(sum(cells[4:8]) - 1.0) <= DISTRIBUTION_TOL
+            and abs(sum(cells[8:12]) - 1.0) <= DISTRIBUTION_TOL
+            and abs(sum(cells[12:16]) - 1.0) <= DISTRIBUTION_TOL):
+        _checked(_rows_of(cells), typed=False)  # raises: it sums each row as above
+    return cells
+
+
+def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
+    """The cells of `rows`, each made a float, in world order, or the first TableError.
 
     `ProbabilityTable` lists the rules.  `typed` adds the test that each
-    cell is an int or float; `from_dict` made each cell a float already.
+    cell is an int or float; the other callers made each cell a float.
     """
     for pair in CHOICE_PAIRS:
         if pair not in rows:
@@ -213,15 +247,6 @@ def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
         raise TableError(f"unknown choice pair {extra!r}")
     for pair in CHOICE_PAIRS:
         row = rows[pair]
-        # The usual row passes one test: the four cells and no other, each an
-        # exact float when typed and >= 0.0 (so no NaN), the loop's own total
-        # within tolerance (so no inf).  The loop alone rejects and words why.
-        if row.keys() == _CELL_KEYS:
-            a, b, c, d = cells = _row_cells(row)
-            if ((not typed or type(a) is type(b) is type(c) is type(d) is float)
-                    and a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0
-                    and abs(sum(cells) - 1.0) <= DISTRIBUTION_TOL):
-                continue
         for key in OUTCOME_PAIRS:
             if key not in row:
                 raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
@@ -241,33 +266,57 @@ def _checked(rows: dict, typed: bool) -> _ReadOnlyDict:
         total = sum(_row_cells(row))
         if abs(total - 1.0) > DISTRIBUTION_TOL:
             raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
-    return _ReadOnlyDict(rows)
+    return tuple(float(p) for row in _pair_rows(rows) for p in _row_cells(row))
+
+
+def _rows_of(cells: tuple[float, ...]) -> _ReadOnlyDict:
+    """Sixteen cells in world order as read-only rows, by choice pair and outcome pair."""
+    return _ReadOnlyDict({pair: _ReadOnlyDict(zip(OUTCOME_PAIRS, cells[i:i + 4]))
+                          for i, pair in zip(range(0, 16, 4), CHOICE_PAIRS)})
 
 
 class ProbabilityTable(Value):
     """Joint outcome distribution for each of the four choice pairs.
 
-    `rows` maps (choice_l, choice_r) to {outcome pair: probability},
-    outcome pairs written L sign first ('+-' means L got +, R got -).
+    A table is its sixteen float cells, `cells`, in canonical world
+    order: cell i is the probability of `WORLDS[i]`, and bit i of a
+    model's mask.  The one field, `rows`, maps (choice_l, choice_r) to
+    {outcome pair: probability}, outcome pairs written L sign first
+    ('+-' means L got +, R got -).  It is a read-only view of `cells`,
+    made on first read, pairs and cells in canonical order; equality,
+    hashing, repr and pickling read it.
     The constructor checks that the rows are the four choice pairs, each
     with the four cells and no other, each cell a finite nonnegative
-    int or float, summing to 1, and raises TableError if not.
-    The rows are copied into read-only dicts on construction, so a
-    table, and a model built from it, cannot change after the fact and
-    can be hashed.
+    int or float, summing to 1, and raises TableError if not.  So a
+    table, and a model built from it, cannot change after the fact.
     """
 
-    __slots__ = _fields = ("rows",)
+    _fields = ("rows",)
+    __slots__ = ("cells", "_rows")
 
     def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
-        rows = {pair: _ReadOnlyDict(row) for pair, row in rows.items()}
-        object.__setattr__(self, "rows", _checked(rows, typed=True))
+        cells = _flat(rows, _pair_rows)
+        cells = _checked(rows, typed=True) if cells is None else _accepted(cells)
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def _from_cells(cls, cells: tuple[float, ...]) -> "ProbabilityTable":
+        """A table of sixteen float cells in world order, checked as the constructor checks."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "cells", _accepted(cells))
+        return table
+
+    @property
+    def rows(self) -> dict[tuple[str, str], dict[str, float]]:
+        if not hasattr(self, "_rows"):  # the first read
+            object.__setattr__(self, "_rows", _rows_of(self.cells))
+        return self._rows
 
     def prob(self, world: World) -> float:
-        return self.rows[world.choice_pair][world.outcome_pair]
+        return self.cells[WORLD_INDEX[world]]
 
     def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
-        return self.rows[(choice_l, choice_r)][outcomes]
+        return self.cells[_CELL_INDEX[choice_l, choice_r, outcomes]]
 
     def marginal(self, region: str, choice: str, other_choice: str, sign: str) -> float:
         """P(outcome sign in `region` | choice, other region's choice)."""
@@ -291,19 +340,23 @@ class ProbabilityTable(Value):
         return gap
 
     def to_dict(self) -> dict:
-        return {
-            f"{cl},{cr}": {key: self.rows[(cl, cr)][key] for key in OUTCOME_PAIRS}
-            for cl, cr in CHOICE_PAIRS
-        }
+        cells = self.cells
+        return {key: dict(zip(OUTCOME_PAIRS, cells[i:i + 4]))
+                for i, key in zip(range(0, 16, 4), _PAIR_KEYS)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbabilityTable":
         """A table from a model file's `table` mapping, each cell checked once.
 
-        Keys, cell names and number types are read row by row in file
-        order, and each cell is made a float; the rows then go through
-        the constructor's checks, less its type test.
+        The usual file, the four exact keys with four float cells each,
+        is read straight into the sixteen cells.  Any other is read row
+        by row in file order, for keys, cell names and number types, and
+        each cell is made a float; the rows then go through the
+        constructor's checks, less its type test.
         """
+        cells = _flat(data, _file_rows)
+        if cells is not None:
+            return cls._from_cells(cells)
         if not isinstance(data, dict):
             raise TableError(f"table must be a mapping, got {type(data).__name__}")
         rows, keys = {}, {}
@@ -318,19 +371,14 @@ class ProbabilityTable(Value):
             keys[pair] = key
             if not isinstance(row, dict):
                 raise TableError(f"row for {key!r} must be a mapping")
-            cells = row  # the usual row: known cells, all floats, nothing to convert
-            if not (_CELL_KEYS.issuperset(row) and _FLOAT.issuperset(map(type, row.values()))):
-                cells = {}
-                for outcomes, value in row.items():
-                    if outcomes not in OUTCOME_PAIRS:
-                        raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
-                    if not isinstance(value, (int, float)) or isinstance(value, bool):
-                        raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
-                    cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
-            rows[pair] = _ReadOnlyDict(cells)
-        table = cls.__new__(cls)
-        object.__setattr__(table, "rows", _checked(rows, typed=False))
-        return table
+            rows[pair] = cells = {}
+            for outcomes, value in row.items():
+                if outcomes not in OUTCOME_PAIRS:
+                    raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
+                cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
+        return cls._from_cells(_checked(rows, typed=False))
 
     @classmethod
     def uniform(cls) -> "ProbabilityTable":
@@ -353,12 +401,10 @@ class Model(Value):
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
         # every choice pair keeps a possible world: a row sums to 1 over four
         # cells, so its largest is at least about 0.25, far above 1e-3
-        # a row at a time, last pair first: pair p's cell c is bit 4*p + c
-        rows, mask = table.rows, 0
-        for pair in reversed(CHOICE_PAIRS):
-            a, b, c, d = _row_cells(rows[pair])
-            mask = (mask << 4 | (a > epsilon) | (b > epsilon) << 1
-                    | (c > epsilon) << 2 | (d > epsilon) << 3)
+        mask = 0
+        for bit, p in zip(_BITS, table.cells):  # cell i is bit i
+            if p > epsilon:
+                mask |= bit
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "mask", mask)
@@ -407,10 +453,12 @@ def save_model(model: Model, path: str) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; nesting too deep for the parser is a ValueError."""
+    """Parse a JSON file; text that is not UTF-8 or nests too deep is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:  # a ValueError that does not name the file
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply") from None
 

@@ -47,6 +47,35 @@ def test_hardy_verify_custom_tolerance(cfg_path):
     assert main(["hardy", "verify", cfg_path, "--tol", "1e-12"]) == 0
 
 
+# a configuration that is not Hardy's: its three "zero" cells are 0.12 to 0.5
+_NOT_HARDY = {"theta": 0.7, "angles": {"L1": 0.0, "L2": 0.3, "R1": 0.6, "R2": 0.9}}
+
+
+def test_hardy_verify_fails_a_configuration_that_is_not_hardys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_NOT_HARDY))
+    assert main(["hardy", "verify", str(cfg)]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    assert main(["hardy", "verify", str(cfg), "--tol", "1e-3"]) == 1  # the loosest tolerance
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9", "0.0011", "1"])
+def test_hardy_verify_tolerance_outside_bounds_exits_2(tmp_path, tol, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_NOT_HARDY))
+    assert main(["hardy", "verify", str(cfg), f"--tol={tol}"]) == 2  # '=' for a leading minus
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --tol must lie in (0, 1e-3], got {float(tol)}\n"
+    assert "overall" not in captured.out
+
+
+def test_verify_refuses_an_infinite_tolerance():
+    cfg = quantum.config_from_dict(_NOT_HARDY)
+    assert not quantum.verify_hardy(cfg).passed
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        quantum.verify_hardy(cfg, tol=math.inf)
+
+
 def test_model_build_reports_exclusions(cfg_path, capsys, tmp_path):
     out_path = tmp_path / "m.json"
     assert main(["model", "build", cfg_path, "--out", str(out_path)]) == 0
@@ -162,6 +191,26 @@ def test_non_finite_cell_exits_2(model_path, tmp_path, capsys):
     assert main(["check-theorem", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["check-theorem"], ["proof", "audit"], ["eval"]])
+def test_model_file_that_is_not_utf8_names_the_file(model_path, tmp_path, command, capsys):
+    bad = tmp_path / "latin1.json"
+    with open(model_path, "rb") as fh:  # 'epsilon' with a Latin-1 e-acute
+        bad.write_bytes(fh.read().replace(b'"epsilon"', b'"\xe9psilon"'))
+    argv = [*command, str(bad), "L1"] if command == ["eval"] else [*command, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("command", [["hardy", "verify"], ["model", "build"]])
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path, command, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main([*command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_deeply_nested_json_exits_2(tmp_path, capsys):

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylogic.formula import Atom
+from hardylogic.quantum import export_table
 from hardylogic.worlds import (
     CHOICE_PAIRS,
     DISTRIBUTION_TOL,
     OUTCOME_PAIRS,
+    WORLD_INDEX,
     WORLDS,
     Model,
     ProbabilityTable,
@@ -639,3 +641,133 @@ def test_mask_is_the_sixteen_cell_rule(rows, epsilon, reverse):
     except TableError:  # a rounded row beyond the sum tolerance
         return
     assert Model(table, epsilon).mask == _sixteen_cell_mask(table, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# A table is its sixteen cells in world order; `rows` is a view of them
+
+def _known_and_random_tables(hardy_table, control_table):
+    rng = random.Random(21)
+    return [hardy_table, control_table, ProbabilityTable.uniform(),
+            *(ProbabilityTable(random_table_rows(rng)) for _ in range(20))]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-12, 1e-3])
+def test_cell_i_is_world_i_and_mask_bit_i(hardy_table, control_table, epsilon):
+    for table in _known_and_random_tables(hardy_table, control_table):
+        assert type(table.cells) is tuple and len(table.cells) == 16
+        mask = build_model(table, epsilon).mask
+        for w in WORLDS:
+            i = WORLD_INDEX[w]
+            assert table.cells[i] == table.rows[w.choice_pair][w.outcome_pair]
+            assert table.cells[i] == table.prob(w) == table.cell(*w.choice_pair, w.outcome_pair)
+            assert type(table.cells[i]) is float
+            assert (mask >> i & 1) == (table.cells[i] > epsilon)
+
+
+def _with_int_zeros(rows):
+    return {pair: {key: 0 if p == 0.0 else p for key, p in row.items()}
+            for pair, row in rows.items()}
+
+
+def test_every_construction_route_gives_the_same_table(hardy_config, hardy_table):
+    rows = {pair: dict(row) for pair, row in hardy_table.rows.items()}
+    assert 0.0 in rows[("L1", "R2")].values()  # so the int routes hold a 0 that is not a float
+    file_table = hardy_table.to_dict()
+    rng = random.Random(5)
+    shuffled = []
+    for _ in range(4):  # pairs and cells inserted in random orders
+        pairs = list(rows.items())
+        rng.shuffle(pairs)
+        shuffled.append({pair: dict(rng.sample(list(row.items()), 4)) for pair, row in pairs})
+    spaced = {key.replace(",", " , "): row for key, row in file_table.items()}
+    one_spaced = {("L1, R1" if key == "L1,R1" else key): row for key, row in file_table.items()}
+    routes = [
+        ProbabilityTable(rows),
+        ProbabilityTable(dict(reversed(rows.items()))),
+        *(ProbabilityTable(r) for r in shuffled),
+        ProbabilityTable(_with_int_zeros(rows)),
+        ProbabilityTable.from_dict(file_table),
+        ProbabilityTable.from_dict(dict(reversed(file_table.items()))),
+        ProbabilityTable.from_dict(spaced),
+        ProbabilityTable.from_dict(one_spaced),
+        ProbabilityTable.from_dict(_with_int_zeros(hardy_table.to_dict())),
+        ProbabilityTable.from_dict(json.loads(json.dumps(hardy_table.to_dict()))),
+        export_table(hardy_config),
+        pickle.loads(pickle.dumps(hardy_table)),
+    ]
+    for table in routes:
+        assert table == hardy_table and hash(table) == hash(hardy_table)
+        assert repr(table) == repr(hardy_table)
+        assert table.cells == hardy_table.cells
+        assert all(type(p) is float for p in table.cells)
+        # the rows come out in canonical order, whatever order went in
+        assert list(table.rows) == list(CHOICE_PAIRS)
+        assert all(list(row) == list(OUTCOME_PAIRS) for row in table.rows.values())
+
+
+def _bad_cell_table(index, value):
+    rows = {pair: dict(_ROW) for pair in CHOICE_PAIRS}
+    w = WORLDS[index]
+    rows[w.choice_pair][w.outcome_pair] = value
+    return rows
+
+
+def _both_routes_raise(rows, message):
+    """The constructor and `from_dict` reject `rows` with exactly `message`."""
+    file_table = {f"{cl},{cr}": row for (cl, cr), row in rows.items()}
+    for build, table in ((ProbabilityTable, rows), (ProbabilityTable.from_dict, file_table)):
+        with pytest.raises(TableError) as raised:
+            build(table)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("index", range(16))
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "non-finite probability nan"),
+    (math.inf, "non-finite probability inf"),
+    (-math.inf, "non-finite probability -inf"),
+    (-0.25, "negative probability -0.25"),
+    (-5e-324, "negative probability -5e-324"),
+])
+def test_a_bad_cell_anywhere_raises_the_cell_by_cell_message(index, value, text):
+    # min() skips a NaN that is not first, so every place is tried
+    w = WORLDS[index]
+    _both_routes_raise(_bad_cell_table(index, value),
+                       f"{text} in {w.choice_pair} cell {w.outcome_pair!r}")
+
+
+def _last_total_within(direction):
+    """The float furthest from 1, toward `direction`, that the sum tolerance accepts."""
+    x = 1.0 + direction * DISTRIBUTION_TOL
+    while abs(x - 1.0) > DISTRIBUTION_TOL:
+        x = math.nextafter(x, 1.0)
+    while abs(math.nextafter(x, direction * 2.0) - 1.0) <= DISTRIBUTION_TOL:
+        x = math.nextafter(x, direction * 2.0)
+    return x
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("pair", CHOICE_PAIRS)
+def test_a_row_sum_one_ulp_past_the_tolerance_raises(direction, pair):
+    edge = _last_total_within(direction)
+    rows = {p: dict(_ROW) for p in CHOICE_PAIRS}
+    rows[pair] = {"++": edge, "+-": 0.0, "-+": 0.0, "--": 0.0}
+    assert ProbabilityTable(rows).cell(*pair, "++") == edge  # at the edge: accepted
+    past = math.nextafter(edge, direction * 2.0)
+    rows[pair] = {"++": past, "+-": 0.0, "-+": 0.0, "--": 0.0}
+    _both_routes_raise(rows, f"distribution for {pair} sums to {past!r}, not 1")
+
+
+def test_rows_are_a_read_only_view_made_once(hardy_config):
+    table = export_table(hardy_config)  # a fresh table: its rows not yet read
+    rows = table.rows
+    assert table.rows is rows and table.rows[("L1", "R1")] is rows[("L1", "R1")]
+    with pytest.raises(TypeError):
+        rows[("L1", "R1")]["++"] = 0.5
+    with pytest.raises(TypeError):
+        rows.pop(("L1", "R1"))
+    for name in ("rows", "cells"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, None)
+    assert table.rows is rows and table == export_table(hardy_config)
