@@ -14,12 +14,16 @@ pins, which `check_rule` and `audit` read, and, on the first audit,
 the script compiled into one mask program, with the slots of each
 line's statement, the side conditions, the complementary line pairs
 and the hypothesis's counterpart, and each line's finished report for
-each pair of readings and state of its pinned cell (all but a possible
-zero cell, whose verdict quotes the model's probability).  What is
-left per model is one run of the program, which gives the two
+each pair of readings and state of its pinned cell.  A possible zero
+cell's verdict quotes the model's probability, so for it the plan keeps
+a template instead: the report's fixed fields, the verdict text before
+and after the probability, and the JSON row for each pair of readings.
+What is left per model is one run of the program, which gives the two
 readings, the side condition, the bridge world, whether the
 counterpart is tested and the hypothesis fails, and the bit of each
-pinned cell.
+pinned cell.  The closing verdict depends on the model only through
+those few discrete values, so the plan keeps it too, in a table keyed
+by them and filled as each key is first met.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -70,7 +74,7 @@ from .semantics import (
     TemporalOrder,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World, worlds_in
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World
 
 VALID = "valid"
 INVALID = "invalid"
@@ -605,6 +609,10 @@ class _Plan:
     the scopes, and every verdict but the pinned cells'.
     `program` is None until the first audit compiles the script
     (`compile`); `check_rule` never does.
+    `finals` maps the discrete values a closing verdict is made from
+    (see `audit`) to that `FinalVerdict`, each built when its key is
+    first met (`_final_verdict`); its size is bounded by that key
+    space, not by the models audited.
     """
 
     def __init__(self, script: ProofScript, order: TemporalOrder):
@@ -620,6 +628,7 @@ class _Plan:
             if by_index[index].rule != "HYPOTHESIS" and not isinstance(rule, World)
         )
         self.program: MaskProgram | None = None
+        self.finals: dict[tuple, FinalVerdict] = {}
 
     def compile(self, script: ProofScript, order: TemporalOrder) -> MaskProgram:
         """The script as one mask program, keeping the slot of each part an audit reads.
@@ -627,13 +636,13 @@ class _Plan:
         `lines` has, per line: the slots of its statement and of the two
         parts its existential reading meets (a strict conditional's
         antecedent and consequent, else the statement twice), whether
-        the hypothesis scopes it, and its finished `LineAudit`s (see
-        `_line_audits`).  `hyp` has the hypothesis's three slots.  Then
-        come each side condition's slot, each clash's line pair with
-        the slots of its shared antecedent X and of `c []-> c`, and
-        `counterpart`: the hypothesis's counterpart's index, its slot
-        and the slots of its premise (see `_premise`).  `hyp_index` is
-        the hypothesis's index.
+        the hypothesis scopes it, and its finished `LineAudit`s and
+        zero-cell template (see `_line_audits`).  `hyp` has the
+        hypothesis's three slots.  Then come each side condition's slot,
+        each clash's line pair with the slots of its shared antecedent X
+        and of `c []-> c`, and `counterpart`: the hypothesis's
+        counterpart's index, its slot and the slots of its premise (see
+        `_premise`).  `hyp_index` is the hypothesis's index.
         """
         hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
         clashes, counterpart = (), None
@@ -697,25 +706,32 @@ def _prediction_verdict(world: World, possible: bool, prob: float | None = None)
             INVALID, f"witness cell {cell} carries no probability above the threshold"
         )
     if possible:
-        return RuleVerdict(INVALID, f"cell {cell} carries probability {prob!r}; not a zero cell")
+        head, tail = _not_a_zero_cell(world)
+        return RuleVerdict(INVALID, f"{head}{prob!r}{tail}")
     return RuleVerdict(VALID, f"zero cell {cell} confirmed in the model")
 
 
-def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
-    """A line's `LineAudit`s, as (bit, table) with `table[sem_every, sem_some]`.
+def _not_a_zero_cell(world: World) -> tuple[str, str]:
+    """The verdict on a possible zero cell, before and after the probability it quotes."""
+    return f"cell {_cell(world)} carries probability ", "; not a zero cell"
 
-    For a fixed verdict the bit is None.  A prediction line has its
-    pinned cell's bit and one table for the cell impossible and one for
-    it possible; a zero cell has None for the second, since its verdict
-    then quotes the model's probability.
+
+def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
+    """A line's `LineAudit`s, as (bit, table, zero) with `table[sem_every, sem_some]`.
+
+    For a fixed verdict the bit and `zero` are None.  A prediction line
+    has its pinned cell's bit and one table for the cell impossible and
+    one for it possible.  A zero cell has None for the second, since its
+    verdict then quotes the model's probability, and `zero` is its
+    template instead (see `_zero_cell_audit`): the report's fixed
+    fields, the verdict before and after the probability, and its JSON
+    row for each pair of readings, with no detail.
     """
     scope = tuple(sorted(ln.hypothesis_scope))
 
-    def table(v):
+    def table(status, detail):
         table = {
-            (e, s): LineAudit(
-                ln.index, ln.rule, ln.premises, scope, v.status, v.detail, e, s, ln.note
-            )
+            (e, s): LineAudit(ln.index, ln.rule, ln.premises, scope, status, detail, e, s, ln.note)
             for e in (False, True) for s in (False, True)
         }
         for la in table.values():  # each stored report's JSON row, made with the plan
@@ -723,9 +739,15 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
         return table
 
     if not isinstance(rule, World):
-        return None, table(rule)
-    witness = table(_prediction_verdict(rule, True)) if rule == PARADOX_WORLD else None
-    return WORLD_INDEX[rule], (table(_prediction_verdict(rule, False)), witness)
+        return None, table(rule.status, rule.detail), None
+    impossible = _prediction_verdict(rule, False)
+    reports = table(impossible.status, impossible.detail)
+    if rule == PARADOX_WORLD:
+        witness = _prediction_verdict(rule, True)
+        return WORLD_INDEX[rule], (reports, table(witness.status, witness.detail)), None
+    rows = {key: la._json_row() for key, la in table(INVALID, None).items()}
+    fixed = (ln.index, ln.rule, ln.premises, scope, ln.note)
+    return WORLD_INDEX[rule], (reports, None), (fixed, *_not_a_zero_cell(rule), rows)
 
 
 def _clashes(script: ProofScript, hyp_index: int) -> tuple:
@@ -807,6 +829,37 @@ class LineAudit(Value):
         return self._row
 
 
+# the slots' own setters, for the reports an audit builds per model
+(_set_index, _set_rule, _set_premises, _set_scope, _set_rule_status, _set_rule_detail,
+ _set_sem_every, _set_sem_some, _set_note) = LineAudit._setters
+_set_row = LineAudit._row.__set__
+
+
+def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) -> LineAudit:
+    """A zero-cell line's report on a model where its cell is possible, with probability `prob`.
+
+    `zero` is the line's template from the plan (`_line_audits`); the
+    report and its JSON row are its fields and row with the verdict
+    that quotes `prob`.
+    """
+    (index, rule, premises, scope, note), head, tail, rows = zero
+    detail = f"{head}{prob!r}{tail}"
+    la = object.__new__(LineAudit)
+    _set_index(la, index)
+    _set_rule(la, rule)
+    _set_premises(la, premises)
+    _set_scope(la, scope)
+    _set_rule_status(la, INVALID)
+    _set_rule_detail(la, detail)
+    _set_sem_every(la, sem_every)
+    _set_sem_some(la, sem_some)
+    _set_note(la, note)
+    row = rows[sem_every, sem_some].copy()
+    row["rule_detail"] = detail
+    _set_row(la, row)
+    return la
+
+
 class FinalVerdict(Value):
     """The closing refutation of the hypothesis (line 6) on one model.
 
@@ -846,6 +899,11 @@ class FinalVerdict(Value):
 
 class AuditReport(Value):
     __slots__ = _fields = ("lines", "final", "notes")
+
+    def __init__(self, lines: tuple[LineAudit, ...], final: FinalVerdict, notes: tuple[str, ...]):
+        _set_lines(self, lines)
+        _set_final(self, final)
+        _set_notes(self, notes)
 
     def to_dict(self) -> dict:
         lines = []
@@ -898,6 +956,10 @@ class AuditReport(Value):
         return "\n".join(out)
 
 
+# every audit builds a report: its slots' own setters skip the generic constructor
+_set_lines, _set_final, _set_notes = AuditReport._setters
+
+
 def audit(
     model: Model,
     script: ProofScript | None = None,
@@ -920,9 +982,12 @@ def audit(
 
     What reads only the script comes from its plan for `opts.order`,
     including the script compiled into one mask program on the first
-    audit, and each line's finished `LineAudit`s; each model runs that
-    program once, its counterfactual nodes once per reading, reads the
-    pinned cells' bits and looks each line's audit up.
+    audit, each line's finished `LineAudit`s and the closing verdicts
+    met so far; each model runs that program once, its counterfactual
+    nodes once per reading, reads the pinned cells' bits, looks each
+    line's audit up, and looks the closing verdict up by the values it
+    is made from.  Only a possible zero cell's report is built for the
+    model, from its line's template.
     """
     if script is None:
         script = builtin_script()
@@ -937,7 +1002,7 @@ def audit(
         not_hyp = (every[s] != mask, not some[a] & some[c])
 
     rules_ok, audits = plan.rules_ok, []
-    for s, a, c, scoped, bit, reports in plan.lines:
+    for s, a, c, scoped, bit, reports, zero in plan.lines:
         # universal reading: no escaping world; existential: a conforming world
         sem_every, sem_some = every[s] == mask, some[a] & some[c] != 0
         if scoped:
@@ -946,10 +1011,7 @@ def audit(
         if bit is not None:  # a prediction line: the table for its cell, possible or not
             table = reports[mask >> bit & 1]
             if table is None:  # a possible zero cell: the verdict quotes its probability
-                la = reports[0][sem_every, sem_some]
-                v = _prediction_verdict(WORLDS[bit], True, model.table.cells[bit])
-                fields = (la.index, la.rule, la.premises, la.scope, v.status, v.detail)
-                audits.append(LineAudit(*fields, sem_every, sem_some, la.note))
+                audits.append(_zero_cell_audit(zero, model.table.cells[bit], sem_every, sem_some))
                 rules_ok = False
                 continue
             rules_ok = rules_ok and table[False, False].rule_ok
@@ -958,38 +1020,58 @@ def audit(
     reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
     side_ok = all(reading[slot] for slot in plan.sides)
 
-    contradiction = None
-    bridge = None
+    contradiction = bridge = None
     for pair, x, reaches in plan.clashes:
         # the imposed choice holds throughout what it reaches, so `c []-> c`
         # read existentially marks the worlds whose accessible set is nonempty
-        bridges = worlds_in(reading[x] & some[reaches])
-        if bridges:
-            contradiction, bridge = pair, bridges[0]
+        bridges = reading[x] & some[reaches]
+        if bridges:  # the first bridge world, in canonical order, is the lowest bit
+            contradiction, bridge = pair, (bridges & -bridges).bit_length() - 1
             break
 
     # true at every possible world, as `holds_globally` reads
     line5_true = line5_vacuous = False
     if plan.counterpart is not None:
-        index, slot, premise = plan.counterpart
+        _, slot, premise = plan.counterpart
         line5_true, tested = reading[slot] == mask, mask
         for part in premise:
             tested &= reading[part]
         line5_vacuous = not tested
     line6_holds = plan.hyp is not None and reading[plan.hyp[0]] == mask
 
+    key = (rules_ok, side_ok, contradiction, bridge, line5_true, line5_vacuous, line6_holds)
+    final = plan.finals.get(key)
+    if final is None:
+        final = plan.finals[key] = _final_verdict(plan, *key)
+    return AuditReport(tuple(audits), final, script.notes)
+
+
+def _final_verdict(
+    plan: _Plan,
+    rules_ok: bool,
+    side_ok: bool,
+    contradiction: tuple[int, int] | None,
+    bridge: int | None,
+    line5_true: bool,
+    line5_vacuous: bool,
+    line6_holds: bool,
+) -> FinalVerdict:
+    """The closing verdict from the values `audit` reads off a model; `bridge` is a world's bit."""
+    world = None if bridge is None else WORLDS[bridge]
     details = ["scope problems: " + "; ".join(plan.scope_problems)] if plan.scope_problems else []
     details.append(
         f"lines {contradiction[0]} and {contradiction[1]} impose complementary "
-        f"box consequents; bridge world {bridge} reaches the clash"
+        f"box consequents; bridge world {world} reaches the clash"
         if contradiction
         else "no complementary counterfactual pair found"
     )
     details.append(f"side conditions hold: {side_ok}; all rules valid: {rules_ok}")
-    if rules_ok and side_ok and bridge:  # the derivation goes through: say what withholds it
+    if rules_ok and side_ok and world:  # the derivation goes through: say what withholds it
         reasons = []
         if line5_vacuous:
-            reasons.append(f"line {index} holds vacuously: no possible world tests it")
+            reasons.append(
+                f"line {plan.counterpart[0]} holds vacuously: no possible world tests it"
+            )
         if line6_holds:
             reasons.append(
                 f"line {plan.hyp_index} holds in this model, so the clash at lines "
@@ -997,10 +1079,7 @@ def audit(
             )
         if reasons:
             details.append("derivation goes through, but " + ", and ".join(reasons))
-
-    final = FinalVerdict(
-        line5_true, rules_ok, side_ok, contradiction, bridge, "; ".join(details),
+    return FinalVerdict(
+        line5_true, rules_ok, side_ok, contradiction, world, "; ".join(details),
         line5_vacuous, line6_holds,
     )
-    return AuditReport(tuple(audits), final, script.notes)
-

@@ -443,6 +443,20 @@ class TheoremReport(Value):
         "hardy_conforming", "conformance_detail", "line5", "line6", "line5_vacuous"
     )
 
+    def __init__(
+        self,
+        hardy_conforming: bool,
+        conformance_detail: str,
+        line5: GlobalCheck,
+        line6: GlobalCheck,
+        line5_vacuous: bool,
+    ):
+        _set_hardy_conforming(self, hardy_conforming)
+        _set_conformance_detail(self, conformance_detail)
+        _set_line5(self, line5)
+        _set_line6(self, line6)
+        _set_line5_vacuous(self, line5_vacuous)
+
     @property
     def sr_true_on_all_l2_worlds(self) -> bool:
         """Line 5, `L2 => SR`, holds exactly when no possible L2 world falsifies SR."""
@@ -490,16 +504,24 @@ class TheoremReport(Value):
         return "\n".join(lines)
 
 
-_FORBIDDEN_BITS = tuple((w, 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS)
+# every theorem check builds a report: its slots' own setters skip the generic constructor
+(_set_hardy_conforming, _set_conformance_detail, _set_line5, _set_line6,
+ _set_line5_vacuous) = TheoremReport._setters
+
+# each forbidden cell's problem text and bit, then the paradox cell's
+_FORBIDDEN_BITS = tuple(
+    (f"forbidden world {w} is possible", 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS
+)
+_PARADOX_PROBLEM = f"paradox world {PARADOX_WORLD} is not possible"
 _PARADOX_BIT = 1 << WORLD_INDEX[PARADOX_WORLD]
 
 
 def hardy_conformance(model: Model) -> tuple[bool, str]:
     """Does the model's possibility pattern realize the four predictions?"""
     mask = model.mask
-    problems = [f"forbidden world {w} is possible" for w, bit in _FORBIDDEN_BITS if mask & bit]
+    problems = [problem for problem, bit in _FORBIDDEN_BITS if mask & bit]
     if not mask & _PARADOX_BIT:
-        problems.append(f"paradox world {PARADOX_WORLD} is not possible")
+        problems.append(_PARADOX_PROBLEM)
     if problems:
         return False, "; ".join(problems)
     return True, "all four prediction cells conform"

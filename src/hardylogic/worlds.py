@@ -221,14 +221,15 @@ def _accepted(cells: tuple[float, ...]) -> tuple[float, ...]:
     """Sixteen float cells in world order, or the first TableError.
 
     One test passes the usual table: no cell below 0.0, and each row's
-    total, summed as `_checked` sums it, within tolerance, so no NaN
-    (which `min` may skip) and no inf.  Only `_checked` rejects.
+    total, summed left to right as `_checked` sums it, within tolerance,
+    so no NaN (which `min` may skip) and no inf.  Only `_checked` rejects.
     """
+    a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = cells
     if not (min(cells) >= 0.0
-            and abs(sum(cells[0:4]) - 1.0) <= DISTRIBUTION_TOL
-            and abs(sum(cells[4:8]) - 1.0) <= DISTRIBUTION_TOL
-            and abs(sum(cells[8:12]) - 1.0) <= DISTRIBUTION_TOL
-            and abs(sum(cells[12:16]) - 1.0) <= DISTRIBUTION_TOL):
+            and abs(a + b + c + d - 1.0) <= DISTRIBUTION_TOL
+            and abs(e + f + g + h - 1.0) <= DISTRIBUTION_TOL
+            and abs(i + j + k + l - 1.0) <= DISTRIBUTION_TOL
+            and abs(m + n + o + p - 1.0) <= DISTRIBUTION_TOL):
         _checked(_rows_of(cells), typed=False)  # raises: it sums each row as above
     return cells
 
@@ -263,7 +264,8 @@ def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
         if len(row) != len(OUTCOME_PAIRS):
             extra = next(key for key in row if key not in OUTCOME_PAIRS)
             raise TableError(f"choice pair {pair} has unknown outcome cell {extra!r}")
-        total = sum(_row_cells(row))
+        a, b, c, d = _row_cells(row)
+        total = a + b + c + d  # left to right: from 3.12 `sum` over floats is compensated
         if abs(total - 1.0) > DISTRIBUTION_TOL:
             raise TableError(f"distribution for {pair} sums to {total!r}, not 1")
     return tuple(float(p) for row in _pair_rows(rows) for p in _row_cells(row))
@@ -296,14 +298,13 @@ class ProbabilityTable(Value):
 
     def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
         cells = _flat(rows, _pair_rows)
-        cells = _checked(rows, typed=True) if cells is None else _accepted(cells)
-        object.__setattr__(self, "cells", cells)
+        _set_cells(self, _checked(rows, typed=True) if cells is None else _accepted(cells))
 
     @classmethod
     def _from_cells(cls, cells: tuple[float, ...]) -> "ProbabilityTable":
         """A table of sixteen float cells in world order, checked as the constructor checks."""
         table = cls.__new__(cls)
-        object.__setattr__(table, "cells", _accepted(cells))
+        _set_cells(table, _accepted(cells))
         return table
 
     @property
@@ -385,6 +386,9 @@ class ProbabilityTable(Value):
         return cls({pair: {key: 0.25 for key in OUTCOME_PAIRS} for pair in CHOICE_PAIRS})
 
 
+_set_cells = ProbabilityTable.cells.__set__  # every model load builds a table through it
+
+
 class Model(Value):
     """The worlds whose cell exceeds `epsilon`, as the mask `mask`.
 
@@ -405,9 +409,9 @@ class Model(Value):
         for bit, p in zip(_BITS, table.cells):  # cell i is bit i
             if p > epsilon:
                 mask |= bit
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "mask", mask)
+        _set_table(self, table)
+        _set_epsilon(self, epsilon)
+        _set_mask(self, mask)
 
     @property
     def possible(self) -> frozenset[World]:
@@ -418,6 +422,10 @@ class Model(Value):
 
     def excluded_in_order(self) -> list[World]:
         return worlds_in(~self.mask)
+
+
+# every model load builds a model: its slots' own setters skip the name lookup
+_set_table, _set_epsilon, _set_mask = Model.table.__set__, Model.epsilon.__set__, Model.mask.__set__
 
 
 def build_model(table: ProbabilityTable, epsilon: float = DEFAULT_EPSILON) -> Model:
@@ -453,12 +461,14 @@ def save_model(model: Model, path: str) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; text that is not UTF-8 or nests too deep is a ValueError."""
+    """Parse a JSON file; text not UTF-8, not JSON or nested too deep is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:  # a ValueError that does not name the file
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:  # nor does this one
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply") from None
 

@@ -154,7 +154,7 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check-theorem", str(bad)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
 
 
 def test_schema_violation_exits_2(tmp_path, capsys):
@@ -317,10 +317,20 @@ def test_config_angles_of_the_wrong_type_exit_2(cfg_path, tmp_path, command, cap
     )
 
 
-@pytest.mark.parametrize("argv", [["check-theorem", "{dir}"], ["hardy", "find", "--out", "{dir}"]])
-def test_directory_path_exits_2(tmp_path, argv, capsys):
-    assert main([a.format(dir=tmp_path) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot use {tmp_path}:")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-theorem", "{dir}"],
+        ["hardy", "find", "--out", "{dir}"],
+        ["model", "build", "{cfg}", "--out", "{dir}"],
+    ],
+)
+def test_directory_path_exits_2(tmp_path, cfg_path, argv, capsys):
+    # a failed --out prints no success report
+    assert main([a.format(dir=tmp_path, cfg=cfg_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot use {tmp_path}:")
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,15 @@ from hardylogic.proof import (
     validate_scopes,
 )
 from hardylogic.semantics import CfOptions, TemporalOrder, check_theorem
-from hardylogic.worlds import ProbabilityTable, build_model, worlds_in
+from hardylogic.worlds import (
+    CHOICE_PAIRS,
+    FORBIDDEN_WORLDS,
+    OUTCOME_PAIRS,
+    WORLD_INDEX,
+    ProbabilityTable,
+    build_model,
+    worlds_in,
+)
 from conftest import pattern_models
 from oracles import random_table_rows
 
@@ -645,7 +653,7 @@ def test_second_audit_of_a_conforming_model_builds_no_line_report(
     script = builtin_script.__wrapped__()
     audit(hardy_model, script)
     built = []
-    for cls in (proof.LineAudit, proof.RuleVerdict):
+    for cls in (proof.LineAudit, proof.RuleVerdict, proof.FinalVerdict):
 
         def counted(self, *args, init=cls.__init__):
             built.append(type(self).__name__)
@@ -658,9 +666,12 @@ def test_second_audit_of_a_conforming_model_builds_no_line_report(
     assert built == []
     # every forbidden cell is possible in the uniform model: each of the
     # three zero-cell lines gets a report of its own, quoting the cell's
-    # probability
+    # probability, made from the line's template without a constructor;
+    # only the closing verdict, on its first sight, is constructed
     report = audit(uniform_model, script)
-    assert built == ["RuleVerdict", "LineAudit"] * 3
+    assert built == ["FinalVerdict"]
+    assert audit(build_model(uniform_model.table, 1e-6), script) == report
+    assert built == ["FinalVerdict"]
     assert [la.rule_detail for la in report.lines[1:3]] == [
         "cell ('L2', 'R2', '-+') carries probability 0.25; not a zero cell",
         "cell ('L2', 'R1', '++') carries probability 0.25; not a zero cell",
@@ -762,6 +773,75 @@ def test_report_dicts_are_fresh(hardy_model, hardy_table, uniform_model):
         data["final"]["detail"] = "changed"
         assert json.dumps(second.to_dict()) == expected
         assert json.dumps(first.to_dict()) == expected
+
+
+# the forbidden cells, as (choice pair, outcome pair), in FORBIDDEN_WORLDS order
+_FORBIDDEN_CELLS = [(w.choice_pair, w.outcome_pair) for w in FORBIDDEN_WORLDS]
+
+
+def _rows_with_possible_forbidden(rng, possible):
+    """Seeded rows in which forbidden cell i is possible exactly for i in `possible`.
+
+    Every other cell is possible or zero at random, each row keeping a
+    possible cell.
+    """
+    rows = {}
+    for pair in CHOICE_PAIRS:
+        weights = [0] * 4
+        while not any(weights):
+            weights = []
+            for key in OUTCOME_PAIRS:
+                if (pair, key) in _FORBIDDEN_CELLS:
+                    on = _FORBIDDEN_CELLS.index((pair, key)) in possible
+                else:
+                    on = rng.random() >= 0.3
+                weights.append(rng.randint(1, 9) if on else 0)
+        rows[pair] = {key: w / sum(weights) for key, w in zip(OUTCOME_PAIRS, weights)}
+    return rows
+
+
+def test_a_warm_plan_audits_as_a_fresh_script_does(
+    hardy_model, control_model, local_model, line6_holds_model
+):
+    # Through a warm plan, a possible zero cell's report comes from a
+    # template and the closing verdict from a table that earlier models
+    # made; a fresh script makes its plan anew.  Seeded tables with 0-3
+    # forbidden cells possible and the four named tables, under both
+    # quantifiers.
+    rng = random.Random(22)
+    models = [hardy_model, control_model, local_model, line6_holds_model]
+    for k in range(48):
+        possible = rng.sample(range(3), k % 4)
+        model = build_model(ProbabilityTable(_rows_with_possible_forbidden(rng, possible)))
+        assert [bool(model.mask & 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS] == [
+            i in possible for i in range(3)
+        ]
+        models.append(model)
+    warm = builtin_script.__wrapped__()
+    for opts in (CfOptions(quantifier="every"), CfOptions(quantifier="some")):
+        for model in models:
+            audit(model, warm, opts)
+        for model in models:
+            got, fresh = audit(model, warm, opts), audit(model, builtin_script.__wrapped__(), opts)
+            assert got.render() == fresh.render()
+            assert json.dumps(got.to_dict()) == json.dumps(fresh.to_dict())
+            assert got == fresh
+            rows = got.to_dict()["lines"]  # a template's row against the report's fields
+            assert json.dumps(rows) == json.dumps([_reference_row(la) for la in got.lines])
+    # one distinct verdict per key, and each key the values its verdict was made from
+    finals = proof._plan(warm, semantics.L_EARLIER).finals
+    assert len(set(finals.values())) == len(finals) > 4
+    for key, final in finals.items():
+        bridge = None if final.bridge_world is None else WORLD_INDEX[final.bridge_world]
+        assert key == (
+            final.rules_all_valid,
+            final.side_conditions_hold,
+            final.contradiction_lines,
+            bridge,
+            final.line5_true,
+            final.line5_vacuous,
+            final.line6_holds,
+        )
 
 
 def test_audit_certifies_exactly_the_dependences_check_theorem_confirms(

@@ -504,15 +504,16 @@ def test_constructor_and_loader_report_a_float_table_alike(rows, defects):
 def _cell_rules_accept(cells):
     """Each cell a finite non-negative int or float (not a bool), the row summing to 1.
 
-    The total is `sum` over the cells in OUTCOME_PAIRS order, as the
-    constructor takes it: from Python 3.12 `sum` over floats is
-    compensated, so `a + b + c + d` can differ from it in the last bit.
+    The total is `a + b + c + d`, left to right over the cells in
+    OUTCOME_PAIRS order, as the constructor takes it: from Python 3.12
+    `sum` over floats is compensated, so it can differ in the last bit.
     """
     if any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in cells):
         return False
     if not all(math.isfinite(c) and c >= 0 for c in cells):
         return False
-    return abs(sum(cells) - 1.0) <= DISTRIBUTION_TOL
+    a, b, c, d = cells
+    return abs(a + b + c + d - 1.0) <= DISTRIBUTION_TOL
 
 
 # 1 - tol and 1 + tol, each with its neighbours one ulp either side
