@@ -32,7 +32,6 @@ _EXPORTS = {
             "Or",
             "ParseError",
             "StrictImp",
-            "check_paper_normal",
             "parse",
             "unparse",
         ),
@@ -42,10 +41,8 @@ _EXPORTS = {
             "TableError",
             "World",
             "build_model",
-            "enumerate_worlds",
             "load_model",
             "parse_world",
-            "satisfies_atom",
             "save_model",
         ),
         "quantum": (
@@ -55,7 +52,6 @@ _EXPORTS = {
             "SearchParams",
             "export_table",
             "find_hardy",
-            "joint_probability",
             "load_config",
             "save_config",
             "verify_hardy",
@@ -66,7 +62,6 @@ _EXPORTS = {
             "TemporalOrder",
             "TheoremReport",
             "UnsupportedCounterfactualError",
-            "accessible",
             "check_theorem",
             "eval_at",
             "holds_globally",

@@ -51,13 +51,16 @@ class Value:
     which takes each field by position or by name and raises TypeError
     for a missing, repeated, unknown or extra argument, and stores each
     through its slot's own setter (`_setters`).  A class that checks its
-    fields calls it first and then reads them.  Two hot paths call those
+    fields calls it first and then reads them.  The hot paths call those
     setters directly: `parse` fills bare `Not` and binary nodes without
-    a constructor call, and `GlobalCheck` keeps a constructor of its
-    own.  The base also derives equality (same class and equal fields),
-    a hash of the field tuple, a repr in the form `Atom(name='L1')`, and
-    pickling and copying that call the constructor again.  Assigning or
-    deleting an attribute raises AttributeError.
+    a constructor call, the audit's `_zero_cell_audit` fills a bare
+    `LineAudit`, and `GlobalCheck`, `TheoremReport`, `AuditReport`,
+    `Model` and `ProbabilityTable` keep constructors of their own that
+    store through them.  The base also derives equality (same class and
+    equal fields), a hash of the field tuple, a repr in the form
+    `Atom(name='L1')`, and pickling and copying that call the
+    constructor again.  Assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ()
@@ -409,46 +412,3 @@ def _text(f: Formula, binding: int) -> str:
     own, symbol, associates = _BY_CLASS[kind]
     text = f"{_text(f.left, own if associates else own + 1)} {symbol} {_text(f.right, own + 1)}"
     return f"({text})" if own < binding else text
-
-
-# ---------------------------------------------------------------------------
-# Normal form used by the derivation lines
-
-class PaperNormalReport(Value):
-    """The first violation of the normal form, or None when there is none."""
-
-    __slots__ = _fields = ("violation",)
-    _defaults = (None,)
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_paper_normal(f: Formula) -> PaperNormalReport:
-    """Check the one-strict-conditional-per-line discipline.
-
-    Holds iff a strict conditional appears at most once, and only at the
-    root, and every counterfactual antecedent is a single choice atom.
-    """
-    return PaperNormalReport(_first_violation(f, at_root=True))
-
-
-def _first_violation(f: Formula, at_root: bool) -> str | None:
-    """The first violation in pre-order; every node is visited, so a foreign one raises."""
-    kind = type(f)
-    if kind is Atom:
-        return None
-    if kind is Not:
-        return _first_violation(f.arg, False)
-    if kind not in _BY_CLASS:
-        raise TypeError(f"not a formula node: {f!r}")
-    left, right = _first_violation(f.left, False), _first_violation(f.right, False)
-    if kind is StrictImp and not at_root:
-        return f"nested strict conditional: {unparse(f)}"
-    if kind is Counterfactual and not (type(f.left) is Atom and f.left.is_choice):
-        return f"counterfactual antecedent is not a choice atom: {unparse(f.left)}"
-    return left or right

@@ -30,11 +30,8 @@ import math
 
 from .formula import Value
 from .worlds import (
-    CHOICES_L,
-    CHOICES_R,
     FORBIDDEN_WORLDS,
     PARADOX_WORLD,
-    SIGNS,
     WORLD_INDEX,
     ProbabilityTable,
     World,
@@ -94,17 +91,6 @@ def _born_cells(cfg: HardyConfig) -> list[float]:
     return cells
 
 
-def joint_probability(
-    cfg: HardyConfig, choice_l: str, choice_r: str, sign_l: str, sign_r: str
-) -> float:
-    """Born-rule probability of the (sign_l, sign_r) outcome pair."""
-    if choice_l not in CHOICES_L or choice_r not in CHOICES_R:
-        raise ValueError(f"no choice pair ({choice_l!r}, {choice_r!r}): L1 or L2, then R1 or R2")
-    if sign_l not in SIGNS or sign_r not in SIGNS:
-        raise ValueError(f"outcome signs must be '+' or '-', got {sign_l!r} and {sign_r!r}")
-    return _born_cells(cfg)[WORLD_INDEX[World(choice_l, choice_r, sign_l, sign_r)]]
-
-
 def export_table(cfg: HardyConfig) -> ProbabilityTable:
     """Full 4x4 probability table, with sub-clamp cells snapped to exact zero."""
     cells = tuple([0.0 if p <= ZERO_CLAMP else p for p in _born_cells(cfg)])
@@ -118,16 +104,6 @@ def export_table(cfg: HardyConfig) -> ProbabilityTable:
 _CONSTRAINTS = tuple(WORLD_INDEX[w] for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
 # the index of (L1-, R1-): c4 plus this cell is the P(L1-) marginal
 _L1_MINUS_R1_MINUS = WORLD_INDEX[World("L1", "R1", "-", "-")]
-
-
-def constraint_values(cfg: HardyConfig) -> tuple[float, float, float, float]:
-    """(c1, c2, c3, c4): the three must-vanish cells and the paradox cell.
-
-    c1 = P(L2-, R2+ | L2,R2)   c2 = P(L2+, R1+ | L2,R1)
-    c3 = P(L1-, R2- | L1,R2)   c4 = P(L1-, R1+ | L1,R1)
-    """
-    cells = _born_cells(cfg)
-    return tuple(cells[i] for i in _CONSTRAINTS)
 
 
 class PredictionReport(Value):

@@ -61,7 +61,6 @@ from .worlds import (
     _LOW,
     Model,
     World,
-    worlds_in,
 )
 
 
@@ -126,33 +125,6 @@ def _imposable(choice: Formula, order: TemporalOrder) -> Atom:
             "only later-region choices can be imposed"
         )
     return choice
-
-
-def accessible(
-    model: Model,
-    world: World,
-    choice: Atom,
-    order: TemporalOrder = L_EARLIER,
-    self_world_when_consistent: bool = True,
-) -> list[World]:
-    """Worlds reachable from `world` by imposing a later-region choice.
-
-    If the choice already holds, nothing is contradicted and the world
-    itself is the only member (when `self_world_when_consistent`).
-    Otherwise: the earlier region's choice and outcome are pinned, the
-    imposed choice holds, and the later outcome is unconstrained.
-    Returned in canonical world order.
-    """
-    _imposable(choice, order)
-    i = _possible_index(model, world)
-    imposed = ATOM_MASKS[choice.name]
-    if self_world_when_consistent and imposed >> i & 1:
-        return [world]
-    if order.earlier_region == "L":
-        pinned = world.choice_l + world.outcome_l
-    else:
-        pinned = world.choice_r + world.outcome_r
-    return worlds_in(model.mask & imposed & ATOM_MASKS[pinned])
 
 
 # each region's four (choice, outcome) cells, as world masks
@@ -588,7 +560,6 @@ __all__ = [
     "TemporalOrder",
     "TheoremReport",
     "UnsupportedCounterfactualError",
-    "accessible",
     "check_theorem",
     "eval_at",
     "hardy_conformance",

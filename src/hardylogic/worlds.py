@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Mapping
 
-from .formula import ATOM_NAMES, Atom, Value
+from .formula import ATOM_NAMES, Value
 
 CHOICES_L = ("L1", "L2")
 CHOICES_R = ("R1", "R2")
@@ -108,11 +109,6 @@ FORBIDDEN_WORLDS = (
 PARADOX_WORLD = World("L1", "R1", "-", "+")
 
 
-def enumerate_worlds() -> list[World]:
-    """All sixteen worlds in canonical order (L choice, R choice, L outcome, R outcome)."""
-    return list(WORLDS)
-
-
 def _byte_table(first: int) -> tuple[tuple[World, ...], ...]:
     """Entry b is the worlds `WORLDS[first + i]` for each set bit i of the byte b, in order.
 
@@ -147,24 +143,15 @@ def parse_world(text: str) -> World:
     return world if world is not None else World(*parts)  # a miss raises World's own error
 
 
-def satisfies_atom(world: World, atom: Atom) -> bool:
-    """Truth of an atom at a world.
-
-    A choice atom holds iff that region's choice matches.  An outcome
-    atom such as R1- holds iff R1 is the performed choice AND the
-    recorded outcome is minus: an unperformed experiment has no outcome.
-    """
-    performed = (
-        world.choice_l if atom.region == "L" else world.choice_r
-    ) == atom.setting
-    if atom.is_choice:
-        return performed
-    recorded = world.outcome_l if atom.region == "L" else world.outcome_r
-    return performed and recorded == atom.sign
-
-
+# A choice atom holds where that region's choice is made.  An outcome
+# atom such as R1- holds where R1 is the performed choice AND the
+# recorded outcome is minus: an unperformed experiment has no outcome.
 ATOM_MASKS = {
-    name: sum(1 << i for i, w in enumerate(WORLDS) if satisfies_atom(w, Atom(name)))
+    name: sum(
+        1 << i
+        for i, w in enumerate(WORLDS)
+        if name in (w.choice_l, w.choice_r, w.choice_l + w.outcome_l, w.choice_r + w.outcome_r)
+    )
     for name in ATOM_NAMES
 }
 
@@ -240,6 +227,8 @@ def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
     `ProbabilityTable` lists the rules.  `typed` adds the test that each
     cell is an int or float; the other callers made each cell a float.
     """
+    if not isinstance(rows, Mapping):
+        raise TableError(f"table must be a mapping, got {type(rows).__name__}")
     for pair in CHOICE_PAIRS:
         if pair not in rows:
             raise TableError(f"missing distribution for choice pair {pair}")
@@ -248,6 +237,8 @@ def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
         raise TableError(f"unknown choice pair {extra!r}")
     for pair in CHOICE_PAIRS:
         row = rows[pair]
+        if not isinstance(row, Mapping):
+            raise TableError(f"row for {pair} must be a mapping")
         for key in OUTCOME_PAIRS:
             if key not in row:
                 raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
@@ -287,10 +278,11 @@ class ProbabilityTable(Value):
     ('+-' means L got +, R got -).  It is a read-only view of `cells`,
     made on first read, pairs and cells in canonical order; equality,
     hashing, repr and pickling read it.
-    The constructor checks that the rows are the four choice pairs, each
-    with the four cells and no other, each cell a finite nonnegative
-    int or float, summing to 1, and raises TableError if not.  So a
-    table, and a model built from it, cannot change after the fact.
+    The constructor checks that the rows are a mapping of the four
+    choice pairs and no other, each row a mapping of the four cells and
+    no other, each cell a finite nonnegative int or float, summing to 1,
+    and raises TableError if not.  So a table, and a model built from
+    it, cannot change after the fact.
     """
 
     _fields = ("rows",)
@@ -319,26 +311,19 @@ class ProbabilityTable(Value):
     def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
         return self.cells[_CELL_INDEX[choice_l, choice_r, outcomes]]
 
-    def marginal(self, region: str, choice: str, other_choice: str, sign: str) -> float:
-        """P(outcome sign in `region` | choice, other region's choice)."""
-        pair = (choice, other_choice) if region == "L" else (other_choice, choice)
-        row = self.rows[pair]
-        if region == "L":
-            return row[sign + "+"] + row[sign + "-"]
-        return row["+" + sign] + row["-" + sign]
-
     def no_signaling_gap(self) -> float:
         """Largest discrepancy between same-region marginals across faraway choices."""
-        gap = 0.0
-        for choice in CHOICES_L:
-            for sign in SIGNS:
-                values = [self.marginal("L", choice, cr, sign) for cr in CHOICES_R]
-                gap = max(gap, abs(values[0] - values[1]))
-        for choice in CHOICES_R:
-            for sign in SIGNS:
-                values = [self.marginal("R", choice, cl, sign) for cl in CHOICES_L]
-                gap = max(gap, abs(values[0] - values[1]))
-        return gap
+        c = self.cells
+        # rows (L1,R1), (L1,R2), (L2,R1), (L2,R2) start at cells 0, 4, 8, 12, each
+        # ++, +-, -+, --: a sign's marginal is a row's cells i and j, and the
+        # faraway choice moves it from row r to row s
+        return max(
+            abs((c[r + i] + c[r + j]) - (c[s + i] + c[s + j]))
+            for r, s, i, j in (
+                (0, 4, 0, 1), (0, 4, 2, 3), (8, 12, 0, 1), (8, 12, 2, 3),  # L1, L2
+                (0, 8, 0, 2), (0, 8, 1, 3), (4, 12, 0, 2), (4, 12, 1, 3),  # R1, R2
+            )
+        )
 
     def to_dict(self) -> dict:
         cells = self.cells

@@ -23,7 +23,6 @@ from hardylogic.formula import (
     _KNOWN,
     _TOKEN_RE,
     _tokens,
-    check_paper_normal,
     parse,
     unparse,
 )
@@ -163,29 +162,6 @@ def test_exactly_twelve_atoms():
         Atom("L3")
     with pytest.raises(ValueError):
         Atom("R1*")
-
-
-def test_paper_normal_on_derivation_line_4():
-    f = parse("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)")
-    report = check_paper_normal(f)
-    assert report.ok and report.violation is None
-
-
-def test_paper_normal_rejects_nested_strict():
-    f = StrictImp(StrictImp(L1, L2), R1)
-    report = check_paper_normal(f)
-    assert not report.ok
-    assert "strict" in report.violation
-
-
-def test_paper_normal_rejects_compound_counterfactual_antecedent():
-    report = check_paper_normal(Counterfactual(And(R1, L1), Atom("R1-")))
-    assert not report.ok
-    assert "antecedent" in report.violation
-
-
-def test_paper_normal_rejects_outcome_antecedent():
-    assert not check_paper_normal(Counterfactual(Atom("R1-"), R1)).ok
 
 
 def test_nesting_bound():

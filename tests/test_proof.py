@@ -69,13 +69,6 @@ def test_statements_match_their_frozen_forms(script):
         assert ln.statement == parse(text), f"line {ln.index}"
 
 
-def test_every_statement_is_paper_normal(script):
-    from hardylogic.formula import check_paper_normal
-
-    for ln in script.lines:
-        assert check_paper_normal(ln.statement).ok, f"line {ln.index}"
-
-
 def test_line5_statement(script):
     line5 = script.line(5)
     assert unparse(line5.statement) == "L2 => R2 & R2+ -> (R1 []-> R1 & R1-)"

@@ -15,15 +15,14 @@ from hardylogic.quantum import (
     _project,
     config_from_dict,
     config_to_dict,
-    constraint_values,
     export_table,
     find_hardy,
-    joint_probability,
     load_config,
     save_config,
     verify_hardy,
 )
 from hardylogic.worlds import (
+    CHOICE_PAIRS,
     DISTRIBUTION_TOL,
     FORBIDDEN_WORLDS,
     OUTCOME_PAIRS,
@@ -49,26 +48,29 @@ def _random_config(rng):
     )
 
 
+def _constraints(cfg):
+    """(c1, c2, c3, c4), the three must-vanish cells and the paradox cell, as reported."""
+    report = verify_hardy(cfg)
+    return report.c1, report.c2, report.c3, report.c4
+
+
 def test_product_state_computational_basis():
     cfg = HardyConfig(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert joint_probability(cfg, "L1", "R1", "+", "+") == pytest.approx(1.0)
+    assert export_table(cfg).cell("L1", "R1", "++") == pytest.approx(1.0)
 
 
 def test_aligned_maximally_entangled_state_correlates():
     cfg = HardyConfig(math.pi / 4, 0.0, 0.0, 0.0, 0.0)
-    assert joint_probability(cfg, "L1", "R1", "+", "-") == pytest.approx(0.0, abs=1e-15)
+    assert export_table(cfg).cell("L1", "R1", "+-") == pytest.approx(0.0, abs=1e-15)
 
 
 def test_outcomes_complete_for_every_choice_pair():
     rng = random.Random(3)
     for _ in range(50):
-        cfg = _random_config(rng)
-        for cl in ("L1", "L2"):
-            for cr in ("R1", "R2"):
-                total = sum(
-                    joint_probability(cfg, cl, cr, sl, sr) for sl in "+-" for sr in "+-"
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
+        table = export_table(_random_config(rng))
+        for cl, cr in CHOICE_PAIRS:
+            total = sum(table.cell(cl, cr, key) for key in OUTCOME_PAIRS)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_matches_matrix_route_oracle():
@@ -81,7 +83,7 @@ def test_matches_matrix_route_oracle():
         expected = born_probability_matrix(
             cfg.theta, cfg.angle(cl), cfg.angle(cr), sl, sr
         )
-        assert joint_probability(cfg, cl, cr, sl, sr) == pytest.approx(expected, abs=1e-12)
+        assert export_table(cfg).cell(cl, cr, sl + sr) == pytest.approx(expected, abs=1e-12)
 
 
 def _scalar_cell(cfg, choice_l, choice_r, sign_l, sign_r):
@@ -99,19 +101,18 @@ def test_cells_agree_bit_for_bit():
     rng = random.Random(14)
     prediction_worlds = (*FORBIDDEN_WORLDS, PARADOX_WORLD)
     for cfg in [_random_config(rng) for _ in range(200)] + [HARDY_CONFIG]:
-        for (cl, cr), row in export_table(cfg).rows.items():
-            for key, p in row.items():
-                exact = joint_probability(cfg, cl, cr, key[0], key[1])
-                assert exact == _scalar_cell(cfg, cl, cr, key[0], key[1])
-                assert p == (0.0 if exact <= ZERO_CLAMP else exact)
+        table = export_table(cfg)
+        for cl, cr in CHOICE_PAIRS:
+            for key in OUTCOME_PAIRS:
+                exact = _scalar_cell(cfg, cl, cr, key[0], key[1])
+                assert table.cell(cl, cr, key) == (0.0 if exact <= ZERO_CLAMP else exact)
         cells = tuple(
-            joint_probability(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+            _scalar_cell(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
             for w in prediction_worlds
         )
-        assert constraint_values(cfg) == cells
         report = verify_hardy(cfg)
         assert (report.c1, report.c2, report.c3, report.c4) == cells
-        assert report.marginal_l1_minus == cells[3] + joint_probability(cfg, "L1", "R1", "-", "-")
+        assert report.marginal_l1_minus == cells[3] + _scalar_cell(cfg, "L1", "R1", "-", "-")
 
 
 class _CountingMath:
@@ -140,8 +141,6 @@ def test_each_call_takes_cos_and_sin_of_each_parameter_once(monkeypatch):
     for call in (
         lambda: export_table(cfg),
         lambda: verify_hardy(cfg),
-        lambda: constraint_values(cfg),
-        lambda: joint_probability(cfg, "L2", "R1", "-", "+"),
     ):
         counting.calls.clear()
         call()
@@ -150,23 +149,6 @@ def test_each_call_takes_cos_and_sin_of_each_parameter_once(monkeypatch):
     counting.calls.clear()
     assert find_hardy() is HARDY_CONFIG
     assert counting.calls == []
-
-
-@pytest.mark.parametrize(
-    "cell, message",
-    [
-        (("L1", "R1", "x", "+"), r"outcome signs must be '\+' or '-', got 'x' and '\+'"),
-        (("L1", "R1", "+", ""), r"outcome signs must be '\+' or '-', got '\+' and ''"),
-        (("L1", "R1", "+-", "+"), "outcome signs must be"),
-        (("R1", "L1", "-", "+"), r"no choice pair \('R1', 'L1'\): L1 or L2, then R1 or R2"),
-        (("L1", "L2", "+", "+"), r"no choice pair \('L1', 'L2'\)"),
-        (("L3", "R1", "+", "+"), r"no choice pair \('L3', 'R1'\)"),
-    ],
-    ids=["sign x", "empty sign", "two signs", "swapped regions", "both left", "unknown setting"],
-)
-def test_joint_probability_rejects_malformed_cells(cell, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        joint_probability(HARDY_CONFIG, *cell)
 
 
 def test_export_rows_sum_to_one():
@@ -251,7 +233,7 @@ def test_verify_refuses_a_floor_that_is_not_positive(floor):
     # rounding (about 4.9e-32), which a zero floor would pass, and a NaN
     # floor would fail every configuration without a word
     cfg = _project(math.pi / 4, 0.7)
-    assert constraint_values(cfg)[3] < 1e-30
+    assert _constraints(cfg)[3] < 1e-30
     with pytest.raises(ValueError, match=f"^positivity_floor must be positive, got {floor}$"):
         verify_hardy(cfg, positivity_floor=floor)
 
@@ -272,7 +254,7 @@ def test_product_state_cannot_pass_all_four():
             for b1 in grid:
                 for b2 in grid:
                     cfg = HardyConfig(0.0, a1, a2, b1, b2)
-                    c1, c2, c3, c4 = constraint_values(cfg)
+                    c1, c2, c3, c4 = _constraints(cfg)
                     if max(c1, c2, c3) <= tol:
                         hits += 1
                         assert c4 <= tol
@@ -307,20 +289,20 @@ def test_find_is_the_closed_form_optimum(hardy_config):
     theta, angle_r2 = hardy_config.theta, hardy_config.angle_r2
     assert math.sin(2 * theta) == pytest.approx(3 - math.sqrt(5), abs=1e-15)
     assert math.tan(theta) * math.tan(angle_r2) ** 2 == pytest.approx(1.0, abs=1e-12)
-    c4 = constraint_values(hardy_config)[3]
+    c4 = _constraints(hardy_config)[3]
     assert c4 == pytest.approx((5 * math.sqrt(5) - 11) / 2, abs=1e-15)
     # no neighbour on a +-1e-3 grid beats it
     steps = [k * 1e-4 for k in range(-10, 11)]
     for d_theta in steps:
         for d_r2 in steps:
             cfg = _project(theta + d_theta, angle_r2 + d_r2)
-            assert constraint_values(cfg)[3] <= c4 + 1e-15
+            assert _constraints(cfg)[3] <= c4 + 1e-15
 
 
 def test_find_reaches_grid_refine_optimum(hardy_config):
     oracle_value, _ = grid_refine_optimum()
     assert oracle_value == pytest.approx(OPTIMAL_PARADOX, abs=1e-6)
-    c4 = constraint_values(hardy_config)[3]
+    c4 = _constraints(hardy_config)[3]
     assert c4 == pytest.approx(oracle_value, abs=2e-6)
 
 
@@ -332,7 +314,7 @@ def test_perturbing_theta_breaks_a_zero(hardy_config):
         hardy_config.angle_r1,
         hardy_config.angle_r2,
     )
-    c1, c2, c3, _ = constraint_values(nudged)
+    c1, c2, c3, _ = _constraints(nudged)
     assert max(c1, c2, c3) > 1e-6
 
 

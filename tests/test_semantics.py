@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -15,15 +16,14 @@ from hardylogic.formula import (
     Not,
     Or,
     StrictImp,
-    check_paper_normal,
     parse,
     unparse,
 )
 from hardylogic.semantics import (
     CfOptions,
+    L_EARLIER,
     TemporalOrder,
     UnsupportedCounterfactualError,
-    accessible,
     check_theorem,
     eval_at,
     holds_globally,
@@ -60,58 +60,91 @@ def _as_tuple(w: World):
     return (w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
 
 
-def test_accessible_prunes_outcomes_forbidden_by_the_table(hardy_model):
-    got = accessible(hardy_model, World("L2", "R2", "+", "+"), R1)
+def _only(v: World):
+    """The formula true at `v` alone: its two outcome atoms."""
+    return And(Atom(v.choice_l + v.outcome_l), Atom(v.choice_r + v.outcome_r))
+
+
+def _any_of(worlds):
+    """The formula true at exactly `worlds`; with none, one true nowhere."""
+    return functools.reduce(Or, map(_only, worlds)) if worlds else And(Atom("L1"), Atom("L2"))
+
+
+def _reach(model, w, choice, order=L_EARLIER, self_world=True):
+    """The worlds that imposing `choice` reaches from `w`, read off `choice []-> φ`.
+
+    Under 'some' the counterfactual holds where the reach meets φ, so
+    with φ true at one world only it holds at `w` exactly when that
+    world is reached.  Under 'every' it holds where the reach lies
+    inside φ: inside the reached worlds, and inside no set that drops
+    one of them.
+    """
+    c = Atom(choice)
+    some, every = (CfOptions(order, q, self_world) for q in ("some", "every"))
+    reach = [v for v in WORLDS if eval_at(model, w, Counterfactual(c, _only(v)), some)]
+    assert eval_at(model, w, Counterfactual(c, _any_of(reach)), every)
+    for v in reach:
+        rest = [x for x in reach if x != v]
+        assert not eval_at(model, w, Counterfactual(c, _any_of(rest)), every)
+    return reach
+
+
+def test_reach_prunes_outcomes_forbidden_by_the_table(hardy_model):
+    got = _reach(hardy_model, World("L2", "R2", "+", "+"), "R1")
     assert got == [World("L2", "R1", "+", "-")]
 
 
-def test_accessible_keeps_both_open_outcomes(hardy_model):
-    got = accessible(hardy_model, World("L1", "R2", "-", "+"), R1)
+def test_reach_keeps_both_open_outcomes(hardy_model):
+    got = _reach(hardy_model, World("L1", "R2", "-", "+"), "R1")
     assert got == [World("L1", "R1", "-", "+"), World("L1", "R1", "-", "-")]
 
 
-def test_accessible_self_world_when_nothing_contradicted(hardy_model):
+def test_reach_is_the_self_world_when_nothing_contradicted(hardy_model):
     w = World("L1", "R1", "+", "+")
-    assert accessible(hardy_model, w, R1) == [w]
+    assert _reach(hardy_model, w, "R1") == [w]
 
 
-def test_accessible_without_self_world_shortcut(hardy_model):
+def test_reach_without_self_world_shortcut(hardy_model):
     w = World("L1", "R1", "+", "+")
-    got = accessible(hardy_model, w, R1, self_world_when_consistent=False)
+    got = _reach(hardy_model, w, "R1", self_world=False)
     assert got == [World("L1", "R1", "+", "+"), World("L1", "R1", "+", "-")]
 
 
-def test_accessible_matches_brute_force_oracle(hardy_model):
+def test_reach_matches_brute_force_oracle(hardy_model):
     live = possible_worlds(hardy_model.table.rows)
     for w in hardy_model.possible_in_order():
         for choice in ("R1", "R2"):
-            got = accessible(hardy_model, w, Atom(choice))
+            got = _reach(hardy_model, w, choice)
             expected = brute_accessible(live, _as_tuple(w), choice)
             assert [_as_tuple(x) for x in got] == expected
 
 
-def test_accessible_rejects_earlier_region_choice(hardy_model):
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+@pytest.mark.parametrize("antecedent", ["L2", "R1-"])  # an earlier-region choice, an outcome
+def test_counterfactual_rejects_an_antecedent_that_cannot_be_imposed(
+    hardy_model, antecedent, quantifier
+):
+    f = Counterfactual(Atom(antecedent), Atom("R1+"))
+    opts = CfOptions(quantifier=quantifier)
     with pytest.raises(UnsupportedCounterfactualError):
-        accessible(hardy_model, World("L1", "R2", "-", "+"), Atom("L2"))
-
-
-def test_accessible_rejects_outcome_antecedent(hardy_model):
+        eval_at(hardy_model, World("L1", "R2", "-", "+"), f, opts)
     with pytest.raises(UnsupportedCounterfactualError):
-        accessible(hardy_model, World("L1", "R2", "-", "+"), Atom("R1-"))
+        semantics.truth_mask(hardy_model, f, opts)
 
 
-def test_accessible_respects_temporal_order(hardy_model):
+def test_reach_respects_temporal_order(hardy_model):
     # with R earlier, imposing an L choice pins the R choice and outcome
     order = TemporalOrder("R")
-    got = accessible(hardy_model, World("L1", "R2", "-", "+"), Atom("L2"), order)
+    w = World("L1", "R2", "-", "+")
+    got = _reach(hardy_model, w, "L2", order)
     assert got == [World("L2", "R2", "+", "+")]  # (L2,R2,-,+) is a zero cell
     with pytest.raises(UnsupportedCounterfactualError):
-        accessible(hardy_model, World("L1", "R2", "-", "+"), R1, order)
+        eval_at(hardy_model, w, Counterfactual(R1, Atom("R1+")), CfOptions(order))
 
 
-def test_accessible_requires_possible_world(hardy_model):
-    with pytest.raises(ValueError):
-        accessible(hardy_model, World("L1", "R2", "-", "-"), R1)
+def test_counterfactual_requires_possible_world(hardy_model):
+    with pytest.raises(ValueError, match="not possible in this model"):
+        eval_at(hardy_model, World("L1", "R2", "-", "-"), Counterfactual(R1, Atom("R1+")))
 
 
 def test_sr_true_where_sole_accessible_world_conforms(hardy_model):
@@ -149,7 +182,7 @@ def test_counterfactual_vacuity():
     }
     model = build_model(ProbabilityTable(rows))
     w = World("L1", "R2", "-", "+")
-    assert accessible(model, w, R1) == []
+    assert _reach(model, w, "R1") == []
     box = Counterfactual(R1, Atom("R1+"))
     assert eval_at(model, w, box)  # empty set, universal quantifier
     assert not eval_at(model, w, box, CfOptions(quantifier="some"))
@@ -381,7 +414,7 @@ def test_truth_sets_match_per_world_oracle(request, seed, kind, earlier, quantif
             live, world, f, earlier, quantifier, self_world
         )
         for choice in later:
-            got = accessible(model, w, Atom(choice), order, self_world)
+            got = _reach(model, w, choice, order, self_world)
             assert [_as_tuple(x) for x in got] == brute_accessible(
                 live, world, choice, earlier, self_world
             )
@@ -679,9 +712,7 @@ class _Conjunction(And):
     "foreign", [_Conjunction(Atom("L1"), Atom("R1")), object()], ids=["And subclass", "object"]
 )
 def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
-    # both evaluators, the printer and the normal-form check dispatch on
-    # the exact node class; the check visits every node, also past a
-    # violation or inside a counterfactual's antecedent
+    # both evaluators and the printer dispatch on the exact node class
     f = Or(Atom("L2"), foreign)
     message = f"not a formula node: {foreign!r}"
     for evaluate in (
@@ -690,10 +721,6 @@ def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
         lambda: holds_globally(hardy_model, StrictImp(Atom("L2"), f)),
         lambda: unparse(f),
         lambda: str(Not(f)),
-        lambda: check_paper_normal(f),
-        lambda: check_paper_normal(StrictImp(Atom("L2"), f)),
-        lambda: check_paper_normal(And(StrictImp(Atom("L1"), Atom("R1")), f)),
-        lambda: check_paper_normal(Counterfactual(Or(foreign, Atom("L1")), Atom("R1"))),
     ):
         with pytest.raises(TypeError) as raised:
             evaluate()

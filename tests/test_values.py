@@ -26,9 +26,7 @@ from hardylogic.formula import (
     MatImp,
     Not,
     Or,
-    PaperNormalReport,
     StrictImp,
-    check_paper_normal,
 )
 from hardylogic.proof import (
     AuditReport,
@@ -78,7 +76,6 @@ FIELDS = {
     MatImp: ("left", "right"),
     StrictImp: ("left", "right"),
     Counterfactual: ("left", "right"),
-    PaperNormalReport: ("violation",),
     World: ("choice_l", "choice_r", "outcome_l", "outcome_r"),
     ProbabilityTable: ("rows",),
     Model: ("table", "epsilon"),
@@ -174,8 +171,6 @@ SAMPLES = [
     (MatImp(_A, _B), "MatImp(left=Atom(name='L1'), right=Atom(name='R2-'))"),
     (StrictImp(_A, _B), "StrictImp(left=Atom(name='L1'), right=Atom(name='R2-'))"),
     (Counterfactual(_A, _B), "Counterfactual(left=Atom(name='L1'), right=Atom(name='R2-'))"),
-    (PaperNormalReport(), "PaperNormalReport(violation=None)"),
-    (PaperNormalReport("v"), "PaperNormalReport(violation='v')"),
     (_W, _W_REPR),
     (_TABLE, _TABLE_REPR),
     (_MODEL, f"Model(table={_TABLE_REPR}, epsilon=1e-12)"),
@@ -268,7 +263,7 @@ def test_a_rebuilt_value_is_equal_and_hashes_as_its_field_tuple(value):
 
 
 # the classes whose every field has a default, so a call may omit any of them
-_ALL_DEFAULTS = (PaperNormalReport, SearchParams, TemporalOrder, CfOptions)
+_ALL_DEFAULTS = (SearchParams, TemporalOrder, CfOptions)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
@@ -387,8 +382,6 @@ DERIVED = [
     (FinalVerdict(True, True, True, None, None, "d", False, False), "line6_refuted", False),
     (FinalVerdict(True, True, True, (11, 14), _W, "d", True, False), "line6_refuted", False),
     (FinalVerdict(True, True, True, (11, 14), _W, "d", False, True), "line6_refuted", False),
-    (PaperNormalReport(), "ok", True),
-    (PaperNormalReport("v"), "ok", False),
 ]
 
 
@@ -477,9 +470,6 @@ def test_derived_fields_agree_with_independent_sources(seed, kind, quantifier):
         cex = check.counterexamples
         assert check.holds == (not cex)
         assert check.witness == (cex[0] if cex else None)
-
-    normal = check_paper_normal(f)
-    assert normal.ok == bool(normal) == (normal.violation is None)
 
     final = audit(model, opts=opts).final
     assert final.line6_holds == (not line6)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylogic.formula import Atom
+from hardylogic.formula import ATOM_NAMES, OUTCOME_ATOMS, Atom
 from hardylogic.quantum import export_table
 from hardylogic.worlds import (
+    ATOM_MASKS,
     CHOICE_PAIRS,
     DISTRIBUTION_TOL,
     OUTCOME_PAIRS,
@@ -21,31 +22,27 @@ from hardylogic.worlds import (
     TableError,
     World,
     build_model,
-    enumerate_worlds,
     model_from_dict,
     model_to_dict,
     load_model,
     parse_world,
-    satisfies_atom,
     save_model,
     worlds_in,
 )
-from oracles import possible_worlds, random_table_rows
+from oracles import possible_worlds, random_table_rows, sat
 
 
 def test_enumeration_has_sixteen_distinct_worlds():
-    worlds = enumerate_worlds()
-    assert len(worlds) == 16
-    assert len(set(worlds)) == 16
+    assert len(WORLDS) == 16
+    assert len(set(WORLDS)) == 16
 
 
 def test_enumeration_canonical_order():
-    worlds = enumerate_worlds()
-    assert worlds[0] == World("L1", "R1", "+", "+")
-    assert worlds[1] == World("L1", "R1", "+", "-")
-    assert worlds[4] == World("L1", "R2", "+", "+")
-    assert worlds[8] == World("L2", "R1", "+", "+")
-    assert worlds[-1] == World("L2", "R2", "-", "-")
+    assert WORLDS[0] == World("L1", "R1", "+", "+")
+    assert WORLDS[1] == World("L1", "R1", "+", "-")
+    assert WORLDS[4] == World("L1", "R2", "+", "+")
+    assert WORLDS[8] == World("L2", "R1", "+", "+")
+    assert WORLDS[-1] == World("L2", "R2", "-", "-")
 
 
 def test_world_validation():
@@ -84,28 +81,37 @@ def test_parse_world_rejects_a_bad_literal_with_its_message(text, message):
     assert str(exc.value) == message
 
 
-def test_satisfies_outcome_atom_when_performed():
-    assert satisfies_atom(World("L1", "R2", "-", "+"), Atom("L1-"))
+def _holds(name: str, w: World) -> bool:
+    """Bit `w` of the atom's world mask."""
+    return bool(ATOM_MASKS[name] >> WORLD_INDEX[w] & 1)
+
+
+def test_outcome_atom_holds_where_performed():
+    assert _holds("L1-", World("L1", "R2", "-", "+"))
 
 
 def test_outcome_atom_false_when_not_performed():
     # R1 is not the performed choice, so R1- fails even though R got an outcome
-    assert not satisfies_atom(World("L1", "R2", "-", "+"), Atom("R1-"))
+    assert not _holds("R1-", World("L1", "R2", "-", "+"))
 
 
 def test_choice_atom():
-    assert satisfies_atom(World("L2", "R1", "+", "-"), Atom("R1"))
-    assert not satisfies_atom(World("L2", "R1", "+", "-"), Atom("R2"))
+    assert _holds("R1", World("L2", "R1", "+", "-"))
+    assert not _holds("R2", World("L2", "R1", "+", "-"))
 
 
 def test_outcome_atom_entails_choice_atom():
-    from hardylogic.formula import OUTCOME_ATOMS
+    for name in OUTCOME_ATOMS:
+        mask = ATOM_MASKS[name]
+        assert mask & ATOM_MASKS[Atom(name).choice().name] == mask
 
-    for w in enumerate_worlds():
-        for name in OUTCOME_ATOMS:
-            atom = Atom(name)
-            if satisfies_atom(w, atom):
-                assert satisfies_atom(w, atom.choice())
+
+def test_atom_masks_match_the_oracle():
+    assert set(ATOM_MASKS) == set(ATOM_NAMES)
+    for name in ATOM_NAMES:
+        for w in WORLDS:
+            fields = (w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+            assert _holds(name, w) == sat(fields, name), (name, w)
 
 
 def test_hardy_model_has_thirteen_worlds(hardy_model):
@@ -257,6 +263,38 @@ def test_worlds_in_lists_the_sixteen_bits_of_any_mask():
 
 def test_no_signaling_gap_uniform():
     assert ProbabilityTable.uniform().no_signaling_gap() == 0.0
+
+
+def _marginal_gaps(rows):
+    """Each same-region marginal's difference across the faraway choice, row by row."""
+    for cl in ("L1", "L2"):
+        for sign in "+-":
+            one, two = (rows[cl, cr][sign + "+"] + rows[cl, cr][sign + "-"] for cr in ("R1", "R2"))
+            yield abs(one - two)
+    for cr in ("R1", "R2"):
+        for sign in "+-":
+            one, two = (rows[cl, cr]["+" + sign] + rows[cl, cr]["-" + sign] for cl in ("L1", "L2"))
+            yield abs(one - two)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_no_signaling_gap_is_the_largest_marginal_difference(seed):
+    rows = random_table_rows(random.Random(seed))
+    assert ProbabilityTable(rows).no_signaling_gap() == max(_marginal_gaps(rows))
+
+
+@pytest.mark.parametrize("row", [5, None, [0.25] * 4, "++"])
+def test_table_constructor_rejects_a_row_that_is_not_a_mapping(row):
+    rows = dict.fromkeys(CHOICE_PAIRS, _ROW)
+    rows["L1", "R2"] = row
+    with pytest.raises(TableError, match=r"^row for \('L1', 'R2'\) must be a mapping$"):
+        ProbabilityTable(rows)
+
+
+@pytest.mark.parametrize("rows", [5, None, "L1,R1", list(CHOICE_PAIRS)])
+def test_table_constructor_rejects_rows_that_are_not_a_mapping(rows):
+    with pytest.raises(TableError, match=r"^table must be a mapping, got "):
+        ProbabilityTable(rows)
 
 
 def test_model_json_roundtrip(tmp_path, hardy_model):
