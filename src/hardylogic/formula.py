@@ -55,10 +55,10 @@ class Value:
     setters directly: `parse` fills bare `Not` and binary nodes without
     a constructor call, the audit's `_zero_cell_audit` fills a bare
     `LineAudit`, and `GlobalCheck`, `TheoremReport`, `AuditReport`,
-    `Model` and `ProbabilityTable` keep constructors of their own that
-    store through them.  The base also derives equality (same class and
-    equal fields), a hash of the field tuple, a repr in the form
-    `Atom(name='L1')`, and pickling and copying that call the
+    `PredictionReport`, `Model` and `ProbabilityTable` keep constructors
+    of their own that store through them.  The base also derives equality
+    (same class and equal fields), a hash of the field tuple, a repr in
+    the form `Atom(name='L1')`, and pickling and copying that call the
     constructor again.  Assigning or deleting an attribute raises
     AttributeError.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 
 from .formula import Value
 from .worlds import (
@@ -79,15 +80,16 @@ def _born_cells(cfg: HardyConfig) -> list[float]:
     the products changes no magnitude, so each cell is that, bit for bit.
     """
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
-    right = [(math.cos(angle), math.sin(angle)) for angle in (cfg.angle_r1, cfg.angle_r2)]
+    c1, s1 = math.cos(cfg.angle_r1), math.sin(cfg.angle_r1)
+    c2, s2 = math.cos(cfg.angle_r2), math.sin(cfg.angle_r2)
     cells = []
     for angle in (cfg.angle_l1, cfg.angle_l2):
         c, s = math.cos(angle), math.sin(angle)
         tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
-        for rc, rs in right:
-            pp, pm = tc * rc + ss * rs, ss * rc - tc * rs
-            mp, mm = sc * rs - ts * rc, ts * rs + sc * rc
-            cells += (pp * pp, pm * pm, mp * mp, mm * mm)
+        pp, pm, mp, mm = tc * c1 + ss * s1, ss * c1 - tc * s1, sc * s1 - ts * c1, ts * s1 + sc * c1
+        cells += (pp * pp, pm * pm, mp * mp, mm * mm)
+        pp, pm, mp, mm = tc * c2 + ss * s2, ss * c2 - tc * s2, sc * s2 - ts * c2, ts * s2 + sc * c2
+        cells += (pp * pp, pm * pm, mp * mp, mm * mm)
     return cells
 
 
@@ -100,16 +102,24 @@ def export_table(cfg: HardyConfig) -> ProbabilityTable:
 # ---------------------------------------------------------------------------
 # The four target constraints
 
-# each prediction cell, c1 to c4, as its world's index in `_born_cells`
-_CONSTRAINTS = tuple(WORLD_INDEX[w] for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD))
-# the index of (L1-, R1-): c4 plus this cell is the P(L1-) marginal
-_L1_MINUS_R1_MINUS = WORLD_INDEX[World("L1", "R1", "-", "-")]
+# the cells c1 to c4, then (L1-, R1-): c4 plus (L1-, R1-) is the P(L1-) marginal
+_PREDICTION_WORLDS = (*FORBIDDEN_WORLDS, PARADOX_WORLD, World("L1", "R1", "-", "-"))
+_PREDICTION_CELLS = itemgetter(*(WORLD_INDEX[w] for w in _PREDICTION_WORLDS))
 
 
 class PredictionReport(Value):
     __slots__ = _fields = (
         "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
     )
+
+    def __init__(self, c1, c2, c3, c4, marginal_l1_minus, tolerance, positivity_floor):
+        _set_c1(self, c1)
+        _set_c2(self, c2)
+        _set_c3(self, c3)
+        _set_c4(self, c4)
+        _set_marginal(self, marginal_l1_minus)
+        _set_tol(self, tolerance)
+        _set_floor(self, positivity_floor)
 
     @property
     def pass_c1(self) -> bool:
@@ -128,11 +138,12 @@ class PredictionReport(Value):
         return self.c4 >= self.positivity_floor
 
     @property
-    def passed(self) -> bool:
-        return self.pass_c1 and self.pass_c2 and self.pass_c3 and self.pass_c4
+    def passed(self) -> bool:  # pass_c1 to pass_c4, written out
+        tol, floor = self.tolerance, self.positivity_floor
+        return self.c1 <= tol and self.c2 <= tol and self.c3 <= tol and self.c4 >= floor
 
     def summary(self) -> str:
-        lines = [
+        return "\n".join([
             f"c1 = P(L2-,R2+|L2,R2) = {self.c1:.3e}  "
             f"[{'ok' if self.pass_c1 else 'FAIL'}: must be <= {self.tolerance:.1e}]",
             f"c2 = P(L2+,R1+|L2,R1) = {self.c2:.3e}  "
@@ -142,8 +153,10 @@ class PredictionReport(Value):
             f"c4 = P(L1-,R1+|L1,R1) = {self.c4:.9f}  "
             f"[{'ok' if self.pass_c4 else 'FAIL'}: must be >= {self.positivity_floor:.1e}]",
             f"P(L1-) marginal       = {self.marginal_l1_minus:.9f}",
-        ]
-        return "\n".join(lines)
+        ])
+
+
+_set_c1, _set_c2, _set_c3, _set_c4, _set_marginal, _set_tol, _set_floor = PredictionReport._setters
 
 
 def verify_hardy(
@@ -156,10 +169,8 @@ def verify_hardy(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
         raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
-    cells = _born_cells(cfg)
-    c1, c2, c3, c4 = (cells[i] for i in _CONSTRAINTS)
-    marginal = c4 + cells[_L1_MINUS_R1_MINUS]
-    return PredictionReport(c1, c2, c3, c4, marginal, tol, positivity_floor)
+    c1, c2, c3, c4, l1_minus_r1_minus = _PREDICTION_CELLS(_born_cells(cfg))
+    return PredictionReport(c1, c2, c3, c4, c4 + l1_minus_r1_minus, tol, positivity_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +267,21 @@ def _number(mapping: dict, key: str, what: str) -> float:
         raise ValueError(f"bad config file structure: {what} is out of range") from None
 
 
-def _mapping(value, what: str) -> dict:
+def _mapping(value, what: str, keys: tuple, kind: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(
             f"bad config file structure: {what} must be a mapping, got {type(value).__name__}"
         )
+    for key in value:
+        if key not in keys:  # a misspelt key must not pass unread
+            only = f"{', '.join(map(repr, keys[:-1]))} and {keys[-1]!r} are read"
+            raise ValueError(f"bad config file structure: unknown {kind} {key!r}; only {only}")
     return value
 
 
 def config_from_dict(data: dict) -> HardyConfig:
-    _mapping(data, "the file")
-    angles = _mapping(_entry(data, "angles", "'angles'"), "'angles'")
+    _mapping(data, "the file", ("theta", "angles"), "entry")
+    angles = _mapping(_entry(data, "angles", "'angles'"), "'angles'", tuple(_ANGLES), "angle")
     theta = _number(data, "theta", "'theta'")
     return HardyConfig(theta, *(_number(angles, s, f"angle {s!r}") for s in _ANGLES))
 

@@ -291,8 +291,16 @@ def test_config_value_that_is_not_a_number_exits_2(
         (lambda data: data.pop("angles"), "missing 'angles'"),
         (lambda data: data["angles"].pop("L2"), "missing angle 'L2'"),
         (lambda data: data.update(theta=10**400), "'theta' is out of range"),
+        (
+            lambda data: data.update(extra=1),
+            "unknown entry 'extra'; only 'theta' and 'angles' are read",
+        ),
+        (
+            lambda data: data["angles"].update(R3=1),
+            "unknown angle 'R3'; only 'L1', 'L2', 'R1' and 'R2' are read",
+        ),
     ],
-    ids=["angles", "L2", "theta"],
+    ids=["angles", "L2", "theta", "extra", "R3"],
 )
 def test_config_error_names_the_entry(cfg_path, tmp_path, command, edit, message, capsys):
     with open(cfg_path) as fh:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hardylogic.quantum import (
     HARDY_REPORT,
     ZERO_CLAMP,
     HardyConfig,
+    PredictionReport,
     SearchParams,
     _project,
     config_from_dict,
@@ -115,6 +117,48 @@ def test_cells_agree_bit_for_bit():
         assert report.marginal_l1_minus == cells[3] + _scalar_cell(cfg, "L1", "R1", "-", "-")
 
 
+def test_the_report_matches_one_built_by_keyword():
+    # verify_hardy stores through the slots' setters; a report built by
+    # keyword from the documented cell formula must be the same value
+    rng = random.Random(14)
+    for cfg in [_random_config(rng) for _ in range(200)] + [HARDY_CONFIG]:
+        c1, c2, c3, c4 = (
+            _scalar_cell(cfg, w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+            for w in (*FORBIDDEN_WORLDS, PARADOX_WORLD)
+        )
+        expected = PredictionReport(
+            c1=c1, c2=c2, c3=c3, c4=c4,
+            marginal_l1_minus=c4 + _scalar_cell(cfg, "L1", "R1", "-", "-"),
+            tolerance=quantum.DEFAULT_TOL,
+            positivity_floor=quantum.DEFAULT_POSITIVITY_FLOOR,
+        )
+        report = verify_hardy(cfg)
+        assert report == expected and hash(report) == hash(expected)
+        assert repr(report) == repr(expected)
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is PredictionReport and copy == report and repr(copy) == repr(report)
+        for name in PredictionReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0.0)
+        assert report == expected  # the refused assignments changed nothing
+
+
+_BOUNDARY = (0.0, -0.0, 1e-9, 5e-324, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_passed_is_every_prediction_passing(data):
+    # the fields as drawn, with cells exactly at tol or at the floor,
+    # NaN and the infinities among them
+    tol, floor = (data.draw(st.floats() | st.sampled_from(_BOUNDARY)) for _ in range(2))
+    cell = st.floats() | st.sampled_from((tol, floor, *_BOUNDARY))
+    c1, c2, c3, c4 = (data.draw(cell) for _ in range(4))
+    report = PredictionReport(c1, c2, c3, c4, data.draw(cell), tol, floor)
+    assert report.passed == (report.pass_c1 and report.pass_c2 and report.pass_c3 and report.pass_c4)
+    assert type(report.passed) is bool
+
+
 class _CountingMath:
     """Stands in for the math module and records each cos and sin argument."""
 
@@ -136,15 +180,17 @@ class _CountingMath:
 def test_each_call_takes_cos_and_sin_of_each_parameter_once(monkeypatch):
     counting = _CountingMath()
     monkeypatch.setattr(quantum, "math", counting)
-    cfg = HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5)
-    expected = sorted((fn, x) for fn in ("cos", "sin") for x in (0.4, 0.1, 0.2, 0.3, 0.5))
-    for call in (
-        lambda: export_table(cfg),
-        lambda: verify_hardy(cfg),
-    ):
-        counting.calls.clear()
-        call()
-        assert sorted(counting.calls) == expected
+    # the optimum, and an equal configuration that is not the same object:
+    # each call does the same trig work, so nothing is cached or memoized
+    fresh = HardyConfig(**{name: getattr(HARDY_CONFIG, name) for name in HardyConfig._fields})
+    assert fresh == HARDY_CONFIG and fresh is not HARDY_CONFIG
+    for cfg in (HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5), HARDY_CONFIG, fresh):
+        params = [getattr(cfg, name) for name in HardyConfig._fields]
+        expected = sorted((fn, x) for fn in ("cos", "sin") for x in params)
+        for call in (export_table, export_table, verify_hardy, verify_hardy):
+            counting.calls.clear()
+            call(cfg)
+            assert sorted(counting.calls) == expected
     # find_hardy reads the report built at import, and does no Born-rule work
     counting.calls.clear()
     assert find_hardy() is HARDY_CONFIG
@@ -385,5 +431,23 @@ def test_config_errors_name_the_entry(key, value, message):
         del where[key]
     else:
         where[key] = value
+    with pytest.raises(ValueError, match=f"^bad config file structure: {message}$"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "in_angles, key, message",
+    [
+        (False, "extra", "unknown entry 'extra'; only 'theta' and 'angles' are read"),
+        (False, "Theta", "unknown entry 'Theta'; only 'theta' and 'angles' are read"),
+        (True, "R3", "unknown angle 'R3'; only 'L1', 'L2', 'R1' and 'R2' are read"),
+        (True, "l1", "unknown angle 'l1'; only 'L1', 'L2', 'R1' and 'R2' are read"),
+    ],
+    ids=["extra", "misspelt-theta", "fifth-angle", "lower-case-angle"],
+)
+def test_config_rejects_an_unknown_entry(in_angles, key, message):
+    # the keys are exact: an entry the reader would skip is an error
+    data = config_to_dict(HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5))
+    (data["angles"] if in_angles else data)[key] = 1
     with pytest.raises(ValueError, match=f"^bad config file structure: {message}$"):
         config_from_dict(data)
