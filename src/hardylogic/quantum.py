@@ -7,10 +7,11 @@ analyzer vectors are
     |plus>  =  cos(a)|0> + sin(a)|1>
     |minus> = -sin(a)|0> + cos(a)|1>
 
-and the Born rule gives the sixteen cells flat, in world order
-(`_born_cells`), a choice pair at a time: each call takes cos and sin
-of each parameter once, and a pair's four cells come from its two
-analyzer pairs, one expression per cell.  This real five-parameter
+and the Born rule gives each cell as one expression in the cos and sin
+of the five parameters, each taken once per call.  `export_table` forms
+all sixteen, in world order (`_born_cells`); `verify_hardy` forms only
+the five it reports, with the same expression per cell, so each of its
+values is the table's cell bit for bit.  This real five-parameter
 family is rich enough to realize the four target constraints: three
 joint-outcome cells at exactly zero and the remaining paradox cell
 strictly positive.
@@ -27,17 +28,9 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 
 from .formula import Value
-from .worlds import (
-    FORBIDDEN_WORLDS,
-    PARADOX_WORLD,
-    WORLD_INDEX,
-    ProbabilityTable,
-    World,
-    read_json,
-)
+from .worlds import ProbabilityTable, read_json
 
 # cells below this are treated as exact Born-rule zeros when exporting
 ZERO_CLAMP = 1e-10
@@ -65,47 +58,54 @@ class HardyConfig(Value):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for name in self._fields:
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if value.__class__ is bool:  # save_config would write a JSON boolean
+                raise ValueError(f"{name} must be a number, got {value}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
 
     def angle(self, setting: str) -> float:
         return getattr(self, _ANGLES[setting])
 
 
-def _born_cells(cfg: HardyConfig) -> list[float]:
+def _born_cells(cfg: HardyConfig) -> tuple[float, ...]:
     """The sixteen cells in world order: cell i is the probability of `WORLDS[i]`.
 
     A cell is amp * amp, amp = cos(theta) * l[0] * r[0] + sin(theta) * l[1] * r[1]
     for analyzer vectors l and r; moving a minus vector's sign flips out of
     the products changes no magnitude, so each cell is that, bit for bit.
+    Each left setting's eight amplitudes are written out; `verify_hardy`
+    repeats the expressions of the five cells it reads.
     """
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
     c1, s1 = math.cos(cfg.angle_r1), math.sin(cfg.angle_r1)
     c2, s2 = math.cos(cfg.angle_r2), math.sin(cfg.angle_r2)
-    cells = []
-    for angle in (cfg.angle_l1, cfg.angle_l2):
-        c, s = math.cos(angle), math.sin(angle)
-        tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
-        pp, pm, mp, mm = tc * c1 + ss * s1, ss * c1 - tc * s1, sc * s1 - ts * c1, ts * s1 + sc * c1
-        cells += (pp * pp, pm * pm, mp * mp, mm * mm)
-        pp, pm, mp, mm = tc * c2 + ss * s2, ss * c2 - tc * s2, sc * s2 - ts * c2, ts * s2 + sc * c2
-        cells += (pp * pp, pm * pm, mp * mp, mm * mm)
-    return cells
+    c, s = math.cos(cfg.angle_l1), math.sin(cfg.angle_l1)
+    tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
+    a0, a1 = tc * c1 + ss * s1, ss * c1 - tc * s1  # (L1, R1, +, +), (L1, R1, +, -)
+    a2, a3 = sc * s1 - ts * c1, ts * s1 + sc * c1
+    a4, a5 = tc * c2 + ss * s2, ss * c2 - tc * s2  # (L1, R2, +, +), (L1, R2, +, -)
+    a6, a7 = sc * s2 - ts * c2, ts * s2 + sc * c2
+    c, s = math.cos(cfg.angle_l2), math.sin(cfg.angle_l2)
+    tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
+    a8, a9 = tc * c1 + ss * s1, ss * c1 - tc * s1  # (L2, R1, +, +), (L2, R1, +, -)
+    a10, a11 = sc * s1 - ts * c1, ts * s1 + sc * c1
+    a12, a13 = tc * c2 + ss * s2, ss * c2 - tc * s2  # (L2, R2, +, +), (L2, R2, +, -)
+    a14, a15 = sc * s2 - ts * c2, ts * s2 + sc * c2
+    return (
+        a0 * a0, a1 * a1, a2 * a2, a3 * a3, a4 * a4, a5 * a5, a6 * a6, a7 * a7,
+        a8 * a8, a9 * a9, a10 * a10, a11 * a11, a12 * a12, a13 * a13, a14 * a14, a15 * a15,
+    )
 
 
 def export_table(cfg: HardyConfig) -> ProbabilityTable:
-    """Full 4x4 probability table, with sub-clamp cells snapped to exact zero."""
+    """All sixteen Born cells as a table, with sub-clamp cells snapped to exact zero."""
     cells = tuple([0.0 if p <= ZERO_CLAMP else p for p in _born_cells(cfg)])
     return ProbabilityTable._from_cells(cells)
 
 
 # ---------------------------------------------------------------------------
 # The four target constraints
-
-# the cells c1 to c4, then (L1-, R1-): c4 plus (L1-, R1-) is the P(L1-) marginal
-_PREDICTION_WORLDS = (*FORBIDDEN_WORLDS, PARADOX_WORLD, World("L1", "R1", "-", "-"))
-_PREDICTION_CELLS = itemgetter(*(WORLD_INDEX[w] for w in _PREDICTION_WORLDS))
-
 
 class PredictionReport(Value):
     __slots__ = _fields = (
@@ -164,13 +164,32 @@ def verify_hardy(
     tol: float = DEFAULT_TOL,
     positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
 ) -> PredictionReport:
-    """Check the three vanishing cells and the positive paradox cell."""
+    """Check the three vanishing cells and the positive paradox cell.
+
+    Only the five cells read are formed, each with `_born_cells`' expression
+    for its world, so each is that cell bit for bit: c1 to c4, then
+    (L1-, R1-), which with c4 makes the P(L1-) marginal.
+    """
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would pass any cell
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
         raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
-    c1, c2, c3, c4, l1_minus_r1_minus = _PREDICTION_CELLS(_born_cells(cfg))
-    return PredictionReport(c1, c2, c3, c4, c4 + l1_minus_r1_minus, tol, positivity_floor)
+    cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
+    c1, s1 = math.cos(cfg.angle_r1), math.sin(cfg.angle_r1)
+    c2, s2 = math.cos(cfg.angle_r2), math.sin(cfg.angle_r2)
+    c, s = math.cos(cfg.angle_l2), math.sin(cfg.angle_l2)
+    tc, ss, ts, sc = cos_t * c, sin_t * s, cos_t * s, sin_t * c
+    amp1 = sc * s2 - ts * c2  # c1: (L2, R2, -, +)
+    amp2 = tc * c1 + ss * s1  # c2: (L2, R1, +, +)
+    c, s = math.cos(cfg.angle_l1), math.sin(cfg.angle_l1)
+    ts, sc = cos_t * s, sin_t * c
+    amp3 = ts * s2 + sc * c2  # c3: (L1, R2, -, -)
+    amp4 = sc * s1 - ts * c1  # c4: (L1, R1, -, +)
+    amp5 = ts * s1 + sc * c1  # (L1, R1, -, -)
+    c4 = amp4 * amp4
+    return PredictionReport(
+        amp1 * amp1, amp2 * amp2, amp3 * amp3, c4, c4 + amp5 * amp5, tol, positivity_floor
+    )
 
 
 # ---------------------------------------------------------------------------

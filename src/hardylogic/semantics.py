@@ -99,7 +99,14 @@ class CfOptions(Value):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        if self.order.__class__ is not TemporalOrder:
+            raise ValueError(f"order must be a TemporalOrder, got {self.order!r}")
         _check_quantifier(self.quantifier)
+        if self.self_world_when_consistent.__class__ is not bool:
+            raise ValueError(
+                "self_world_when_consistent must be True or False, "
+                f"got {self.self_world_when_consistent!r}"
+            )
 
 
 DEFAULT_OPTIONS = CfOptions()

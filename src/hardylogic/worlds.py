@@ -8,11 +8,12 @@ the threshold.  A table is its sixteen cells in world order: cell i is
 the probability of `WORLDS[i]` and bit i of a model's mask, and its
 `rows` are a read-only view of them.
 
-The four prediction cells of the Hardy argument live here, as worlds,
-and nowhere else: `FORBIDDEN_WORLDS`, the three cells that must vanish,
-and `PARADOX_WORLD`, the one that must not.  The constraint values in
-`quantum`, the conformance check in `semantics` and the prediction
-rules in `proof` all read them.
+The four prediction cells of the Hardy argument live here, as worlds:
+`FORBIDDEN_WORLDS`, the three cells that must vanish, and
+`PARADOX_WORLD`, the one that must not.  The conformance check in
+`semantics` and the prediction rules in `proof` read them;
+`quantum.verify_hardy` states those cells as fixed expressions, and
+`test_cells_agree_bit_for_bit` pins each to its world here.
 """
 
 from __future__ import annotations
@@ -386,6 +387,8 @@ class Model(Value):
     __slots__ = (*_fields, "mask")
 
     def __init__(self, table: ProbabilityTable, epsilon: float):
+        if epsilon.__class__ is bool:  # save_model would write a JSON boolean
+            raise ValueError(f"epsilon must be a number, got {epsilon}")
         if not 0.0 <= epsilon <= 1e-3:
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
         # every choice pair keeps a possible world: a row sums to 1 over four

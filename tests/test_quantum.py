@@ -98,11 +98,27 @@ def _scalar_cell(cfg, choice_l, choice_r, sign_l, sign_r):
     return amp * amp
 
 
+# angles whose cos or sin is exactly or nearly zero, huge angles, signed
+# zeros and a negative theta
+_HALF_PI = [k * math.pi / 2 for k in range(-4, 5)]
+_EDGE_CONFIGS = [
+    HardyConfig(1e300, 1e300, -1e300, 1e300, -1e300),
+    HardyConfig(0.3, -1e300, 1e300, -1e300, 1e300),
+    HardyConfig(0.0, -0.0, 0.0, -0.0, 0.0),
+    HardyConfig(-0.0, 0.0, -0.0, 0.0, -0.0),
+    HardyConfig(-0.0, 0.1, -0.0, 0.7, -0.0),
+    *(HardyConfig(x, x, -x, x, -x) for x in _HALF_PI),
+    *(HardyConfig(0.3, x, y, -y, x) for x in _HALF_PI for y in (0.0, math.pi / 2, math.pi)),
+    HardyConfig(-0.4, 0.1, 0.2, 0.3, 0.5),
+    HardyConfig(-HARDY_CONFIG.theta, *(getattr(HARDY_CONFIG, f) for f in HardyConfig._fields[1:])),
+]
+
+
 def test_cells_agree_bit_for_bit():
     # ==, not approx: the goldens print cells as small as 7.704e-34
     rng = random.Random(14)
     prediction_worlds = (*FORBIDDEN_WORLDS, PARADOX_WORLD)
-    for cfg in [_random_config(rng) for _ in range(200)] + [HARDY_CONFIG]:
+    for cfg in [_random_config(rng) for _ in range(200)] + [HARDY_CONFIG] + _EDGE_CONFIGS:
         table = export_table(cfg)
         for cl, cr in CHOICE_PAIRS:
             for key in OUTCOME_PAIRS:
@@ -287,6 +303,11 @@ def test_verify_refuses_a_floor_that_is_not_positive(floor):
 def test_the_optimum_is_verified_once_at_import():
     assert HARDY_REPORT == verify_hardy(HARDY_CONFIG)
     assert HARDY_REPORT.passed
+    # every digit as the sixteen-cell route printed it
+    assert repr(HARDY_REPORT) == (
+        "PredictionReport(c1=0.0, c2=7.703719777548943e-34, c3=0.0, c4=0.09016994374947425, "
+        "marginal_l1_minus=0.23606797749978964, tolerance=1e-09, positivity_floor=1e-09)"
+    )
 
 
 def test_product_state_cannot_pass_all_four():
@@ -373,8 +394,18 @@ def test_config_must_be_finite():
 
 def test_config_json_roundtrip(tmp_path, hardy_config):
     path = tmp_path / "cfg.json"
-    save_config(hardy_config, str(path))
-    assert load_config(str(path)) == hardy_config
+    for cfg in (hardy_config, HardyConfig(0, 1, -2, 3, 0), HardyConfig(0.4, -0.1, 2.5, 1e300, -0.0)):
+        save_config(cfg, str(path))
+        assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize("field", HardyConfig._fields)
+@pytest.mark.parametrize("flag", [True, False])
+def test_config_refuses_a_boolean(field, flag):
+    # save_config would write a JSON boolean, which load_config refuses
+    values = dict(zip(HardyConfig._fields, (0.1, 0.2, 0.3, 0.4, 0.5)), **{field: flag})
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {flag}$"):
+        HardyConfig(**values)
 
 
 def test_config_dict_schema():

@@ -615,6 +615,20 @@ def test_mask_program_refuses_an_unknown_quantifier(hardy_model, quantifier):
         assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("order", ["L", None, ("L",)])
+def test_options_refuse_an_order_that_is_not_a_temporal_order(order):
+    with pytest.raises(ValueError) as raised:
+        CfOptions(order=order)
+    assert str(raised.value) == f"order must be a TemporalOrder, got {order!r}"
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_options_refuse_a_self_world_flag_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError) as raised:
+        CfOptions(self_world_when_consistent=flag)
+    assert str(raised.value) == f"self_world_when_consistent must be True or False, got {flag!r}"
+
+
 def test_an_empty_mask_program_runs(hardy_model):
     # no free part and no tail: each reading is an empty list of its own
     every, some = semantics.MaskProgram([]).run(hardy_model, ("every", "some"))

@@ -305,6 +305,17 @@ def test_model_json_roundtrip(tmp_path, hardy_model):
     assert loaded.epsilon == hardy_model.epsilon
     for pair in CHOICE_PAIRS:
         assert loaded.table.rows[pair] == pytest.approx(hardy_model.table.rows[pair])
+    for epsilon in (0, 0.0, 5e-4, 1e-3):
+        model = build_model(hardy_model.table, epsilon)
+        save_model(model, str(path))
+        assert load_model(str(path)) == model
+
+
+@pytest.mark.parametrize("epsilon", [False, True])
+def test_model_refuses_a_boolean_epsilon(hardy_table, epsilon):
+    # save_model would write a JSON boolean, which load_model refuses
+    with pytest.raises(ValueError, match=f"^epsilon must be a number, got {epsilon}$"):
+        build_model(hardy_table, epsilon=epsilon)
 
 
 def test_model_json_writer_emits_canonical_key_order(tmp_path, hardy_model):
