@@ -42,31 +42,52 @@ class LexError(ParseError):
     """Character sequence that is not a token of the language."""
 
 
+class _Generated:
+    """`Value.__init__` and `Value._store`, which a lookup reaches until the store exists.
+
+    A class's first build, or any other read of either name, such as
+    `inspect.signature`'s, calls `_generate`, which puts the store on
+    the class where later lookups find it first.
+    """
+
+    __slots__ = ()
+
+    def __get__(self, obj, cls):
+        return _generate(cls).__get__(obj, cls)
+
+
 class Value:
     """Base of the package's frozen value classes.
 
     A subclass names its fields, in constructor order, in `_fields` and
     keeps them in `__slots__`; `_defaults` gives the trailing fields'
-    defaults.  From the field tuple the base derives the constructor,
-    which takes each field by position or by name and raises TypeError
-    for a missing, repeated, unknown or extra argument, and stores each
-    through its slot's own setter (`_setters`).  A class that checks its
-    fields calls it first and then reads them.  The hot paths call those
-    setters directly: `parse` fills bare `Not` and binary nodes without
-    a constructor call, the audit's `_zero_cell_audit` fills a bare
-    `LineAudit`, and `GlobalCheck`, `TheoremReport`, `AuditReport`,
-    `PredictionReport`, `Model` and `ProbabilityTable` keep constructors
-    of their own that store through them.  The base also derives equality
-    (same class and equal fields), a hash of the field tuple, a repr in
-    the form `Atom(name='L1')`, and pickling and copying that call the
-    constructor again.  Assigning or deleting an attribute raises
-    AttributeError.
+    defaults.  Each value is built through one route, its class's
+    store: a plain `__init__(self, <fields>, <field>=<default>, ...)`
+    that stores each field through its slot's own setter.  The store is
+    generated from `_fields` the first time the class is built, so a
+    command pays only for the classes it builds, and Python binds the
+    arguments and raises TypeError, naming the class, for a bad call.
+    It is generated once, on the class that names the fields: the five
+    binary connectives share `_Binary`'s.  A class with no constructor
+    of its own takes the store as its `__init__`.  One that checks its
+    fields calls `self._store(...)` and then checks them, or, as `Atom`
+    and `ProofScript` do, checks first.  `Model` and `ProbabilityTable`
+    keep constructors that store without it, since each works out a
+    slot that is not a field: the mask, and the cells.  `parse` fills
+    bare `Not` and binary nodes through the slots' setters, and the
+    audit stores a bare `LineAudit` through `LineAudit._store` and then
+    sets its JSON row.
+
+    The base also derives equality (same class and equal fields), a
+    hash of the field tuple, a repr in the form `Atom(name='L1')`, and
+    pickling and copying that call the constructor again.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
-    _setters: tuple = ()
+    __init__ = _store = _Generated()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -75,34 +96,6 @@ class Value:
             # the field tuple; attrgetter returns a lone field bare
             cls._values = get if len(cls._fields) > 1 else lambda obj: (get(obj),)
             cls.__match_args__ = cls._fields
-            cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
-
-    def __init__(self, *args, **kwargs):
-        cls = self.__class__
-        setters = cls._setters
-        if kwargs or len(args) != len(setters):
-            args = cls._arguments(args, kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-
-    @classmethod
-    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value, in order, from a call's arguments and the defaults."""
-        fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        given = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in given:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            given[key] = value
-        values = {**dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults)), **given}
-        missing = [key for key in fields if key not in values]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-        return tuple(values[key] for key in fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -128,6 +121,38 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _generate(cls: type):
+    """Generate the store of the class that names `cls`'s fields, and put it on that class.
+
+    The store becomes that class's `_store` and, unless the class has a
+    constructor of its own, its `__init__`; an own constructor gets it
+    as `__wrapped__`, so that `help` and `inspect.signature` show the
+    fields once the store exists.
+    """
+    for owner in cls.__mro__:
+        if owner.__dict__.get("_fields"):
+            break
+    else:
+        raise TypeError(f"{cls.__qualname__} has no fields to store")
+    fields, defaults = owner._fields, owner._defaults
+    first = len(fields) - len(defaults)  # the first field with a default
+    params = [f"{name}=_defaults[{i - first}]" if i >= first else name
+              for i, name in enumerate(fields)]
+    body = [f"_set_{name}(self, {name})" for name in fields]
+    namespace = {f"_set_{name}": getattr(owner, name).__set__ for name in fields}
+    namespace.update(__builtins__={}, _defaults=defaults)
+    source = "\n    ".join([f"def __init__(self, {', '.join(params)}):", *body])
+    exec(compile(source, f"<{owner.__qualname__} store>", "exec"), namespace)
+    store = namespace["__init__"]
+    store.__qualname__ = f"{owner.__qualname__}.__init__"
+    owner._store = store
+    if "__init__" in owner.__dict__:
+        owner.__init__.__wrapped__ = store
+    else:
+        owner.__init__ = store
+    return store
+
+
 class Formula(Value):
     """Base class for formula AST nodes."""
 
@@ -143,7 +168,7 @@ class Atom(Formula):
     def __init__(self, name: str):
         if name not in ATOM_NAMES:
             raise ValueError(f"unknown atom {name!r}; expected one of {ATOM_NAMES}")
-        object.__setattr__(self, "name", name)
+        self._store(name)
 
     @property
     def region(self) -> str:
@@ -184,8 +209,8 @@ class _Binary(Formula):
 
 
 # A parse builds a node per negation and connective without calling its
-# constructor: a bare instance, then the slots' own setters, which skip
-# the name lookup `object.__setattr__` makes.
+# constructor: a bare instance, then the slots' own setters.  Parsing
+# through the generated constructors instead took about 15% longer.
 _new = object.__new__
 _set_arg = Not.arg.__set__
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__

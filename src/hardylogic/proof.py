@@ -85,7 +85,11 @@ class ProofLine(Value):
     _defaults = ((), frozenset(), None)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
+        if not isinstance(self.premises, tuple):
+            raise ValueError(f"premises must be a tuple, got {self.premises!r}")
+        if not isinstance(self.hypothesis_scope, frozenset):
+            raise ValueError(f"hypothesis_scope must be a frozenset, got {self.hypothesis_scope!r}")
         if self.rule not in RULE_TAGS:
             raise ValueError(f"unknown rule tag {self.rule!r}")
         if any(p >= self.index for p in self.premises):
@@ -102,6 +106,7 @@ class ProofScript(Value):
     """Derivation lines: each index once, each premise a line of the script, or ValueError."""
 
     _fields = ("lines", "side_conditions", "notes")
+    _defaults = ((),)
     # `_plans`: audit plans by earlier region, built on first use (`_plan`);
     # not a field, so equality, hashing, repr, pickling and copies ignore them
     __slots__ = (*_fields, "_plans", "__weakref__")
@@ -112,6 +117,9 @@ class ProofScript(Value):
         side_conditions: tuple[SideCondition, ...],
         notes: tuple[str, ...] = (),
     ):
+        for name, value in zip(self._fields, (lines, side_conditions, notes)):
+            if not isinstance(value, tuple):
+                raise ValueError(f"{name} must be a tuple, got {value!r}")
         indices = [ln.index for ln in lines]
         for ln in lines:
             if indices.count(ln.index) > 1:
@@ -119,10 +127,8 @@ class ProofScript(Value):
             for p in ln.premises:
                 if p not in indices:
                     raise ValueError(f"line {ln.index} cites line {p}, which the script lacks")
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "side_conditions", side_conditions)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "_plans", {})
+        self._store(lines, side_conditions, notes)
+        ProofScript._plans.__set__(self, {})
 
     def line(self, index: int) -> ProofLine:
         for ln in self.lines:
@@ -798,8 +804,8 @@ class LineAudit(Value):
     _defaults = (None,)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        object.__setattr__(self, "_row", None)
+        self._store(*args, **kwargs)
+        _set_row(self, None)
 
     @property
     def rule_ok(self) -> bool:
@@ -825,13 +831,10 @@ class LineAudit(Value):
                 "divergence": self.divergence,
                 "note": self.note,
             }
-            object.__setattr__(self, "_row", row)
+            _set_row(self, row)
         return self._row
 
 
-# the slots' own setters, for the reports an audit builds per model
-(_set_index, _set_rule, _set_premises, _set_scope, _set_rule_status, _set_rule_detail,
- _set_sem_every, _set_sem_some, _set_note) = LineAudit._setters
 _set_row = LineAudit._row.__set__
 
 
@@ -844,16 +847,8 @@ def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) 
     """
     (index, rule, premises, scope, note), head, tail, rows = zero
     detail = f"{head}{prob!r}{tail}"
-    la = object.__new__(LineAudit)
-    _set_index(la, index)
-    _set_rule(la, rule)
-    _set_premises(la, premises)
-    _set_scope(la, scope)
-    _set_rule_status(la, INVALID)
-    _set_rule_detail(la, detail)
-    _set_sem_every(la, sem_every)
-    _set_sem_some(la, sem_some)
-    _set_note(la, note)
+    la = object.__new__(LineAudit)  # the fields through the store; the row from the template
+    LineAudit._store(la, index, rule, premises, scope, INVALID, detail, sem_every, sem_some, note)
     row = rows[sem_every, sem_some].copy()
     row["rule_detail"] = detail
     _set_row(la, row)
@@ -899,11 +894,6 @@ class FinalVerdict(Value):
 
 class AuditReport(Value):
     __slots__ = _fields = ("lines", "final", "notes")
-
-    def __init__(self, lines: tuple[LineAudit, ...], final: FinalVerdict, notes: tuple[str, ...]):
-        _set_lines(self, lines)
-        _set_final(self, final)
-        _set_notes(self, notes)
 
     def to_dict(self) -> dict:
         lines = []
@@ -954,10 +944,6 @@ class AuditReport(Value):
             f"final: line 5 true: {f.line5_true}; line 6 refuted: {f.line6_refuted}"
         )
         return "\n".join(out)
-
-
-# every audit builds a report: its slots' own setters skip the generic constructor
-_set_lines, _set_final, _set_notes = AuditReport._setters
 
 
 def audit(

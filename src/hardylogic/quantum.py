@@ -56,7 +56,7 @@ class HardyConfig(Value):
     __slots__ = _fields = ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2")
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
         for name in self._fields:
             value = getattr(self, name)
             if value.__class__ is bool:  # save_config would write a JSON boolean
@@ -112,15 +112,6 @@ class PredictionReport(Value):
         "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
     )
 
-    def __init__(self, c1, c2, c3, c4, marginal_l1_minus, tolerance, positivity_floor):
-        _set_c1(self, c1)
-        _set_c2(self, c2)
-        _set_c3(self, c3)
-        _set_c4(self, c4)
-        _set_marginal(self, marginal_l1_minus)
-        _set_tol(self, tolerance)
-        _set_floor(self, positivity_floor)
-
     @property
     def pass_c1(self) -> bool:
         return self.c1 <= self.tolerance
@@ -154,9 +145,6 @@ class PredictionReport(Value):
             f"[{'ok' if self.pass_c4 else 'FAIL'}: must be >= {self.positivity_floor:.1e}]",
             f"P(L1-) marginal       = {self.marginal_l1_minus:.9f}",
         ])
-
-
-_set_c1, _set_c2, _set_c3, _set_c4, _set_marginal, _set_tol, _set_floor = PredictionReport._setters
 
 
 def verify_hardy(
@@ -206,7 +194,7 @@ class SearchParams(Value):
     _defaults = (0, 96)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
         if self.grid < 2:
             raise ValueError(f"grid must be at least 2, got {self.grid}")
 

@@ -75,7 +75,7 @@ class TemporalOrder(Value):
     _defaults = ("L",)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
         if self.earlier_region not in ("L", "R"):
             raise ValueError(f"earlier_region must be 'L' or 'R', got {self.earlier_region!r}")
 
@@ -98,7 +98,7 @@ class CfOptions(Value):
     _defaults = (L_EARLIER, "every", True)
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
         if self.order.__class__ is not TemporalOrder:
             raise ValueError(f"order must be a TemporalOrder, got {self.order!r}")
         _check_quantifier(self.quantifier)
@@ -361,18 +361,6 @@ def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OP
 class GlobalCheck(Value):
     __slots__ = _fields = ("holds", "witness", "counterexamples")
 
-    def __init__(self, holds: bool, witness: World | None, counterexamples: tuple[World, ...]):
-        _set_holds(self, holds)
-        _set_witness(self, witness)
-        _set_counterexamples(self, counterexamples)
-
-
-# the slots' own setters: every global check builds one, and these skip
-# the name lookup `object.__setattr__` makes
-_set_holds = GlobalCheck.holds.__set__
-_set_witness = GlobalCheck.witness.__set__
-_set_counterexamples = GlobalCheck.counterexamples.__set__
-
 
 def holds_globally(
     model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS
@@ -422,20 +410,6 @@ class TheoremReport(Value):
         "hardy_conforming", "conformance_detail", "line5", "line6", "line5_vacuous"
     )
 
-    def __init__(
-        self,
-        hardy_conforming: bool,
-        conformance_detail: str,
-        line5: GlobalCheck,
-        line6: GlobalCheck,
-        line5_vacuous: bool,
-    ):
-        _set_hardy_conforming(self, hardy_conforming)
-        _set_conformance_detail(self, conformance_detail)
-        _set_line5(self, line5)
-        _set_line6(self, line6)
-        _set_line5_vacuous(self, line5_vacuous)
-
     @property
     def sr_true_on_all_l2_worlds(self) -> bool:
         """Line 5, `L2 => SR`, holds exactly when no possible L2 world falsifies SR."""
@@ -482,10 +456,6 @@ class TheoremReport(Value):
         )
         return "\n".join(lines)
 
-
-# every theorem check builds a report: its slots' own setters skip the generic constructor
-(_set_hardy_conforming, _set_conformance_detail, _set_line5, _set_line6,
- _set_line5_vacuous) = TheoremReport._setters
 
 # each forbidden cell's problem text and bit, then the paradox cell's
 _FORBIDDEN_BITS = tuple(

@@ -46,7 +46,7 @@ class World(Value):
     __slots__ = _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self._store(*args, **kwargs)
         if self.choice_l not in CHOICES_L or self.choice_r not in CHOICES_R:
             raise ValueError(f"bad choices ({self.choice_l}, {self.choice_r})")
         if self.outcome_l not in SIGNS or self.outcome_r not in SIGNS:

@@ -131,6 +131,69 @@ def test_premise_naming_an_absent_line_rejected(script):
         ProofScript(lines, script.side_conditions)
 
 
+def test_proof_line_takes_its_premises_and_scope_frozen():
+    # a list of premises could be appended to after the line checked them
+    with pytest.raises(ValueError, match=r"^premises must be a tuple, got \[1\]$"):
+        ProofLine(2, parse("L1 => L1"), "A5", [1])
+    with pytest.raises(ValueError, match=r"^hypothesis_scope must be a frozenset, got \{1\}$"):
+        ProofLine(2, parse("L1 => L1"), "A5", (1,), {1})
+
+
+@pytest.mark.parametrize("field", ["lines", "side_conditions", "notes"])
+def test_proof_script_takes_its_parts_as_tuples(script, field):
+    # a list of lines could take a duplicate index after the script checked them
+    parts = {"lines": script.lines, "side_conditions": script.side_conditions, "notes": ()}
+    parts[field] = list(parts[field])
+    with pytest.raises(ValueError, match=f"^{field} must be a tuple, got \\["):
+        ProofScript(**parts)
+
+
+# Single edits of the frozen prediction lines, each failing one operand of
+# one `or`/`and` guard in `_prediction_shape` or `_negated_conditional_cell`
+# and passing every other check, so that a guard that joined its operands
+# the other way would give a cell verdict or raise instead
+_ZERO_SHAPE = "(choices ^ outcome) => (same choices ^ other region's outcome)"
+_WITNESS_SHAPE = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
+_GUARD_EDITS = {
+    # PRED21, line 2: (L2 & R2 & R2+) => (L2 & R2 & L2+)
+    "ant-has-four-conjuncts": (2, "(L2 & R2 & R2+ & R2) => (L2 & R2 & L2+)"),
+    "cons-has-four-conjuncts": (2, "(L2 & R2 & R2+) => (L2 & R2 & L2+ & L2)"),
+    "cons-changes-the-left-choice": (2, "(L2 & R2 & R2+) => (L1 & R2 & L2+)"),
+    # PRED22, line 3: (L2 & R1 & L2+) => (L2 & R1 & R1-)
+    "cons-changes-the-right-choice": (3, "(L2 & R1 & L2+) => (L2 & R2 & R1-)"),
+    # PRED23, line 8: (L1 & R2 & L1-) => (L1 & R2 & R2+)
+    "left-choice-is-an-outcome": (8, "(L1+ & R2 & L1-) => (L1+ & R2 & R2+)"),
+    "right-choice-is-an-outcome": (8, "(L1 & R2- & L1-) => (L1 & R2- & R2+)"),
+    "ant-outcome-of-the-other-setting": (8, "(L1 & R2 & L2-) => (L1 & R2 & R2+)"),
+    "cons-outcome-of-the-other-setting": (8, "(L1 & R2 & L1-) => (L1 & R2 & R1+)"),
+    # PRED24, line 12: (L1 & R1) => ~(L1- -> R1 & R1-)
+    "left-choice-negated": (12, "(~L1 & R1) => ~(L1- -> R1 & R1-)"),
+    "right-choice-negated": (12, "(L1 & ~R1) => ~(L1- -> R1 & R1-)"),
+    "cons-not-negated": (12, "(L1 & R1) => (L1- -> R1 & R1-)"),
+    "negated-disjunction": (12, "(L1 & R1) => ~(L1- | R1 & R1-)"),
+    "three-later-conjuncts": (12, "(L1 & R1) => ~(L1- -> R1 & R1- & R1)"),
+    "later-outcome-negated": (12, "(L1 & R1) => ~(L1- -> R1 & ~R1-)"),
+    "later-choice-is-an-outcome": (12, "(L1 & R1) => ~(L1- -> R1+ & R1-)"),
+    "later-outcome-is-a-choice": (12, "(L1 & R1) => ~(L1- -> R1 & R1)"),
+    "later-outcome-of-the-other-setting": (12, "(L1 & R1) => ~(L1- -> R1 & R2-)"),
+    "later-outcome-in-the-earlier-region": (12, "(L1 & R1) => ~(L1- -> L1 & L1+)"),
+}
+
+
+@pytest.mark.parametrize("index, text", _GUARD_EDITS.values(), ids=_GUARD_EDITS)
+def test_a_prediction_line_failing_one_guard_operand_is_invalid(hardy_model, script, index, text):
+    ln = script.line(index)
+    statement = parse(text)
+    edited = _with_line(
+        script,
+        ProofLine(index, statement, ln.rule, ln.premises, ln.hypothesis_scope, ln.note),
+    )
+    shape = _WITNESS_SHAPE if ln.rule == "PRED24" else _ZERO_SHAPE
+    verdict = check_rule(hardy_model, edited, index)
+    assert verdict.status == proof.INVALID
+    assert verdict.detail == f"expected {shape}, found {unparse(statement)}"
+
+
 def test_all_rules_valid_on_hardy_model(hardy_model, script):
     for ln in script.lines:
         verdict = check_rule(hardy_model, script, ln.index)

@@ -10,6 +10,7 @@ checks each such value against a source that does not read it.
 """
 
 import copy
+import inspect
 import pickle
 import random
 
@@ -484,3 +485,80 @@ def test_derived_fields_agree_with_independent_sources(seed, kind, quantifier):
         and not final.line5_vacuous
         and not final.line6_holds
     )
+
+
+# ---------------------------------------------------------------------------
+# One constructor route: each class's store is generated from its fields
+
+
+def _owner(cls) -> type:
+    """The class that names `cls`'s fields, whose store `cls` builds through."""
+    return next(k for k in cls.__mro__ if "_fields" in vars(k))
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_the_signature_lists_the_fields_with_the_defaults_on_the_trailing_ones(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(FIELDS[cls])
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    required = len(params) - len(cls._defaults)
+    assert [p.default for p in params] == [inspect.Parameter.empty] * required + list(
+        cls._defaults
+    )
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
+def test_a_bad_call_is_a_type_error_naming_the_class(value):
+    cls, values, names = type(value), _fields(value), FIELDS[type(value)]
+    bad_calls = [
+        lambda: cls(*values, values[0]),
+        lambda: cls(*values, no_such_field=0),
+        lambda: cls(*values, **{names[0]: values[0]}),
+    ]
+    if cls not in _ALL_DEFAULTS:
+        bad_calls.append(lambda: cls(**dict(zip(names[1:], values[1:]))))
+    for call in bad_calls:
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value).startswith(f"{_owner(cls).__qualname__}.__init__() ")
+
+
+def test_the_binary_connectives_share_one_constructor():
+    binary = formula._Binary
+    assert {cls.__init__ for cls in (And, Or, MatImp, StrictImp, Counterfactual)} == {
+        binary.__init__
+    }
+    assert binary.__init__ is binary._store
+    assert binary.__init__.__qualname__ == "_Binary.__init__"
+    assert {_owner(cls) for cls in (And, Or, MatImp, StrictImp, Counterfactual)} == {binary}
+
+
+def test_each_class_that_names_fields_generates_its_store_once(monkeypatch):
+    # the stores of a class without a constructor of its own, of one that
+    # stores then checks, of one that checks then stores, and of the five
+    # connectives' base are taken away, as before their classes' first build
+    owners = (formula._Binary, GlobalCheck, World, LineAudit, ProofScript)
+    own = {owner: owner.__init__ for owner in owners if owner.__init__ is not owner._store}
+    assert set(own) == {World, LineAudit, ProofScript}
+    for owner in owners:
+        monkeypatch.delattr(owner, "_store")
+        if owner in own:
+            monkeypatch.delattr(owner.__init__, "__wrapped__")
+        else:
+            monkeypatch.delattr(owner, "__init__")
+    generated = []
+    real = formula._generate
+
+    def spy(cls):
+        store = real(cls)
+        generated.append(store.__qualname__)
+        return store
+
+    monkeypatch.setattr(formula, "_generate", spy)
+    built = [v for v in VALUES if _owner(type(v)) in owners]
+    assert len(built) == 9  # the five connectives, one of each other class
+    for _ in range(50):
+        for value in built:
+            assert type(value)(*_fields(value)) == value
+    assert sorted(generated) == sorted(f"{owner.__qualname__}.__init__" for owner in owners)
+    assert all(owner.__init__ is init for owner, init in own.items())
