@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
+from types import FunctionType
 
 CHOICE_ATOMS = ("L1", "L2", "R1", "R2")
 OUTCOME_ATOMS = ("L1+", "L1-", "L2+", "L2-", "R1+", "R1-", "R2+", "R2-")
@@ -43,17 +44,22 @@ class LexError(ParseError):
 
 
 class _Generated:
-    """`Value.__init__` and `Value._store`, which a lookup reaches until the store exists.
+    """`Value.__init__` or `Value._store`, which a lookup reaches until the store exists.
 
     A class's first build, or any other read of either name, such as
     `inspect.signature`'s, calls `_generate`, which puts the store on
-    the class where later lookups find it first.
+    the classes where later lookups find it first, and then reads the
+    name again.
     """
 
-    __slots__ = ()
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __get__(self, obj, cls):
-        return _generate(cls).__get__(obj, cls)
+        _generate(cls)
+        return getattr(cls, self.name).__get__(obj, cls)
 
 
 class Value:
@@ -67,13 +73,16 @@ class Value:
     generated from `_fields` the first time the class is built, so a
     command pays only for the classes it builds, and Python binds the
     arguments and raises TypeError, naming the class, for a bad call.
-    It is generated once, on the class that names the fields: the five
-    binary connectives share `_Binary`'s.  A class with no constructor
-    of its own takes the store as its `__init__`.  One that checks its
-    fields calls `self._store(...)` and then checks them, or, as `Atom`
-    and `ProofScript` do, checks first.  `Model` and `ProbabilityTable`
-    keep constructors that store without it, since each works out a
-    slot that is not a field: the mask, and the cells.  `parse` fills
+    It is generated once, on the class that names the fields.  A class
+    with no constructor of its own takes the store as its `__init__`,
+    and each of its direct subclasses that has none either, as the five
+    binary connectives under `_Binary`, a function of its own over the
+    store's code, named for it, so that a bad call names the subclass.
+    One that checks its fields calls `self._store(...)` and then checks
+    them, or, as `Atom` and `ProofScript` do, checks first.  `Model`
+    and `ProbabilityTable` keep constructors that store without it,
+    since each works out a slot that is not a field: the mask, and the
+    cells.  `parse` fills
     bare `Not` and binary nodes through the slots' setters, and the
     audit stores a bare `LineAudit` through `LineAudit._store` and then
     sets its JSON row.
@@ -87,7 +96,7 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
-    __init__ = _store = _Generated()
+    __init__, _store = _Generated("__init__"), _Generated("_store")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -125,8 +134,10 @@ def _generate(cls: type):
     """Generate the store of the class that names `cls`'s fields, and put it on that class.
 
     The store becomes that class's `_store` and, unless the class has a
-    constructor of its own, its `__init__`; an own constructor gets it
-    as `__wrapped__`, so that `help` and `inspect.signature` show the
+    constructor of its own, its `__init__`, and each direct subclass
+    without a constructor gets its own function over the store's code
+    as its `__init__`; an own constructor gets the store as
+    `__wrapped__`, so that `help` and `inspect.signature` show the
     fields once the store exists.
     """
     for owner in cls.__mro__:
@@ -148,8 +159,13 @@ def _generate(cls: type):
     owner._store = store
     if "__init__" in owner.__dict__:
         owner.__init__.__wrapped__ = store
-    else:
-        owner.__init__ = store
+        return store
+    owner.__init__ = store
+    for sub in owner.__subclasses__():
+        if "__init__" not in sub.__dict__:
+            init = FunctionType(store.__code__, store.__globals__, "__init__", store.__defaults__)
+            init.__qualname__ = f"{sub.__qualname__}.__init__"
+            sub.__init__ = init
     return store
 
 

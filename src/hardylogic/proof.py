@@ -18,12 +18,16 @@ each pair of readings and state of its pinned cell.  A possible zero
 cell's verdict quotes the model's probability, so for it the plan keeps
 a template instead: the report's fixed fields, the verdict text before
 and after the probability, and the JSON row for each pair of readings.
-What is left per model is one run of the program, which gives the two
-readings, the side condition, the bridge world, whether the
-counterpart is tested and the hypothesis fails, and the bit of each
-pinned cell.  The closing verdict depends on the model only through
-those few discrete values, so the plan keeps it too, in a table keyed
-by them and filled as each key is first met.
+On the first audit under each reading the plan generates one
+straight-line function that runs the program under both quantifiers
+and reads the line reports off the plan by the two readings and the
+pinned cells' bits, and the few discrete values the closing verdict is
+made from: whether the rules hold, the side condition, the clash and
+its bridge world, whether the counterpart holds and is tested, and
+whether the hypothesis holds.  The closing verdict depends on the model
+only through those values, so the plan keeps it too, in a table keyed
+by them and filled as each key is first met, and the verdict keeps its
+JSON section once made.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -72,6 +76,7 @@ from .semantics import (
     CfOptions,
     MaskProgram,
     TemporalOrder,
+    _function,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
 from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World
@@ -318,8 +323,6 @@ def _prediction_shape(ant, cons):
         return None
     cl, cr, ant_out = ant
     cons_out = cons[2]
-    if not (_is_choice(cl, "L") and _is_choice(cr, "R")):
-        return None
     if not (ant_out.is_outcome and cons_out.is_outcome):
         return None
     if ant_out.region == cons_out.region:
@@ -614,7 +617,9 @@ class _Plan:
     `rules_ok` is the share of `rules_all_valid` that no model changes:
     the scopes, and every verdict but the pinned cells'.
     `program` is None until the first audit compiles the script
-    (`compile`); `check_rule` never does.
+    (`compile`); `check_rule` never does.  `audits` maps each reading
+    an audit has met, (quantifier, self_world), to the function
+    `compile` generated for it.
     `finals` maps the discrete values a closing verdict is made from
     (see `audit`) to that `FinalVerdict`, each built when its key is
     first met (`_final_verdict`); its size is bounded by that key
@@ -634,9 +639,10 @@ class _Plan:
             if by_index[index].rule != "HYPOTHESIS" and not isinstance(rule, World)
         )
         self.program: MaskProgram | None = None
+        self.audits: dict[tuple, object] = {}
         self.finals: dict[tuple, FinalVerdict] = {}
 
-    def compile(self, script: ProofScript, order: TemporalOrder) -> MaskProgram:
+    def _layout(self, script: ProofScript, order: TemporalOrder) -> None:
         """The script as one mask program, keeping the slot of each part an audit reads.
 
         `lines` has, per line: the slots of its statement and of the two
@@ -678,7 +684,91 @@ class _Plan:
         if counterpart is not None:
             self.counterpart = (counterpart.index, next(slots), tuple(slots))
         self.program = program
-        return program
+
+    def compile(self, script: ProofScript, order: TemporalOrder, quantifier: str, self_world: bool):
+        """The audit of one model under one reading, as one generated straight-line function.
+
+        Lays the script out as a mask program first, if no audit has
+        (`_layout`).  The function takes the model's possible-world mask
+        `p` and its sixteen cells, and returns the line reports and the
+        key of the closing verdict (see `audit`).  Its body is the
+        program's (`MaskProgram.body`), cut to the slots the readout reads
+        under each quantifier and those they are computed from, each a
+        local, followed by the readout: each line's report is its table
+        on the plan indexed by the two readings,
+        `T[every_slot == p][some_a & some_c != 0]`; a prediction line
+        picks its table by its cell's bit, and a possible zero cell's
+        report is made from its template.  The rules hold when the
+        plan's verdicts do, no zero cell is possible and every witness
+        cell is.  The side conditions, the clash, the bridge world and
+        the counterpart are read under `quantifier`.  The source holds
+        only locals, operators, int literals and the plan's named
+        constants (`T<i>`, `Z<i>`, `zero_cell`).
+        """
+        if self.program is None:
+            self._layout(script, order)
+        program, reads = self.program, set()
+
+        def reading(quantifier):  # a slot's local under `quantifier`, noted as read
+            def local(slot: int) -> str:
+                reads.add((quantifier, slot))
+                return program.local(quantifier, slot)
+            return local
+
+        every, some = reading("every"), reading("some")
+        own = reading(quantifier)  # the reading the closing verdict reads
+        readout, constants = [], {"zero_cell": _zero_cell_audit}
+        if self.hyp is not None:  # scoped lines read as material consequences of it
+            s, a, c = self.hyp
+            readout += [f"hyp_e = {every(s)} != p", f"hyp_s = not {some(a)} & {some(c)}"]
+        reports, zero_bits, witness_bits = [], 0, 0
+        for i, (s, a, c, scoped, bit, tables, zero) in enumerate(self.lines):
+            # universal reading: no escaping world; existential: a conforming world.
+            # Each slot's mask lies within the possible worlds, so a mask equal
+            # to `p` holds everywhere, and a nonzero one somewhere
+            sem_every, sem_some = f"{every(s)} == p", f"{some(a)} & {some(c)} != 0"
+            if scoped:
+                sem_every, sem_some = f"hyp_e or {sem_every}", f"hyp_s or {sem_some}"
+            constants[f"T{i}"] = tables
+            report = f"T{i}[{sem_every}][{sem_some}]"
+            if bit is not None and zero is None:  # a witness cell: its table, possible or not
+                report = f"T{i}[p >> {bit} & 1][{sem_every}][{sem_some}]"
+                witness_bits |= 1 << bit
+            elif bit is not None:  # a possible zero cell: the verdict quotes its probability
+                constants[f"Z{i}"] = zero
+                report = (
+                    f"(zero_cell(Z{i}, cells[{bit}], {sem_every}, {sem_some})"
+                    f" if p >> {bit} & 1 else {report})"
+                )
+                zero_bits |= 1 << bit
+            reports.append(report)
+        rules_ok = "False"
+        if self.rules_ok:
+            rules_ok = f"not p & {zero_bits} and p & {witness_bits} == {witness_bits}"
+        side_ok = " and ".join(f"{own(slot)} != 0" for slot in self.sides) or "True"
+        # the imposed choice holds throughout what it reaches, so `c []-> c`
+        # read existentially marks the worlds whose accessible set is nonempty
+        found = "(None, 0)"
+        for k, (pair, x, reaches) in reversed(tuple(enumerate(self.clashes))):
+            readout.append(f"b{k} = {own(x)} & {some(reaches)}")
+            found = f"({pair}, b{k}) if b{k} else {found}"
+        readout += [  # the first bridge world, in canonical order, is the lowest bit
+            f"contradiction, bridges = {found}",
+            "bridge = (bridges & -bridges).bit_length() - 1 if bridges else None",
+        ]
+        # true at every possible world, as `holds_globally` reads
+        line5_true = line5_vacuous = "False"
+        if self.counterpart is not None:
+            _, slot, premise = self.counterpart
+            line5_true = f"{own(slot)} == p"
+            line5_vacuous = "not " + " & ".join(["p", *map(own, premise)])
+        line6_holds = "False" if self.hyp is None else f"{own(self.hyp[0])} == p"
+        key = (rules_ok, side_ok, "contradiction", "bridge", line5_true, line5_vacuous, line6_holds)
+        result = "(" + "".join(f"{r}, " for r in reports) + "), (" + ", ".join(key) + ")"
+        body = program.body(("every", "some"), self_world, reads) + readout
+        run = _function("p, cells", body, result, "<proof audit>", **constants)
+        self.audits[quantifier, self_world] = run
+        return run
 
 
 def _premise(f: Formula) -> tuple[Formula, ...]:
@@ -723,26 +813,28 @@ def _not_a_zero_cell(world: World) -> tuple[str, str]:
 
 
 def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
-    """A line's `LineAudit`s, as (bit, table, zero) with `table[sem_every, sem_some]`.
+    """A line's `LineAudit`s, as (bit, tables, zero), each table `table[sem_every][sem_some]`.
 
-    For a fixed verdict the bit and `zero` are None.  A prediction line
-    has its pinned cell's bit and one table for the cell impossible and
-    one for it possible.  A zero cell has None for the second, since its
-    verdict then quotes the model's probability, and `zero` is its
-    template instead (see `_zero_cell_audit`): the report's fixed
-    fields, the verdict before and after the probability, and its JSON
-    row for each pair of readings, with no detail.
+    For a fixed verdict the bit and `zero` are None, and `tables` is its
+    one table.  A prediction line has its pinned cell's bit.  Its
+    witness cell has a pair of tables, one for the cell impossible and
+    one for it possible, and `zero` None.  A zero cell has the table for
+    it impossible alone, since its verdict when possible quotes the
+    model's probability, and `zero` is its template instead (see
+    `_zero_cell_audit`): the report's fixed fields, the verdict before
+    and after the probability, and its JSON row for each pair of
+    readings, indexed as a table is, with no detail.
     """
     scope = tuple(sorted(ln.hypothesis_scope))
 
     def table(status, detail):
-        table = {
-            (e, s): LineAudit(ln.index, ln.rule, ln.premises, scope, status, detail, e, s, ln.note)
-            for e in (False, True) for s in (False, True)
-        }
-        for la in table.values():  # each stored report's JSON row, made with the plan
-            la._json_row()
-        return table
+        return tuple(
+            tuple(
+                LineAudit(ln.index, ln.rule, ln.premises, scope, status, detail, e, s, ln.note)
+                for s in (False, True)
+            )
+            for e in (False, True)
+        )
 
     if not isinstance(rule, World):
         return None, table(rule.status, rule.detail), None
@@ -751,9 +843,9 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
     if rule == PARADOX_WORLD:
         witness = _prediction_verdict(rule, True)
         return WORLD_INDEX[rule], (reports, table(witness.status, witness.detail)), None
-    rows = {key: la._json_row() for key, la in table(INVALID, None).items()}
+    rows = tuple(tuple(la._json_row() for la in pair) for pair in table(INVALID, None))
     fixed = (ln.index, ln.rule, ln.premises, scope, ln.note)
-    return WORLD_INDEX[rule], (reports, None), (fixed, *_not_a_zero_cell(rule), rows)
+    return WORLD_INDEX[rule], reports, (fixed, *_not_a_zero_cell(rule), rows)
 
 
 def _clashes(script: ProofScript, hyp_index: int) -> tuple:
@@ -849,7 +941,7 @@ def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) 
     detail = f"{head}{prob!r}{tail}"
     la = object.__new__(LineAudit)  # the fields through the store; the row from the template
     LineAudit._store(la, index, rule, premises, scope, INVALID, detail, sem_every, sem_some, note)
-    row = rows[sem_every, sem_some].copy()
+    row = rows[sem_every][sem_some].copy()
     row["rule_detail"] = detail
     _set_row(la, row)
     return la
@@ -860,10 +952,11 @@ class FinalVerdict(Value):
 
     `line5_vacuous` says that no possible world tests the hypothesis's
     counterpart (line 5), and `line6_holds` that the hypothesis itself
-    holds under the audit's reading.
+    holds under the audit's reading.  `_section` keeps its JSON section
+    once made (`_json_section`), is unset until then, and is not a field.
     """
 
-    __slots__ = _fields = (
+    _fields = (
         "line5_true",
         "rules_all_valid",
         "side_conditions_hold",
@@ -873,6 +966,7 @@ class FinalVerdict(Value):
         "line5_vacuous",
         "line6_holds",
     )
+    __slots__ = (*_fields, "_section")
 
     @property
     def line6_refuted(self) -> bool:
@@ -891,6 +985,30 @@ class FinalVerdict(Value):
             and not self.line6_holds
         )
 
+    def _json_section(self) -> dict:
+        """The verdict's JSON section, `contradiction_lines` a tuple; made once, so callers copy it."""
+        try:
+            return self._section
+        except AttributeError:
+            world = self.bridge_world
+            _set_section(self, {
+                "line5_true": self.line5_true,
+                "line6_refuted": self.line6_refuted,
+                "rules_all_valid": self.rules_all_valid,
+                "side_conditions_hold": self.side_conditions_hold,
+                "contradiction_lines": self.contradiction_lines or None,
+                "bridge_world": (
+                    f"{world.choice_l},{world.choice_r},{world.outcome_l},{world.outcome_r}"
+                    if world
+                    else None
+                ),
+                "detail": self.detail,
+            })
+            return self._section
+
+
+_set_section = FinalVerdict._section.__set__
+
 
 class AuditReport(Value):
     __slots__ = _fields = ("lines", "final", "notes")
@@ -901,28 +1019,10 @@ class AuditReport(Value):
             row = la._json_row().copy()
             row["premises"], row["scope"] = list(la.premises), list(la.scope)
             lines.append(row)
-        return {
-            "lines": lines,
-            "final": {
-                "line5_true": self.final.line5_true,
-                "line6_refuted": self.final.line6_refuted,
-                "rules_all_valid": self.final.rules_all_valid,
-                "side_conditions_hold": self.final.side_conditions_hold,
-                "contradiction_lines": (
-                    list(self.final.contradiction_lines)
-                    if self.final.contradiction_lines
-                    else None
-                ),
-                "bridge_world": (
-                    f"{self.final.bridge_world.choice_l},{self.final.bridge_world.choice_r},"
-                    f"{self.final.bridge_world.outcome_l},{self.final.bridge_world.outcome_r}"
-                    if self.final.bridge_world
-                    else None
-                ),
-                "detail": self.final.detail,
-            },
-            "notes": list(self.notes),
-        }
+        final = self.final._json_section().copy()  # and of the closing verdict's section
+        if final["contradiction_lines"] is not None:
+            final["contradiction_lines"] = list(final["contradiction_lines"])
+        return {"lines": lines, "final": final, "notes": list(self.notes)}
 
     def render(self) -> str:
         out = ["line  rule          verdict  every  some   flags"]
@@ -966,70 +1066,26 @@ def audit(
     the derivation goes through without them, the detail says which
     failed.
 
-    What reads only the script comes from its plan for `opts.order`,
-    including the script compiled into one mask program on the first
-    audit, each line's finished `LineAudit`s and the closing verdicts
-    met so far; each model runs that program once, its counterfactual
-    nodes once per reading, reads the pinned cells' bits, looks each
-    line's audit up, and looks the closing verdict up by the values it
-    is made from.  Only a possible zero cell's report is built for the
-    model, from its line's template.
+    What reads only the script comes from its plan for `opts.order`:
+    on the first audit under `opts`'s reading, the plan generates one
+    function that runs the script's mask program, its counterfactual
+    nodes once per reading, and reads each line's finished `LineAudit`
+    off the plan by the two readings and the pinned cells' bits, and
+    the values the closing verdict is made from (see `_Plan.compile`).
+    The verdict is looked up by those values in a table on the plan.
+    Only a possible zero cell's report is built for the model, from its
+    line's template.
     """
     if script is None:
         script = builtin_script()
     plan = _plan(script, opts.order)
-    program = plan.program if plan.program is not None else plan.compile(script, opts.order)
-    every, some = program.run(model, ("every", "some"), opts.self_world_when_consistent)
-    # each slot's mask lies within the possible worlds, so a mask equal to
-    # `mask` holds everywhere, and a nonzero one somewhere
-    mask = model.mask
-    if plan.hyp is not None:  # scoped lines read as material consequences of it
-        s, a, c = plan.hyp
-        not_hyp = (every[s] != mask, not some[a] & some[c])
-
-    rules_ok, audits = plan.rules_ok, []
-    for s, a, c, scoped, bit, reports, zero in plan.lines:
-        # universal reading: no escaping world; existential: a conforming world
-        sem_every, sem_some = every[s] == mask, some[a] & some[c] != 0
-        if scoped:
-            sem_every, sem_some = not_hyp[0] or sem_every, not_hyp[1] or sem_some
-        table = reports
-        if bit is not None:  # a prediction line: the table for its cell, possible or not
-            table = reports[mask >> bit & 1]
-            if table is None:  # a possible zero cell: the verdict quotes its probability
-                audits.append(_zero_cell_audit(zero, model.table.cells[bit], sem_every, sem_some))
-                rules_ok = False
-                continue
-            rules_ok = rules_ok and table[False, False].rule_ok
-        audits.append(table[sem_every, sem_some])
-
-    reading = every if opts.quantifier == "every" else some  # `opts`'s own reading
-    side_ok = all(reading[slot] for slot in plan.sides)
-
-    contradiction = bridge = None
-    for pair, x, reaches in plan.clashes:
-        # the imposed choice holds throughout what it reaches, so `c []-> c`
-        # read existentially marks the worlds whose accessible set is nonempty
-        bridges = reading[x] & some[reaches]
-        if bridges:  # the first bridge world, in canonical order, is the lowest bit
-            contradiction, bridge = pair, (bridges & -bridges).bit_length() - 1
-            break
-
-    # true at every possible world, as `holds_globally` reads
-    line5_true = line5_vacuous = False
-    if plan.counterpart is not None:
-        _, slot, premise = plan.counterpart
-        line5_true, tested = reading[slot] == mask, mask
-        for part in premise:
-            tested &= reading[part]
-        line5_vacuous = not tested
-    line6_holds = plan.hyp is not None and reading[plan.hyp[0]] == mask
-
-    key = (rules_ok, side_ok, contradiction, bridge, line5_true, line5_vacuous, line6_holds)
+    reading = (opts.quantifier, opts.self_world_when_consistent)
+    run = plan.audits.get(reading) or plan.compile(script, opts.order, *reading)
+    audits, key = run(model.mask, model.table.cells)
     final = plan.finals.get(key)
     if final is None:
         final = plan.finals[key] = _final_verdict(plan, *key)
-    return AuditReport(tuple(audits), final, script.notes)
+    return AuditReport(audits, final, script.notes)
 
 
 def _final_verdict(

@@ -11,7 +11,8 @@ A fixed set of formulas read on many models, such as the proof script
 or the two conclusion lines, is compiled once into a `MaskProgram`: a
 straight-line list of the set's distinct nodes that each model runs
 without walking a tree.  The program runs as generated straight-line
-Python code, built on its first run under each reading.
+Python code, one function built on its first run under each set of
+readings.
 
 Three conditionals with three different scopes:
 
@@ -37,7 +38,7 @@ The prediction cells that `hardy_conformance` checks live in `worlds`.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .formula import (
     OUTCOME_ATOMS,
@@ -145,8 +146,8 @@ def _counterfactual_mask(
 
     With `every` false, some world of it instead.  `imposed` is the
     choice's mask and `cells` the earlier region's four cell masks.
-    A mask program's kernel unrolls this same rule (`_kernel`), so a
-    change here is made there too.
+    A mask program's generated code unrolls this same rule (`_emit`),
+    so a change here is made there too.
     """
     out = 0
     # every world of one earlier-region (choice, outcome) cell reaches the same worlds
@@ -208,22 +209,23 @@ class MaskProgram:
     Each distinct node, by identity, has one slot, so the repeated
     subformulas of an interned formula set are computed once.  The
     instructions list the nodes children first: `free`, the nodes that
-    contain no counterfactual, which `run` computes once per model, then
-    `tail`, the nodes that do, which it computes once per reading.
+    contain no counterfactual, then `tail`, the nodes that do.
     `slots[i]` is the slot of `formulas[i]`.  Every slot's mask lies
     within the model's possible worlds.
 
-    `run` executes the instructions as generated straight-line Python
-    (`_kernel`): one function for `free`, built on the first run, and
-    one for `tail` per reading, the quantifier with `self_world`, built
-    on the first run under that reading and kept on the program.
+    `body` writes the program out as straight-line Python (`_emit`):
+    each slot a local (`local`), each instruction one assignment, the
+    free nodes once and the tail once per quantifier.  `run` compiles
+    that body into one function per (quantifiers, self_world), on the
+    first run with them, and keeps it on the program; the audit appends
+    its own readout to the same body (see `proof._Plan.compile`).
 
     An antecedent outside the fragment raises the error `truth_mask`
     raises, for the first such counterfactual `truth_mask` would meet
     evaluating the formulas in order.
     """
 
-    __slots__ = ("free", "tail", "slots", "_free_kernel", "_tail_kernels")
+    __slots__ = ("free", "tail", "slots", "_runs")
 
     def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
         cells = _CELL_MASKS[order.earlier_region]
@@ -263,89 +265,116 @@ class MaskProgram:
                     code.append((op, a if op == _ATOM else slot[a], slot[b] if op < _NOT else b))
         self.free, self.tail = tuple(free), tuple(tail)
         self.slots = tuple(slot[n] for n in given)
-        self._free_kernel = None
-        self._tail_kernels: dict[tuple, object] = {}  # (quantifier, self_world) -> kernel
+        self._runs: dict[tuple, object] = {}  # (quantifiers, self_world) -> generated function
 
     def __len__(self) -> int:
         return len(self.free) + len(self.tail)
+
+    def local(self, quantifier: str, slot: int) -> str:
+        """The local that holds `slot` under `quantifier` in the generated code."""
+        return f"m{slot}" if slot < len(self.free) else f"{quantifier[0]}{slot}"
+
+    def body(
+        self, quantifiers: tuple[str, ...], self_world: bool, reads: set | None = None
+    ) -> list[str]:
+        """Source lines that set the slots' locals under each quantifier, from the mask `p`.
+
+        Every slot's, or with `reads`, a set of (quantifier, slot) pairs,
+        those slots' and the slots they are computed from only.
+        """
+        for quantifier in quantifiers:
+            _check_quantifier(quantifier)
+        code, free = self.free + self.tail, len(self.free)
+        if reads is None:
+            reads = {(q, n) for q in quantifiers for n in range(len(code))}
+        wanted = {q: {n for r, n in reads if r == q} for q in dict.fromkeys(quantifiers)}
+        reach = set()  # the `imposed & cell` masks of the counterfactuals kept
+        for slots in wanted.values():  # an instruction's operands have lower slots
+            for n in range(len(code) - 1, -1, -1):
+                op, a, b = code[n]
+                if n in slots and op != _ATOM:
+                    slots.update((a, b) if op < _NOT else (a,))
+                    if op == _CF:
+                        reach.update(b[0] & cell for cell in b[1])
+        lines = [f"r{k} = p & {k}" for k in sorted(reach)]
+        kept = set().union(*wanted.values())
+        lines += _emit(code, [n for n in range(free) if n in kept], "m{}".format)
+        for quantifier, slots in wanted.items():
+            reading = (quantifier == "every", self_world)
+            tail = [n for n in range(free, len(code)) if n in slots]
+            lines += _emit(code, tail, partial(self.local, quantifier), reading)
+        return lines
 
     def run(
         self, model: Model, quantifiers: tuple[str, ...], self_world: bool = True
     ) -> list[list[int]]:
         """Every slot's mask in `model`, one list per quantifier."""
-        possible = model.mask
-        if self._free_kernel is None:
-            self._free_kernel = _kernel(self.free, 0)
-        masks = self._free_kernel(possible)
-        readings = []
-        for quantifier in quantifiers:
-            kernel = self._tail_kernels.get((quantifier, self_world))
-            if kernel is None:
-                _check_quantifier(quantifier)
-                reading = (quantifier == "every", self_world)
-                kernel = self._tail_kernels[quantifier, self_world] = _kernel(
-                    self.tail, len(self.free), reading
-                )
-            readings.append(kernel(possible, masks))
-        return readings
+        run = self._runs.get((quantifiers, self_world))
+        if run is None:
+            body = self.body(quantifiers, self_world)
+            masks = ", ".join(
+                "[" + ", ".join(self.local(q, n) for n in range(len(self))) + "]"
+                for q in quantifiers
+            )
+            run = self._runs[quantifiers, self_world] = _function(
+                "p", body, f"[{masks}]", "<mask program>"
+            )
+        return run(model.mask)
 
 
-def _kernel(code: tuple, first: int, reading: tuple[bool, bool] | None = None):
-    """`code`, whose first slot is `first`, as one generated straight-line function.
+def _emit(code: tuple, slots: list, local, reading: tuple[bool, bool] | None = None) -> list[str]:
+    """The instructions of `code` at `slots`, as straight-line assignments to locals.
 
-    For a program's free part (`reading` None) the function takes the
-    possible-world mask `p` and returns the list of its slots' masks.
-    For its tail, `reading` is (every, self_world), and the function
-    also takes that list, the slots before `first`, and returns it
-    extended.  Slot n is the local `m<n>`, and each instruction one
-    assignment.  A counterfactual is `_counterfactual_mask` unrolled
-    over the earlier region's four cells, each `imposed & cell` an int
-    constant, with the reading fixed here, so the function never
-    branches on it.  The source holds only slot names, operators and
-    int literals, and runs in a namespace of its own with no builtins.
+    Slot n is the local `local(n)`, and each instruction one
+    assignment, reading the possible-world mask `p`.  A counterfactual
+    is `_counterfactual_mask` unrolled over the earlier region's four
+    cells, with `reading`, (every, self_world), fixed here, so the code
+    never branches on it; the worlds a cell reaches, `p & imposed &
+    cell`, are the local `r<imposed & cell>`, which `MaskProgram.body`
+    sets first.  The lines hold only locals, operators and int literals.
     """
-    body = []
-    loaded = set()  # the earlier slots read from the list passed in
-
-    def m(n: int) -> str:
-        if n < first and n not in loaded:
-            loaded.add(n)
-            body.append(f"m{n} = earlier[{n}]")
-        return f"m{n}"
-
-    for n, (op, a, b) in enumerate(code, first):
+    lines = []
+    for n in slots:
+        op, a, b = code[n]
         if op == _ATOM:
             value = f"{a} & p"
         elif op == _NOT:
-            value = f"p & ~{m(a)}"
+            value = f"p & ~{local(a)}"
         elif op == _AND:
-            value = f"{m(a)} & {m(b)}"
+            value = f"{local(a)} & {local(b)}"
         elif op == _OR:
-            value = f"{m(a)} | {m(b)}"
+            value = f"{local(a)} | {local(b)}"
         elif op == _MATIMP:
-            value = f"p & (~{m(a)} | {m(b)})"
+            value = f"p & (~{local(a)} | {local(b)})"
         elif op == _STRICT:
-            value = f"0 if {m(a)} & ~{m(b)} else p"
+            value = f"0 if {local(a)} & ~{local(b)} else p"
         else:  # _CF: a cell whose reach escapes the consequent ('every') or meets it ('some')
-            (every, self_world), consequent, (imposed, cells) = reading, m(a), b
+            (every, self_world), consequent, (imposed, cells) = reading, local(a), b
+            # with the self world, a world where the choice holds reaches itself,
+            # so the cells give only the worlds outside the choice
+            kept = [c & ~imposed if self_world else c for c in cells]
             if every:
-                terms = [f"(0 if p & {imposed & c} & ~{consequent} else {c})" for c in cells]
+                terms = [f"(0 if r{imposed & c} & ~{consequent} else {k})" for c, k in zip(cells, kept)]
             else:
-                terms = [f"({c} if p & {imposed & c} & {consequent} else 0)" for c in cells]
+                terms = [f"({k} if r{imposed & c} & {consequent} else 0)" for c, k in zip(cells, kept)]
             value = " | ".join(terms)
-            if self_world:  # a world where the choice holds reaches itself
-                value = f"({value}) & ~{imposed} | {imposed} & {consequent}"
+            if self_world:
+                value = f"{value} | {imposed} & {consequent}"
             value = f"({value}) & p"
-        body.append(f"m{n} = {value}")
-    own = ", ".join(f"m{n}" for n in range(first, first + len(code)))
-    if reading is None:
-        head, result = "def kernel(p):", f"[{own}]"
-    else:
-        head, result = "def kernel(p, earlier):", f"earlier + [{own}]"
-    source = "\n    ".join([head, *body, f"return {result}"])
-    namespace: dict = {"__builtins__": {}}
-    exec(compile(source, "<mask program kernel>", "exec"), namespace)
-    return namespace["kernel"]
+        lines.append(f"{local(n)} = {value}")
+    return lines
+
+
+def _function(params: str, body: list[str], result: str, name: str, **constants):
+    """`def f(<params>): <body>; return <result>`, compiled under the file name `name`.
+
+    It runs in a namespace of its own with no builtins, holding only
+    `constants`.
+    """
+    source = "\n    ".join([f"def generated({params}):", *body, f"return {result}"])
+    namespace = {**constants, "__builtins__": {}}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["generated"]
 
 
 def eval_at(model: Model, world: World, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> bool:

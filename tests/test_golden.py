@@ -59,6 +59,7 @@ CASES["proof-audit.local"] = ["proof", "audit", "{local}"]
 CASES["proof-audit-json.local"] = ["proof", "audit", "{local}", "--json"]
 # a Hardy-conforming table on which line 6 holds: the derivation goes through, yet refutes nothing
 CASES["proof-audit.line6-holds"] = ["proof", "audit", "{line6_holds}"]
+CASES["proof-audit-json.line6-holds"] = ["proof", "audit", "{line6_holds}", "--json"]
 CASES["sr-table"] = ["sr-table"]
 CASES["hardy-verify"] = ["hardy", "verify", "{config}"]
 CASES["hardy-verify.bad-value"] = ["hardy", "verify", "{bad_value}"]

@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -192,6 +193,108 @@ def test_a_prediction_line_failing_one_guard_operand_is_invalid(hardy_model, scr
     verdict = check_rule(hardy_model, edited, index)
     assert verdict.status == proof.INVALID
     assert verdict.detail == f"expected {shape}, found {unparse(statement)}"
+
+
+# Single edits of the frozen A5, LOC1_COMMUTE and DEF lines or of the line
+# each cites, each failing one operand of one `or`/`and` guard in
+# `_check_a5`, `_check_loc1_commute` or `_check_def` and passing every
+# other check before it: a guard that joined its operands the other way
+# would raise on the edit, or give it another verdict.  Each is (the line
+# edited, its new statement, the line checked, the checked line's detail).
+_STRICT_BOTH = "premise and conclusion must be strict conditionals"
+_RULE_GUARD_EDITS = {
+    # A5, line 7 from line 6: (L1 & R2 & R2+) => (R1 []-> R1 & R1-)
+    "a5-conclusion-not-strict": (
+        7, "(L1 & R2 & R2+) -> (R1 []-> R1 & R1-)", 7, _STRICT_BOTH,
+    ),
+    "a5-premise-not-strict": (
+        6, "L1 -> ((R2 & R2+) -> (R1 []-> R1 & R1-))", 7, _STRICT_BOTH,
+    ),
+    # LOC1_COMMUTE, line 11 from line 10: (L1 & R2) => (R1 []-> (L1- -> R1 & R1-))
+    "commute-conclusion-not-strict": (
+        11, "(L1 & R2) -> (R1 []-> (L1- -> R1 & R1-))", 11,
+        "antecedents must match across the commute",
+    ),
+    "commute-premise-not-strict": (
+        10, "(L1 & R2) -> (L1- -> (R1 []-> R1 & R1-))", 11,
+        "antecedents must match across the commute",
+    ),
+    "commute-antecedents-reordered": (
+        11, "(R2 & L1) => (R1 []-> (L1- -> R1 & R1-))", 11,
+        "antecedents must match across the commute",
+    ),
+    "commute-conclusion-box-made-material": (
+        11, "(L1 & R2) => (R1 -> (L1- -> R1 & R1-))", 11,
+        "both sides must carry a counterfactual",
+    ),
+    "commute-premise-box-made-material": (
+        10, "(L1 & R2) => (L1- -> (R1 -> R1 & R1-))", 11,
+        "both sides must carry a counterfactual",
+    ),
+    # DEF, line 14 from line 13: (L1 & R2) => (R1 []-> ~(L1- -> R1 & R1-))
+    "def-conclusion-not-strict": (
+        14, "(L1 & R2) -> (R1 []-> ~(L1- -> R1 & R1-))", 14, _STRICT_BOTH,
+    ),
+    "def-premise-not-strict": (
+        13, "L1 -> (R1 -> ~(L1- -> R1 & R1-))", 14, _STRICT_BOTH,
+    ),
+    "def-box-imposes-another-choice": (
+        14, "(L1 & R2) => (R2 []-> ~(L1- -> R1 & R1-))", 14,
+        "imposed choice and box consequent must match the premise",
+    ),
+    "def-box-consequent-changed": (
+        14, "(L1 & R2) => (R1 []-> ~(L1- -> R1 & R1+))", 14,
+        "imposed choice and box consequent must match the premise",
+    ),
+    "def-premise-antecedent-has-a-later-atom": (
+        13, "(L1 & R2) => (R1 -> ~(L1- -> R1 & R1-))", 14,
+        "premise antecedent must contain only earlier-region atoms",
+    ),
+    "def-extra-conjunct-in-the-earlier-region": (
+        14, "(L1 & R2 & L1+) => (R1 []-> ~(L1- -> R1 & R1-))", 14,
+        "extra conclusion conjuncts must be later-region atoms",
+    ),
+    "def-extra-conjunct-not-an-atom": (
+        14, "(L1 & R2 & ~R2+) => (R1 []-> ~(L1- -> R1 & R1-))", 14,
+        "extra conclusion conjuncts must be later-region atoms",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edited, text, checked, detail", _RULE_GUARD_EDITS.values(), ids=_RULE_GUARD_EDITS
+)
+def test_a_rule_line_failing_one_guard_operand_is_invalid(
+    hardy_model, script, edited, text, checked, detail
+):
+    ln = script.line(edited)
+    edit = ProofLine(edited, parse(text), ln.rule, ln.premises, ln.hypothesis_scope, ln.note)
+    verdict = check_rule(hardy_model, _with_line(script, edit), checked)
+    assert verdict == proof.RuleVerdict(proof.INVALID, detail)
+
+
+def test_a_def_line_imposing_an_earlier_choice_is_invalid(hardy_model, script):
+    # under order R the builtin line 14 fails only the first operand of its
+    # guard: R1 is the premise's choice and the box's, but not a later one
+    verdict = check_rule(hardy_model, script, 14, CfOptions(TemporalOrder("R")))
+    assert verdict == proof.RuleVerdict(
+        proof.INVALID, "imposed choice and box consequent must match the premise"
+    )
+
+
+@pytest.mark.parametrize(
+    "scope, problem",
+    [
+        ({6, 99}, "line 11 scoped to non-hypothesis line 99"),  # no such line
+        ({6, 5}, "line 11 scoped to non-hypothesis line 5"),  # a line, not the hypothesis
+    ],
+    ids=["absent-line", "not-the-hypothesis"],
+)
+def test_a_scope_failing_one_guard_operand_is_a_problem(script, scope, problem):
+    # line 11, the last scoped line, which no line cites
+    ln = script.line(11)
+    edit = ProofLine(11, ln.statement, ln.rule, ln.premises, frozenset(scope), ln.note)
+    assert validate_scopes(_with_line(script, edit)) == [problem]
 
 
 def test_all_rules_valid_on_hardy_model(hardy_model, script):
@@ -472,7 +575,8 @@ def _line_readings(model, script, opts):
     consequences of the hypothesis, and then come the final verdict's
     line 5, side conditions and first clash with a bridge world: one
     satisfying the clash's antecedent, all under `opts`, and `c []-> c`
-    read existentially.
+    read existentially.  A script without a hypothesis, or without the
+    line before it, has line 5 false and no clash.
     """
     truth = {
         q: lambda f, q=q: semantics.truth_mask(
@@ -488,19 +592,20 @@ def _line_readings(model, script, opts):
         for part in parts:
             common &= truth["some"](part)
         raw[ln.index] = (truth["every"](stmt) == model.mask, bool(common))
-    hyp = next(ln.index for ln in script.lines if ln.rule == "HYPOTHESIS")
+    hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
     lines = [
         tuple((not h) or r for h, r in zip(raw[hyp], raw[ln.index]))
         if hyp in ln.hypothesis_scope
         else raw[ln.index]
         for ln in script.lines
     ]
-    line5 = truth[opts.quantifier](script.line(hyp - 1).statement) == model.mask
+    counterpart = next((ln for ln in script.lines if hyp and ln.index == hyp - 1), None)
+    line5 = counterpart is not None and truth[opts.quantifier](counterpart.statement) == model.mask
     sides = all(truth[opts.quantifier](sc.formula) for sc in script.side_conditions)
     clash = next(
         (
             (pair, worlds[0])
-            for pair, x, reaches in proof._clashes(script, hyp)
+            for pair, x, reaches in (proof._clashes(script, hyp) if hyp else ())
             if (worlds := worlds_in(truth[opts.quantifier](x) & truth["some"](reaches)))
         ),
         (None, None),
@@ -568,20 +673,54 @@ _R_ORDER_INVALID = {
 }
 
 
-def test_audit_and_theorem_evaluate_each_node_once_per_reading(
+# builtin scripts cut short: no hypothesis or no counterpart, or no clash
+_TRUNCATED = {
+    "line-1-alone": lambda index: index == 1,
+    "lines-1-to-5": lambda index: index <= 5,
+    "without-line-11": lambda index: index != 11,
+    "without-line-14": lambda index: index != 14,
+}
+
+
+@pytest.mark.parametrize("keep", _TRUNCATED.values(), ids=_TRUNCATED)
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+@pytest.mark.parametrize("self_world", [True, False], ids=["self-world", "no-self-world"])
+def test_a_truncated_script_is_read_line_by_line_and_finds_no_clash(
+    hardy_model, control_model, local_model, uniform_model, keep, quantifier, self_world
+):
+    full = builtin_script()
+    lines = tuple(ln for ln in full.lines if keep(ln.index))
+    script = ProofScript(lines, full.side_conditions, full.notes)
+    opts = CfOptions(quantifier=quantifier, self_world_when_consistent=self_world)
+    for model in (hardy_model, control_model, local_model, uniform_model):
+        report = audit(model, script, opts)
+        assert [la.index for la in report.lines] == [ln.index for ln in lines]
+        assert _readings(report) == _line_readings(model, script, opts)
+        assert report.final.contradiction_lines is None and report.final.bridge_world is None
+        assert report.final.detail.split("; ")[0] == "no complementary counterfactual pair found"
+        assert not report.final.line6_refuted
+        assert report.to_dict()["final"]["contradiction_lines"] is None
+
+
+def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     hardy_model, control_model, monkeypatch
 ):
     # Neither reads `truth_mask`: each runs a mask program compiled once,
-    # whose nodes free of counterfactuals run once per model and the rest
-    # once per reading, each part as a kernel generated once.
+    # as one function generated on the first run under each reading, in
+    # which the nodes free of counterfactuals run once and the rest once
+    # per quantifier.
     calls = []
     real = semantics.truth_mask
     monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
-    kernels = []
-    real_kernel = semantics._kernel
-    monkeypatch.setattr(
-        semantics, "_kernel", lambda *args: kernels.append(args) or real_kernel(*args)
-    )
+    generated = []
+    real_function = semantics._function
+
+    def spy(params, body, result, name, **constants):
+        generated.append(name)
+        return real_function(params, body, result, name, **constants)
+
+    monkeypatch.setattr(semantics, "_function", spy)
+    monkeypatch.setattr(proof, "_function", spy)
     compiled = []
 
     class Counted(semantics.MaskProgram):
@@ -599,7 +738,8 @@ def test_audit_and_theorem_evaluate_each_node_once_per_reading(
     for ln in script.lines:
         check_rule(hardy_model, script, ln.index)
     assert compiled == []  # rule checks never compile the script
-    theorem_kernels = len(kernels)  # none if an earlier check built the theorem's
+    theorem = len(generated)  # none if an earlier check built the theorem's function
+    assert generated == ["<mask program>"] * theorem
     audit(hardy_model, script)
     assert len(compiled) == 1
     program = proof._plan(script, semantics.L_EARLIER).program
@@ -607,15 +747,31 @@ def test_audit_and_theorem_evaluate_each_node_once_per_reading(
     assert len(program) == 46
     assert len(program.free) == 29  # free of counterfactuals, 8 of them atoms
     assert len(program.tail) == 17
-    # one kernel for the free nodes, then the tail's under 'every' and 'some'
-    generated = kernels[theorem_kernels:]
-    assert [args[0] for args in generated] == [program.free, program.tail, program.tail]
-    assert [args[2] for args in generated[1:]] == [(True, True), (False, True)]
-    built = len(kernels)
+    # the worlds `R1` reaches in each earlier cell once, then one assignment
+    # per free node and one per tail node and quantifier
+    body = program.body(("every", "some"), True)
+    assert [line.split(" = ")[0] for line in body[:4]] == ["r3", "r12", "r768", "r3072"]
+    assert len(body) == 4 + 29 + 2 * 17
+    # the audit's one function runs the program itself: no function of the program's own
+    assert generated[theorem:] == ["<proof audit>"]
+    # and it assigns only the slots its readout needs: not `R1 []-> R1` under
+    # `every`, nor nine strict conditionals under `some`
+    run = proof._plan(script, semantics.L_EARLIER).audits["every", True]
+    slots = {name for name in run.__code__.co_varnames if re.fullmatch(r"[mes]\d+", name)}
+    assert {f"{q}{n}" for q in "es" for n in range(29, 46)} - slots == {
+        "e45", "s30", "s32", "s35", "s36", "s37", "s38", "s40", "s42", "s44"
+    }
+    assert len(slots) == 29 + 2 * 17 - 10
     audit(control_model, script)
     semantics.check_theorem(control_model)
     assert len(compiled) == 1  # a second audit compiles nothing
-    assert len(kernels) == built  # and generates no kernel, nor does a second theorem check
+    assert generated[theorem:] == ["<proof audit>"]  # and generates nothing, nor does a check
+    # another reading gets a function of its own, on its first audit only
+    for opts in (CfOptions(quantifier="some"), CfOptions(self_world_when_consistent=False)):
+        for model in (hardy_model, control_model):
+            audit(model, script, opts)
+    assert generated[theorem:] == ["<proof audit>"] * 3
+    assert len(compiled) == 1
     assert calls == []
 
     r_order = CfOptions(TemporalOrder("R"))
@@ -826,6 +982,7 @@ def test_report_dicts_are_fresh(hardy_model, hardy_table, uniform_model):
             row["rule_detail"] = "changed"
             row["extra"] = True
         data["notes"].clear()
+        data["final"]["contradiction_lines"].append(97)
         data["final"]["detail"] = "changed"
         assert json.dumps(second.to_dict()) == expected
         assert json.dumps(first.to_dict()) == expected

@@ -585,7 +585,7 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     assert program.slots[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
     runs = program.run(model, quantifiers, self_world)
     # a second run, under the other self-world and the quantifiers reversed,
-    # needs kernels of its own: one per (quantifier, self-world)
+    # needs a function of its own: one per (quantifiers, self-world)
     swapped = tuple(reversed(quantifiers))
     reruns = program.run(model, swapped, not self_world)
     readings += [CfOptions(order, q, not self_world) for q in swapped]

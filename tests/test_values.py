@@ -520,17 +520,34 @@ def test_a_bad_call_is_a_type_error_naming_the_class(value):
     for call in bad_calls:
         with pytest.raises(TypeError) as caught:
             call()
-        assert str(caught.value).startswith(f"{_owner(cls).__qualname__}.__init__() ")
+        assert str(caught.value).startswith(f"{cls.__qualname__}.__init__() ")
 
 
-def test_the_binary_connectives_share_one_constructor():
+_CONNECTIVES = (And, Or, MatImp, StrictImp, Counterfactual)
+
+
+def test_the_binary_connectives_run_one_store_each_under_its_own_name():
     binary = formula._Binary
-    assert {cls.__init__ for cls in (And, Or, MatImp, StrictImp, Counterfactual)} == {
-        binary.__init__
-    }
     assert binary.__init__ is binary._store
     assert binary.__init__.__qualname__ == "_Binary.__init__"
-    assert {_owner(cls) for cls in (And, Or, MatImp, StrictImp, Counterfactual)} == {binary}
+    assert {_owner(cls) for cls in _CONNECTIVES} == {binary}
+    for cls in _CONNECTIVES:
+        init = vars(cls)["__init__"]
+        assert init is not binary._store and init.__code__ is binary._store.__code__
+        assert init.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls._store is binary._store
+
+
+@pytest.mark.parametrize("cls", _CONNECTIVES, ids=lambda cls: cls.__name__)
+def test_a_connective_missing_an_operand_names_its_own_class(cls):
+    with pytest.raises(TypeError) as caught:
+        cls(Atom("L1"))
+    assert str(caught.value) == (
+        f"{cls.__name__}.__init__() missing 1 required positional argument: 'right'"
+    )
+    with pytest.raises(TypeError) as caught:
+        cls(Atom("L1"), Atom("R1"), left=Atom("L2"))
+    assert str(caught.value) == f"{cls.__name__}.__init__() got multiple values for argument 'left'"
 
 
 def test_each_class_that_names_fields_generates_its_store_once(monkeypatch):
@@ -546,6 +563,8 @@ def test_each_class_that_names_fields_generates_its_store_once(monkeypatch):
             monkeypatch.delattr(owner.__init__, "__wrapped__")
         else:
             monkeypatch.delattr(owner, "__init__")
+    for cls in _CONNECTIVES:  # and their own functions over `_Binary`'s store
+        monkeypatch.delattr(cls, "__init__")
     generated = []
     real = formula._generate
 
@@ -555,10 +574,16 @@ def test_each_class_that_names_fields_generates_its_store_once(monkeypatch):
         return store
 
     monkeypatch.setattr(formula, "_generate", spy)
+    compiled = []  # the connectives' own functions reuse `_Binary`'s code: no compile of their own
+    monkeypatch.setattr(
+        formula, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False
+    )
     built = [v for v in VALUES if _owner(type(v)) in owners]
     assert len(built) == 9  # the five connectives, one of each other class
     for _ in range(50):
         for value in built:
             assert type(value)(*_fields(value)) == value
     assert sorted(generated) == sorted(f"{owner.__qualname__}.__init__" for owner in owners)
+    assert sorted(compiled) == sorted(f"<{owner.__qualname__} store>" for owner in owners)
     assert all(owner.__init__ is init for owner, init in own.items())
+    assert all(cls.__init__.__qualname__ == f"{cls.__name__}.__init__" for cls in _CONNECTIVES)
