@@ -11,17 +11,18 @@ Everything that reads only the script is worked out once per script
 and temporal order, into a plan the script keeps (`_Plan`): the scope
 check, every structural rule verdict and the cell each prediction line
 pins, which `check_rule` and `audit` read, and, on the first audit,
-the script compiled into one mask program, with the slots of each
-line's statement, the side conditions, the complementary line pairs
-and the hypothesis's counterpart, and each line's finished report for
-each pair of readings and state of its pinned cell.  A possible zero
-cell's verdict quotes the model's probability, so for it the plan keeps
-a template instead: the report's fixed fields, the verdict text before
+the script and its duals (`semantics._duals`) compiled into one mask
+program, with the universal and existential slots of each line's
+statement, the side conditions, the complementary line pairs and the
+hypothesis's counterpart, and each line's finished report for each
+pair of readings and state of its pinned cell.  A possible zero cell's
+verdict quotes the model's probability, so for it the plan keeps a
+template instead: the report's fixed fields, the verdict text before
 and after the probability, and the JSON row for each pair of readings.
 On the first audit under each reading the plan generates one
-straight-line function that runs the program under both quantifiers
-and reads the line reports off the plan by the two readings and the
-pinned cells' bits, and the few discrete values the closing verdict is
+straight-line function that runs the program and reads the line
+reports off the plan by the two readings and the pinned cells' bits,
+and the few discrete values the closing verdict is
 made from: whether the rules hold, the side condition, the clash and
 its bridge world, whether the counterpart holds and is tested, and
 whether the hypothesis holds.  The closing verdict depends on the model
@@ -66,6 +67,7 @@ from .formula import (
     Not,
     StrictImp,
     Value,
+    _generate,
     parse,
     unparse,
 )
@@ -76,6 +78,7 @@ from .semantics import (
     CfOptions,
     MaskProgram,
     TemporalOrder,
+    _duals,
     _function,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
@@ -643,18 +646,20 @@ class _Plan:
         self.finals: dict[tuple, FinalVerdict] = {}
 
     def _layout(self, script: ProofScript, order: TemporalOrder) -> None:
-        """The script as one mask program, keeping the slot of each part an audit reads.
+        """The script and its duals as one mask program, keeping each part's slots.
 
-        `lines` has, per line: the slots of its statement and of the two
-        parts its existential reading meets (a strict conditional's
-        antecedent and consequent, else the statement twice), whether
-        the hypothesis scopes it, and its finished `LineAudit`s and
-        zero-cell template (see `_line_audits`).  `hyp` has the
-        hypothesis's three slots.  Then come each side condition's slot,
-        each clash's line pair with the slots of its shared antecedent X
-        and of `c []-> c`, and `counterpart`: the hypothesis's
-        counterpart's index, its slot and the slots of its premise (see
-        `_premise`).  `hyp_index` is the hypothesis's index.
+        A part's slot is a pair, its universal reading's and its dual's
+        (`_duals`), which `compile` picks from.  `lines` has, per line:
+        the slots of its statement and of the two parts its existential
+        reading meets (a strict conditional's antecedent and consequent,
+        else the statement twice), whether the hypothesis scopes it, and
+        its finished `LineAudit`s and zero-cell template (see
+        `_line_audits`).  `hyp` has the hypothesis's three slots.  Then
+        come each side condition's slot, each clash's line pair with the
+        slots of its shared antecedent X and of `c []-> c`, and
+        `counterpart`: the hypothesis's counterpart's index, its slot and
+        the slots of its premise (see `_premise`).  `hyp_index` is the
+        hypothesis's index.
         """
         hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
         clashes, counterpart = (), None
@@ -669,8 +674,8 @@ class _Plan:
             formulas += (x, reaches)
         if counterpart is not None:
             formulas += (counterpart.statement, *_premise(counterpart.statement))
-        program = MaskProgram(formulas, order)  # raises here for an unsupported antecedent
-        slots = iter(program.slots)
+        program = MaskProgram([*formulas, *_duals(formulas)], order)  # raises if unsupported
+        slots = iter(zip(program.slots, program.slots[len(formulas):]))
         self.lines = tuple(
             (next(slots), next(slots), next(slots), hyp in ln.hypothesis_scope,
              *_line_audits(ln, self.rules[ln.index]))
@@ -693,9 +698,9 @@ class _Plan:
         `p` and its sixteen cells, and returns the line reports and the
         key of the closing verdict (see `audit`).  Its body is the
         program's (`MaskProgram.body`), cut to the slots the readout reads
-        under each quantifier and those they are computed from, each a
-        local, followed by the readout: each line's report is its table
-        on the plan indexed by the two readings,
+        and those they are computed from, each a local, followed by the
+        readout: each line's report is its table on the plan indexed by
+        the two readings,
         `T[every_slot == p][some_a & some_c != 0]`; a prediction line
         picks its table by its cell's bit, and a possible zero cell's
         report is made from its template.  The rules hold when the
@@ -707,12 +712,13 @@ class _Plan:
         """
         if self.program is None:
             self._layout(script, order)
-        program, reads = self.program, set()
+        reads = set()
 
-        def reading(quantifier):  # a slot's local under `quantifier`, noted as read
-            def local(slot: int) -> str:
-                reads.add((quantifier, slot))
-                return program.local(quantifier, slot)
+        def reading(quantifier):  # a part's local under `quantifier`, its slot noted as read
+            def local(pair: tuple[int, int]) -> str:
+                slot = pair[quantifier == "some"]
+                reads.add(slot)
+                return f"m{slot}"
             return local
 
         every, some = reading("every"), reading("some")
@@ -765,7 +771,7 @@ class _Plan:
         line6_holds = "False" if self.hyp is None else f"{own(self.hyp[0])} == p"
         key = (rules_ok, side_ok, "contradiction", "bridge", line5_true, line5_vacuous, line6_holds)
         result = "(" + "".join(f"{r}, " for r in reports) + "), (" + ", ".join(key) + ")"
-        body = program.body(("every", "some"), self_world, reads) + readout
+        body = self.program.body(self_world, reads) + readout
         run = _function("p, cells", body, result, "<proof audit>", **constants)
         self.audits[quantifier, self_world] = run
         return run
@@ -928,6 +934,9 @@ class LineAudit(Value):
 
 
 _set_row = LineAudit._row.__set__
+# stores made at import: these `*args` constructors show their fields only through them
+_generate(ProofLine)
+_generate(LineAudit)
 
 
 def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) -> LineAudit:
@@ -1068,9 +1077,9 @@ def audit(
 
     What reads only the script comes from its plan for `opts.order`:
     on the first audit under `opts`'s reading, the plan generates one
-    function that runs the script's mask program, its counterfactual
-    nodes once per reading, and reads each line's finished `LineAudit`
-    off the plan by the two readings and the pinned cells' bits, and
+    function that runs the mask program of the script and its duals,
+    and reads each line's finished `LineAudit` off the plan by the two
+    readings and the pinned cells' bits, and
     the values the closing verdict is made from (see `_Plan.compile`).
     The verdict is looked up by those values in a table on the plan.
     Only a possible zero cell's report is built for the model, from its

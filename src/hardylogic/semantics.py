@@ -11,8 +11,8 @@ A fixed set of formulas read on many models, such as the proof script
 or the two conclusion lines, is compiled once into a `MaskProgram`: a
 straight-line list of the set's distinct nodes that each model runs
 without walking a tree.  The program runs as generated straight-line
-Python code, one function built on its first run under each set of
-readings.
+Python code, one function built on its first run under each self-world
+flag.
 
 Three conditionals with three different scopes:
 
@@ -21,7 +21,9 @@ Three conditionals with three different scopes:
   consequent's worlds over all physically possible worlds;
 * counterfactual ([]->): at a world w, the consequent must hold in the
   worlds that differ from w only by the effects of imposing the
-  antecedent choice.
+  antecedent choice.  Read existentially ('some': in one of them), it
+  is the universal reading of its dual `~(c []-> ~B)`, Lewis's "might"
+  counterfactual, so the rule is stated once (`_emit`, `_duals`).
 
 The accessibility relation encodes the one-frame no-backward-influence
 condition: imposing a later-region choice keeps the earlier region's
@@ -38,7 +40,7 @@ The prediction cells that `hardy_conformance` checks live in `worlds`.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
 from .formula import (
     OUTCOME_ATOMS,
@@ -88,11 +90,6 @@ class TemporalOrder(Value):
 L_EARLIER = TemporalOrder("L")
 
 
-def _check_quantifier(quantifier: str) -> None:
-    if quantifier not in ("every", "some"):
-        raise ValueError(f"quantifier must be 'every' or 'some', got {quantifier!r}")
-
-
 class CfOptions(Value):
     __slots__ = _fields = ("order", "quantifier", "self_world_when_consistent")
     # `quantifier` is 'every' or 'some', over accessible worlds
@@ -102,7 +99,8 @@ class CfOptions(Value):
         self._store(*args, **kwargs)
         if self.order.__class__ is not TemporalOrder:
             raise ValueError(f"order must be a TemporalOrder, got {self.order!r}")
-        _check_quantifier(self.quantifier)
+        if self.quantifier not in ("every", "some"):
+            raise ValueError(f"quantifier must be 'every' or 'some', got {self.quantifier!r}")
         if self.self_world_when_consistent.__class__ is not bool:
             raise ValueError(
                 "self_world_when_consistent must be True or False, "
@@ -139,34 +137,15 @@ def _imposable(choice: Formula, order: TemporalOrder) -> Atom:
 _CELL_MASKS = {r: tuple(ATOM_MASKS[a] for a in OUTCOME_ATOMS if a[0] == r) for r in ("L", "R")}
 
 
-def _counterfactual_mask(
-    possible: int, imposed: int, cells: tuple, consequent: int, every: bool, self_world: bool
-) -> int:
-    """The worlds from which imposing a choice reaches only worlds of `consequent`.
-
-    With `every` false, some world of it instead.  `imposed` is the
-    choice's mask and `cells` the earlier region's four cell masks.
-    A mask program's generated code unrolls this same rule (`_emit`),
-    so a change here is made there too.
-    """
-    out = 0
-    # every world of one earlier-region (choice, outcome) cell reaches the same worlds
-    for cell in cells:
-        reach = possible & imposed & cell
-        if not reach & ~consequent if every else reach & consequent:
-            out |= cell
-    if self_world:  # a world where the choice holds reaches itself
-        out = out & ~imposed | imposed & consequent
-    return out & possible
-
-
 def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> int:
     """The possible worlds where `f` holds, as a world-set mask.
 
     A strict conditional denotes all possible worlds or none.  A
     counterfactual holds at a world when the worlds its antecedent
-    reaches lie inside the consequent's set ('every') or meet it
-    ('some').  A node of any other class, a subclass included, is a TypeError.
+    reaches lie inside the consequent's set ('every', `_reach_rule`).
+    'some', where they meet it, is read as the dual `~(c []-> ~B)` of
+    that one rule.  A node of any other class, a subclass included, is
+    a TypeError.
     """
     possible = model.mask
     kind = type(f)
@@ -176,14 +155,11 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
         return possible & ~truth_mask(model, f.arg, opts)
     if kind is Counterfactual:
         imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
-        return _counterfactual_mask(
-            possible,
-            imposed,
-            _CELL_MASKS[opts.order.earlier_region],
-            truth_mask(model, f.right, opts),
-            opts.quantifier == "every",
-            opts.self_world_when_consistent,
-        )
+        rule = _reach_rule(imposed, opts.order.earlier_region, opts.self_world_when_consistent)
+        consequent = truth_mask(model, f.right, opts)
+        if opts.quantifier == "every":
+            return rule(possible, consequent)
+        return possible & ~rule(possible, possible & ~consequent)
     if kind is And:
         return truth_mask(model, f.left, opts) & truth_mask(model, f.right, opts)
     if kind is Or:
@@ -196,6 +172,53 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
     raise TypeError(f"not a formula node: {f!r}")
 
 
+@cache
+def _reach_rule(imposed: int, earlier_region: str, self_world: bool):
+    """`c []-> B` read universally, from the possible-world mask and B's, for c of mask `imposed`.
+
+    Generated from `_emit`'s template: one per (choice, earlier region, self-world), at most 8.
+    """
+    code = ((_ATOM, 0, None), (_CF, 0, (imposed, _CELL_MASKS[earlier_region])))
+    return _function("p, m0", _emit(code, [1], self_world), "m1", "<counterfactual>")
+
+
+def _duals(formulas) -> list[Formula]:
+    """Each formula with each `c []-> B` in it turned into `~(c []-> ~B')`, B' B's dual.
+
+    `~(c []-> ~B)` is Lewis's "might" counterfactual: a formula holds
+    under 'some' exactly where its dual holds under 'every', so one
+    reach rule serves both readings.  A counterfactual-free subformula
+    is its own dual, the same object; each node's dual is built once,
+    so a subformula shared by identity has one dual, and `~~x` is
+    written `x`.  Antecedents are kept as they are, in the same order,
+    so a dual raises the error its formula raises; a node of a foreign
+    class is left for the evaluator to refuse.
+    """
+    duals: dict[int, Formula] = {}  # id of a node met -> its dual
+
+    def negated(f: Formula) -> Formula:
+        return f.arg if type(f) is Not else Not(f)
+
+    def dual(f: Formula) -> Formula:
+        d = duals.get(id(f))
+        if d is None:
+            kind = type(f)
+            if kind is Counterfactual:
+                d = Not(Counterfactual(f.left, negated(dual(f.right))))
+            elif kind is Not:
+                arg = dual(f.arg)
+                d = f if arg is f.arg else negated(arg)
+            elif kind in _BINARY:
+                left, right = dual(f.left), dual(f.right)
+                d = f if left is f.left and right is f.right else kind(left, right)
+            else:
+                d = f
+            duals[id(f)] = d
+        return d
+
+    return [dual(f) for f in formulas]
+
+
 # a mask program's opcodes; an instruction is (op, a, b): an atom's mask
 # and None for _ATOM, the consequent's slot and (imposed choice mask, cell
 # masks) for _CF, the operand slots for the others (b None for _NOT)
@@ -206,18 +229,17 @@ _BINARY = {And: _AND, Or: _OR, MatImp: _MATIMP, StrictImp: _STRICT}
 class MaskProgram:
     """A fixed set of formulas compiled into a straight-line world-mask program.
 
-    Each distinct node, by identity, has one slot, so the repeated
-    subformulas of an interned formula set are computed once.  The
-    instructions list the nodes children first: `free`, the nodes that
-    contain no counterfactual, then `tail`, the nodes that do.
-    `slots[i]` is the slot of `formulas[i]`.  Every slot's mask lies
-    within the model's possible worlds.
+    Each distinct node, by identity, has one slot, its place in `code`,
+    which lists the nodes children first.  `slots[i]` is the slot of
+    `formulas[i]`.  Every slot's mask lies within the model's possible
+    worlds.  A counterfactual is read universally: the existential
+    reading of a formula is the universal reading of its dual
+    (`_duals`), so a program that needs it is compiled over the duals.
 
     `body` writes the program out as straight-line Python (`_emit`):
-    each slot a local (`local`), each instruction one assignment, the
-    free nodes once and the tail once per quantifier.  `run` compiles
-    that body into one function per (quantifiers, self_world), on the
-    first run with them, and keeps it on the program; the audit appends
+    slot n the local `m<n>`, each instruction one assignment.  `run`
+    compiles that body into one function per self-world flag, on the
+    first run with it, and keeps it on the program; the audit appends
     its own readout to the same body (see `proof._Plan.compile`).
 
     An antecedent outside the fragment raises the error `truth_mask`
@@ -225,143 +247,107 @@ class MaskProgram:
     evaluating the formulas in order.
     """
 
-    __slots__ = ("free", "tail", "slots", "_runs")
+    __slots__ = ("code", "slots", "_runs")
 
     def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
         cells = _CELL_MASKS[order.earlier_region]
-        numbers: dict[int, int] = {}  # id of a node met -> its number, in post-order
-        nodes: list[tuple] = []  # by number: op, a, b over numbers, and whether it has a []->
+        numbers: dict[int, int] = {}  # id of a node met -> its slot
+        code: list[tuple] = []
 
         def number(f) -> int:  # visits nodes in `truth_mask`'s order, so errors match
             n = numbers.get(id(f))
             if n is not None:
                 return n
             if type(f) is Atom:
-                node = (_ATOM, ATOM_MASKS[f.name], None, False)
+                node = (_ATOM, ATOM_MASKS[f.name], None)
             elif type(f) is Not:
-                arg = number(f.arg)
-                node = (_NOT, arg, None, nodes[arg][3])
+                node = (_NOT, number(f.arg), None)
             elif type(f) is Counterfactual:
                 imposed = ATOM_MASKS[_imposable(f.left, order).name]
-                node = (_CF, number(f.right), (imposed, cells), True)
+                node = (_CF, number(f.right), (imposed, cells))
             else:
                 op = _BINARY.get(type(f))
                 if op is None:
                     raise TypeError(f"not a formula node: {f!r}")
-                left, right = number(f.left), number(f.right)
-                node = (op, left, right, nodes[left][3] or nodes[right][3])
-            numbers[id(f)] = len(nodes)
-            nodes.append(node)
-            return len(nodes) - 1
+                node = (op, number(f.left), number(f.right))
+            numbers[id(f)] = len(code)
+            code.append(node)
+            return len(code) - 1
 
-        given = [number(f) for f in formulas]
-        slot: dict[int, int] = {}  # number -> slot: the free nodes first, each part in post-order
-        free: list[tuple] = []
-        tail: list[tuple] = []
-        for in_tail, code in ((False, free), (True, tail)):
-            for n, (op, a, b, has_cf) in enumerate(nodes):
-                if has_cf == in_tail:
-                    slot[n] = len(slot)
-                    code.append((op, a if op == _ATOM else slot[a], slot[b] if op < _NOT else b))
-        self.free, self.tail = tuple(free), tuple(tail)
-        self.slots = tuple(slot[n] for n in given)
-        self._runs: dict[tuple, object] = {}  # (quantifiers, self_world) -> generated function
+        self.slots = tuple(number(f) for f in formulas)
+        self.code = tuple(code)
+        self._runs: dict[bool, object] = {}  # self_world -> generated function
 
     def __len__(self) -> int:
-        return len(self.free) + len(self.tail)
+        return len(self.code)
 
-    def local(self, quantifier: str, slot: int) -> str:
-        """The local that holds `slot` under `quantifier` in the generated code."""
-        return f"m{slot}" if slot < len(self.free) else f"{quantifier[0]}{slot}"
+    def body(self, self_world: bool, reads: set | None = None) -> list[str]:
+        """Source lines that set the slots' locals from the possible-world mask `p`.
 
-    def body(
-        self, quantifiers: tuple[str, ...], self_world: bool, reads: set | None = None
-    ) -> list[str]:
-        """Source lines that set the slots' locals under each quantifier, from the mask `p`.
-
-        Every slot's, or with `reads`, a set of (quantifier, slot) pairs,
-        those slots' and the slots they are computed from only.
+        Every slot's, or with `reads`, a set of slots, those slots' and
+        the slots they are computed from only.
         """
-        for quantifier in quantifiers:
-            _check_quantifier(quantifier)
-        code, free = self.free + self.tail, len(self.free)
-        if reads is None:
-            reads = {(q, n) for q in quantifiers for n in range(len(code))}
-        wanted = {q: {n for r, n in reads if r == q} for q in dict.fromkeys(quantifiers)}
-        reach = set()  # the `imposed & cell` masks of the counterfactuals kept
-        for slots in wanted.values():  # an instruction's operands have lower slots
-            for n in range(len(code) - 1, -1, -1):
-                op, a, b = code[n]
-                if n in slots and op != _ATOM:
-                    slots.update((a, b) if op < _NOT else (a,))
-                    if op == _CF:
-                        reach.update(b[0] & cell for cell in b[1])
-        lines = [f"r{k} = p & {k}" for k in sorted(reach)]
-        kept = set().union(*wanted.values())
-        lines += _emit(code, [n for n in range(free) if n in kept], "m{}".format)
-        for quantifier, slots in wanted.items():
-            reading = (quantifier == "every", self_world)
-            tail = [n for n in range(free, len(code)) if n in slots]
-            lines += _emit(code, tail, partial(self.local, quantifier), reading)
-        return lines
+        kept = set(range(len(self.code)) if reads is None else reads)
+        for n in range(len(self.code) - 1, -1, -1):  # an instruction's operands have lower slots
+            op, a, b = self.code[n]
+            if n in kept and op != _ATOM:
+                kept.update((a, b) if op < _NOT else (a,))
+        return _emit(self.code, sorted(kept), self_world)
 
-    def run(
-        self, model: Model, quantifiers: tuple[str, ...], self_world: bool = True
-    ) -> list[list[int]]:
-        """Every slot's mask in `model`, one list per quantifier."""
-        run = self._runs.get((quantifiers, self_world))
+    def run(self, model: Model, self_world: bool = True) -> list[int]:
+        """Every slot's mask in `model`."""
+        run = self._runs.get(self_world)
         if run is None:
-            body = self.body(quantifiers, self_world)
-            masks = ", ".join(
-                "[" + ", ".join(self.local(q, n) for n in range(len(self))) + "]"
-                for q in quantifiers
-            )
-            run = self._runs[quantifiers, self_world] = _function(
-                "p", body, f"[{masks}]", "<mask program>"
-            )
+            masks = "[" + ", ".join(f"m{n}" for n in range(len(self.code))) + "]"
+            body = self.body(self_world)
+            run = self._runs[self_world] = _function("p", body, masks, "<mask program>")
         return run(model.mask)
 
 
-def _emit(code: tuple, slots: list, local, reading: tuple[bool, bool] | None = None) -> list[str]:
+def _emit(code: tuple, slots: list, self_world: bool) -> list[str]:
     """The instructions of `code` at `slots`, as straight-line assignments to locals.
 
-    Slot n is the local `local(n)`, and each instruction one
-    assignment, reading the possible-world mask `p`.  A counterfactual
-    is `_counterfactual_mask` unrolled over the earlier region's four
-    cells, with `reading`, (every, self_world), fixed here, so the code
-    never branches on it; the worlds a cell reaches, `p & imposed &
-    cell`, are the local `r<imposed & cell>`, which `MaskProgram.body`
-    sets first.  The lines hold only locals, operators and int literals.
+    Slot n is the local `m<n>`, and each instruction one assignment,
+    reading the possible-world mask `p`.  A counterfactual has one
+    template, the universal reading: a cell of the earlier region, all
+    of whose worlds reach the same worlds, holds it unless what it
+    reaches escapes the consequent; the existential reading is the
+    universal reading of the dual (`_duals`).  `self_world` is fixed
+    here, so the code never branches on it.  The worlds a cell reaches,
+    `p & imposed & cell`, are the local `r<imposed & cell>`, set before
+    the choice's first counterfactual.  The lines hold only locals,
+    operators and int literals.
     """
-    lines = []
+    lines, imposed_seen = [], set()
     for n in slots:
         op, a, b = code[n]
         if op == _ATOM:
             value = f"{a} & p"
         elif op == _NOT:
-            value = f"p & ~{local(a)}"
+            value = f"p & ~m{a}"
         elif op == _AND:
-            value = f"{local(a)} & {local(b)}"
+            value = f"m{a} & m{b}"
         elif op == _OR:
-            value = f"{local(a)} | {local(b)}"
+            value = f"m{a} | m{b}"
         elif op == _MATIMP:
-            value = f"p & (~{local(a)} | {local(b)})"
+            value = f"p & (~m{a} | m{b})"
         elif op == _STRICT:
-            value = f"0 if {local(a)} & ~{local(b)} else p"
-        else:  # _CF: a cell whose reach escapes the consequent ('every') or meets it ('some')
-            (every, self_world), consequent, (imposed, cells) = reading, local(a), b
+            value = f"0 if m{a} & ~m{b} else p"
+        else:  # _CF
+            imposed, cells = b
+            if imposed not in imposed_seen:
+                imposed_seen.add(imposed)
+                lines += [f"r{imposed & c} = p & {imposed & c}" for c in cells]
             # with the self world, a world where the choice holds reaches itself,
             # so the cells give only the worlds outside the choice
             kept = [c & ~imposed if self_world else c for c in cells]
-            if every:
-                terms = [f"(0 if r{imposed & c} & ~{consequent} else {k})" for c, k in zip(cells, kept)]
-            else:
-                terms = [f"({k} if r{imposed & c} & {consequent} else 0)" for c, k in zip(cells, kept)]
-            value = " | ".join(terms)
+            value = " | ".join(
+                f"(0 if r{imposed & c} & ~m{a} else {k})" for c, k in zip(cells, kept)
+            )
             if self_world:
-                value = f"{value} | {imposed} & {consequent}"
+                value = f"{value} | {imposed} & m{a}"
             value = f"({value}) & p"
-        lines.append(f"{local(n)} = {value}")
+        lines.append(f"m{n} = {value}")
     return lines
 
 
@@ -513,8 +499,8 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
     conforming model where line 5 is not vacuous.
     """
     conforming, detail = hardy_conformance(model)
-    program = _theorem_program(opts.order.earlier_region)
-    (reading,) = program.run(model, (opts.quantifier,), opts.self_world_when_consistent)
+    program = _theorem_program(opts.order.earlier_region, opts.quantifier)
+    reading = program.run(model, opts.self_world_when_consistent)
     masks = [reading[s] for s in program.slots]
     return TheoremReport(
         conforming,
@@ -526,10 +512,14 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
 
 
 @cache
-def _theorem_program(earlier_region: str) -> MaskProgram:
-    """Both lines' antecedents and consequents, compiled once per temporal order."""
+def _theorem_program(earlier_region: str, quantifier: str) -> MaskProgram:
+    """Both lines' antecedents and consequents, compiled once per temporal order and quantifier.
+
+    Under 'some' the program is compiled over the four parts' duals.
+    """
+    parts = (LINE5.left, LINE5.right, LINE6.left, LINE6.right)
     return MaskProgram(
-        (LINE5.left, LINE5.right, LINE6.left, LINE6.right), TemporalOrder(earlier_region)
+        parts if quantifier == "every" else _duals(parts), TemporalOrder(earlier_region)
     )
 
 

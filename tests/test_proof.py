@@ -707,8 +707,7 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
 ):
     # Neither reads `truth_mask`: each runs a mask program compiled once,
     # as one function generated on the first run under each reading, in
-    # which the nodes free of counterfactuals run once and the rest once
-    # per quantifier.
+    # which each node of the formulas and their duals runs once.
     calls = []
     real = semantics.truth_mask
     monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
@@ -743,25 +742,29 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     audit(hardy_model, script)
     assert len(compiled) == 1
     program = proof._plan(script, semantics.L_EARLIER).program
-    # the 45 distinct nodes of the lines and the side condition, and `R1 []-> R1`
-    assert len(program) == 46
-    assert len(program.free) == 29  # free of counterfactuals, 8 of them atoms
-    assert len(program.tail) == 17
-    # the worlds `R1` reaches in each earlier cell once, then one assignment
-    # per free node and one per tail node and quantifier
-    body = program.body(("every", "some"), True)
-    assert [line.split(" = ")[0] for line in body[:4]] == ["r3", "r12", "r768", "r3072"]
-    assert len(body) == 4 + 29 + 2 * 17
+    # the 45 distinct nodes of the lines and the side condition, and `R1 []-> R1`,
+    # first, then the 28 that their duals add; 8 of the 74 are atoms
+    assert len(program) == 46 + 28
+    assert max(program.slots[:48]) == 45
+    assert sum(code[0] == semantics._ATOM for code in program.code) == 8
+    # a part free of counterfactuals, 28 of the 48, is its own dual: one slot
+    # for both readings
+    assert sum(u == e for u, e in zip(program.slots[:48], program.slots[48:])) == 28
+    # the worlds `R1` reaches in each earlier cell once, then one assignment per node
+    body = program.body(True)
+    reaches = [line.split(" = ")[0] for line in body if line.startswith("r")]
+    assert reaches == ["r3", "r12", "r768", "r3072"]
+    assert len(body) == 4 + 74
     # the audit's one function runs the program itself: no function of the program's own
     assert generated[theorem:] == ["<proof audit>"]
-    # and it assigns only the slots its readout needs: not `R1 []-> R1` under
-    # `every`, nor nine strict conditionals under `some`
+    # and it assigns only the slots its readout needs: not `R1 []-> R1` read
+    # universally, nor the duals of nine strict conditionals
     run = proof._plan(script, semantics.L_EARLIER).audits["every", True]
-    slots = {name for name in run.__code__.co_varnames if re.fullmatch(r"[mes]\d+", name)}
-    assert {f"{q}{n}" for q in "es" for n in range(29, 46)} - slots == {
-        "e45", "s30", "s32", "s35", "s36", "s37", "s38", "s40", "s42", "s44"
+    slots = {name for name in run.__code__.co_varnames if re.fullmatch(r"m\d+", name)}
+    assert {f"m{n}" for n in range(74)} - slots == {
+        "m45", "m49", "m53", "m58", "m59", "m60", "m61", "m63", "m67", "m70"
     }
-    assert len(slots) == 29 + 2 * 17 - 10
+    assert len(slots) == 74 - 10
     audit(control_model, script)
     semantics.check_theorem(control_model)
     assert len(compiled) == 1  # a second audit compiles nothing

@@ -1,6 +1,10 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +39,7 @@ from hardylogic.worlds import (
     ProbabilityTable,
     World,
     build_model,
+    save_model,
     worlds_in,
 )
 from conftest import pattern_models
@@ -545,12 +550,11 @@ def _distinct_nodes(formulas) -> list:
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(_KNOWN_MODELS),
     earlier=st.sampled_from("LR"),
-    quantifiers=st.sampled_from((("every", "some"), ("some", "every"))),
     self_world=st.booleans(),
     unsupported=st.booleans(),
 )
 def test_mask_program_matches_truth_mask_and_the_oracle(
-    request, seed, kind, earlier, quantifiers, self_world, unsupported
+    request, seed, kind, earlier, self_world, unsupported
 ):
     # a formula set whose later members hold earlier ones as subformulas,
     # by object, so the program computes each shared node once
@@ -566,53 +570,145 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     if unsupported:  # an antecedent checked before the consequent's own antecedents
         outer = Counterfactual(Atom(rng.choice(CHOICE_ATOMS)), rng.choice(formulas))
         formulas.insert(rng.randrange(len(formulas) + 1), outer)
-    readings = [CfOptions(order, q, self_world) for q in quantifiers]
 
     try:  # the first error `truth_mask` meets, formula by formula
         for f in formulas:
-            semantics.truth_mask(model, f, readings[0])
+            semantics.truth_mask(model, f, CfOptions(order, "every", self_world))
     except UnsupportedCounterfactualError as exc:
         with pytest.raises(UnsupportedCounterfactualError) as raised:
-            semantics.MaskProgram(formulas, order)
+            semantics.MaskProgram(formulas + semantics._duals(formulas), order)
         assert str(raised.value) == str(exc)
         return
 
+    # every node, each object once, with its universal slot and its dual's
     nodes = _distinct_nodes(formulas)
-    program = semantics.MaskProgram(formulas + nodes, order)
-    node_slots = program.slots[len(formulas) :]
-    assert len(program) == len(set(node_slots)) == len(nodes)  # each object once, no other
+    parts = formulas + nodes
+    duals = semantics._duals(parts)
+    program = semantics.MaskProgram(parts + duals, order)
+    universal, existential = program.slots[: len(parts)], program.slots[len(parts) :]
+    node_slots = universal[len(formulas) :]
+    assert len(set(node_slots)) == len(nodes)
+    assert len(program) == len(_distinct_nodes(parts + duals))  # each object once, no other
     slot_of = dict(zip(map(id, nodes), node_slots))
-    assert program.slots[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
-    runs = program.run(model, quantifiers, self_world)
-    # a second run, under the other self-world and the quantifiers reversed,
-    # needs a function of its own: one per (quantifiers, self-world)
-    swapped = tuple(reversed(quantifiers))
-    reruns = program.run(model, swapped, not self_world)
-    readings += [CfOptions(order, q, not self_world) for q in swapped]
-    for opts, reading in zip(readings, runs + reruns):  # each reading reuses the free prefix
-        for f, slot in zip(formulas + nodes, program.slots):
-            assert reading[slot] == semantics.truth_mask(model, f, opts)
-    # the oracle, under the first reading only: it re-evaluates every subtree
+    assert universal[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
+    for flag in (self_world, not self_world):  # one run, and one function, per flag
+        masks = program.run(model, flag)
+        every, some = (CfOptions(order, q, flag) for q in ("every", "some"))
+        for f, u, e in zip(parts, universal, existential):
+            assert masks[u] == semantics.truth_mask(model, f, every)
+            assert masks[e] == semantics.truth_mask(model, f, some)
+    assert len(program._runs) == 2
+    # the oracle, under the first flag, by its own rule for each quantifier:
+    # it re-evaluates every subtree
+    masks = program.run(model, self_world)
     live = [_as_tuple(w) for w in model.possible_in_order()]
-    for f, slot in zip(nodes, node_slots):
-        got = [_as_tuple(w) for w in worlds_in(runs[0][slot])]
-        oracle = [w for w in live if brute_eval(live, w, f, earlier, quantifiers[0], self_world)]
-        assert got == oracle
-        # every slot lies within the possible worlds: all of them, or some
-        assert (runs[0][slot] == model.mask) == (got == live)
-        assert bool(runs[0][slot]) == bool(got)
+    for f, u, e in zip(nodes, node_slots, existential[len(formulas) :]):
+        for quantifier, slot in (("every", u), ("some", e)):
+            got = [_as_tuple(w) for w in worlds_in(masks[slot])]
+            oracle = [w for w in live if brute_eval(live, w, f, earlier, quantifier, self_world)]
+            assert got == oracle
+            # every slot lies within the possible worlds: all of them, or some
+            assert (masks[slot] == model.mask) == (got == live)
+            assert bool(masks[slot]) == bool(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_KNOWN_MODELS),
+    earlier=st.sampled_from("LR"),
+    self_world=st.booleans(),
+    supported=st.booleans(),
+)
+def test_some_is_every_over_the_dual(request, seed, kind, earlier, self_world, supported):
+    # Lewis's "might" duality: `c []-> B` read existentially is
+    # `~(c []-> ~B)` read universally, with nested counterfactuals too
+    rng = random.Random(seed)
+    model = _case_model(request, kind, rng)
+    order = TemporalOrder(earlier)
+    later = [c for c in CHOICE_ATOMS if c[0] == order.later_region] if supported else None
+    f = random_formula(rng, 4, later)
+    (dual,) = semantics._duals([f])
+    some, every = CfOptions(order, "some", self_world), CfOptions(order, "every", self_world)
+    try:
+        expected = semantics.truth_mask(model, f, some)
+    except UnsupportedCounterfactualError as exc:
+        with pytest.raises(UnsupportedCounterfactualError) as raised:
+            semantics.truth_mask(model, dual, every)
+        assert str(raised.value) == str(exc)
+        return
+    assert semantics.truth_mask(model, dual, every) == expected
+
+
+def test_duals_keep_what_has_no_counterfactual_and_share_what_is_shared():
+    plain = parse("L1 & ~(R2+ -> L2-) => R1 | ~~L2")
+    assert semantics._duals([plain])[0] is plain
+    # SR's dual: only the counterfactual and what holds it are new, no `~~`
+    line5, line6 = semantics._duals([semantics.LINE5, semantics.LINE6])
+    assert str(line5) == "L2 => R2 & R2+ -> ~(R1 []-> ~(R1 & R1-))"
+    assert line5.left is semantics.LINE5.left
+    assert line5.right.left is semantics.LINE5.right.left
+    assert line5.right.right.arg.right.arg is semantics.LINE5.right.right.right
+    assert line6.right is line5.right  # one dual SR for the one SR
+    shared = Counterfactual(R1, Atom("R1-"))
+    (both,) = semantics._duals([And(shared, Or(shared, R1))])
+    assert both.left is both.right.left
+    # `~(R1 []-> ~R1-)` is `~~(R1 []-> ~~R1-)`, written with neither `~~`
+    assert semantics._duals([parse("~(R1 []-> ~R1-)")]) == [parse("R1 []-> R1-")]
+
+
+def test_a_one_shot_eval_generates_one_counterfactual_function(tmp_path, hardy_model):
+    # a fresh interpreter, so nothing is cached: `eval` of one counterfactual
+    # generates the reach rule's function once, for its choice and flag
+    path = tmp_path / "model.json"
+    save_model(hardy_model, path)
+    script = (
+        "import sys\n"
+        "from hardylogic import cli, semantics\n"
+        "names, real = [], semantics._function\n"
+        "semantics._function = lambda *a, **k: names.append(a[3]) or real(*a, **k)\n"
+        "code = cli.main(['eval', sys.argv[1], 'R1 []-> R1 & R1-'])\n"
+        "print(code, names)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(Path(semantics.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines()[-1] == "1 ['<counterfactual>']"
+
+
+def test_the_walk_generates_at_most_eight_counterfactual_functions(monkeypatch, hardy_model):
+    # one per (imposed choice, earlier region, self-world): two later-region
+    # choices per order, two orders, two flags, and both quantifiers share them
+    generated = []
+    real = semantics._function
+    monkeypatch.setattr(
+        semantics, "_function", lambda *args, **kw: generated.append(args[3]) or real(*args, **kw)
+    )
+    semantics._reach_rule.cache_clear()
+    rng = random.Random(28)
+    for earlier in "LR":
+        later = [c for c in CHOICE_ATOMS if c[0] == _SWAP[earlier]]
+        formulas = [random_formula(rng, 4, later) for _ in range(60)]
+        for quantifier in ("every", "some"):
+            for self_world in (True, False):
+                opts = CfOptions(TemporalOrder(earlier), quantifier, self_world)
+                for f in formulas:
+                    holds_globally(hardy_model, f, opts)
+    assert generated == ["<counterfactual>"] * 8
+    assert semantics._reach_rule.cache_info().currsize == 8
 
 
 @pytest.mark.parametrize("quantifier", ["evry", "Every", ""])
-def test_mask_program_refuses_an_unknown_quantifier(hardy_model, quantifier):
-    # checked as `CfOptions` checks it, not read as 'some'
-    program = semantics._theorem_program("L")
-    with pytest.raises(ValueError) as expected:
+def test_options_refuse_an_unknown_quantifier(quantifier):
+    # checked, not read as 'some'
+    with pytest.raises(ValueError) as raised:
         CfOptions(quantifier=quantifier)
-    for quantifiers in ((quantifier,), ("every", quantifier)):
-        with pytest.raises(ValueError) as raised:
-            program.run(hardy_model, quantifiers)
-        assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == f"quantifier must be 'every' or 'some', got {quantifier!r}"
 
 
 @pytest.mark.parametrize("order", ["L", None, ("L",)])
@@ -630,9 +726,11 @@ def test_options_refuse_a_self_world_flag_that_is_not_a_bool(flag):
 
 
 def test_an_empty_mask_program_runs(hardy_model):
-    # no free part and no tail: each reading is an empty list of its own
-    every, some = semantics.MaskProgram([]).run(hardy_model, ("every", "some"))
-    assert every == some == [] and every is not some
+    # no instructions: an empty list under either flag, a fresh one each run
+    program = semantics.MaskProgram([])
+    first = program.run(hardy_model)
+    assert first == program.run(hardy_model, False) == []
+    assert program.run(hardy_model) is not first
 
 
 def test_check_theorem_refuses_local_strategies(local_model):
@@ -743,11 +841,13 @@ def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
 
 def test_conclusion_lines_share_one_sr_node():
     # line 6 is built on line 5's SR, so the theorem program computes SR
-    # once: L2, L1 and SR's eight nodes
+    # once: L2, L1 and SR's eight nodes, and under 'some' SR's dual, whose
+    # `~(R1 & R1-)` and outer negation make ten
     assert semantics.LINE5 == parse(semantics.LINE5_TEXT)
     assert semantics.LINE6 == parse(semantics.LINE6_TEXT)
     assert semantics.LINE6.right is semantics.LINE5.right
-    assert len(semantics._theorem_program("L")) == 10
+    assert len(semantics._theorem_program("L", "every")) == 10
+    assert len(semantics._theorem_program("L", "some")) == 12
 
 
 def test_theorem_over_every_possibility_pattern():

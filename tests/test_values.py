@@ -11,8 +11,12 @@ checks each such value against a source that does not read it.
 
 import copy
 import inspect
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -505,6 +509,31 @@ def test_the_signature_lists_the_fields_with_the_defaults_on_the_trailing_ones(c
     assert [p.default for p in params] == [inspect.Parameter.empty] * required + list(
         cls._defaults
     )
+
+
+def test_the_checking_constructors_show_their_fields_before_any_build():
+    # `ProofLine` and `LineAudit` take `*args`, so their signatures come from
+    # the stores, which `proof` generates at import: a fresh interpreter that
+    # has built neither reads their fields
+    script = (
+        "import inspect\n"
+        "from hardylogic.proof import LineAudit, ProofLine\n"
+        "print(inspect.signature(ProofLine))\n"
+        "print(inspect.signature(LineAudit))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(Path(formula.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines() == [
+        "(index, statement, rule, premises=(), hypothesis_scope=frozenset(), note=None)",
+        "(index, rule, premises, scope, rule_status, rule_detail, sem_every, sem_some, "
+        "note=None)",
+    ]
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda x: type(x).__name__)
