@@ -88,14 +88,25 @@ VALID = "valid"
 INVALID = "invalid"
 
 
+def _is_index(value) -> bool:
+    """A line index is an int; a bool is not one."""
+    return isinstance(value, int) and value.__class__ is not bool
+
+
 class ProofLine(Value):
     __slots__ = _fields = ("index", "statement", "rule", "premises", "hypothesis_scope", "note")
     _defaults = ((), frozenset(), None)
 
     def __init__(self, *args, **kwargs):
         self._store(*args, **kwargs)
+        if not _is_index(self.index):
+            raise ValueError(f"index must be an int, got {self.index!r}")
+        if not isinstance(self.statement, Formula):
+            raise ValueError(f"statement must be a formula, got {self.statement!r}")
         if not isinstance(self.premises, tuple):
             raise ValueError(f"premises must be a tuple, got {self.premises!r}")
+        if not all(map(_is_index, self.premises)):
+            raise ValueError(f"premises must be line indices, got {self.premises!r}")
         if not isinstance(self.hypothesis_scope, frozenset):
             raise ValueError(f"hypothesis_scope must be a frozenset, got {self.hypothesis_scope!r}")
         if self.rule not in RULE_TAGS:
@@ -108,6 +119,11 @@ class SideCondition(Value):
     """A nonemptiness claim: some possible world satisfies the formula."""
 
     __slots__ = _fields = ("formula", "description")
+
+    def __init__(self, formula: Formula, description: str):
+        if not isinstance(formula, Formula):
+            raise ValueError(f"formula must be a formula, got {formula!r}")
+        self._store(formula, description)
 
 
 class ProofScript(Value):
@@ -125,9 +141,13 @@ class ProofScript(Value):
         side_conditions: tuple[SideCondition, ...],
         notes: tuple[str, ...] = (),
     ):
-        for name, value in zip(self._fields, (lines, side_conditions, notes)):
+        parts = (lines, side_conditions, notes)
+        for name, value, kind in zip(self._fields, parts, (ProofLine, SideCondition, str)):
             if not isinstance(value, tuple):
                 raise ValueError(f"{name} must be a tuple, got {value!r}")
+            for item in value:
+                if not isinstance(item, kind):
+                    raise ValueError(f"{name} must hold {kind.__name__} values, got {item!r}")
         indices = [ln.index for ln in lines]
         for ln in lines:
             if indices.count(ln.index) > 1:
@@ -145,69 +165,54 @@ class ProofScript(Value):
         raise KeyError(f"no line {index}")
 
 
-def _interned(f: Formula, nodes: dict) -> Formula:
-    """`f` rebuilt bottom-up so that each subformula is the first equal one in `nodes`."""
-    if isinstance(f, Not):
-        f = Not(_interned(f.arg, nodes))
-    elif not isinstance(f, Atom):
-        f = type(f)(_interned(f.left, nodes), _interned(f.right, nodes))
-    return nodes.setdefault(f, f)
-
-
 @cache
 def builtin_script() -> ProofScript:
     """The fourteen derivation lines, hypothesis scopes, and side condition.
 
     Built once and shared: the script and every node in it are frozen.
-    Its formulas are interned, so equal subformulas, within a line and
-    across lines, are one object, and so one slot of the mask program
-    an audit compiles.
+    Each line is parsed on its own; an audit's mask program gives equal
+    subformulas, within a line and across lines, one slot.
 
     Two normalizations from the printed source are applied and logged in
     the script notes: the mislabeled prediction citation on line 12 is
     read as the fourth prediction, and a stray R2- in the companion
     set-form argument for line 12 is read as R1-.
     """
-    nodes: dict[Formula, Formula] = {}
-
-    def formula(text: str) -> Formula:
-        return _interned(parse(text), nodes)
-
     h = frozenset({6})
     lines = (
-        ProofLine(1, formula("(L2 & R2 & L2+) => (R1 []-> L2 & R1 & L2+)"), "B6"),
-        ProofLine(2, formula("(L2 & R2 & R2+) => (L2 & R2 & L2+)"), "PRED21"),
-        ProofLine(3, formula("(L2 & R1 & L2+) => (L2 & R1 & R1-)"), "PRED22"),
-        ProofLine(4, formula("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)"), "B7", (1, 2, 3)),
+        ProofLine(1, parse("(L2 & R2 & L2+) => (R1 []-> L2 & R1 & L2+)"), "B6"),
+        ProofLine(2, parse("(L2 & R2 & R2+) => (L2 & R2 & L2+)"), "PRED21"),
+        ProofLine(3, parse("(L2 & R1 & L2+) => (L2 & R1 & R1-)"), "PRED22"),
+        ProofLine(4, parse("(L2 & R2 & R2+) => (R1 []-> L2 & R1 & R1-)"), "B7", (1, 2, 3)),
         ProofLine(
             5,
-            _interned(LINE5, nodes),
+            LINE5,
             "A5",
             (4,),
             note="export plus elision of the pinned L2 inside the box",
         ),
         ProofLine(
             6,
-            _interned(LINE6, nodes),
+            LINE6,
             "HYPOTHESIS",
             note="line 5 with L2 replaced by L1; assumed, then refuted",
         ),
-        ProofLine(7, formula("(L1 & R2 & R2+) => (R1 []-> R1 & R1-)"), "A5", (6,), h),
-        ProofLine(8, formula("(L1 & R2 & L1-) => (L1 & R2 & R2+)"), "PRED23", (), h),
-        ProofLine(9, formula("(L1 & R2 & L1-) => (R1 []-> R1 & R1-)"), "B5", (7, 8), h),
-        ProofLine(10, formula("(L1 & R2) => (L1- -> (R1 []-> R1 & R1-))"), "A5", (9,), h),
-        ProofLine(11, formula("(L1 & R2) => (R1 []-> (L1- -> R1 & R1-))"), "LOC1_COMMUTE", (10,), h),
+        ProofLine(7, parse("(L1 & R2 & R2+) => (R1 []-> R1 & R1-)"), "A5", (6,), h),
+        ProofLine(8, parse("(L1 & R2 & L1-) => (L1 & R2 & R2+)"), "PRED23", (), h),
+        ProofLine(9, parse("(L1 & R2 & L1-) => (R1 []-> R1 & R1-)"), "B5", (7, 8), h),
+        ProofLine(10, parse("(L1 & R2) => (L1- -> (R1 []-> R1 & R1-))"), "A5", (9,), h),
+        ProofLine(11, parse("(L1 & R2) => (R1 []-> (L1- -> R1 & R1-))"), "LOC1_COMMUTE", (10,), h),
         ProofLine(
             12,
-            formula("(L1 & R1) => ~(L1- -> R1 & R1-)"),
+            parse("(L1 & R1) => ~(L1- -> R1 & R1-)"),
             "PRED24",
             note="prediction citation normalized to PRED24",
         ),
-        ProofLine(13, formula("L1 => (R1 -> ~(L1- -> R1 & R1-))"), "A5", (12,)),
-        ProofLine(14, formula("(L1 & R2) => (R1 []-> ~(L1- -> R1 & R1-))"), "DEF", (13,)),
+        ProofLine(13, parse("L1 => (R1 -> ~(L1- -> R1 & R1-))"), "A5", (12,)),
+        ProofLine(14, parse("(L1 & R2) => (R1 []-> ~(L1- -> R1 & R1-))"), "DEF", (13,)),
     )
     side = SideCondition(
-        formula=formula("L1 & R1 & L1-"),
+        formula=parse("L1 & R1 & L1-"),
         description=(
             "some possible world performs L1 and R1 and records the minus "
             "outcome on the L side"

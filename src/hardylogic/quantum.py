@@ -61,7 +61,11 @@ class HardyConfig(Value):
             value = getattr(self, name)
             if value.__class__ is bool:  # save_config would write a JSON boolean
                 raise ValueError(f"{name} must be a number, got {value}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"{name} is out of range") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite")
 
     def angle(self, setting: str) -> float:

@@ -9,8 +9,9 @@ even under a connective whose other side already settles the value.
 
 A fixed set of formulas read on many models, such as the proof script
 or the two conclusion lines, is compiled once into a `MaskProgram`: a
-straight-line list of the set's distinct nodes that each model runs
-without walking a tree.  The program runs as generated straight-line
+straight-line list of the set's distinct subformulas, one slot for each
+value however many objects spell it, that each model runs without
+walking a tree.  The program runs as generated straight-line
 Python code, one function built on its first run under each self-world
 flag.
 
@@ -32,9 +33,9 @@ ranges over everything the table leaves possible.
 
 The region-R statement SR and the two conclusion lines, 5 and 6, live
 here: each as its text (`SR_TEXT`, `LINE5_TEXT`, `LINE6_TEXT`), and
-the two lines as formulas built once at import (`LINE5`, `LINE6`, one
-SR node between them), which `check_theorem` and the proof script
-read; SR's sixteen-row truth table (`sr_truth_table`) lives here too.
+the two lines as formulas parsed once at import (`LINE5`, `LINE6`),
+which `check_theorem` and the proof script read; SR's sixteen-row
+truth table (`sr_truth_table`) lives here too.
 The prediction cells that `hardy_conformance` checks live in `worlds`.
 """
 
@@ -188,33 +189,26 @@ def _duals(formulas) -> list[Formula]:
     `~(c []-> ~B)` is Lewis's "might" counterfactual: a formula holds
     under 'some' exactly where its dual holds under 'every', so one
     reach rule serves both readings.  A counterfactual-free subformula
-    is its own dual, the same object; each node's dual is built once,
-    so a subformula shared by identity has one dual, and `~~x` is
-    written `x`.  Antecedents are kept as they are, in the same order,
-    so a dual raises the error its formula raises; a node of a foreign
-    class is left for the evaluator to refuse.
+    is its own dual, returned as it is, and `~~x` is written `x`.
+    Equal subformulas have equal duals, which a `MaskProgram` gives one
+    slot whatever objects they are.  Antecedents are kept as they are,
+    in the same order, so a dual raises the error its formula raises; a
+    node of a foreign class is left for the evaluator to refuse.
     """
-    duals: dict[int, Formula] = {}  # id of a node met -> its dual
-
     def negated(f: Formula) -> Formula:
         return f.arg if type(f) is Not else Not(f)
 
     def dual(f: Formula) -> Formula:
-        d = duals.get(id(f))
-        if d is None:
-            kind = type(f)
-            if kind is Counterfactual:
-                d = Not(Counterfactual(f.left, negated(dual(f.right))))
-            elif kind is Not:
-                arg = dual(f.arg)
-                d = f if arg is f.arg else negated(arg)
-            elif kind in _BINARY:
-                left, right = dual(f.left), dual(f.right)
-                d = f if left is f.left and right is f.right else kind(left, right)
-            else:
-                d = f
-            duals[id(f)] = d
-        return d
+        kind = type(f)
+        if kind is Counterfactual:
+            return Not(Counterfactual(f.left, negated(dual(f.right))))
+        if kind is Not:
+            arg = dual(f.arg)
+            return f if arg is f.arg else negated(arg)
+        if kind in _BINARY:
+            left, right = dual(f.left), dual(f.right)
+            return f if left is f.left and right is f.right else kind(left, right)
+        return f
 
     return [dual(f) for f in formulas]
 
@@ -229,12 +223,15 @@ _BINARY = {And: _AND, Or: _OR, MatImp: _MATIMP, StrictImp: _STRICT}
 class MaskProgram:
     """A fixed set of formulas compiled into a straight-line world-mask program.
 
-    Each distinct node, by identity, has one slot, its place in `code`,
-    which lists the nodes children first.  `slots[i]` is the slot of
-    `formulas[i]`.  Every slot's mask lies within the model's possible
-    worlds.  A counterfactual is read universally: the existential
-    reading of a formula is the universal reading of its dual
-    (`_duals`), so a program that needs it is compiled over the duals.
+    Each distinct node has one slot, its place in `code`, which lists
+    the nodes children first.  A node's slot is looked up by its
+    instruction, made from its operands' slots, so equal subformulas
+    share a slot whether or not they are one object.  `slots[i]` is the
+    slot of `formulas[i]`.  Every slot's mask lies within the model's
+    possible worlds.  A counterfactual is read universally: the
+    existential reading of a formula is the universal reading of its
+    dual (`_duals`), so a program that needs it is compiled over the
+    duals.
 
     `body` writes the program out as straight-line Python (`_emit`):
     slot n the local `m<n>`, each instruction one assignment.  `run`
@@ -251,13 +248,9 @@ class MaskProgram:
 
     def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
         cells = _CELL_MASKS[order.earlier_region]
-        numbers: dict[int, int] = {}  # id of a node met -> its slot
-        code: list[tuple] = []
+        numbered: dict[tuple, int] = {}  # an instruction met -> its slot
 
         def number(f) -> int:  # visits nodes in `truth_mask`'s order, so errors match
-            n = numbers.get(id(f))
-            if n is not None:
-                return n
             if type(f) is Atom:
                 node = (_ATOM, ATOM_MASKS[f.name], None)
             elif type(f) is Not:
@@ -270,12 +263,10 @@ class MaskProgram:
                 if op is None:
                     raise TypeError(f"not a formula node: {f!r}")
                 node = (op, number(f.left), number(f.right))
-            numbers[id(f)] = len(code)
-            code.append(node)
-            return len(code) - 1
+            return numbered.setdefault(node, len(numbered))
 
         self.slots = tuple(number(f) for f in formulas)
-        self.code = tuple(code)
+        self.code = tuple(numbered)  # the instructions, in slot order
         self._runs: dict[bool, object] = {}  # self_world -> generated function
 
     def __len__(self) -> int:
@@ -407,8 +398,7 @@ SR_TEXT = "(R2 & R2+) -> (R1 []-> R1 & R1-)"
 LINE5_TEXT = f"L2 => {SR_TEXT}"
 LINE6_TEXT = f"L1 => {SR_TEXT}"
 LINE5 = parse(LINE5_TEXT)
-# line 6 shares line 5's SR node, so a program over both computes SR once
-LINE6 = StrictImp(Atom("L1"), LINE5.right)
+LINE6 = parse(LINE6_TEXT)
 
 
 class TheoremReport(Value):

@@ -22,6 +22,7 @@ import json
 import math
 import operator
 from collections.abc import Mapping
+from functools import total_ordering
 
 from .formula import ATOM_NAMES, Value
 
@@ -40,6 +41,7 @@ class TableError(ValueError):
     """Probability table violating its invariants or schema."""
 
 
+@total_ordering
 class World(Value):
     """One history; worlds order as their field tuples."""
 
@@ -55,24 +57,9 @@ class World(Value):
     def __hash__(self):  # the base's hash, spelled out: every model build hashes each world
         return hash((self.choice_l, self.choice_r, self.outcome_l, self.outcome_r))
 
-    def __lt__(self, other):
+    def __lt__(self, other):  # `total_ordering` derives the other three from it
         if other.__class__ is self.__class__:
             return World._values(self) < World._values(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return World._values(self) <= World._values(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return World._values(self) > World._values(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return World._values(self) >= World._values(other)
         return NotImplemented
 
     @property
@@ -249,7 +236,11 @@ def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
                 isinstance(p, bool) or not isinstance(p, (int, float))
             ):
                 raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
-            if not math.isfinite(p):
+            try:
+                finite = math.isfinite(p)
+            except OverflowError:  # an int beyond float range
+                raise TableError(f"out-of-range probability in {pair} cell {key!r}") from None
+            if not finite:
                 raise TableError(f"non-finite probability {p} in {pair} cell {key!r}")
             if p < 0:
                 raise TableError(f"negative probability {p} in {pair} cell {key!r}")
@@ -449,7 +440,7 @@ def save_model(model: Model, path: str) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; text not UTF-8, not JSON or nested too deep is a ValueError naming it."""
+    """Parse a JSON file; bad text, deep nesting or a huge integer is a ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -457,6 +448,8 @@ def read_json(path: str):
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:  # nor does this one
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except ValueError:  # nor does an integer too long to convert, which names a Python call
+            raise ValueError(f"{path}: a number has too many digits") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply") from None
 

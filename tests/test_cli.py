@@ -213,6 +213,22 @@ def test_config_file_that_is_not_utf8_names_the_file(tmp_path, command, capsys):
     assert err.startswith(f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("command", [["hardy", "verify"], ["check-theorem"]])
+def test_a_number_too_long_to_read_names_the_file(tmp_path, command, capsys):
+    # Python refuses to convert an integer of more than 4,300 digits; the
+    # message names the file, not the Python call that lifts the limit
+    bad = tmp_path / "long.json"
+    digits = "1" * 5000
+    bad.write_text(
+        f'{{"theta": {digits}, "angles": {{"L1": 0, "L2": 0, "R1": 0, "R2": 0}}}}'
+        if command == ["hardy", "verify"]
+        else f'{{"epsilon": {digits}, "table": {{}}}}'
+    )
+    assert main([*command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: a number has too many digits\n"
+
+
 def test_deeply_nested_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100000 + "]" * 100000)

@@ -17,7 +17,6 @@ from hardylogic.proof import (
     ProofLine,
     ProofScript,
     SideCondition,
-    _interned,
     audit,
     builtin_script,
     check_rule,
@@ -138,6 +137,32 @@ def test_proof_line_takes_its_premises_and_scope_frozen():
         ProofLine(2, parse("L1 => L1"), "A5", [1])
     with pytest.raises(ValueError, match=r"^hypothesis_scope must be a frozenset, got \{1\}$"):
         ProofLine(2, parse("L1 => L1"), "A5", (1,), {1})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProofLine(1, "L1 => L1", "B6"), "statement must be a formula, got 'L1 => L1'"),
+        (lambda: ProofLine(True, parse("L1"), "B6"), "index must be an int, got True"),
+        (lambda: ProofLine(1.0, parse("L1"), "B6"), "index must be an int, got 1.0"),
+        (lambda: ProofLine(2, parse("L1"), "A5", ("a",)), "premises must be line indices, got ('a',)"),
+        (lambda: ProofLine(2, parse("L1"), "A5", (False,)), "premises must be line indices, got (False,)"),
+        (lambda: ProofScript((1,), ()), "lines must hold ProofLine values, got 1"),
+        (lambda: ProofScript((), ("L1",)), "side_conditions must hold SideCondition values, got 'L1'"),
+        (lambda: ProofScript((), (), (None,)), "notes must hold str values, got None"),
+        (lambda: SideCondition("L1", "d"), "formula must be a formula, got 'L1'"),
+    ],
+    ids=[
+        "text-statement", "bool-index", "float-index", "text-premise", "bool-premise",
+        "int-line", "text-side-condition", "none-note", "text-formula",
+    ],
+)
+def test_proof_values_refuse_a_field_of_the_wrong_type(build, message):
+    # each a ValueError naming the field, at once: not a TypeError or
+    # AttributeError later, from a comparison or an audit
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("field", ["lines", "side_conditions", "notes"])
@@ -552,10 +577,9 @@ def _flat(f):
 
 @pytest.fixture(scope="module")
 def mirrored_script():
-    # the builtin script with L and R swapped, interned: under
-    # TemporalOrder("R") its counterfactuals impose L choices, as they must
-    nodes = {}
-    return _rebuilt(builtin_script(), lambda f: _interned(_mirrored(f), nodes))
+    # the builtin script with L and R swapped: under TemporalOrder("R")
+    # its counterfactuals impose L choices, as they must
+    return _rebuilt(builtin_script(), _mirrored)
 
 
 def _outcome(call, show=lambda report: (report.render(), json.dumps(report.to_dict()))):
@@ -663,6 +687,27 @@ def test_planned_audit_matches_a_fresh_one(
     assert isinstance(_outcome(lambda: audit(model, mirrored_script, opts))[0], str)
 
 
+@pytest.mark.parametrize("earlier", ["L", "R"])
+def test_a_script_parsed_afresh_compiles_to_the_same_program(hardy_model, earlier):
+    # the builtin script under L, its mirror under R: with each statement
+    # parsed afresh no two lines share a node, and the audit still compiles
+    # the same instructions, with the same slots for each part it reads
+    order = TemporalOrder(earlier)
+    script = builtin_script.__wrapped__()
+    if earlier == "R":
+        script = _rebuilt(script, _mirrored)
+    plans = []
+    for kept in (script, _rebuilt(script, _flat)):
+        audit(hardy_model, kept, CfOptions(order))
+        plan = proof._plan(kept, order)
+        plans.append(
+            (plan.program.code, plan.program.slots, plan.lines, plan.hyp, plan.sides,
+             plan.clashes, plan.counterpart)
+        )
+    assert plans[0] == plans[1]
+    assert len(plans[0][0]) == 71
+
+
 # the lines whose rule fails under TemporalOrder("R"), where R1 is an
 # earlier choice, and how each verdict's detail begins; the rest are valid
 _R_ORDER_INVALID = {
@@ -707,7 +752,7 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
 ):
     # Neither reads `truth_mask`: each runs a mask program compiled once,
     # as one function generated on the first run under each reading, in
-    # which each node of the formulas and their duals runs once.
+    # which each node value of the formulas and their duals runs once.
     calls = []
     real = semantics.truth_mask
     monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
@@ -742,11 +787,12 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     audit(hardy_model, script)
     assert len(compiled) == 1
     program = proof._plan(script, semantics.L_EARLIER).program
-    # the 45 distinct nodes of the lines and the side condition, and `R1 []-> R1`,
-    # first, then the 28 that their duals add; 8 of the 74 are atoms
-    assert len(program) == 46 + 28
+    # the 45 distinct node values of the lines and the side condition, and
+    # `R1 []-> R1`, first, then the 25 that their duals add; 8 of the 71 are atoms
+    assert len(program) == 46 + 25
     assert max(program.slots[:48]) == 45
     assert sum(code[0] == semantics._ATOM for code in program.code) == 8
+    assert len(set(program.code)) == len(program)  # one slot per instruction
     # a part free of counterfactuals, 28 of the 48, is its own dual: one slot
     # for both readings
     assert sum(u == e for u, e in zip(program.slots[:48], program.slots[48:])) == 28
@@ -754,17 +800,17 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     body = program.body(True)
     reaches = [line.split(" = ")[0] for line in body if line.startswith("r")]
     assert reaches == ["r3", "r12", "r768", "r3072"]
-    assert len(body) == 4 + 74
+    assert len(body) == 4 + 71
     # the audit's one function runs the program itself: no function of the program's own
     assert generated[theorem:] == ["<proof audit>"]
     # and it assigns only the slots its readout needs: not `R1 []-> R1` read
     # universally, nor the duals of nine strict conditionals
     run = proof._plan(script, semantics.L_EARLIER).audits["every", True]
     slots = {name for name in run.__code__.co_varnames if re.fullmatch(r"m\d+", name)}
-    assert {f"m{n}" for n in range(74)} - slots == {
-        "m45", "m49", "m53", "m58", "m59", "m60", "m61", "m63", "m67", "m70"
+    assert {f"m{n}" for n in range(71)} - slots == {
+        "m45", "m49", "m53", "m58", "m59", "m60", "m61", "m63", "m65", "m67"
     }
-    assert len(slots) == 74 - 10
+    assert len(slots) == 71 - 10
     audit(control_model, script)
     semantics.check_theorem(control_model)
     assert len(compiled) == 1  # a second audit compiles nothing
@@ -776,6 +822,10 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     assert generated[theorem:] == ["<proof audit>"] * 3
     assert len(compiled) == 1
     assert calls == []
+    # under 'some' the closing verdict reads the duals of lines 5 and 6 as well
+    run = proof._plan(script, semantics.L_EARLIER).audits["some", True]
+    some = {name for name in run.__code__.co_varnames if re.fullmatch(r"m\d+", name)}
+    assert some - slots == {"m58", "m59"} and slots <= some
 
     r_order = CfOptions(TemporalOrder("R"))
     for ln in script.lines:
@@ -948,11 +998,10 @@ def test_report_rows_are_the_line_fields(earlier, hardy_model, local_model, unif
     # the builtin script under L, its mirror under R with Hardy's own four
     # prediction lines kept: the plan's 60 stored line reports and the
     # zero-cell ones each model builds for itself
-    nodes = {}
     script = builtin_script.__wrapped__()
     if earlier == "R":
         kept = {ln.statement for ln in script.lines if ln.rule.startswith("PRED")}
-        script = _rebuilt(script, lambda f: f if f in kept else _interned(_mirrored(f), nodes))
+        script = _rebuilt(script, lambda f: f if f in kept else _mirrored(f))
     opts = CfOptions(TemporalOrder(earlier))
     reports = [audit(model, script, opts) for model in (hardy_model, local_model, uniform_model)]
     held = _held_audits(proof._plan(script, opts.order))

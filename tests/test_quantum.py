@@ -392,6 +392,14 @@ def test_config_must_be_finite():
         HardyConfig(0, math.inf, 0, 0, 0)
 
 
+@pytest.mark.parametrize("field", HardyConfig._fields)
+def test_config_refuses_an_int_beyond_float_range(field):
+    # a ValueError naming the field, not an OverflowError from `math.isfinite`
+    values = dict(zip(HardyConfig._fields, (0.1, 0.2, 0.3, 0.4, 0.5)), **{field: -(10**400)})
+    with pytest.raises(ValueError, match=f"^{field} is out of range$"):
+        HardyConfig(**values)
+
+
 def test_config_json_roundtrip(tmp_path, hardy_config):
     path = tmp_path / "cfg.json"
     for cfg in (hardy_config, HardyConfig(0, 1, -2, 3, 0), HardyConfig(0.4, -0.1, 2.5, 1e300, -0.0)):

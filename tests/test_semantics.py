@@ -526,23 +526,20 @@ def test_mirroring_regions_and_order_preserves_verdicts(
 
 
 def _distinct_nodes(formulas) -> list:
-    """Every node of `formulas`, each object once, children before parents."""
-    seen, nodes = set(), []
+    """Every node of `formulas`, each value once, children before parents."""
+    nodes = {}
 
     def visit(f):
-        if id(f) in seen:
-            return
-        seen.add(id(f))
         if isinstance(f, Not):
             visit(f.arg)
         elif not isinstance(f, Atom):
             visit(f.left)
             visit(f.right)
-        nodes.append(f)
+        nodes.setdefault(f)
 
     for f in formulas:
         visit(f)
-    return nodes
+    return list(nodes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -557,7 +554,8 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     request, seed, kind, earlier, self_world, unsupported
 ):
     # a formula set whose later members hold earlier ones as subformulas,
-    # by object, so the program computes each shared node once
+    # by object, and a copy parsed afresh, which shares no object with it:
+    # the program computes each node value once
     rng = random.Random(seed)
     model = _case_model(request, kind, rng)
     order = TemporalOrder(earlier)
@@ -580,17 +578,21 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
         assert str(raised.value) == str(exc)
         return
 
-    # every node, each object once, with its universal slot and its dual's
+    # every node value once, with its universal slot and its dual's, then the
+    # same parts parsed afresh
     nodes = _distinct_nodes(formulas)
     parts = formulas + nodes
     duals = semantics._duals(parts)
-    program = semantics.MaskProgram(parts + duals, order)
+    flat = [parse(unparse(f)) for f in parts]
+    program = semantics.MaskProgram(parts + duals + flat, order)
     universal, existential = program.slots[: len(parts)], program.slots[len(parts) :]
+    existential, copies = existential[: len(parts)], existential[len(parts) :]
+    assert copies == universal  # equal nodes share a slot, whatever objects they are
     node_slots = universal[len(formulas) :]
     assert len(set(node_slots)) == len(nodes)
-    assert len(program) == len(_distinct_nodes(parts + duals))  # each object once, no other
-    slot_of = dict(zip(map(id, nodes), node_slots))
-    assert universal[: len(formulas)] == tuple(slot_of[id(f)] for f in formulas)
+    assert len(program) == len(_distinct_nodes(parts + duals))  # each value once, no other
+    slot_of = dict(zip(nodes, node_slots))
+    assert universal[: len(formulas)] == tuple(slot_of[f] for f in formulas)
     for flag in (self_world, not self_world):  # one run, and one function, per flag
         masks = program.run(model, flag)
         every, some = (CfOptions(order, q, flag) for q in ("every", "some"))
@@ -642,17 +644,17 @@ def test_some_is_every_over_the_dual(request, seed, kind, earlier, self_world, s
 
 def test_duals_keep_what_has_no_counterfactual_and_share_what_is_shared():
     plain = parse("L1 & ~(R2+ -> L2-) => R1 | ~~L2")
-    assert semantics._duals([plain])[0] is plain
+    assert semantics._duals([plain])[0] == plain
     # SR's dual: only the counterfactual and what holds it are new, no `~~`
     line5, line6 = semantics._duals([semantics.LINE5, semantics.LINE6])
     assert str(line5) == "L2 => R2 & R2+ -> ~(R1 []-> ~(R1 & R1-))"
-    assert line5.left is semantics.LINE5.left
-    assert line5.right.left is semantics.LINE5.right.left
-    assert line5.right.right.arg.right.arg is semantics.LINE5.right.right.right
-    assert line6.right is line5.right  # one dual SR for the one SR
+    assert line5.left == semantics.LINE5.left
+    assert line5.right.left == semantics.LINE5.right.left
+    assert line5.right.right.arg.right.arg == semantics.LINE5.right.right.right
+    assert line6.right == line5.right  # equal SRs have equal duals
     shared = Counterfactual(R1, Atom("R1-"))
     (both,) = semantics._duals([And(shared, Or(shared, R1))])
-    assert both.left is both.right.left
+    assert both.left == both.right.left
     # `~(R1 []-> ~R1-)` is `~~(R1 []-> ~~R1-)`, written with neither `~~`
     assert semantics._duals([parse("~(R1 []-> ~R1-)")]) == [parse("R1 []-> R1-")]
 
@@ -840,12 +842,13 @@ def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
 
 
 def test_conclusion_lines_share_one_sr_node():
-    # line 6 is built on line 5's SR, so the theorem program computes SR
-    # once: L2, L1 and SR's eight nodes, and under 'some' SR's dual, whose
+    # each line is parsed on its own, and the theorem program still computes
+    # SR once: L2, L1 and SR's eight nodes, and under 'some' SR's dual, whose
     # `~(R1 & R1-)` and outer negation make ten
     assert semantics.LINE5 == parse(semantics.LINE5_TEXT)
     assert semantics.LINE6 == parse(semantics.LINE6_TEXT)
-    assert semantics.LINE6.right is semantics.LINE5.right
+    assert semantics.LINE6.right == semantics.LINE5.right
+    assert semantics.LINE6.right is not semantics.LINE5.right
     assert len(semantics._theorem_program("L", "every")) == 10
     assert len(semantics._theorem_program("L", "some")) == 12
 

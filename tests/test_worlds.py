@@ -225,6 +225,9 @@ _ROW = {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25}
         (("L1", "R1"), {**_ROW, "xx": 7.0}, r"choice pair .* has unknown outcome cell 'xx'"),
         (("L2", "R1"), {**_ROW, "++": "0.25"}, r"non-numeric probability '0\.25' in"),
         (("L2", "R1"), {**_ROW, "+-": True}, r"non-numeric probability True in"),
+        # an int beyond float range: an OverflowError from `math.isfinite` if unchecked
+        (("L1", "R2"), {**_ROW, "-+": 10**400},
+         r"^out-of-range probability in \('L1', 'R2'\) cell '-\+'$"),
     ],
 )
 def test_table_constructor_rejects_a_bad_row(pair, row, message):
