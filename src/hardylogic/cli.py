@@ -21,7 +21,8 @@ import json
 import sys
 
 # The layers only some commands run (quantum, semantics, proof) are
-# imported inside their handlers, so a command loads no layer it does not run.
+# imported inside their handlers, after the files they read are loaded,
+# so a command loads no layer it does not run.
 from . import worlds
 from .formula import parse
 
@@ -130,9 +131,8 @@ def _cmd_model_build(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import semantics
-
     model = worlds.load_model(args.model)
+    from . import semantics
     f = parse(args.formula)
     opts = semantics.CfOptions(quantifier=args.quantifier)
     if args.at is not None:
@@ -148,18 +148,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
-    from . import semantics
-
     model = worlds.load_model(args.model)
+    from . import semantics
     report = semantics.check_theorem(model)
     print(report.render())
     return 0 if report.confirmed else 1
 
 
 def _cmd_proof_audit(args) -> int:
-    from . import proof
-
     model = worlds.load_model(args.model)
+    from . import proof
     report = proof.audit(model)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

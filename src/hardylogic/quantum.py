@@ -65,6 +65,8 @@ class HardyConfig(Value):
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond float range
                 raise ValueError(f"{name} is out of range") from None
+            except TypeError:  # a str, None or complex, say
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
             if not finite:
                 raise ValueError(f"{name} must be finite")
 

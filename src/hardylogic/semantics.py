@@ -60,7 +60,6 @@ from .worlds import (
     ATOM_MASKS,
     FORBIDDEN_WORLDS,
     PARADOX_WORLD,
-    WORLD_INDEX,
     _HIGH,
     _LOW,
     Model,
@@ -114,7 +113,7 @@ DEFAULT_OPTIONS = CfOptions()
 
 def _possible_index(model: Model, world: World) -> int:
     """The world's bit in the canonical order, if the world is possible in `model`."""
-    i = WORLD_INDEX.get(world)
+    i = world.index if type(world) is World else None
     if i is None or not model.mask >> i & 1:
         raise ValueError(f"world {world} is not possible in this model")
     return i
@@ -155,8 +154,12 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
     if kind is Not:
         return possible & ~truth_mask(model, f.arg, opts)
     if kind is Counterfactual:
-        imposed = ATOM_MASKS[_imposable(f.left, opts.order).name]
-        rule = _reach_rule(imposed, opts.order.earlier_region, opts.self_world_when_consistent)
+        left, self_world = f.left, opts.self_world_when_consistent
+        # only an exact Atom is looked up by name: `_REACH` keys are names already checked
+        key = (left.name, opts.order.earlier_region, self_world) if type(left) is Atom else None
+        rule = _REACH.get(key)
+        if rule is None:
+            rule = _reach_rule(left, opts.order, self_world)
         consequent = truth_mask(model, f.right, opts)
         if opts.quantifier == "every":
             return rule(possible, consequent)
@@ -173,14 +176,21 @@ def truth_mask(model: Model, f: Formula, opts: CfOptions = DEFAULT_OPTIONS) -> i
     raise TypeError(f"not a formula node: {f!r}")
 
 
-@cache
-def _reach_rule(imposed: int, earlier_region: str, self_world: bool):
-    """`c []-> B` read universally, from the possible-world mask and B's, for c of mask `imposed`.
+# (checked antecedent's name, earlier region, self-world) -> its `_reach_rule`, at most 8
+_REACH: dict[tuple, object] = {}
 
-    Generated from `_emit`'s template: one per (choice, earlier region, self-world), at most 8.
+
+def _reach_rule(choice: Formula, order: TemporalOrder, self_world: bool):
+    """`c []-> B` read universally, from the possible-world mask and B's, for the antecedent c.
+
+    Generated from `_emit`'s template once per key, which is stored only after `_imposable`.
     """
-    code = ((_ATOM, 0, None), (_CF, 0, (imposed, _CELL_MASKS[earlier_region])))
-    return _function("p, m0", _emit(code, [1], self_world), "m1", "<counterfactual>")
+    name = _imposable(choice, order).name
+    key = (name, order.earlier_region, self_world)
+    if key not in _REACH:
+        code = ((_ATOM, 0, None), (_CF, 0, (ATOM_MASKS[name], _CELL_MASKS[order.earlier_region])))
+        _REACH[key] = _function("p, m0", _emit(code, [1], self_world), "m1", "<counterfactual>")
+    return _REACH[key]
 
 
 def _duals(formulas) -> list[Formula]:
@@ -464,10 +474,10 @@ class TheoremReport(Value):
 
 # each forbidden cell's problem text and bit, then the paradox cell's
 _FORBIDDEN_BITS = tuple(
-    (f"forbidden world {w} is possible", 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS
+    (f"forbidden world {w} is possible", 1 << w.index) for w in FORBIDDEN_WORLDS
 )
 _PARADOX_PROBLEM = f"paradox world {PARADOX_WORLD} is not possible"
-_PARADOX_BIT = 1 << WORLD_INDEX[PARADOX_WORLD]
+_PARADOX_BIT = 1 << PARADOX_WORLD.index
 
 
 def hardy_conformance(model: Model) -> tuple[bool, str]:

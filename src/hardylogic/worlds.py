@@ -45,7 +45,10 @@ class TableError(ValueError):
 class World(Value):
     """One history; worlds order as their field tuples."""
 
-    __slots__ = _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
+    _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
+    # `index`, its place in WORLDS and so its bit in every mask, is worked out from
+    # the fields, so it is not one: equality, hashing, repr and pickling ignore it
+    __slots__ = (*_fields, "index")
 
     def __init__(self, *args, **kwargs):
         self._store(*args, **kwargs)
@@ -53,6 +56,8 @@ class World(Value):
             raise ValueError(f"bad choices ({self.choice_l}, {self.choice_r})")
         if self.outcome_l not in SIGNS or self.outcome_r not in SIGNS:
             raise ValueError(f"bad outcomes ({self.outcome_l}, {self.outcome_r})")
+        _set_index(self, (self.choice_l == "L2") << 3 | (self.choice_r == "R2") << 2
+                   | (self.outcome_l == "-") << 1 | (self.outcome_r == "-"))
 
     def __hash__(self):  # the base's hash, spelled out: every model build hashes each world
         return hash((self.choice_l, self.choice_r, self.outcome_l, self.outcome_r))
@@ -73,6 +78,8 @@ class World(Value):
     def __str__(self) -> str:
         return f"({self.choice_l},{self.choice_r},{self.outcome_l},{self.outcome_r})"
 
+
+_set_index = World.index.__set__
 
 # The canonical world order (L choice, R choice, L outcome, R outcome).
 # It doubles as the bit order of world-set masks: bit i is WORLDS[i].

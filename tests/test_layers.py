@@ -217,9 +217,10 @@ def test_importing_loads_only_what_is_used(statement, loaded, tmp_path):
     )
 
 
-_QUANTUM = {"cli", "formula", "worlds", "quantum"}
-_SEMANTICS = {"cli", "formula", "worlds", "semantics"}
-_PROOF = {"cli", "formula", "worlds", "semantics", "proof"}
+_CLI = {"cli", "formula", "worlds"}
+_QUANTUM = {*_CLI, "quantum"}
+_SEMANTICS = {*_CLI, "semantics"}
+_PROOF = {*_SEMANTICS, "proof"}
 
 
 @pytest.mark.parametrize(
@@ -229,10 +230,13 @@ _PROOF = {"cli", "formula", "worlds", "semantics", "proof"}
         (["hardy", "verify", "cfg.json"], 0, _QUANTUM),
         (["model", "build", "cfg.json", "--out", "model.json"], 0, _QUANTUM),
         (["check-theorem", "model.json"], 0, _SEMANTICS),
-        (["check-theorem", "no-such-model.json"], 2, _SEMANTICS),
+        # a model file that is missing stops the command before its layer is imported
+        (["check-theorem", "no-such-model.json"], 2, _CLI),
         (["eval", "model.json", "L1 => L1"], 0, _SEMANTICS),
         (["eval", "model.json", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+"], 1, _SEMANTICS),
+        (["eval", "no-such-model.json", "L1 => L1"], 2, _CLI),
         (["proof", "audit", "model.json"], 0, _PROOF),
+        (["proof", "audit", "no-such-model.json"], 2, _CLI),
         (["proof", "audit", "model.json", "--json"], 0, _PROOF),
         (["sr-table"], 0, _SEMANTICS),
     ],

@@ -416,6 +416,16 @@ def test_config_refuses_a_boolean(field, flag):
         HardyConfig(**values)
 
 
+@pytest.mark.parametrize("field", HardyConfig._fields)
+@pytest.mark.parametrize("value", ["0.1", None, 1j])
+def test_config_refuses_a_non_number(field, value):
+    # a ValueError naming the field, not a TypeError from `math.isfinite`
+    values = dict(zip(HardyConfig._fields, (0.1, 0.2, 0.3, 0.4, 0.5)), **{field: value})
+    with pytest.raises(ValueError) as raised:
+        HardyConfig(**values)
+    assert str(raised.value) == f"{field} must be a number, got {value!r}"
+
+
 def test_config_dict_schema():
     data = config_to_dict(HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5))
     assert set(data) == {"theta", "angles"}

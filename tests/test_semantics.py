@@ -691,7 +691,7 @@ def test_the_walk_generates_at_most_eight_counterfactual_functions(monkeypatch, 
     monkeypatch.setattr(
         semantics, "_function", lambda *args, **kw: generated.append(args[3]) or real(*args, **kw)
     )
-    semantics._reach_rule.cache_clear()
+    monkeypatch.setattr(semantics, "_REACH", {})
     rng = random.Random(28)
     for earlier in "LR":
         later = [c for c in CHOICE_ATOMS if c[0] == _SWAP[earlier]]
@@ -702,7 +702,82 @@ def test_the_walk_generates_at_most_eight_counterfactual_functions(monkeypatch, 
                 for f in formulas:
                     holds_globally(hardy_model, f, opts)
     assert generated == ["<counterfactual>"] * 8
-    assert semantics._reach_rule.cache_info().currsize == 8
+    assert sorted(semantics._REACH) == [
+        (name, earlier, self_world)
+        for name, earlier in (("L1", "R"), ("L2", "R"), ("R1", "L"), ("R2", "L"))
+        for self_world in (False, True)
+    ]
+
+
+_EARLIER_L1 = (
+    "counterfactual antecedent L1 picks the earlier region; only later-region choices can be imposed"
+)
+
+
+@pytest.mark.parametrize("self_world", [True, False])
+def test_an_antecedent_checked_under_one_order_is_refused_under_the_other(
+    monkeypatch, hardy_model, self_world
+):
+    # the reach functions are found by the antecedent's name, and each key
+    # carries the earlier region, so a name checked under R is checked again under L
+    monkeypatch.setattr(semantics, "_REACH", {})
+    f = parse("L1 []-> L1")
+    for quantifier in ("every", "some"):
+        r_earlier = CfOptions(TemporalOrder("R"), quantifier, self_world)
+        for _ in range(2):  # a miss, then a hit
+            assert semantics.truth_mask(hardy_model, f, r_earlier) == hardy_model.mask
+            for order, flag in (("L", self_world), ("L", not self_world)):
+                opts = CfOptions(TemporalOrder(order), quantifier, flag)
+                for evaluate in (
+                    lambda: semantics.truth_mask(hardy_model, f, opts),
+                    lambda: eval_at(hardy_model, WORLDS[0], f, opts),
+                    lambda: holds_globally(hardy_model, Or(Atom("L1"), f), opts),
+                ):
+                    with pytest.raises(UnsupportedCounterfactualError) as raised:
+                        evaluate()
+                    assert str(raised.value) == _EARLIER_L1
+    assert set(semantics._REACH) == {("L1", "R", self_world)}
+
+
+class _Choice(Atom):
+    __slots__ = ()
+
+
+class _Earlier(Atom):  # names a later-region choice, but says it is in the earlier region
+    __slots__ = ()
+    region = "L"
+
+
+def test_an_atom_subclass_antecedent_never_lets_a_non_atom_through(monkeypatch, hardy_model):
+    # an Atom subclass is checked as today, on every use; only an exact Atom is looked up
+    monkeypatch.setattr(semantics, "_REACH", {})
+    every = semantics.truth_mask(hardy_model, Counterfactual(R1, Atom("R1+")))
+    assert semantics.truth_mask(hardy_model, Counterfactual(_Choice("R1"), Atom("R1+"))) == every
+    assert set(semantics._REACH) == {("R1", "L", True)}
+    for left, message in (
+        (Not(R1), "counterfactual antecedent must be a choice atom, got ~R1"),
+        (Atom("R1-"), "counterfactual antecedent must be a choice atom, got R1-"),
+        (Atom("L1"), _EARLIER_L1),
+        (_Earlier("R1"), _EARLIER_L1.replace("L1", "R1")),
+    ):
+        with pytest.raises(UnsupportedCounterfactualError) as raised:
+            semantics.truth_mask(hardy_model, Counterfactual(left, Atom("R1+")))
+        assert str(raised.value) == message
+    assert set(semantics._REACH) == {("R1", "L", True)}
+
+
+class _World(World):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "world", [_World("L1", "R1", "+", "+"), ("L1", "R1", "+", "+")], ids=["World subclass", "tuple"]
+)
+def test_eval_at_refuses_what_is_not_exactly_a_world(hardy_model, world):
+    assert eval_at(hardy_model, WORLDS[0], parse("L1"))  # the world itself is possible
+    with pytest.raises(ValueError) as raised:
+        eval_at(hardy_model, world, parse("L1"))
+    assert str(raised.value) == f"world {world} is not possible in this model"
 
 
 @pytest.mark.parametrize("quantifier", ["evry", "Every", ""])

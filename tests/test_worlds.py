@@ -45,6 +45,22 @@ def test_enumeration_canonical_order():
     assert WORLDS[-1] == World("L2", "R2", "-", "-")
 
 
+def test_world_index_is_its_bit_and_not_a_field():
+    for i, w in enumerate(WORLDS):
+        fresh = World(w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
+        assert w.index == fresh.index == WORLD_INDEX[w] == i
+        assert type(fresh.index) is int
+        for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert twin == w and twin.index == i
+    w = WORLDS[6]
+    assert World._fields == ("choice_l", "choice_r", "outcome_l", "outcome_r")
+    assert "index" not in repr(w) and w.__reduce__() == (World, ("L1", "R2", "-", "+"))
+    assert hash(w) == hash(("L1", "R2", "-", "+"))
+    with pytest.raises(AttributeError):
+        w.index = 7
+    assert w.index == 6
+
+
 def test_world_validation():
     with pytest.raises(ValueError):
         World("R1", "L1", "+", "+")
