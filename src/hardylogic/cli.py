@@ -132,8 +132,8 @@ def _cmd_model_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = worlds.load_model(args.model)
-    from . import semantics
     f = parse(args.formula)
+    from . import semantics
     opts = semantics.CfOptions(quantifier=args.quantifier)
     if args.at is not None:
         world = worlds.parse_world(args.at)

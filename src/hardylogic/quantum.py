@@ -59,14 +59,16 @@ class HardyConfig(Value):
         self._store(*args, **kwargs)
         for name in self._fields:
             value = getattr(self, name)
-            if value.__class__ is bool:  # save_config would write a JSON boolean
-                raise ValueError(f"{name} must be a number, got {value}")
+            # save_config writes JSON: a bool would be a JSON boolean, and a
+            # Decimal or Fraction no JSON at all
+            if value.__class__ is not float and (  # a float, the usual case, passes here
+                value.__class__ is bool or not isinstance(value, (int, float))
+            ):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond float range
                 raise ValueError(f"{name} is out of range") from None
-            except TypeError:  # a str, None or complex, say
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
             if not finite:
                 raise ValueError(f"{name} must be finite")
 
@@ -300,9 +302,9 @@ def config_from_dict(data: dict) -> HardyConfig:
 
 
 def save_config(cfg: HardyConfig, path: str) -> None:
+    text = json.dumps(config_to_dict(cfg), indent=2)  # before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_config(path: str) -> HardyConfig:

@@ -386,7 +386,9 @@ def holds_globally(
     A strict conditional holds iff no possible world satisfies its
     antecedent together with the negated consequent.  Any other formula
     holds globally iff it is true at every possible world.  The witness
-    is the first counterexample in canonical world order.
+    is the first counterexample in canonical world order.  Formulas that
+    fail at the same worlds get the same check, one shared value per
+    counterexample mask (`_global_check`).
     """
     if type(f) is StrictImp:
         bad = truth_mask(model, f.left, opts) & ~truth_mask(model, f.right, opts)
@@ -395,8 +397,15 @@ def holds_globally(
     return _global_check(bad)
 
 
+@cache
 def _global_check(bad: int) -> GlobalCheck:
-    """The check whose counterexamples are the worlds of the mask `bad`."""
+    """The check whose counterexamples are the worlds of the mask `bad`, made once per mask.
+
+    A check is frozen and fixed by its mask, so every call with the mask
+    shares it, and an evaluation keeps no new object alive for the
+    garbage collector to trace.  A mask is a set of the sixteen worlds,
+    so the table holds at most 65,536 checks.
+    """
     worlds = _LOW[bad & 0xFF] + _HIGH[bad >> 8 & 0xFF]  # `worlds_in`, as a tuple
     return GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
 

@@ -305,7 +305,9 @@ class ProbabilityTable(Value):
         return self._rows
 
     def prob(self, world: World) -> float:
-        return self.cells[WORLD_INDEX[world]]
+        if type(world) is not World:
+            raise ValueError(f"not a world: {world!r}")
+        return self.cells[world.index]
 
     def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
         return self.cells[_CELL_INDEX[choice_l, choice_r, outcomes]]
@@ -385,8 +387,12 @@ class Model(Value):
     __slots__ = (*_fields, "mask")
 
     def __init__(self, table: ProbabilityTable, epsilon: float):
-        if epsilon.__class__ is bool:  # save_model would write a JSON boolean
-            raise ValueError(f"epsilon must be a number, got {epsilon}")
+        # save_model writes JSON: a bool would be a JSON boolean, and a Decimal
+        # or Fraction no JSON at all
+        if epsilon.__class__ is not float and (  # a float, the usual case, passes here
+            epsilon.__class__ is bool or not isinstance(epsilon, (int, float))
+        ):
+            raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         if not 0.0 <= epsilon <= 1e-3:
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
         # every choice pair keeps a possible world: a row sums to 1 over four
@@ -441,9 +447,9 @@ def model_from_dict(data: dict) -> Model:
 
 
 def save_model(model: Model, path: str) -> None:
+    text = json.dumps(model_to_dict(model), indent=2)  # before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path: str):

@@ -235,6 +235,8 @@ _PROOF = {*_SEMANTICS, "proof"}
         (["eval", "model.json", "L1 => L1"], 0, _SEMANTICS),
         (["eval", "model.json", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+"], 1, _SEMANTICS),
         (["eval", "no-such-model.json", "L1 => L1"], 2, _CLI),
+        # as does a formula that does not parse
+        (["eval", "model.json", "L1 & L3"], 2, _CLI),
         (["proof", "audit", "model.json"], 0, _PROOF),
         (["proof", "audit", "no-such-model.json"], 2, _CLI),
         (["proof", "audit", "model.json", "--json"], 0, _PROOF),

@@ -1,6 +1,8 @@
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -408,6 +410,16 @@ def test_config_json_roundtrip(tmp_path, hardy_config):
 
 
 @pytest.mark.parametrize("field", HardyConfig._fields)
+def test_a_config_json_cannot_encode_leaves_no_file(field, tmp_path):
+    cfg = HardyConfig(0.1, 0.2, 0.3, 0.4, 0.5)
+    object.__setattr__(cfg, field, Fraction(1, 10))  # past the constructor's check
+    path = tmp_path / "cfg.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_config(cfg, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("field", HardyConfig._fields)
 @pytest.mark.parametrize("flag", [True, False])
 def test_config_refuses_a_boolean(field, flag):
     # save_config would write a JSON boolean, which load_config refuses
@@ -417,9 +429,10 @@ def test_config_refuses_a_boolean(field, flag):
 
 
 @pytest.mark.parametrize("field", HardyConfig._fields)
-@pytest.mark.parametrize("value", ["0.1", None, 1j])
+@pytest.mark.parametrize("value", ["0.1", None, 1j, Decimal("0.1"), Fraction(1, 10)])
 def test_config_refuses_a_non_number(field, value):
-    # a ValueError naming the field, not a TypeError from `math.isfinite`
+    # a ValueError naming the field, not a TypeError from `math.isfinite`,
+    # nor a Decimal or Fraction that save_config could not write as JSON
     values = dict(zip(HardyConfig._fields, (0.1, 0.2, 0.3, 0.4, 0.5)), **{field: value})
     with pytest.raises(ValueError) as raised:
         HardyConfig(**values)

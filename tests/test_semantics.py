@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from hardylogic.formula import (
 )
 from hardylogic.semantics import (
     CfOptions,
+    GlobalCheck,
     L_EARLIER,
     TemporalOrder,
     UnsupportedCounterfactualError,
@@ -463,6 +465,51 @@ def test_global_checks_list_the_worlds_a_bit_loop_finds(request, seed, kind, qua
         assert check.witness == (expected[0] if expected else None)
         assert check.holds == (not expected)
         assert all(w is WORLDS[WORLDS.index(w)] for w in check.counterexamples)
+
+
+# ---------------------------------------------------------------------------
+# A global check is one shared value per counterexample mask
+
+def test_formulas_failing_at_the_same_worlds_share_one_check(hardy_model, control_model):
+    for model in (hardy_model, control_model):
+        # each fails at exactly the possible L2 worlds; the last is a strict conditional
+        checks = [holds_globally(model, parse(text)) for text in ("L1", "~L2", "L2 => L1")]
+        assert not checks[0].holds and checks[0].counterexamples
+        assert all(check is checks[0] for check in checks)
+
+
+def test_every_formula_that_holds_shares_one_check(hardy_model, control_model, uniform_model):
+    holding = GlobalCheck(True, None, ())
+    for model in (hardy_model, control_model, uniform_model):
+        for text in ("L1 | L2", "R1 | R2", "L1 => L1", "R1 []-> R1"):
+            check = holds_globally(model, parse(text))
+            assert check == holding and check is semantics._global_check(0)
+
+
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+@pytest.mark.parametrize("self_world", [True, False])
+def test_check_theorem_shares_the_checks_holds_globally_gives(
+    hardy_model, control_model, local_model, line6_holds_model, quantifier, self_world
+):
+    opts = CfOptions(quantifier=quantifier, self_world_when_consistent=self_world)
+    for model in (hardy_model, control_model, local_model, line6_holds_model):
+        report = check_theorem(model, opts)
+        assert report.line5 is holds_globally(model, semantics.LINE5, opts)
+        assert report.line6 is holds_globally(model, semantics.LINE6, opts)
+
+
+def test_a_shared_check_equals_the_check_built_from_its_worlds():
+    # every one-byte mask in either byte, and the full mask; not all 65,536,
+    # which would keep every check alive in this process
+    masks = sorted({0xFFFF, *range(256), *(b << 8 for b in range(256))})
+    for mask in masks:
+        worlds = tuple(worlds_in(mask))
+        fresh = GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
+        shared = semantics._global_check(mask)
+        assert shared is semantics._global_check(mask)
+        assert shared == fresh and type(shared.counterexamples) is tuple
+        assert repr(shared) == repr(fresh) and hash(shared) == hash(fresh)
+        assert pickle.loads(pickle.dumps(shared)) == fresh
 
 
 _SWAP = {"L": "R", "R": "L"}

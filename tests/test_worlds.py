@@ -3,6 +3,8 @@ import json
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,22 @@ def test_model_refuses_a_boolean_epsilon(hardy_table, epsilon):
     # save_model would write a JSON boolean, which load_model refuses
     with pytest.raises(ValueError, match=f"^epsilon must be a number, got {epsilon}$"):
         build_model(hardy_table, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [Decimal("1e-6"), Fraction(1, 10**6), "0", None])
+def test_model_refuses_an_epsilon_json_cannot_write(hardy_table, epsilon):
+    with pytest.raises(ValueError) as raised:
+        build_model(hardy_table, epsilon=epsilon)
+    assert str(raised.value) == f"epsilon must be a number, got {epsilon!r}"
+
+
+def test_a_model_json_cannot_encode_leaves_no_file(tmp_path, hardy_model):
+    model = build_model(hardy_model.table)
+    object.__setattr__(model, "epsilon", Decimal("1e-6"))  # past the constructor's check
+    path = tmp_path / "model.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_model(model, str(path))
+    assert not path.exists()
 
 
 def test_model_json_writer_emits_canonical_key_order(tmp_path, hardy_model):
@@ -732,6 +750,22 @@ def test_cell_i_is_world_i_and_mask_bit_i(hardy_table, control_table, epsilon):
             assert table.cells[i] == table.prob(w) == table.cell(*w.choice_pair, w.outcome_pair)
             assert type(table.cells[i]) is float
             assert (mask >> i & 1) == (table.cells[i] > epsilon)
+
+
+class _World(World):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [("L1", "R1", "+", "+"), "L1,R1,+,+", 0, None, _World("L1", "R1", "+", "+")],
+    ids=["tuple", "str", "int", "None", "World subclass"],
+)
+def test_prob_refuses_what_is_not_a_world(value):
+    # a ValueError naming the value, not a bare KeyError from the world index
+    with pytest.raises(ValueError) as raised:
+        ProbabilityTable.uniform().prob(value)
+    assert str(raised.value) == f"not a world: {value!r}"
 
 
 def _with_int_zeros(rows):
