@@ -23,8 +23,9 @@ constructor.
 from __future__ import annotations
 
 import re
+from functools import cache
 from operator import attrgetter
-from types import FunctionType
+from types import CodeType, FunctionType
 
 CHOICE_ATOMS = ("L1", "L2", "R1", "R2")
 OUTCOME_ATOMS = ("L1+", "L1-", "L2+", "L2-", "R1+", "R1-", "R2+", "R2-")
@@ -43,23 +44,8 @@ class LexError(ParseError):
     """Character sequence that is not a token of the language."""
 
 
-class _Generated:
-    """`Value.__init__` or `Value._store`, which a lookup reaches until the store exists.
-
-    A class's first build, or any other read of either name, such as
-    `inspect.signature`'s, calls `_generate`, which puts the store on
-    the classes where later lookups find it first, and then reads the
-    name again.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, obj, cls):
-        _generate(cls)
-        return getattr(cls, self.name).__get__(obj, cls)
+# the file name of every store's code: it tells a store from a constructor written by hand
+_STORE = "<value store>"
 
 
 class Value:
@@ -67,25 +53,17 @@ class Value:
 
     A subclass names its fields, in constructor order, in `_fields` and
     keeps them in `__slots__`; `_defaults` gives the trailing fields'
-    defaults.  Each value is built through one route, its class's
-    store: a plain `__init__(self, <fields>, <field>=<default>, ...)`
-    that stores each field through its slot's own setter.  The store is
-    generated from `_fields` the first time the class is built, so a
-    command pays only for the classes it builds, and Python binds the
-    arguments and raises TypeError, naming the class, for a bad call.
-    It is generated once, on the class that names the fields.  A class
-    with no constructor of its own takes the store as its `__init__`,
-    and each of its direct subclasses that has none either, as the five
-    binary connectives under `_Binary`, a function of its own over the
-    store's code, named for it, so that a bad call names the subclass.
-    One that checks its fields calls `self._store(...)` and then checks
-    them, or, as `Atom` and `ProofScript` do, checks first.  `Model`
-    and `ProbabilityTable` keep constructors that store without it,
-    since each works out a slot that is not a field: the mask, and the
-    cells.  `parse` fills
-    bare `Not` and binary nodes through the slots' setters, and the
-    audit stores a bare `LineAudit` through `LineAudit._store` and then
-    sets its JSON row.
+    defaults.  When the class is defined it gets its constructor, its
+    store: a plain `__init__(self, <fields>, <field>=<default>, ...)`,
+    named for the class, that stores each field through its slot's own
+    setter and then calls `self._check()`, so Python binds the arguments
+    and raises TypeError, naming the class, for a bad call, and a class
+    that checks its fields does so in `_check`.  A subclass gets a store
+    of its own, as the five binary connectives under `_Binary` do,
+    unless it inherits a constructor written by hand: `Model` and
+    `ProbabilityTable` keep such constructors, since each works out a
+    slot that is not a field, the mask and the cells.  `parse` fills
+    bare `Not` and binary nodes through the slots' setters.
 
     The base also derives equality (same class and equal fields), a
     hash of the field tuple, a repr in the form `Atom(name='L1')`, and
@@ -96,7 +74,12 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()
-    __init__, _store = _Generated("__init__"), _Generated("_store")
+
+    def __init__(self):
+        raise TypeError(f"{self.__class__.__qualname__} has no fields to store")
+
+    def _check(self):
+        """Check the fields once the store has set them; here there is nothing to check."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -105,6 +88,11 @@ class Value:
             # the field tuple; attrgetter returns a lone field bare
             cls._values = get if len(cls._fields) > 1 else lambda obj: (get(obj),)
             cls.__match_args__ = cls._fields
+            inherited = cls.__init__
+            if "__init__" not in cls.__dict__ and (
+                inherited is Value.__init__ or inherited.__code__.co_filename == _STORE
+            ):
+                cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -130,42 +118,28 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _generate(cls: type):
-    """Generate the store of the class that names `cls`'s fields, and put it on that class.
+@cache
+def _template(count: int) -> CodeType:
+    """The code of a store of `count` fields.
 
-    The store becomes that class's `_store` and, unless the class has a
-    constructor of its own, its `__init__`, and each direct subclass
-    without a constructor gets its own function over the store's code
-    as its `__init__`; an own constructor gets the store as
-    `__wrapped__`, so that `help` and `inspect.signature` show the
-    fields once the store exists.
+    Its parameters are `self`, `f0`, `f1`, ..., it stores field i
+    through the global `_set<i>`, and it ends with `self._check()`.
     """
-    for owner in cls.__mro__:
-        if owner.__dict__.get("_fields"):
-            break
-    else:
-        raise TypeError(f"{cls.__qualname__} has no fields to store")
-    fields, defaults = owner._fields, owner._defaults
-    first = len(fields) - len(defaults)  # the first field with a default
-    params = [f"{name}=_defaults[{i - first}]" if i >= first else name
-              for i, name in enumerate(fields)]
-    body = [f"_set_{name}(self, {name})" for name in fields]
-    namespace = {f"_set_{name}": getattr(owner, name).__set__ for name in fields}
-    namespace.update(__builtins__={}, _defaults=defaults)
-    source = "\n    ".join([f"def __init__(self, {', '.join(params)}):", *body])
-    exec(compile(source, f"<{owner.__qualname__} store>", "exec"), namespace)
-    store = namespace["__init__"]
-    store.__qualname__ = f"{owner.__qualname__}.__init__"
-    owner._store = store
-    if "__init__" in owner.__dict__:
-        owner.__init__.__wrapped__ = store
-        return store
-    owner.__init__ = store
-    for sub in owner.__subclasses__():
-        if "__init__" not in sub.__dict__:
-            init = FunctionType(store.__code__, store.__globals__, "__init__", store.__defaults__)
-            init.__qualname__ = f"{sub.__qualname__}.__init__"
-            sub.__init__ = init
+    params = ", ".join(f"f{i}" for i in range(count))
+    body = "".join(f"    _set{i}(self, f{i})\n" for i in range(count))
+    source = f"def __init__(self, {params}):\n{body}    self._check()\n"
+    namespace = {}
+    exec(compile(source, _STORE, "exec"), namespace)
+    return namespace["__init__"].__code__
+
+
+def _constructor(cls: type) -> FunctionType:
+    """`cls`'s store: its field count's template, with the parameters renamed to its fields."""
+    fields = cls._fields
+    code = _template(len(fields)).replace(co_varnames=("self", *fields))
+    setters = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
+    store = FunctionType(code, {"__builtins__": {}, **setters}, "__init__", cls._defaults or None)
+    store.__qualname__ = f"{cls.__qualname__}.__init__"
     return store
 
 
@@ -181,10 +155,9 @@ class Formula(Value):
 class Atom(Formula):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        if name not in ATOM_NAMES:
-            raise ValueError(f"unknown atom {name!r}; expected one of {ATOM_NAMES}")
-        self._store(name)
+    def _check(self):
+        if self.name not in ATOM_NAMES:
+            raise ValueError(f"unknown atom {self.name!r}; expected one of {ATOM_NAMES}")
 
     @property
     def region(self) -> str:

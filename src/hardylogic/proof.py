@@ -67,7 +67,6 @@ from .formula import (
     Not,
     StrictImp,
     Value,
-    _generate,
     parse,
     unparse,
 )
@@ -82,7 +81,7 @@ from .semantics import (
     _function,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLD_INDEX, WORLDS, Model, World
+from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLDS, Model, World
 
 VALID = "valid"
 INVALID = "invalid"
@@ -97,8 +96,7 @@ class ProofLine(Value):
     __slots__ = _fields = ("index", "statement", "rule", "premises", "hypothesis_scope", "note")
     _defaults = ((), frozenset(), None)
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         if not _is_index(self.index):
             raise ValueError(f"index must be an int, got {self.index!r}")
         if not isinstance(self.statement, Formula):
@@ -120,10 +118,9 @@ class SideCondition(Value):
 
     __slots__ = _fields = ("formula", "description")
 
-    def __init__(self, formula: Formula, description: str):
-        if not isinstance(formula, Formula):
-            raise ValueError(f"formula must be a formula, got {formula!r}")
-        self._store(formula, description)
+    def _check(self):
+        if not isinstance(self.formula, Formula):
+            raise ValueError(f"formula must be a formula, got {self.formula!r}")
 
 
 class ProofScript(Value):
@@ -131,31 +128,26 @@ class ProofScript(Value):
 
     _fields = ("lines", "side_conditions", "notes")
     _defaults = ((),)
-    # `_plans`: audit plans by earlier region, built on first use (`_plan`);
-    # not a field, so equality, hashing, repr, pickling and copies ignore them
+    # `_plans`: audit plans by earlier region, set empty by `_check`, each built on
+    # first use (`_plan`); not a field, so equality, hashing, repr, pickling and
+    # copies ignore them
     __slots__ = (*_fields, "_plans", "__weakref__")
 
-    def __init__(
-        self,
-        lines: tuple[ProofLine, ...],
-        side_conditions: tuple[SideCondition, ...],
-        notes: tuple[str, ...] = (),
-    ):
-        parts = (lines, side_conditions, notes)
+    def _check(self):
+        parts = (self.lines, self.side_conditions, self.notes)
         for name, value, kind in zip(self._fields, parts, (ProofLine, SideCondition, str)):
             if not isinstance(value, tuple):
                 raise ValueError(f"{name} must be a tuple, got {value!r}")
             for item in value:
                 if not isinstance(item, kind):
                     raise ValueError(f"{name} must hold {kind.__name__} values, got {item!r}")
-        indices = [ln.index for ln in lines]
-        for ln in lines:
+        indices = [ln.index for ln in self.lines]
+        for ln in self.lines:
             if indices.count(ln.index) > 1:
                 raise ValueError(f"line {ln.index} appears more than once")
             for p in ln.premises:
                 if p not in indices:
                     raise ValueError(f"line {ln.index} cites line {p}, which the script lacks")
-        self._store(lines, side_conditions, notes)
         ProofScript._plans.__set__(self, {})
 
     def line(self, index: int) -> ProofLine:
@@ -279,7 +271,7 @@ def check_rule(
     rule = rules[index]
     if not isinstance(rule, World):
         return rule
-    bit = WORLD_INDEX[rule]
+    bit = rule.index
     return _prediction_verdict(rule, model.mask >> bit & 1, model.table.cells[bit])
 
 
@@ -853,10 +845,10 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
     reports = table(impossible.status, impossible.detail)
     if rule == PARADOX_WORLD:
         witness = _prediction_verdict(rule, True)
-        return WORLD_INDEX[rule], (reports, table(witness.status, witness.detail)), None
+        return rule.index, (reports, table(witness.status, witness.detail)), None
     rows = tuple(tuple(la._json_row() for la in pair) for pair in table(INVALID, None))
     fixed = (ln.index, ln.rule, ln.premises, scope, ln.note)
-    return WORLD_INDEX[rule], reports, (fixed, *_not_a_zero_cell(rule), rows)
+    return rule.index, reports, (fixed, *_not_a_zero_cell(rule), rows)
 
 
 def _clashes(script: ProofScript, hyp_index: int) -> tuple:
@@ -890,7 +882,11 @@ def _clashes(script: ProofScript, hyp_index: int) -> tuple:
 # Semantic audit
 
 class LineAudit(Value):
-    """One line's report.  `_row` keeps its JSON row once made, and is not a field."""
+    """One line's report.
+
+    `_row` keeps its JSON row once made (`_json_row`), is unset until
+    then, and is not a field.
+    """
 
     _fields = (
         "index",
@@ -906,10 +902,6 @@ class LineAudit(Value):
     __slots__ = (*_fields, "_row")
     _defaults = (None,)
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
-        _set_row(self, None)
-
     @property
     def rule_ok(self) -> bool:
         return self.rule_status == VALID
@@ -920,8 +912,10 @@ class LineAudit(Value):
 
     def _json_row(self) -> dict:
         """The line's JSON row, `premises` and `scope` as tuples; made once, so callers copy it."""
-        if self._row is None:
-            row = {
+        try:
+            return self._row
+        except AttributeError:
+            _set_row(self, {
                 "index": self.index,
                 "rule": self.rule,
                 "premises": self.premises,
@@ -933,15 +927,11 @@ class LineAudit(Value):
                 "sem_some": self.sem_some,
                 "divergence": self.divergence,
                 "note": self.note,
-            }
-            _set_row(self, row)
-        return self._row
+            })
+            return self._row
 
 
 _set_row = LineAudit._row.__set__
-# stores made at import: these `*args` constructors show their fields only through them
-_generate(ProofLine)
-_generate(LineAudit)
 
 
 def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) -> LineAudit:
@@ -953,8 +943,7 @@ def _zero_cell_audit(zero: tuple, prob: float, sem_every: bool, sem_some: bool) 
     """
     (index, rule, premises, scope, note), head, tail, rows = zero
     detail = f"{head}{prob!r}{tail}"
-    la = object.__new__(LineAudit)  # the fields through the store; the row from the template
-    LineAudit._store(la, index, rule, premises, scope, INVALID, detail, sem_every, sem_some, note)
+    la = LineAudit(index, rule, premises, scope, INVALID, detail, sem_every, sem_some, note)
     row = rows[sem_every][sem_some].copy()
     row["rule_detail"] = detail
     _set_row(la, row)

@@ -55,8 +55,7 @@ class HardyConfig(Value):
 
     __slots__ = _fields = ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2")
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         for name in self._fields:
             value = getattr(self, name)
             # save_config writes JSON: a bool would be a JSON boolean, and a
@@ -201,8 +200,7 @@ class SearchParams(Value):
     __slots__ = _fields = ("seed", "grid")
     _defaults = (0, 96)
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         if self.grid < 2:
             raise ValueError(f"grid must be at least 2, got {self.grid}")
 

@@ -77,8 +77,7 @@ class TemporalOrder(Value):
     __slots__ = _fields = ("earlier_region",)
     _defaults = ("L",)
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         if self.earlier_region not in ("L", "R"):
             raise ValueError(f"earlier_region must be 'L' or 'R', got {self.earlier_region!r}")
 
@@ -95,8 +94,7 @@ class CfOptions(Value):
     # `quantifier` is 'every' or 'some', over accessible worlds
     _defaults = (L_EARLIER, "every", True)
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         if self.order.__class__ is not TemporalOrder:
             raise ValueError(f"order must be a TemporalOrder, got {self.order!r}")
         if self.quantifier not in ("every", "some"):

@@ -47,11 +47,10 @@ class World(Value):
 
     _fields = ("choice_l", "choice_r", "outcome_l", "outcome_r")
     # `index`, its place in WORLDS and so its bit in every mask, is worked out from
-    # the fields, so it is not one: equality, hashing, repr and pickling ignore it
+    # the fields by `_check`, so it is not one: equality, hashing, repr and pickling ignore it
     __slots__ = (*_fields, "index")
 
-    def __init__(self, *args, **kwargs):
-        self._store(*args, **kwargs)
+    def _check(self):
         if self.choice_l not in CHOICES_L or self.choice_r not in CHOICES_R:
             raise ValueError(f"bad choices ({self.choice_l}, {self.choice_r})")
         if self.outcome_l not in SIGNS or self.outcome_r not in SIGNS:
@@ -90,7 +89,6 @@ WORLDS = tuple(
     for ol in SIGNS
     for outcome_r in SIGNS
 )
-WORLD_INDEX = {w: i for i, w in enumerate(WORLDS)}
 # each world by its field tuple, so a parsed literal is the shared instance
 _BY_FIELDS = {World._values(w): w for w in WORLDS}
 
@@ -182,8 +180,6 @@ _FLOAT = frozenset({float})
 _pair_rows = operator.itemgetter(*CHOICE_PAIRS)
 _file_rows = operator.itemgetter(*_PAIR_KEYS)
 _row_cells = operator.itemgetter(*OUTCOME_PAIRS)
-# each (choice_l, choice_r, outcome pair) to its cell's index, as in WORLD_INDEX
-_CELL_INDEX = {(w.choice_l, w.choice_r, w.outcome_pair): i for i, w in enumerate(WORLDS)}
 _BITS = tuple(1 << i for i in range(len(WORLDS)))
 
 
@@ -310,7 +306,12 @@ class ProbabilityTable(Value):
         return self.cells[world.index]
 
     def cell(self, choice_l: str, choice_r: str, outcomes: str) -> float:
-        return self.cells[_CELL_INDEX[choice_l, choice_r, outcomes]]
+        pair = (choice_l, choice_r)
+        if pair not in CHOICE_PAIRS:
+            raise ValueError(f"not a choice pair: {pair!r}")
+        if outcomes not in OUTCOME_PAIRS:
+            raise ValueError(f"not an outcome pair: {outcomes!r}")
+        return self.cells[4 * CHOICE_PAIRS.index(pair) + OUTCOME_PAIRS.index(outcomes)]
 
     def no_signaling_gap(self) -> float:
         """Largest discrepancy between same-region marginals across faraway choices."""
@@ -395,6 +396,8 @@ class Model(Value):
             raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         if not 0.0 <= epsilon <= 1e-3:
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
+        if table.__class__ is not ProbabilityTable:
+            raise ValueError(f"table must be a ProbabilityTable, got {table!r}")
         # every choice pair keeps a possible world: a row sums to 1 over four
         # cells, so its largest is at least about 0.25, far above 1e-3
         mask = 0

@@ -120,7 +120,7 @@ EXPORTED = (
 # tests; each stated a rule that a name still in use states too
 RETIRED = {
     "formula": ("check_paper_normal", "PaperNormalReport"),
-    "worlds": ("enumerate_worlds", "satisfies_atom"),
+    "worlds": ("enumerate_worlds", "satisfies_atom", "WORLD_INDEX"),  # `World.index` is the map
     "quantum": ("joint_probability", "constraint_values"),
     "semantics": ("accessible",),
 }

@@ -28,7 +28,6 @@ from hardylogic.worlds import (
     CHOICE_PAIRS,
     FORBIDDEN_WORLDS,
     OUTCOME_PAIRS,
-    WORLD_INDEX,
     ProbabilityTable,
     build_model,
     worlds_in,
@@ -912,7 +911,7 @@ def _stored_audits(plan):
     return len(_held_audits(plan))
 
 
-def test_second_audit_of_a_conforming_model_builds_no_line_report(
+def test_second_audit_builds_line_reports_only_for_possible_zero_cells(
     hardy_model, hardy_table, uniform_model, monkeypatch
 ):
     script = builtin_script.__wrapped__()
@@ -931,12 +930,12 @@ def test_second_audit_of_a_conforming_model_builds_no_line_report(
     assert built == []
     # every forbidden cell is possible in the uniform model: each of the
     # three zero-cell lines gets a report of its own, quoting the cell's
-    # probability, made from the line's template without a constructor;
-    # only the closing verdict, on its first sight, is constructed
+    # probability, built with the line's template's fields; the closing
+    # verdict is built on its first sight only
     report = audit(uniform_model, script)
-    assert built == ["FinalVerdict"]
+    assert built == ["LineAudit"] * 3 + ["FinalVerdict"]
     assert audit(build_model(uniform_model.table, 1e-6), script) == report
-    assert built == ["FinalVerdict"]
+    assert built == ["LineAudit"] * 3 + ["FinalVerdict"] + ["LineAudit"] * 3
     assert [la.rule_detail for la in report.lines[1:3]] == [
         "cell ('L2', 'R2', '-+') carries probability 0.25; not a zero cell",
         "cell ('L2', 'R1', '++') carries probability 0.25; not a zero cell",
@@ -1078,7 +1077,7 @@ def test_a_warm_plan_audits_as_a_fresh_script_does(
     for k in range(48):
         possible = rng.sample(range(3), k % 4)
         model = build_model(ProbabilityTable(_rows_with_possible_forbidden(rng, possible)))
-        assert [bool(model.mask & 1 << WORLD_INDEX[w]) for w in FORBIDDEN_WORLDS] == [
+        assert [bool(model.mask & 1 << w.index) for w in FORBIDDEN_WORLDS] == [
             i in possible for i in range(3)
         ]
         models.append(model)
@@ -1097,7 +1096,7 @@ def test_a_warm_plan_audits_as_a_fresh_script_does(
     finals = proof._plan(warm, semantics.L_EARLIER).finals
     assert len(set(finals.values())) == len(finals) > 4
     for key, final in finals.items():
-        bridge = None if final.bridge_world is None else WORLD_INDEX[final.bridge_world]
+        bridge = None if final.bridge_world is None else final.bridge_world.index
         assert key == (
             final.rules_all_valid,
             final.side_conditions_hold,

@@ -495,11 +495,6 @@ def test_derived_fields_agree_with_independent_sources(seed, kind, quantifier):
 # One constructor route: each class's store is generated from its fields
 
 
-def _owner(cls) -> type:
-    """The class that names `cls`'s fields, whose store `cls` builds through."""
-    return next(k for k in cls.__mro__ if "_fields" in vars(k))
-
-
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_the_signature_lists_the_fields_with_the_defaults_on_the_trailing_ones(cls):
     params = list(inspect.signature(cls).parameters.values())
@@ -512,9 +507,8 @@ def test_the_signature_lists_the_fields_with_the_defaults_on_the_trailing_ones(c
 
 
 def test_the_checking_constructors_show_their_fields_before_any_build():
-    # `ProofLine` and `LineAudit` take `*args`, so their signatures come from
-    # the stores, which `proof` generates at import: a fresh interpreter that
-    # has built neither reads their fields
+    # each class has its store from its definition: a fresh interpreter that
+    # has built neither a `ProofLine` nor a `LineAudit` reads their fields
     script = (
         "import inspect\n"
         "from hardylogic.proof import LineAudit, ProofLine\n"
@@ -555,16 +549,13 @@ def test_a_bad_call_is_a_type_error_naming_the_class(value):
 _CONNECTIVES = (And, Or, MatImp, StrictImp, Counterfactual)
 
 
-def test_the_binary_connectives_run_one_store_each_under_its_own_name():
+def test_the_binary_connectives_each_have_a_store_of_their_own():
     binary = formula._Binary
-    assert binary.__init__ is binary._store
     assert binary.__init__.__qualname__ == "_Binary.__init__"
-    assert {_owner(cls) for cls in _CONNECTIVES} == {binary}
     for cls in _CONNECTIVES:
         init = vars(cls)["__init__"]
-        assert init is not binary._store and init.__code__ is binary._store.__code__
+        assert init is not binary.__init__ and init.__code__ == binary.__init__.__code__
         assert init.__qualname__ == f"{cls.__name__}.__init__"
-        assert cls._store is binary._store
 
 
 @pytest.mark.parametrize("cls", _CONNECTIVES, ids=lambda cls: cls.__name__)
@@ -579,40 +570,77 @@ def test_a_connective_missing_an_operand_names_its_own_class(cls):
     assert str(caught.value) == f"{cls.__name__}.__init__() got multiple values for argument 'left'"
 
 
-def test_each_class_that_names_fields_generates_its_store_once(monkeypatch):
-    # the stores of a class without a constructor of its own, of one that
-    # stores then checks, of one that checks then stores, and of the five
-    # connectives' base are taken away, as before their classes' first build
-    owners = (formula._Binary, GlobalCheck, World, LineAudit, ProofScript)
-    own = {owner: owner.__init__ for owner in owners if owner.__init__ is not owner._store}
-    assert set(own) == {World, LineAudit, ProofScript}
-    for owner in owners:
-        monkeypatch.delattr(owner, "_store")
-        if owner in own:
-            monkeypatch.delattr(owner.__init__, "__wrapped__")
-        else:
-            monkeypatch.delattr(owner, "__init__")
-    for cls in _CONNECTIVES:  # and their own functions over `_Binary`'s store
-        monkeypatch.delattr(cls, "__init__")
-    generated = []
-    real = formula._generate
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+def test_each_class_has_its_constructor_once_it_is_defined(cls):
+    # a store, or for `Model` and `ProbabilityTable` one written by hand;
+    # the signature test above reads its parameters
+    assert vars(cls)["__init__"].__qualname__ == f"{cls.__name__}.__init__"
 
-    def spy(cls):
-        store = real(cls)
-        generated.append(store.__qualname__)
-        return store
 
-    monkeypatch.setattr(formula, "_generate", spy)
-    compiled = []  # the connectives' own functions reuse `_Binary`'s code: no compile of their own
+def test_each_field_count_compiles_one_template_for_every_class(monkeypatch):
+    compiled = []
     monkeypatch.setattr(
         formula, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False
     )
-    built = [v for v in VALUES if _owner(type(v)) in owners]
-    assert len(built) == 9  # the five connectives, one of each other class
-    for _ in range(50):
-        for value in built:
-            assert type(value)(*_fields(value)) == value
-    assert sorted(generated) == sorted(f"{owner.__qualname__}.__init__" for owner in owners)
-    assert sorted(compiled) == sorted(f"<{owner.__qualname__} store>" for owner in owners)
-    assert all(owner.__init__ is init for owner, init in own.items())
-    assert all(cls.__init__.__qualname__ == f"{cls.__name__}.__init__" for cls in _CONNECTIVES)
+    names = tuple(f"f{i}" for i in range(12))  # more fields than any class of the package names
+
+    class Plain(formula.Value):
+        __slots__ = _fields = names
+
+    class Checked(formula.Value):
+        __slots__ = _fields = names
+        _defaults = (0,)
+
+        def _check(self):
+            if self.f11 is None:
+                raise ValueError("f11 must not be None")
+
+    class Pair(formula.Value):  # a field count the package's classes use
+        __slots__ = _fields = ("first", "second")
+
+    assert compiled == ["<value store>"]  # one compile for both twelve-field stores, none for two
+    assert Plain(*range(12)).f11 == 11 and Checked(*range(11)).f11 == 0
+    with pytest.raises(ValueError, match="f11 must not be None"):
+        Checked(*range(11), None)
+    assert Pair(1, second=2) == Pair(1, 2)
+    with pytest.raises(TypeError) as caught:
+        Checked(*range(10))
+    assert str(caught.value) == (
+        f"{Checked.__qualname__}.__init__() missing 1 required positional argument: 'f10'"
+    )
+
+
+def test_a_subclass_defined_after_its_parent_is_built_names_itself():
+    And(Atom("L1"), Atom("R1"))  # the parent is built before the subclass is defined
+
+    class Conj(And):
+        __slots__ = ()
+
+    assert Conj(Atom("L1"), right=Atom("R1")).right == Atom("R1")
+    with pytest.raises(TypeError) as caught:
+        Conj(Atom("L1"))
+    assert str(caught.value) == (
+        f"{Conj.__qualname__}.__init__() missing 1 required positional argument: 'right'"
+    )
+
+    class Place(World):  # a subclass of a checking class keeps the checks
+        __slots__ = ()
+
+    assert Place("L2", "R2", "-", "-").index == 15
+    with pytest.raises(ValueError, match="bad choices"):
+        Place("L3", "R2", "-", "-")
+
+
+def test_a_subclass_of_model_keeps_the_model_constructor():
+    class Strict(Model):
+        __slots__ = ()
+
+    assert Strict.__init__ is Model.__init__
+    model = Strict(_TABLE, 0.0)  # the + outcome on R, either on L: cells 0 and 2 of each row
+    assert model.mask == Model(_TABLE, 0.0).mask == 0b0101_0101_0101_0101
+
+
+def test_the_base_classes_build_nothing():
+    for cls in (formula.Value, formula.Formula):
+        with pytest.raises(TypeError, match=f"{cls.__name__} has no fields to store"):
+            cls()

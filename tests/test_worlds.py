@@ -17,7 +17,6 @@ from hardylogic.worlds import (
     CHOICE_PAIRS,
     DISTRIBUTION_TOL,
     OUTCOME_PAIRS,
-    WORLD_INDEX,
     WORLDS,
     Model,
     ProbabilityTable,
@@ -50,7 +49,7 @@ def test_enumeration_canonical_order():
 def test_world_index_is_its_bit_and_not_a_field():
     for i, w in enumerate(WORLDS):
         fresh = World(w.choice_l, w.choice_r, w.outcome_l, w.outcome_r)
-        assert w.index == fresh.index == WORLD_INDEX[w] == i
+        assert w.index == fresh.index == i
         assert type(fresh.index) is int
         for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert twin == w and twin.index == i
@@ -101,7 +100,7 @@ def test_parse_world_rejects_a_bad_literal_with_its_message(text, message):
 
 def _holds(name: str, w: World) -> bool:
     """Bit `w` of the atom's world mask."""
-    return bool(ATOM_MASKS[name] >> WORLD_INDEX[w] & 1)
+    return bool(ATOM_MASKS[name] >> w.index & 1)
 
 
 def test_outcome_atom_holds_where_performed():
@@ -344,6 +343,18 @@ def test_model_refuses_an_epsilon_json_cannot_write(hardy_table, epsilon):
     with pytest.raises(ValueError) as raised:
         build_model(hardy_table, epsilon=epsilon)
     assert str(raised.value) == f"epsilon must be a number, got {epsilon!r}"
+
+
+@pytest.mark.parametrize("table", [None, {}, "uniform", (0.25,) * 16])
+def test_model_refuses_a_table_that_is_not_a_probability_table(hardy_table, table):
+    # a ValueError naming the field, not a bare AttributeError from `table.cells`
+    with pytest.raises(ValueError) as raised:
+        Model(table, 1e-12)
+    assert str(raised.value) == f"table must be a ProbabilityTable, got {table!r}"
+    with pytest.raises(ValueError, match="^table must be a ProbabilityTable, got "):
+        build_model(hardy_table.rows)
+    with pytest.raises(ValueError, match="^table must be a ProbabilityTable, got None$"):
+        build_model(None)
 
 
 def test_a_model_json_cannot_encode_leaves_no_file(tmp_path, hardy_model):
@@ -745,7 +756,7 @@ def test_cell_i_is_world_i_and_mask_bit_i(hardy_table, control_table, epsilon):
         assert type(table.cells) is tuple and len(table.cells) == 16
         mask = build_model(table, epsilon).mask
         for w in WORLDS:
-            i = WORLD_INDEX[w]
+            i = w.index
             assert table.cells[i] == table.rows[w.choice_pair][w.outcome_pair]
             assert table.cells[i] == table.prob(w) == table.cell(*w.choice_pair, w.outcome_pair)
             assert type(table.cells[i]) is float
@@ -766,6 +777,23 @@ def test_prob_refuses_what_is_not_a_world(value):
     with pytest.raises(ValueError) as raised:
         ProbabilityTable.uniform().prob(value)
     assert str(raised.value) == f"not a world: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("L1", "R3", "++"), "not a choice pair: ('L1', 'R3')"),
+        (("R1", "L1", "++"), "not a choice pair: ('R1', 'L1')"),
+        (("L1", "R1", "+"), "not an outcome pair: '+'"),
+        (("L1", "R1", "+-+"), "not an outcome pair: '+-+'"),
+        (("L1", "R1", None), "not an outcome pair: None"),
+    ],
+)
+def test_cell_refuses_a_bad_choice_or_outcome_pair(args, message):
+    # a ValueError naming the bad pair, not a bare KeyError naming a tuple
+    with pytest.raises(ValueError) as raised:
+        ProbabilityTable.uniform().cell(*args)
+    assert str(raised.value) == message
 
 
 def _with_int_zeros(rows):
