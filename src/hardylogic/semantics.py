@@ -7,13 +7,11 @@ set.  Counterfactual antecedents are checked for the whole formula up
 front: an antecedent outside the fragment is an error wherever it sits,
 even under a connective whose other side already settles the value.
 
-A fixed set of formulas read on many models, such as the proof script
-or the two conclusion lines, is compiled once into a `MaskProgram`: a
-straight-line list of the set's distinct subformulas, one slot for each
-value however many objects spell it, that each model runs without
-walking a tree.  The program runs as generated straight-line
-Python code, one function built on its first run under each self-world
-flag.
+The walk (`truth_mask`) evaluates everything but the proof audit, the
+theorem check included.  Only the audit's fixed script is compiled,
+into a `MaskProgram`: a straight-line list of the set's distinct
+subformulas, one slot for each value however many objects spell it,
+written out into the audit's one generated function (`proof`).
 
 Three conditionals with three different scopes:
 
@@ -242,17 +240,17 @@ class MaskProgram:
     duals.
 
     `body` writes the program out as straight-line Python (`_emit`):
-    slot n the local `m<n>`, each instruction one assignment.  `run`
-    compiles that body into one function per self-world flag, on the
-    first run with it, and keeps it on the program; the audit appends
-    its own readout to the same body (see `proof._Plan.compile`).
+    slot n the local `m<n>`, each instruction one assignment.  The
+    program is never run on its own: the audit appends its readout to
+    the body and compiles the two into one function (see
+    `proof._Plan.compile`).
 
     An antecedent outside the fragment raises the error `truth_mask`
     raises, for the first such counterfactual `truth_mask` would meet
     evaluating the formulas in order.
     """
 
-    __slots__ = ("code", "slots", "_runs")
+    __slots__ = ("code", "slots")
 
     def __init__(self, formulas, order: TemporalOrder = L_EARLIER):
         cells = _CELL_MASKS[order.earlier_region]
@@ -275,32 +273,21 @@ class MaskProgram:
 
         self.slots = tuple(number(f) for f in formulas)
         self.code = tuple(numbered)  # the instructions, in slot order
-        self._runs: dict[bool, object] = {}  # self_world -> generated function
 
     def __len__(self) -> int:
         return len(self.code)
 
-    def body(self, self_world: bool, reads: set | None = None) -> list[str]:
-        """Source lines that set the slots' locals from the possible-world mask `p`.
+    def body(self, self_world: bool, reads) -> list[str]:
+        """Source lines that set slots' locals from the possible-world mask `p`.
 
-        Every slot's, or with `reads`, a set of slots, those slots' and
-        the slots they are computed from only.
+        Only the slots `reads` and the slots they are computed from are set.
         """
-        kept = set(range(len(self.code)) if reads is None else reads)
+        kept = set(reads)
         for n in range(len(self.code) - 1, -1, -1):  # an instruction's operands have lower slots
             op, a, b = self.code[n]
             if n in kept and op != _ATOM:
                 kept.update((a, b) if op < _NOT else (a,))
         return _emit(self.code, sorted(kept), self_world)
-
-    def run(self, model: Model, self_world: bool = True) -> list[int]:
-        """Every slot's mask in `model`."""
-        run = self._runs.get(self_world)
-        if run is None:
-            masks = "[" + ", ".join(f"m{n}" for n in range(len(self.code))) + "]"
-            body = self.body(self_world)
-            run = self._runs[self_world] = _function("p", body, masks, "<mask program>")
-        return run(model.mask)
 
 
 def _emit(code: tuple, slots: list, self_world: bool) -> list[str]:
@@ -503,30 +490,18 @@ def check_theorem(model: Model, opts: CfOptions = DEFAULT_OPTIONS) -> TheoremRep
 
     Proceeds even on a non-conforming model; the report records the
     conformance check separately, and confirms the dependence only on a
-    conforming model where line 5 is not vacuous.
+    conforming model where line 5 is not vacuous.  SR, both lines'
+    consequent, is walked once, and each line read off it as
+    `holds_globally` reads a strict conditional.
     """
     conforming, detail = hardy_conformance(model)
-    program = _theorem_program(opts.order.earlier_region, opts.quantifier)
-    reading = program.run(model, opts.self_world_when_consistent)
-    masks = [reading[s] for s in program.slots]
+    sr = truth_mask(model, LINE5.right, opts)  # line 6's consequent is the same SR
     return TheoremReport(
         conforming,
         detail,
-        _global_check(masks[0] & ~masks[1]),  # line 5
-        _global_check(masks[2] & ~masks[3]),  # line 6
+        _global_check(truth_mask(model, LINE5.left, opts) & ~sr),
+        _global_check(truth_mask(model, LINE6.left, opts) & ~sr),
         not model.mask & ATOM_MASKS["L2"] & ATOM_MASKS["R2+"],  # line 5 vacuous
-    )
-
-
-@cache
-def _theorem_program(earlier_region: str, quantifier: str) -> MaskProgram:
-    """Both lines' antecedents and consequents, compiled once per temporal order and quantifier.
-
-    Under 'some' the program is compiled over the four parts' duals.
-    """
-    parts = (LINE5.left, LINE5.right, LINE6.left, LINE6.right)
-    return MaskProgram(
-        parts if quantifier == "every" else _duals(parts), TemporalOrder(earlier_region)
     )
 
 

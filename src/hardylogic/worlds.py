@@ -58,9 +58,6 @@ class World(Value):
         _set_index(self, (self.choice_l == "L2") << 3 | (self.choice_r == "R2") << 2
                    | (self.outcome_l == "-") << 1 | (self.outcome_r == "-"))
 
-    def __hash__(self):  # the base's hash, spelled out: every model build hashes each world
-        return hash((self.choice_l, self.choice_r, self.outcome_l, self.outcome_r))
-
     def __lt__(self, other):  # `total_ordering` derives the other three from it
         if other.__class__ is self.__class__:
             return World._values(self) < World._values(other)
@@ -183,11 +180,11 @@ _row_cells = operator.itemgetter(*OUTCOME_PAIRS)
 _BITS = tuple(1 << i for i in range(len(WORLDS)))
 
 
-def _flat(table, table_rows) -> tuple[float, ...] | None:
-    """A table's cells in world order if it is the four rows `table_rows` picks
-    out, four cells each, all exact floats, and nothing else; otherwise None."""
+def _flat(table) -> tuple[float, ...] | None:
+    """A model file table's cells in world order if it is the four rows under
+    their exact keys, four cells each, all exact floats, and nothing else; else None."""
     try:
-        a, b, c, d = table_rows(table)
+        a, b, c, d = _file_rows(table)
         cells = (*_row_cells(a), *_row_cells(b), *_row_cells(c), *_row_cells(d))
     except (KeyError, TypeError):  # a row or cell missing, or not a mapping
         return None
@@ -208,15 +205,14 @@ def _accepted(cells: tuple[float, ...]) -> tuple[float, ...]:
             and abs(e + f + g + h - 1.0) <= DISTRIBUTION_TOL
             and abs(i + j + k + l - 1.0) <= DISTRIBUTION_TOL
             and abs(m + n + o + p - 1.0) <= DISTRIBUTION_TOL):
-        _checked(_rows_of(cells), typed=False)  # raises: it sums each row as above
+        _checked(_rows_of(cells))  # raises: it sums each row as above
     return cells
 
 
-def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
+def _checked(rows: dict) -> tuple[float, ...]:
     """The cells of `rows`, each made a float, in world order, or the first TableError.
 
-    `ProbabilityTable` lists the rules.  `typed` adds the test that each
-    cell is an int or float; the other callers made each cell a float.
+    `ProbabilityTable` lists the rules.
     """
     if not isinstance(rows, Mapping):
         raise TableError(f"table must be a mapping, got {type(rows).__name__}")
@@ -235,7 +231,7 @@ def _checked(rows: dict, typed: bool) -> tuple[float, ...]:
                 raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
             p = row[key]
             # a float, the usual case, passes the first test alone
-            if typed and p.__class__ is not float and (
+            if p.__class__ is not float and (
                 isinstance(p, bool) or not isinstance(p, (int, float))
             ):
                 raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
@@ -284,8 +280,7 @@ class ProbabilityTable(Value):
     __slots__ = ("cells", "_rows")
 
     def __init__(self, rows: dict[tuple[str, str], dict[str, float]]):
-        cells = _flat(rows, _pair_rows)
-        _set_cells(self, _checked(rows, typed=True) if cells is None else _accepted(cells))
+        _set_cells(self, _checked(rows))
 
     @classmethod
     def _from_cells(cls, cells: tuple[float, ...]) -> "ProbabilityTable":
@@ -340,9 +335,9 @@ class ProbabilityTable(Value):
         is read straight into the sixteen cells.  Any other is read row
         by row in file order, for keys, cell names and number types, and
         each cell is made a float; the rows then go through the
-        constructor's checks, less its type test.
+        constructor's checks.
         """
-        cells = _flat(data, _file_rows)
+        cells = _flat(data)
         if cells is not None:
             return cls._from_cells(cells)
         if not isinstance(data, dict):
@@ -366,7 +361,7 @@ class ProbabilityTable(Value):
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
                 cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
-        return cls._from_cells(_checked(rows, typed=False))
+        return cls._from_cells(_checked(rows))
 
     @classmethod
     def uniform(cls) -> "ProbabilityTable":

@@ -316,6 +316,8 @@ _AND_CHAIN_101 = " & ".join(["L1"] * 101)  # a tree of height 100, the most allo
         (_AND_CHAIN_101 + " & L1", ParseError, "formula nests deeper than 100 levels", 503),
         ("~" * 101 + "L1", ParseError, "formula nests deeper than 100 levels", 100),
         ("(" * 101 + "L1" + ")" * 101, ParseError, "formula nests deeper than 100 levels", 100),
+        # a negation one level above the highest tree allowed
+        ("~(" + _AND_CHAIN_101 + ")", ParseError, "formula nests deeper than 100 levels", 0),
         (_AND_CHAIN_101 + " => L2 => R2", ParseError, "formula nests deeper than 100 levels", 503),
         (
             _AND_CHAIN_101 + " -> L2 -> R2",

@@ -202,6 +202,10 @@ _GUARD_EDITS = {
     "later-outcome-is-a-choice": (12, "(L1 & R1) => ~(L1- -> R1 & R1)"),
     "later-outcome-of-the-other-setting": (12, "(L1 & R1) => ~(L1- -> R1 & R2-)"),
     "later-outcome-in-the-earlier-region": (12, "(L1 & R1) => ~(L1- -> L1 & L1+)"),
+    # a guard of its own, each
+    "ant-outcome-negated": (2, "(L2 & R2 & ~R2+) => (L2 & R2 & L2+)"),
+    "three-antecedent-conjuncts": (12, "(L1 & R1 & L1-) => ~(L1- -> R1 & R1-)"),
+    "later-choice-not-the-lines-own": (12, "(L1 & R1) => ~(L1- -> R2 & R2-)"),
 }
 
 
@@ -282,6 +286,46 @@ _RULE_GUARD_EDITS = {
         14, "(L1 & R2 & ~R2+) => (R1 []-> ~(L1- -> R1 & R1-))", 14,
         "extra conclusion conjuncts must be later-region atoms",
     ),
+    # and single edits that fail a check outside any such guard
+    "prediction-not-strict": (
+        2, "(L2 & R2 & R2+) -> (L2 & R2 & L2+)", 2,
+        "prediction lines must be strict conditionals",
+    ),
+    # B6, line 1: (L2 & R2 & L2+) => (R1 []-> L2 & R1 & L2+)
+    "b6-not-strict": (
+        1, "(L2 & R2 & L2+) -> (R1 []-> L2 & R1 & L2+)", 1, "expected a strict conditional",
+    ),
+    "b6-box-made-material": (
+        1, "(L2 & R2 & L2+) => (R1 -> L2 & R1 & L2+)", 1, "consequent must be a counterfactual",
+    ),
+    "b6-two-antecedent-conjuncts": (
+        1, "(L2 & R2) => (R1 []-> L2 & R1 & L2+)", 1,
+        "antecedent must conjoin choice, choice, outcome",
+    ),
+    # B7, line 4, and B5, line 9: each's conclusion
+    "b7-not-strict": (
+        4, "(L2 & R2 & R2+) -> (R1 []-> L2 & R1 & R1-)", 4, "expected a strict conditional",
+    ),
+    "b5-box-made-material": (
+        9, "(L1 & R2 & L1-) => (R1 -> R1 & R1-)", 9, "consequent must be a counterfactual",
+    ),
+    # A5, line 5 from line 4: the box's conjuncts rebracketed, none dropped
+    "a5-box-rebracketed": (
+        5, "L2 => ((R2 & R2+) -> (R1 []-> L2 & (R1 & R1-)))", 5,
+        "no import/export match between premise L2 & R2 & R2+ => R1 []-> L2 & R1 & R1- "
+        "and conclusion L2 => R2 & R2+ -> (R1 []-> L2 & (R1 & R1-))",
+    ),
+    "commute-premise-consequent-a-conjunction": (
+        10, "(L1 & R2) => (L1- & (R1 []-> R1 & R1-))", 11,
+        "premise consequent must be (E -> [c []-> D])",
+    ),
+    "def-premise-consequent-a-conjunction": (
+        13, "L1 => (R1 & ~(L1- -> R1 & R1-))", 14, "premise consequent must be (c -> Y)",
+    ),
+    "def-box-made-material": (
+        14, "(L1 & R2) => (R1 -> ~(L1- -> R1 & R1-))", 14,
+        "conclusion consequent must be a counterfactual",
+    ),
 }
 
 
@@ -304,6 +348,33 @@ def test_a_def_line_imposing_an_earlier_choice_is_invalid(hardy_model, script):
     assert verdict == proof.RuleVerdict(
         proof.INVALID, "imposed choice and box consequent must match the premise"
     )
+
+
+def test_a_line_the_script_lacks_is_a_key_error(hardy_model, script):
+    with pytest.raises(KeyError, match="no line 15"):
+        script.line(15)
+    with pytest.raises(KeyError, match="no line 15"):
+        check_rule(hardy_model, script, 15)
+
+
+def test_a_hypothesis_citing_a_premise_is_invalid(hardy_model, script):
+    ln = script.line(6)
+    edit = ProofLine(6, ln.statement, ln.rule, (5,), ln.hypothesis_scope, ln.note)
+    verdict = check_rule(hardy_model, _with_line(script, edit), 6)
+    assert verdict == proof.RuleVerdict(proof.INVALID, "a hypothesis cites no premises")
+
+
+def test_a_line_that_is_not_strict_takes_no_part_in_a_clash(hardy_model, script):
+    # line 13 made material: its own rule fails, and the clash of lines 11 and
+    # 14 still refutes the hypothesis
+    ln = script.line(13)
+    statement = parse("L1 -> (R1 -> ~(L1- -> R1 & R1-))")
+    edited = _with_line(script, ProofLine(13, statement, ln.rule, ln.premises))
+    report = audit(hardy_model, edited)
+    line13 = next(la for la in report.lines if la.index == 13)
+    assert (line13.rule_status, line13.rule_detail) == (proof.INVALID, _STRICT_BOTH)
+    assert report.final.contradiction_lines == (11, 14)
+    assert report.final.contradiction_lines == audit(hardy_model, script).final.contradiction_lines
 
 
 @pytest.mark.parametrize(
@@ -749,9 +820,10 @@ def test_a_truncated_script_is_read_line_by_line_and_finds_no_clash(
 def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     hardy_model, control_model, monkeypatch
 ):
-    # Neither reads `truth_mask`: each runs a mask program compiled once,
-    # as one function generated on the first run under each reading, in
-    # which each node value of the formulas and their duals runs once.
+    # The audit reads no `truth_mask`: it runs a mask program compiled once,
+    # as one function generated on the first audit under each reading, in
+    # which each node value of the formulas and their duals runs once.  The
+    # theorem check walks its lines, generating at most SR's reach function.
     calls = []
     real = semantics.truth_mask
     monkeypatch.setattr(semantics, "truth_mask", lambda *args: calls.append(args) or real(*args))
@@ -777,12 +849,14 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     assert not hasattr(proof, "truth_mask")
 
     semantics.check_theorem(hardy_model)
+    theorem = len(generated)  # none if an earlier walk generated SR's reach function
+    assert generated == ["<counterfactual>"] * theorem and theorem <= 1
+    assert compiled == [] and calls != []
+    calls.clear()
     script = builtin_script.__wrapped__()
     for ln in script.lines:
         check_rule(hardy_model, script, ln.index)
     assert compiled == []  # rule checks never compile the script
-    theorem = len(generated)  # none if an earlier check built the theorem's function
-    assert generated == ["<mask program>"] * theorem
     audit(hardy_model, script)
     assert len(compiled) == 1
     program = proof._plan(script, semantics.L_EARLIER).program
@@ -796,7 +870,7 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     # for both readings
     assert sum(u == e for u, e in zip(program.slots[:48], program.slots[48:])) == 28
     # the worlds `R1` reaches in each earlier cell once, then one assignment per node
-    body = program.body(True)
+    body = program.body(True, range(len(program)))
     reaches = [line.split(" = ")[0] for line in body if line.startswith("r")]
     assert reaches == ["r3", "r12", "r768", "r3072"]
     assert len(body) == 4 + 71
@@ -811,7 +885,9 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     }
     assert len(slots) == 71 - 10
     audit(control_model, script)
+    assert calls == []
     semantics.check_theorem(control_model)
+    calls.clear()
     assert len(compiled) == 1  # a second audit compiles nothing
     assert generated[theorem:] == ["<proof audit>"]  # and generates nothing, nor does a check
     # another reading gets a function of its own, on its first audit only

@@ -640,16 +640,21 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     assert len(program) == len(_distinct_nodes(parts + duals))  # each value once, no other
     slot_of = dict(zip(nodes, node_slots))
     assert universal[: len(formulas)] == tuple(slot_of[f] for f in formulas)
-    for flag in (self_world, not self_world):  # one run, and one function, per flag
-        masks = program.run(model, flag)
+    slots = range(len(program))
+    result = "[" + ", ".join(f"m{n}" for n in slots) + "]"
+    runs = {  # every slot's mask, as one generated function per flag
+        flag: semantics._function("p", program.body(flag, slots), result, "<test>")
+        for flag in (self_world, not self_world)
+    }
+    for flag, run in runs.items():
+        masks = run(model.mask)
         every, some = (CfOptions(order, q, flag) for q in ("every", "some"))
         for f, u, e in zip(parts, universal, existential):
             assert masks[u] == semantics.truth_mask(model, f, every)
             assert masks[e] == semantics.truth_mask(model, f, some)
-    assert len(program._runs) == 2
     # the oracle, under the first flag, by its own rule for each quantifier:
     # it re-evaluates every subtree
-    masks = program.run(model, self_world)
+    masks = runs[self_world](model.mask)
     live = [_as_tuple(w) for w in model.possible_in_order()]
     for f, u, e in zip(nodes, node_slots, existential[len(formulas) :]):
         for quantifier, slot in (("every", u), ("some", e)):
@@ -835,6 +840,12 @@ def test_options_refuse_an_unknown_quantifier(quantifier):
     assert str(raised.value) == f"quantifier must be 'every' or 'some', got {quantifier!r}"
 
 
+def test_temporal_order_refuses_an_unknown_region():
+    with pytest.raises(ValueError) as raised:
+        TemporalOrder("X")
+    assert str(raised.value) == "earlier_region must be 'L' or 'R', got 'X'"
+
+
 @pytest.mark.parametrize("order", ["L", None, ("L",)])
 def test_options_refuse_an_order_that_is_not_a_temporal_order(order):
     with pytest.raises(ValueError) as raised:
@@ -849,12 +860,11 @@ def test_options_refuse_a_self_world_flag_that_is_not_a_bool(flag):
     assert str(raised.value) == f"self_world_when_consistent must be True or False, got {flag!r}"
 
 
-def test_an_empty_mask_program_runs(hardy_model):
-    # no instructions: an empty list under either flag, a fresh one each run
+def test_an_empty_mask_program_runs():
+    # no instructions: an empty body under either flag, whatever slots are asked
     program = semantics.MaskProgram([])
-    first = program.run(hardy_model)
-    assert first == program.run(hardy_model, False) == []
-    assert program.run(hardy_model) is not first
+    assert len(program) == 0 and program.slots == ()
+    assert program.body(True, range(0)) == program.body(False, set()) == []
 
 
 def test_check_theorem_refuses_local_strategies(local_model):
@@ -963,16 +973,28 @@ def test_foreign_nodes_are_rejected_alike(hardy_model, foreign):
         assert str(raised.value) == message
 
 
-def test_conclusion_lines_share_one_sr_node():
-    # each line is parsed on its own, and the theorem program still computes
-    # SR once: L2, L1 and SR's eight nodes, and under 'some' SR's dual, whose
-    # `~(R1 & R1-)` and outer negation make ten
+def test_conclusion_lines_share_one_sr_node(hardy_model, monkeypatch):
+    # each line is parsed on its own, and the theorem check still walks SR
+    # once, as line 5's consequent, then the two antecedents, under either
+    # quantifier
     assert semantics.LINE5 == parse(semantics.LINE5_TEXT)
     assert semantics.LINE6 == parse(semantics.LINE6_TEXT)
     assert semantics.LINE6.right == semantics.LINE5.right
     assert semantics.LINE6.right is not semantics.LINE5.right
-    assert len(semantics._theorem_program("L", "every")) == 10
-    assert len(semantics._theorem_program("L", "some")) == 12
+    walked = []
+    real = semantics.truth_mask
+    monkeypatch.setattr(
+        semantics, "truth_mask", lambda model, f, opts: walked.append(f) or real(model, f, opts)
+    )
+    for quantifier in ("every", "some", "every"):
+        walked.clear()
+        report = check_theorem(hardy_model, CfOptions(quantifier=quantifier))
+        assert report.confirmed == (quantifier == "every")  # under 'some' line 6 holds
+        roots = [f for f in walked if f in (semantics.LINE5.right, Atom("L1"), Atom("L2"))]
+        assert roots == [semantics.LINE5.right, Atom("L2"), Atom("L1")]
+        assert roots[0] is semantics.LINE5.right
+        # SR's eight nodes, each walked once, and the two antecedents
+        assert len(walked) == 8 + 2
 
 
 def test_theorem_over_every_possibility_pattern():

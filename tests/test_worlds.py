@@ -317,6 +317,37 @@ def test_table_constructor_rejects_rows_that_are_not_a_mapping(rows):
         ProbabilityTable(rows)
 
 
+class _Rows:
+    """Indexed and sized like a mapping, but not a `Mapping`."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __len__(self):
+        return len(self._items)
+
+
+def test_table_constructor_rejects_rows_indexed_like_a_mapping():
+    # all sixteen cells valid, so only the type test can refuse them
+    rows = dict.fromkeys(CHOICE_PAIRS, _ROW)
+    with pytest.raises(TableError, match=r"^table must be a mapping, got _Rows$"):
+        ProbabilityTable(_Rows(rows))
+    rows["L1", "R2"] = _Rows(_ROW)
+    with pytest.raises(TableError, match=r"^row for \('L1', 'R2'\) must be a mapping$"):
+        ProbabilityTable(rows)
+    rows["L1", "R2"] = _ROW
+    assert ProbabilityTable(rows) == ProbabilityTable.uniform() == ProbabilityTable(dict(rows))
+
+
+def test_model_file_table_that_is_a_list_is_refused():
+    with pytest.raises(TableError) as raised:
+        model_from_dict({"table": []})
+    assert str(raised.value) == "table must be a mapping, got list"
+
+
 def test_model_json_roundtrip(tmp_path, hardy_model):
     path = tmp_path / "model.json"
     save_model(hardy_model, str(path))
