@@ -10,25 +10,23 @@ hypothesis.
 Everything that reads only the script is worked out once per script
 and temporal order, into a plan the script keeps (`_Plan`): the scope
 check, every structural rule verdict and the cell each prediction line
-pins, which `check_rule` and `audit` read, and, on the first audit,
-the script and its duals (`semantics._duals`) compiled into one mask
-program, with the universal and existential slots of each line's
-statement, the side conditions, the complementary line pairs and the
-hypothesis's counterpart, and each line's finished report for each
-pair of readings and state of its pinned cell.  A possible zero cell's
-verdict quotes the model's probability, so for it the plan keeps a
-template instead: the report's fixed fields, the verdict text before
-and after the probability, and the JSON row for each pair of readings.
-On the first audit under each reading the plan generates one
-straight-line function that runs the program and reads the line
-reports off the plan by the two readings and the pinned cells' bits,
-and the few discrete values the closing verdict is
-made from: whether the rules hold, the side condition, the clash and
-its bridge world, whether the counterpart holds and is tested, and
-whether the hypothesis holds.  The closing verdict depends on the model
-only through those values, so the plan keeps it too, in a table keyed
-by them and filled as each key is first met, and the verdict keeps its
-JSON section once made.
+pins, which `check_rule` and `audit` read, and each line's finished
+report for each pair of readings and state of its pinned cell.  A
+possible zero cell's verdict quotes the model's probability, so for it
+the plan keeps a template instead: the report's fixed fields, the
+verdict text before and after the probability, and the JSON row for
+each pair of readings.  On the first audit under each reading the plan
+lays out a mask program of exactly the formulas that reading reads,
+each in the reading it is read in (universally, or as its dual, see
+`semantics._duals`), and generates one straight-line function that
+runs the program and reads the line reports off the plan by the two
+readings and the pinned cells' bits, and the few discrete values the
+closing verdict is made from: whether the rules hold, the side
+condition, the clash and its bridge world, whether the counterpart
+holds and is tested, and whether the hypothesis holds.  The closing
+verdict depends on the model only through those values, so the plan
+keeps it too, in a table keyed by them and filled as each key is first
+met, and the verdict keeps its JSON section once made.
 
 Rule schemas, with E ranging over earlier-region atoms and c over
 later-region choice atoms:
@@ -151,9 +149,11 @@ class ProofScript(Value):
         ProofScript._plans.__set__(self, {})
 
     def line(self, index: int) -> ProofLine:
-        for ln in self.lines:
-            if ln.index == index:
-                return ln
+        """The line with that index; KeyError if none, as for a non-index such as `True`."""
+        if _is_index(index):
+            for ln in self.lines:
+                if ln.index == index:
+                    return ln
         raise KeyError(f"no line {index}")
 
 
@@ -266,7 +266,7 @@ def check_rule(
     done once per script and temporal order, into the script's plan.
     """
     rules = _plan(script, opts.order).rules
-    if index not in rules:
+    if not _is_index(index) or index not in rules:  # `True in rules` finds line 1
         raise KeyError(f"no line {index}")
     rule = rules[index]
     if not isinstance(rule, World):
@@ -615,11 +615,13 @@ class _Plan:
     `rules` maps each line index to its verdict or, for a prediction
     line, to the cell it pins, which each model confirms or refutes.
     `rules_ok` is the share of `rules_all_valid` that no model changes:
-    the scopes, and every verdict but the pinned cells'.
-    `program` is None until the first audit compiles the script
-    (`compile`); `check_rule` never does.  `audits` maps each reading
-    an audit has met, (quantifier, self_world), to the function
-    `compile` generated for it.
+    the scopes, and every verdict but the pinned cells'.  `hyp_index`
+    is the hypothesis's index and `counterpart` the line just before
+    it, each None if the script lacks it.  `line_audits` has each
+    line's finished `LineAudit`s and zero-cell template (`_line_audits`).
+    `audits` maps each reading an audit has met, (quantifier,
+    self_world), to the function `compile` generated for it;
+    `check_rule` never compiles.
     `finals` maps the discrete values a closing verdict is made from
     (see `audit`) to that `FinalVerdict`, each built when its key is
     first met (`_final_verdict`); its size is bounded by that key
@@ -638,99 +640,68 @@ class _Plan:
             for index, rule in self.rules.items()
             if by_index[index].rule != "HYPOTHESIS" and not isinstance(rule, World)
         )
-        self.program: MaskProgram | None = None
+        hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
+        self.hyp_index = hyp
+        self.counterpart = None if hyp is None else by_index.get(hyp - 1)
+        self.line_audits = tuple(_line_audits(ln, self.rules[ln.index]) for ln in script.lines)
         self.audits: dict[tuple, object] = {}
         self.finals: dict[tuple, FinalVerdict] = {}
-
-    def _layout(self, script: ProofScript, order: TemporalOrder) -> None:
-        """The script and its duals as one mask program, keeping each part's slots.
-
-        A part's slot is a pair, its universal reading's and its dual's
-        (`_duals`), which `compile` picks from.  `lines` has, per line:
-        the slots of its statement and of the two parts its existential
-        reading meets (a strict conditional's antecedent and consequent,
-        else the statement twice), whether the hypothesis scopes it, and
-        its finished `LineAudit`s and zero-cell template (see
-        `_line_audits`).  `hyp` has the hypothesis's three slots.  Then
-        come each side condition's slot, each clash's line pair with the
-        slots of its shared antecedent X and of `c []-> c`, and
-        `counterpart`: the hypothesis's counterpart's index, its slot and
-        the slots of its premise (see `_premise`).  `hyp_index` is the
-        hypothesis's index.
-        """
-        hyp = next((ln.index for ln in script.lines if ln.rule == "HYPOTHESIS"), None)
-        clashes, counterpart = (), None
-        if hyp is not None:
-            clashes = _clashes(script, hyp)
-            counterpart = next((ln for ln in script.lines if ln.index == hyp - 1), None)
-        formulas = []
-        for ln in script.lines:
-            formulas += (ln.statement, *(_strict(ln.statement) or (ln.statement,) * 2))
-        formulas += [sc.formula for sc in script.side_conditions]
-        for _, x, reaches in clashes:
-            formulas += (x, reaches)
-        if counterpart is not None:
-            formulas += (counterpart.statement, *_premise(counterpart.statement))
-        program = MaskProgram([*formulas, *_duals(formulas)], order)  # raises if unsupported
-        slots = iter(zip(program.slots, program.slots[len(formulas):]))
-        self.lines = tuple(
-            (next(slots), next(slots), next(slots), hyp in ln.hypothesis_scope,
-             *_line_audits(ln, self.rules[ln.index]))
-            for ln in script.lines
-        )
-        self.hyp = next((e[:3] for e, ln in zip(self.lines, script.lines) if ln.index == hyp), None)
-        self.sides = tuple(next(slots) for _ in script.side_conditions)
-        self.clashes = tuple((pair, next(slots), next(slots)) for pair, _, _ in clashes)
-        self.hyp_index = hyp
-        self.counterpart = None
-        if counterpart is not None:
-            self.counterpart = (counterpart.index, next(slots), tuple(slots))
-        self.program = program
 
     def compile(self, script: ProofScript, order: TemporalOrder, quantifier: str, self_world: bool):
         """The audit of one model under one reading, as one generated straight-line function.
 
-        Lays the script out as a mask program first, if no audit has
-        (`_layout`).  The function takes the model's possible-world mask
-        `p` and its sixteen cells, and returns the line reports and the
-        key of the closing verdict (see `audit`).  Its body is the
-        program's (`MaskProgram.body`), cut to the slots the readout reads
-        and those they are computed from, each a local, followed by the
-        readout: each line's report is its table on the plan indexed by
-        the two readings,
-        `T[every_slot == p][some_a & some_c != 0]`; a prediction line
+        The function takes the model's possible-world mask `p` and its
+        sixteen cells, and returns the line reports and the key of the
+        closing verdict (see `audit`).  Its body is a mask program of
+        exactly the formulas the readout reads, each in the reading it
+        is read in (`MaskProgram.body`), followed by the readout.  A
+        line's statement is read universally and the two parts its
+        existential reading meets (`_parts`) as their duals; each line's
+        report is its table on the plan indexed by the two readings,
+        `T[every == p][some_a & some_c != 0]`; a prediction line
         picks its table by its cell's bit, and a possible zero cell's
         report is made from its template.  The rules hold when the
         plan's verdicts do, no zero cell is possible and every witness
-        cell is.  The side conditions, the clash, the bridge world and
-        the counterpart are read under `quantifier`.  The source holds
-        only locals, operators, int literals and the plan's named
-        constants (`T<i>`, `Z<i>`, `zero_cell`).
+        cell is.  The side conditions, each clash's antecedent, the
+        counterpart and the hypothesis are read under `quantifier`, and
+        each clash's `c []-> c` as its dual.  The source holds only
+        locals, operators, int literals and the plan's named constants
+        (`T<i>`, `Z<i>`, `zero_cell`).
         """
-        if self.program is None:
-            self._layout(script, order)
-        reads = set()
-
-        def reading(quantifier):  # a part's local under `quantifier`, its slot noted as read
-            def local(pair: tuple[int, int]) -> str:
-                slot = pair[quantifier == "some"]
-                reads.add(slot)
-                return f"m{slot}"
-            return local
-
-        every, some = reading("every"), reading("some")
-        own = reading(quantifier)  # the reading the closing verdict reads
+        hyp = None if self.hyp_index is None else script.line(self.hyp_index)
+        clashes = () if hyp is None else _clashes(script, hyp.index)
+        # the formulas each reading reads: the closing verdict's under `quantifier`
+        read = {
+            "every": [ln.statement for ln in script.lines],
+            "some": [part for ln in script.lines for part in _parts(ln.statement)],
+        }
+        read["some"] += (reaches for _, _, reaches in clashes)
+        read[quantifier] += (sc.formula for sc in script.side_conditions)
+        read[quantifier] += (x for _, x, _ in clashes)
+        if self.counterpart is not None:
+            read[quantifier] += (self.counterpart.statement, *_premise(self.counterpart.statement))
+        if hyp is not None:
+            read[quantifier].append(hyp.statement)
+        # raises, as `truth_mask` would, on an antecedent outside the fragment
+        program = MaskProgram([*read["every"], *_duals(read["some"])], order)
+        local = [f"m{n}" for n in program.slots]
+        every = dict(zip(read["every"], local))
+        some = dict(zip(read["some"], local[len(read["every"]):]))
+        own = every if quantifier == "every" else some  # the closing verdict's reading
         readout, constants = [], {"zero_cell": _zero_cell_audit}
-        if self.hyp is not None:  # scoped lines read as material consequences of it
-            s, a, c = self.hyp
-            readout += [f"hyp_e = {every(s)} != p", f"hyp_s = not {some(a)} & {some(c)}"]
+        if hyp is not None:  # scoped lines read as material consequences of it
+            a, c = _parts(hyp.statement)
+            readout += [
+                f"hyp_e = {every[hyp.statement]} != p", f"hyp_s = not {some[a]} & {some[c]}"
+            ]
         reports, zero_bits, witness_bits = [], 0, 0
-        for i, (s, a, c, scoped, bit, tables, zero) in enumerate(self.lines):
+        for i, (ln, (bit, tables, zero)) in enumerate(zip(script.lines, self.line_audits)):
             # universal reading: no escaping world; existential: a conforming world.
-            # Each slot's mask lies within the possible worlds, so a mask equal
+            # Each local's mask lies within the possible worlds, so a mask equal
             # to `p` holds everywhere, and a nonzero one somewhere
-            sem_every, sem_some = f"{every(s)} == p", f"{some(a)} & {some(c)} != 0"
-            if scoped:
+            a, c = _parts(ln.statement)
+            sem_every, sem_some = f"{every[ln.statement]} == p", f"{some[a]} & {some[c]} != 0"
+            if self.hyp_index in ln.hypothesis_scope:
                 sem_every, sem_some = f"hyp_e or {sem_every}", f"hyp_s or {sem_some}"
             constants[f"T{i}"] = tables
             report = f"T{i}[{sem_every}][{sem_some}]"
@@ -748,12 +719,12 @@ class _Plan:
         rules_ok = "False"
         if self.rules_ok:
             rules_ok = f"not p & {zero_bits} and p & {witness_bits} == {witness_bits}"
-        side_ok = " and ".join(f"{own(slot)} != 0" for slot in self.sides) or "True"
+        side_ok = " and ".join(f"{own[sc.formula]} != 0" for sc in script.side_conditions) or "True"
         # the imposed choice holds throughout what it reaches, so `c []-> c`
         # read existentially marks the worlds whose accessible set is nonempty
         found = "(None, 0)"
-        for k, (pair, x, reaches) in reversed(tuple(enumerate(self.clashes))):
-            readout.append(f"b{k} = {own(x)} & {some(reaches)}")
+        for k, (pair, x, reaches) in reversed(tuple(enumerate(clashes))):
+            readout.append(f"b{k} = {own[x]} & {some[reaches]}")
             found = f"({pair}, b{k}) if b{k} else {found}"
         readout += [  # the first bridge world, in canonical order, is the lowest bit
             f"contradiction, bridges = {found}",
@@ -762,16 +733,22 @@ class _Plan:
         # true at every possible world, as `holds_globally` reads
         line5_true = line5_vacuous = "False"
         if self.counterpart is not None:
-            _, slot, premise = self.counterpart
-            line5_true = f"{own(slot)} == p"
-            line5_vacuous = "not " + " & ".join(["p", *map(own, premise)])
-        line6_holds = "False" if self.hyp is None else f"{own(self.hyp[0])} == p"
+            statement = self.counterpart.statement
+            line5_true = f"{own[statement]} == p"
+            line5_vacuous = "not " + " & ".join(["p", *(own[f] for f in _premise(statement))])
+        line6_holds = "False" if hyp is None else f"{own[hyp.statement]} == p"
         key = (rules_ok, side_ok, "contradiction", "bridge", line5_true, line5_vacuous, line6_holds)
         result = "(" + "".join(f"{r}, " for r in reports) + "), (" + ", ".join(key) + ")"
-        body = self.program.body(self_world, reads) + readout
+        body = program.body(self_world) + readout
         run = _function("p, cells", body, result, "<proof audit>", **constants)
         self.audits[quantifier, self_world] = run
         return run
+
+
+def _parts(f: Formula) -> tuple[Formula, Formula]:
+    """The two parts `f`'s existential reading meets: a strict conditional's
+    antecedent and consequent, else `f` twice."""
+    return _strict(f) or (f, f)
 
 
 def _premise(f: Formula) -> tuple[Formula, ...]:
@@ -1071,9 +1048,9 @@ def audit(
 
     What reads only the script comes from its plan for `opts.order`:
     on the first audit under `opts`'s reading, the plan generates one
-    function that runs the mask program of the script and its duals,
-    and reads each line's finished `LineAudit` off the plan by the two
-    readings and the pinned cells' bits, and
+    function that runs the mask program of the parts that reading
+    reads, and reads each line's finished `LineAudit` off the plan by
+    the two readings and the pinned cells' bits, and
     the values the closing verdict is made from (see `_Plan.compile`).
     The verdict is looked up by those values in a table on the plan.
     Only a possible zero cell's report is built for the model, from its
@@ -1115,7 +1092,7 @@ def _final_verdict(
         reasons = []
         if line5_vacuous:
             reasons.append(
-                f"line {plan.counterpart[0]} holds vacuously: no possible world tests it"
+                f"line {plan.counterpart.index} holds vacuously: no possible world tests it"
             )
         if line6_holds:
             reasons.append(

@@ -9,9 +9,10 @@ even under a connective whose other side already settles the value.
 
 The walk (`truth_mask`) evaluates everything but the proof audit, the
 theorem check included.  Only the audit's fixed script is compiled,
-into a `MaskProgram`: a straight-line list of the set's distinct
-subformulas, one slot for each value however many objects spell it,
-written out into the audit's one generated function (`proof`).
+once per reading, into a `MaskProgram` of the parts that reading
+reads: a straight-line list of their distinct subformulas, one slot
+for each value however many objects spell it, written out into the
+reading's one generated function (`proof`).
 
 Three conditionals with three different scopes:
 
@@ -184,8 +185,8 @@ def _reach_rule(choice: Formula, order: TemporalOrder, self_world: bool):
     name = _imposable(choice, order).name
     key = (name, order.earlier_region, self_world)
     if key not in _REACH:
-        code = ((_ATOM, 0, None), (_CF, 0, (ATOM_MASKS[name], _CELL_MASKS[order.earlier_region])))
-        _REACH[key] = _function("p, m0", _emit(code, [1], self_world), "m1", "<counterfactual>")
+        code = [(1, (_CF, 0, (ATOM_MASKS[name], _CELL_MASKS[order.earlier_region])))]
+        _REACH[key] = _function("p, m0", _emit(code, self_world), "m1", "<counterfactual>")
     return _REACH[key]
 
 
@@ -236,14 +237,14 @@ class MaskProgram:
     slot of `formulas[i]`.  Every slot's mask lies within the model's
     possible worlds.  A counterfactual is read universally: the
     existential reading of a formula is the universal reading of its
-    dual (`_duals`), so a program that needs it is compiled over the
-    duals.
+    dual (`_duals`), so a formula read that way is laid out as its
+    dual, and a slot has one reading.
 
-    `body` writes the program out as straight-line Python (`_emit`):
-    slot n the local `m<n>`, each instruction one assignment.  The
-    program is never run on its own: the audit appends its readout to
-    the body and compiles the two into one function (see
-    `proof._Plan.compile`).
+    `body` writes the whole program out as straight-line Python
+    (`_emit`): slot n the local `m<n>`, each instruction one
+    assignment.  The program is never run on its own: the audit lays
+    out only what a reading reads, appends its readout to the body and
+    compiles the two into one function (see `proof._Plan.compile`).
 
     An antecedent outside the fragment raises the error `truth_mask`
     raises, for the first such counterfactual `truth_mask` would meet
@@ -277,21 +278,13 @@ class MaskProgram:
     def __len__(self) -> int:
         return len(self.code)
 
-    def body(self, self_world: bool, reads) -> list[str]:
-        """Source lines that set slots' locals from the possible-world mask `p`.
-
-        Only the slots `reads` and the slots they are computed from are set.
-        """
-        kept = set(reads)
-        for n in range(len(self.code) - 1, -1, -1):  # an instruction's operands have lower slots
-            op, a, b = self.code[n]
-            if n in kept and op != _ATOM:
-                kept.update((a, b) if op < _NOT else (a,))
-        return _emit(self.code, sorted(kept), self_world)
+    def body(self, self_world: bool) -> list[str]:
+        """Source lines that set every slot's local from the possible-world mask `p`."""
+        return _emit(enumerate(self.code), self_world)
 
 
-def _emit(code: tuple, slots: list, self_world: bool) -> list[str]:
-    """The instructions of `code` at `slots`, as straight-line assignments to locals.
+def _emit(instructions, self_world: bool) -> list[str]:
+    """Numbered instructions, (n, instruction), as straight-line assignments to locals.
 
     Slot n is the local `m<n>`, and each instruction one assignment,
     reading the possible-world mask `p`.  A counterfactual has one
@@ -305,8 +298,7 @@ def _emit(code: tuple, slots: list, self_world: bool) -> list[str]:
     operators and int literals.
     """
     lines, imposed_seen = [], set()
-    for n in slots:
-        op, a, b = code[n]
+    for n, (op, a, b) in instructions:
         if op == _ATOM:
             value = f"{a} & p"
         elif op == _NOT:

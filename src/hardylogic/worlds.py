@@ -334,8 +334,8 @@ class ProbabilityTable(Value):
         The usual file, the four exact keys with four float cells each,
         is read straight into the sixteen cells.  Any other is read row
         by row in file order, for keys, cell names and number types, and
-        each cell is made a float; the rows then go through the
-        constructor's checks.
+        each cell is made a float; the rows then go to the constructor,
+        whose checks are the only ones they pass through.
         """
         cells = _flat(data)
         if cells is not None:
@@ -361,7 +361,7 @@ class ProbabilityTable(Value):
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
                 cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
-        return cls._from_cells(_checked(rows))
+        return cls(rows)
 
     @classmethod
     def uniform(cls) -> "ProbabilityTable":

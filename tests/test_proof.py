@@ -357,6 +357,15 @@ def test_a_line_the_script_lacks_is_a_key_error(hardy_model, script):
         check_rule(hardy_model, script, 15)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 6.0, "1", None])
+def test_an_index_that_is_not_an_int_names_no_line(hardy_model, script, index):
+    # `True == 1` and `1.0 == 1`, but a line index is an int, as `ProofLine` demands
+    for lookup in (script.line, lambda i: check_rule(hardy_model, script, i)):
+        with pytest.raises(KeyError) as raised:
+            lookup(index)
+        assert raised.value.args == (f"no line {index}",)
+
+
 def test_a_hypothesis_citing_a_premise_is_invalid(hardy_model, script):
     ln = script.line(6)
     edit = ProofLine(6, ln.statement, ln.rule, (5,), ln.hypothesis_scope, ln.note)
@@ -757,25 +766,82 @@ def test_planned_audit_matches_a_fresh_one(
     assert isinstance(_outcome(lambda: audit(model, mirrored_script, opts))[0], str)
 
 
+def _record_compiles(monkeypatch):
+    """Each audit compile from now on, as [formulas laid out, program, body, result]."""
+    compiles = []
+
+    class Recorded(semantics.MaskProgram):
+        __slots__ = ()
+
+        def __init__(self, formulas, order):
+            compiles.append([formulas])
+            super().__init__(formulas, order)
+            compiles[-1].append(self)
+
+    def spy(params, body, result, name, **constants):
+        compiles[-1] += (body, result)
+        return semantics._function(params, body, result, name, **constants)
+
+    monkeypatch.setattr(proof, "MaskProgram", Recorded)
+    monkeypatch.setattr(proof, "_function", spy)
+    return compiles
+
+
 @pytest.mark.parametrize("earlier", ["L", "R"])
-def test_a_script_parsed_afresh_compiles_to_the_same_program(hardy_model, earlier):
+def test_a_script_parsed_afresh_compiles_to_the_same_program(hardy_model, earlier, monkeypatch):
     # the builtin script under L, its mirror under R: with each statement
     # parsed afresh no two lines share a node, and the audit still compiles
-    # the same instructions, with the same slots for each part it reads
+    # the same instructions, with the same local for each part it reads
     order = TemporalOrder(earlier)
     script = builtin_script.__wrapped__()
     if earlier == "R":
         script = _rebuilt(script, _mirrored)
-    plans = []
+    compiles = _record_compiles(monkeypatch)
     for kept in (script, _rebuilt(script, _flat)):
         audit(hardy_model, kept, CfOptions(order))
-        plan = proof._plan(kept, order)
-        plans.append(
-            (plan.program.code, plan.program.slots, plan.lines, plan.hyp, plan.sides,
-             plan.clashes, plan.counterpart)
-        )
-    assert plans[0] == plans[1]
-    assert len(plans[0][0]) == 71
+    (formulas, program, body, result), (_, fresh, fresh_body, fresh_result) = compiles
+    assert (program.code, program.slots) == (fresh.code, fresh.slots)
+    assert (body, result) == (fresh_body, fresh_result)
+    assert len(formulas) == 49 and len(program) == 61
+
+
+def _nodes(formulas):
+    """The distinct subformulas of `formulas`, by value."""
+    seen = set()
+
+    def walk(f):
+        seen.add(f)
+        if isinstance(f, Not):
+            walk(f.arg)
+        elif not isinstance(f, Atom):
+            walk(f.left)
+            walk(f.right)
+
+    for f in formulas:
+        walk(f)
+    return seen
+
+
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+@pytest.mark.parametrize("self_world", [True, False], ids=["self-world", "no-self-world"])
+def test_each_local_an_audit_assigns_is_read(hardy_model, monkeypatch, quantifier, self_world):
+    # a reading's program holds only what its readout reads: every `m<n>` its
+    # body assigns is read by a later line or by the result.  The builtin
+    # script under L, its mirror under R, and a script cut after line 6
+    full = builtin_script.__wrapped__()
+    cut = ProofScript(full.lines[:6], full.side_conditions, full.notes)
+    compiles = _record_compiles(monkeypatch)
+    for script, earlier in ((full, "L"), (_rebuilt(full, _mirrored), "R"), (cut, "L")):
+        audit(hardy_model, script, CfOptions(TemporalOrder(earlier), quantifier, self_world))
+    assert len(compiles) == 3
+    for _, program, body, result in compiles:
+        assigned = [line.split(" = ")[0] for line in body]
+        locals_ = [name for name in assigned if re.fullmatch(r"m\d+", name)]
+        assert len(locals_) == len(set(locals_)) == len(program)
+        for k, name in enumerate(assigned):
+            if name in locals_:
+                later = [line.split(" = ", 1)[1] for line in body[k + 1:]] + [result]
+                assert any(re.search(rf"\b{name}\b", text) for text in later), name
 
 
 # the lines whose rule fails under TemporalOrder("R"), where R1 is an
@@ -820,9 +886,9 @@ def test_a_truncated_script_is_read_line_by_line_and_finds_no_clash(
 def test_audit_and_theorem_generate_one_function_per_program_and_reading(
     hardy_model, control_model, monkeypatch
 ):
-    # The audit reads no `truth_mask`: it runs a mask program compiled once,
-    # as one function generated on the first audit under each reading, in
-    # which each node value of the formulas and their duals runs once.  The
+    # The audit reads no `truth_mask`: on the first audit under each reading
+    # it lays out one mask program of the formulas that reading reads, and
+    # generates one function, in which each node value runs once.  The
     # theorem check walks its lines, generating at most SR's reach function.
     calls = []
     real = semantics.truth_mask
@@ -835,72 +901,59 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
         return real_function(params, body, result, name, **constants)
 
     monkeypatch.setattr(semantics, "_function", spy)
-    monkeypatch.setattr(proof, "_function", spy)
-    compiled = []
-
-    class Counted(semantics.MaskProgram):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            compiled.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(proof, "MaskProgram", Counted)
+    compiles = _record_compiles(monkeypatch)  # its functions are generated through the spy
     assert not hasattr(proof, "truth_mask")
 
     semantics.check_theorem(hardy_model)
     theorem = len(generated)  # none if an earlier walk generated SR's reach function
     assert generated == ["<counterfactual>"] * theorem and theorem <= 1
-    assert compiled == [] and calls != []
+    assert compiles == [] and calls != []
     calls.clear()
     script = builtin_script.__wrapped__()
     for ln in script.lines:
         check_rule(hardy_model, script, ln.index)
-    assert compiled == []  # rule checks never compile the script
+    assert compiles == []  # rule checks never compile the script
     audit(hardy_model, script)
-    assert len(compiled) == 1
-    program = proof._plan(script, semantics.L_EARLIER).program
-    # the 45 distinct node values of the lines and the side condition, and
-    # `R1 []-> R1`, first, then the 25 that their duals add; 8 of the 71 are atoms
-    assert len(program) == 46 + 25
-    assert max(program.slots[:48]) == 45
+    assert len(compiles) == 1
+    formulas, program, body, _ = compiles[0]
+    # 14 statements, 28 parts read as duals, the clash's `c []-> c` as its
+    # dual, then what the closing verdict reads universally: the side
+    # condition, the clash's antecedent, line 5 and its premise's two parts,
+    # and line 6.  61 distinct node values, 8 of them atoms
+    assert len(formulas) == 14 + 28 + 1 + 6
+    assert len(program) == 61 == len(_nodes(formulas))
     assert sum(code[0] == semantics._ATOM for code in program.code) == 8
     assert len(set(program.code)) == len(program)  # one slot per instruction
-    # a part free of counterfactuals, 28 of the 48, is its own dual: one slot
-    # for both readings
-    assert sum(u == e for u, e in zip(program.slots[:48], program.slots[48:])) == 28
+    # `R1 []-> R1` is laid out as its dual only
+    reaches = semantics.Counterfactual(Atom("R1"), Atom("R1"))
+    every_nodes = _nodes(formulas)
+    assert reaches not in every_nodes and semantics._duals([reaches])[0] in every_nodes
     # the worlds `R1` reaches in each earlier cell once, then one assignment per node
-    body = program.body(True, range(len(program)))
-    reaches = [line.split(" = ")[0] for line in body if line.startswith("r")]
-    assert reaches == ["r3", "r12", "r768", "r3072"]
-    assert len(body) == 4 + 71
+    assert [line.split(" = ")[0] for line in body if line.startswith("r")] == [
+        "r3", "r12", "r768", "r3072"
+    ]
+    assert program.body(True) == body[: 4 + 61]
     # the audit's one function runs the program itself: no function of the program's own
     assert generated[theorem:] == ["<proof audit>"]
-    # and it assigns only the slots its readout needs: not `R1 []-> R1` read
-    # universally, nor the duals of nine strict conditionals
-    run = proof._plan(script, semantics.L_EARLIER).audits["every", True]
-    slots = {name for name in run.__code__.co_varnames if re.fullmatch(r"m\d+", name)}
-    assert {f"m{n}" for n in range(71)} - slots == {
-        "m45", "m49", "m53", "m58", "m59", "m60", "m61", "m63", "m65", "m67"
-    }
-    assert len(slots) == 71 - 10
     audit(control_model, script)
     assert calls == []
     semantics.check_theorem(control_model)
     calls.clear()
-    assert len(compiled) == 1  # a second audit compiles nothing
+    assert len(compiles) == 1  # a second audit compiles nothing
     assert generated[theorem:] == ["<proof audit>"]  # and generates nothing, nor does a check
-    # another reading gets a function of its own, on its first audit only
+    # another reading gets a program and a function of its own, on its first audit only
     for opts in (CfOptions(quantifier="some"), CfOptions(self_world_when_consistent=False)):
         for model in (hardy_model, control_model):
             audit(model, script, opts)
     assert generated[theorem:] == ["<proof audit>"] * 3
-    assert len(compiled) == 1
+    assert len(compiles) == 3
     assert calls == []
     # under 'some' the closing verdict reads the duals of lines 5 and 6 as well
-    run = proof._plan(script, semantics.L_EARLIER).audits["some", True]
-    some = {name for name in run.__code__.co_varnames if re.fullmatch(r"m\d+", name)}
-    assert some - slots == {"m58", "m59"} and slots <= some
+    some, no_self_world = compiles[1][1], compiles[2][1]
+    assert len(some) == 63 and _nodes(compiles[1][0]) - every_nodes == set(
+        semantics._duals([semantics.LINE5, semantics.LINE6])
+    )
+    assert (no_self_world.code, no_self_world.slots) == (program.code, program.slots)
 
     r_order = CfOptions(TemporalOrder("R"))
     for ln in script.lines:
@@ -914,8 +967,8 @@ def test_audit_and_theorem_generate_one_function_per_program_and_reading(
             r"only later-region choices can be imposed$",
         ):
             audit(hardy_model, script, r_order)
-    assert proof._plan(script, r_order.order).program is None
-    assert len(compiled) == 3
+    assert proof._plan(script, r_order.order).audits == {}
+    assert [len(c) for c in compiles] == [4, 4, 4, 1, 1]  # each failed before a program was made
 
 
 def test_second_audit_runs_no_rule_checker(hardy_model, monkeypatch):

@@ -640,10 +640,9 @@ def test_mask_program_matches_truth_mask_and_the_oracle(
     assert len(program) == len(_distinct_nodes(parts + duals))  # each value once, no other
     slot_of = dict(zip(nodes, node_slots))
     assert universal[: len(formulas)] == tuple(slot_of[f] for f in formulas)
-    slots = range(len(program))
-    result = "[" + ", ".join(f"m{n}" for n in slots) + "]"
+    result = "[" + ", ".join(f"m{n}" for n in range(len(program))) + "]"
     runs = {  # every slot's mask, as one generated function per flag
-        flag: semantics._function("p", program.body(flag, slots), result, "<test>")
+        flag: semantics._function("p", program.body(flag), result, "<test>")
         for flag in (self_world, not self_world)
     }
     for flag, run in runs.items():
@@ -861,10 +860,10 @@ def test_options_refuse_a_self_world_flag_that_is_not_a_bool(flag):
 
 
 def test_an_empty_mask_program_runs():
-    # no instructions: an empty body under either flag, whatever slots are asked
+    # no instructions: an empty body under either flag
     program = semantics.MaskProgram([])
     assert len(program) == 0 and program.slots == ()
-    assert program.body(True, range(0)) == program.body(False, set()) == []
+    assert program.body(True) == program.body(False) == []
 
 
 def test_check_theorem_refuses_local_strategies(local_model):

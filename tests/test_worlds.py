@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardylogic import worlds
 from hardylogic.formula import ATOM_NAMES, OUTCOME_ATOMS, Atom
 from hardylogic.quantum import export_table
 from hardylogic.worlds import (
@@ -430,6 +431,42 @@ def test_model_json_schema_violations():
     bad["table"]["L1,R1"]["++"] = "high"
     with pytest.raises(TableError):
         model_from_dict(bad)
+
+
+@pytest.mark.parametrize("epsilon", ["1e-5", True, None])
+def test_model_file_epsilon_that_is_not_a_number_is_refused(epsilon):
+    # a string, a JSON boolean and a JSON null
+    data = model_to_dict(build_model(ProbabilityTable.uniform()))
+    data["epsilon"] = epsilon
+    with pytest.raises(TableError) as raised:
+        model_from_dict(data)
+    assert str(raised.value) == "'epsilon' must be a number"
+
+
+def test_a_fallback_load_checks_its_cells_once(hardy_table, monkeypatch):
+    # a spaced key sends the file past the direct read: the rows are checked
+    # by `_checked` alone, with the same cells and the same messages
+    calls = []
+    for name in ("_checked", "_accepted"):
+        real = getattr(worlds, name)
+        monkeypatch.setattr(
+            worlds, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    spaced = {("L1, R2" if key == "L1,R2" else key): row
+              for key, row in hardy_table.to_dict().items()}
+    table = ProbabilityTable.from_dict(spaced)
+    assert calls == ["_checked"]
+    assert table.cells == hardy_table.cells and table == hardy_table
+    for cell, value, message in (
+        ("++", math.nan, "non-finite probability nan in ('L1', 'R2') cell '++'"),
+        ("+-", -0.25, "negative probability -0.25 in ('L1', 'R2') cell '+-'"),
+    ):
+        calls.clear()
+        bad = {**spaced, "L1, R2": {**spaced["L1, R2"], cell: value}}
+        with pytest.raises(TableError) as raised:
+            ProbabilityTable.from_dict(bad)
+        assert str(raised.value) == message
+        assert calls == ["_checked"]
 
 
 @pytest.mark.parametrize("key", ["epsilom", "Epsilon", "tabel", "mask"])
