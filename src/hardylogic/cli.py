@@ -1,24 +1,25 @@
 """Command-line entry point.
 
-Subcommands:
-    hardy find       the optimal configuration meeting the four constraints
-    hardy verify     check a configuration file against the constraints
-    model build      turn a configuration into a possibility model file
-    eval             evaluate a formula at a world or globally
-    check-theorem    both conclusion lines on a model, with witness
-    proof audit      full line-by-line audit, text or JSON
-    sr-table         the sixteen-row truth table behind the dependence claim
+The subcommands, their arguments and their help lines are one table,
+`_COMMANDS`, which `hardylogic --help` prints.  Exit code 0 means every
+check the command performs passed; bad inputs (missing files, schema or
+formula errors) exit 2 with a message on the error stream.
 
-Exit code 0 means every check the command performs passed; bad inputs
-(missing files, schema or formula errors) exit 2 with a message on the
-error stream.
+The arguments are read from `_COMMANDS` and not by argparse, so no
+command loads `argparse`, `gettext` or `locale`.  A command's words come
+first, then its positionals and options in any order.  Option names are
+exact, written `--name value` or `--name=value`; an option that takes a
+value takes the next token unless that token starts with `--`, so
+`--tol -1` reaches the range check on `--tol`.  `-h` or `--help` at any
+level prints that level's help and exits 0.  Any other malformed argv
+prints a usage line and an error to the error stream and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 # The layers only some commands run (quantum, semantics, proof) are
 # imported inside their handlers, after the files they read are loaded,
@@ -27,59 +28,6 @@ from . import worlds
 from .formula import parse
 
 USAGE_ERROR = 2
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="hardylogic",
-        description="possible-worlds workbench for two-region counterfactual reasoning",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    hardy = sub.add_parser("hardy", help="configuration optimum and verification")
-    hardy_sub = hardy.add_subparsers(dest="hardy_command", required=True)
-    find = hardy_sub.add_parser("find", help="print the optimal passing configuration")
-    find.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
-    find.add_argument("--grid", type=int, default=96, help="accepted for compatibility; no effect")
-    find.add_argument("--out", metavar="CFG.json", help="write the configuration here")
-    find.set_defaults(handler=_cmd_hardy_find)
-    verify = hardy_sub.add_parser("verify", help="verify a configuration file")
-    verify.add_argument("config", metavar="CFG.json")
-    verify.add_argument("--tol", type=float, default=1e-9,
-                        help="zero-cell tolerance, in (0, 1e-3] (default 1e-9)")
-    verify.set_defaults(handler=_cmd_hardy_verify)
-
-    model = sub.add_parser("model", help="model construction")
-    model_sub = model.add_subparsers(dest="model_command", required=True)
-    build = model_sub.add_parser("build", help="build a possibility model from a configuration")
-    build.add_argument("config", metavar="CFG.json")
-    build.add_argument("--epsilon", type=float, default=worlds.DEFAULT_EPSILON,
-                       help="possibility threshold (default 1e-12)")
-    build.add_argument("--out", metavar="MODEL.json", help="write the model here")
-    build.set_defaults(handler=_cmd_model_build)
-
-    ev = sub.add_parser("eval", help="evaluate a formula on a model")
-    ev.add_argument("model", metavar="MODEL.json")
-    ev.add_argument("formula", help="formula text, e.g. 'L2 => (R2 & R2+ -> (R1 []-> R1 & R1-))'")
-    ev.add_argument("--at", metavar="W", help="world literal 'L1,R2,-,+'; omit for global evaluation")
-    ev.add_argument("--quantifier", choices=("every", "some"), default="every",
-                    help="counterfactual quantifier (default every)")
-    ev.set_defaults(handler=_cmd_eval)
-
-    thm = sub.add_parser("check-theorem", help="check both conclusion lines on a model")
-    thm.add_argument("model", metavar="MODEL.json")
-    thm.set_defaults(handler=_cmd_check_theorem)
-
-    pr = sub.add_parser("proof", help="derivation auditing")
-    pr_sub = pr.add_subparsers(dest="proof_command", required=True)
-    aud = pr_sub.add_parser("audit", help="audit the built-in derivation against a model")
-    aud.add_argument("model", metavar="MODEL.json")
-    aud.add_argument("--json", action="store_true", help="emit the report as JSON")
-    aud.set_defaults(handler=_cmd_proof_audit)
-
-    table = sub.add_parser("sr-table", help="print the sixteen-row truth table")
-    table.set_defaults(handler=_cmd_sr_table)
-    return top
 
 
 def _cmd_hardy_find(args) -> int:
@@ -187,10 +135,103 @@ def _cmd_sr_table(args) -> int:
     return 0 if ok else 1
 
 
+# Each command's words map to (handler, help, positionals, options).  The
+# positionals are dest names, shown upper-cased.  An option maps its dest,
+# its name without the leading `--`, to (converter, default, help).  The
+# converter is `int`, `float` or `str`, a tuple of the accepted values, or
+# `bool` for a flag, which takes no value.
+_HELP = ("-h", "--help")
+_TOP = "possible-worlds workbench for two-region counterfactual reasoning"
+_COMMANDS = {
+    ("hardy", "find"): (_cmd_hardy_find, "print the optimal passing configuration", (), {
+        "seed": (int, 0, "accepted for compatibility; no effect"),
+        "grid": (int, 96, "accepted for compatibility; no effect"),
+        "out": (str, None, "write the configuration to this file"),
+    }),
+    ("hardy", "verify"): (_cmd_hardy_verify, "verify a configuration file", ("config",), {
+        "tol": (float, 1e-9, "zero-cell tolerance, in (0, 1e-3] (default 1e-9)"),
+    }),
+    ("model", "build"): (
+        _cmd_model_build, "build a possibility model from a configuration", ("config",), {
+            "epsilon": (float, worlds.DEFAULT_EPSILON, "possibility threshold (default 1e-12)"),
+            "out": (str, None, "write the model to this file"),
+        }),
+    ("eval",): (
+        _cmd_eval, "evaluate a formula on a model, e.g. 'L2 => (R2 & R2+ -> (R1 []-> R1 & R1-))'",
+        ("model", "formula"), {
+            "at": (str, None, "world literal 'L1,R2,-,+'; omit for global evaluation"),
+            "quantifier": (("every", "some"), "every",
+                           "counterfactual quantifier, every or some (default every)"),
+        }),
+    ("check-theorem",): (
+        _cmd_check_theorem, "check both conclusion lines on a model", ("model",), {}),
+    ("proof", "audit"): (
+        _cmd_proof_audit, "audit the built-in derivation against a model", ("model",), {
+            "json": (bool, False, "emit the report as JSON"),
+        }),
+    ("sr-table",): (_cmd_sr_table, "print the sixteen-row truth table", (), {}),
+}
+
+
+def _stop(words, error=None):
+    """Print the help of the level `words` names and exit 0; or, given an
+    `error`, print that level's usage line and the error on stderr and exit 2."""
+    _, text, positionals, options = _COMMANDS.get(words, (None, _TOP, ("...",), {}))
+    usage = " ".join(("usage: hardylogic", *words, "[-h]", *map(str.upper, positionals)))
+    if error:
+        print(usage, "hardylogic: error: " + error, sep="\n", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    print(usage, "", text, "", "  -h, --help                 show this help and exit", sep="\n")
+    for dest, (convert, _, line) in options.items():
+        print("  %-26s %s" % ("--" + dest if convert is bool else f"--{dest} {dest.upper()}", line))
+    for key, entry in _COMMANDS.items():  # below a group, its commands
+        if key[:len(words)] == words != key:
+            print("  %-26s %s" % (" ".join(key), entry[1]))
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """The handler `argv` names and its arguments, read from `_COMMANDS`."""
+    words, rest, given = (), list(argv), []
+    while words not in _COMMANDS:
+        word = rest.pop(0) if rest else None
+        if word in _HELP:
+            _stop(words)
+        if not any(key[:len(words) + 1] == (*words, word) for key in _COMMANDS):
+            _stop(words, "missing command" if word is None else f"unknown command {word!r}")
+        words += (word,)
+    handler, _, positionals, options = _COMMANDS[words]
+    values = {dest: spec[1] for dest, spec in options.items()}
+    while rest:
+        token = rest.pop(0)
+        dest, eq, value = token[2:].partition("=")
+        convert = options.get(dest, (None,))[0]
+        if token in _HELP:
+            _stop(words)
+        elif token[:2] != "--":
+            given.append(token)
+        elif convert is None or convert is bool and eq:
+            _stop(words, f"unknown option {token!r}")
+        elif convert is bool:
+            values[dest] = True
+        elif not eq and (not rest or rest[0][:2] == "--"):
+            _stop(words, f"option --{dest} needs a value")
+        else:
+            value = value if eq else rest.pop(0)
+            try:  # a tuple of choices: `index` raises ValueError for any other value
+                values[dest] = convert(value) if callable(convert) else convert[convert.index(value)]
+            except ValueError:
+                _stop(words, f"option --{dest}: invalid value {value!r}")
+    if len(given) != len(positionals):
+        _stop(words, f"takes {len(positionals)} argument(s), got {len(given)}")
+    values.update(zip(positionals, given))
+    return handler, SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        return handler(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
     except OSError as exc:

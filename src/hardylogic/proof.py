@@ -766,6 +766,8 @@ def _premise(f: Formula) -> tuple[Formula, ...]:
 
 def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
     """The script's plan for `order`, built on first use and kept on the script."""
+    if not isinstance(script, ProofScript):
+        raise ValueError(f"script must be a ProofScript, got {script!r}")
     plan = script._plans.get(order.earlier_region)
     if plan is None:
         plan = script._plans[order.earlier_region] = _Plan(script, order)

@@ -165,6 +165,11 @@ def verify_hardy(
     for its world, so each is that cell bit for bit: c1 to c4, then
     (L1-, R1-), which with c4 makes the P(L1-) marginal.
     """
+    if tol.__class__ is not float or positivity_floor.__class__ is not float:  # floats pass here
+        for name, value in (("tol", tol), ("positivity_floor", positivity_floor)):
+            # a bool would read as 1 or 0, and a str meet `<` with a bare TypeError
+            if value.__class__ is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would pass any cell
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4

@@ -126,6 +126,8 @@ def worlds_in(mask: int) -> list[World]:
 
 def parse_world(text: str) -> World:
     """Parse a world literal like 'L1,R2,-,+' into the shared instance in `WORLDS`."""
+    if not isinstance(text, str):
+        raise ValueError(f"world literal must be a string, got {text!r}")
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"world literal needs 4 comma-separated fields, got {text!r}")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardylogic import quantum
-from hardylogic.cli import main
+from hardylogic.cli import _COMMANDS, main
 from hardylogic.quantum import PredictionReport
 from hardylogic.worlds import save_model
 
@@ -428,6 +428,83 @@ def test_unknown_flag_rejected(model_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "missing command"),
+        (["frobnicate"], "unknown command 'frobnicate'"),
+        ([""], "unknown command ''"),
+        (["proof"], "missing command"),
+        (["proof", ""], "unknown command ''"),
+        (["proof", "check"], "unknown command 'check'"),
+        (["proof", "audit"], "takes 1 argument(s), got 0"),
+        (["eval", "{model}"], "takes 2 argument(s), got 1"),
+        (["check-theorem", "{model}", "extra"], "takes 1 argument(s), got 2"),
+        (["sr-table", "--"], "unknown option '--'"),  # no `--` separator
+        (["proof", "audit", "{model}", "--js"], "unknown option '--js'"),  # no abbreviation
+        (["proof", "audit", "{model}", "--json=yes"], "unknown option '--json=yes'"),
+        (["hardy", "find", "--seed"], "option --seed needs a value"),
+        (["hardy", "find", "--seed", "x"], "option --seed: invalid value 'x'"),
+        (["hardy", "verify", "{cfg}", "--tol", "tiny"], "option --tol: invalid value 'tiny'"),
+        (["hardy", "verify", "{cfg}", "--tol="], "option --tol: invalid value ''"),
+        (["eval", "{model}", "L1", "--quantifier", "none"],
+         "option --quantifier: invalid value 'none'"),
+        (["eval", "{model}", "L1", "--at", "--quantifier", "some"], "option --at needs a value"),
+    ],
+)
+def test_usage_error_prints_usage_and_exits_2(argv, message, cfg_path, model_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg_path, model=model_path) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: hardylogic")
+    assert "error: " + message in err
+
+
+# what each level's help names: the commands below a group, the
+# positionals and options of a command
+_HELP_NAMES = {
+    (): ["hardy find", "hardy verify", "model build", "eval", "check-theorem", "proof audit",
+         "sr-table"],
+    ("hardy",): ["find", "verify"],
+    ("hardy", "find"): ["--seed SEED", "--grid GRID", "--out OUT"],
+    ("hardy", "verify"): ["CONFIG", "--tol TOL"],
+    ("model",): ["build"],
+    ("model", "build"): ["CONFIG", "--epsilon EPSILON", "--out OUT"],
+    ("eval",): ["MODEL", "FORMULA", "--at AT", "--quantifier QUANTIFIER"],
+    ("check-theorem",): ["MODEL"],
+    ("proof",): ["audit"],
+    ("proof", "audit"): ["MODEL", "--json"],
+    ("sr-table",): [],
+}
+
+
+@pytest.mark.parametrize("words", list(_HELP_NAMES))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_everything_at_its_level(words, flag, capsys):
+    assert set(_COMMANDS) < set(_HELP_NAMES)  # a new command gets a row above
+    with pytest.raises(SystemExit) as exc:
+        main([*words, flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(" ".join(("usage: hardylogic", *words, "[-h]")))
+    for name in [*_HELP_NAMES[words], "-h, --help"]:
+        assert name in out, out
+
+
+def test_help_after_arguments_and_as_a_value(model_path, capsys):
+    # -h among the arguments prints the help; as the value of --at it is a world literal
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", model_path, "L1", "-h"])
+    assert exc.value.code == 0
+    assert "--quantifier" in capsys.readouterr().out
+    assert main(["eval", model_path, "L1", "--at", "-h"]) == 2
+    assert capsys.readouterr().err == (
+        "error: world literal needs 4 comma-separated fields, got '-h'\n"
+    )
+
+
 def test_find_deterministic_given_seed(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["hardy", "find", "--seed", "7", "--out", str(p1)]) == 0
@@ -552,12 +629,12 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
 
     err = io.StringIO()
     cwd = os.getcwd()
-    os.chdir(where)  # an abbreviated --out among random words writes here
+    os.chdir(where)  # an --out among random words writes here
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse usage errors and --help
+            except SystemExit as exc:  # usage errors and --help
                 code = exc.code
     finally:
         os.chdir(cwd)

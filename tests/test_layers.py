@@ -10,10 +10,10 @@ reader can reach without a cycle.
 `__init__` imports no package module: its `_EXPORTS` table names the
 module that defines each public name, and a module `__getattr__` imports
 that module on first use.  So `import hardylogic` loads nothing, and each
-command of the command line loads only the layers it runs, and neither
-`dataclasses` nor `inspect`; the tests below check both in fresh
-interpreters, and that the package still binds every name it exported
-when it imported every layer eagerly.
+command of the command line loads only the layers it runs, and none of
+`dataclasses`, `inspect`, `argparse`, `gettext` and `locale`; the tests
+below check both in fresh interpreters, and that the package still binds
+every name it exported when it imported every layer eagerly.
 """
 
 import ast
@@ -156,8 +156,10 @@ def test_retired_names_are_gone():
 
 
 # stdlib modules no import and no command may load: the value classes
-# need no `dataclasses`, which would bring `inspect` with it
-AVOIDED = ("dataclasses", "inspect")
+# need no `dataclasses`, which would bring `inspect` with it, and the
+# command line reads its arguments from its own table, with no `argparse`,
+# which would bring `gettext` and, on its first message, `locale`
+AVOIDED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
 _REPORT = (
     "import json, sys\n"

@@ -366,6 +366,15 @@ def test_an_index_that_is_not_an_int_names_no_line(hardy_model, script, index):
         assert raised.value.args == (f"no line {index}",)
 
 
+@pytest.mark.parametrize("bad", [5, "builtin", ()])
+def test_a_script_that_is_not_a_proof_script_is_refused(hardy_model, bad):
+    message = re.escape(f"script must be a ProofScript, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        audit(hardy_model, bad)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_rule(hardy_model, bad, 1)
+
+
 def test_a_hypothesis_citing_a_premise_is_invalid(hardy_model, script):
     ln = script.line(6)
     edit = ProofLine(6, ln.statement, ln.rule, (5,), ln.hypothesis_scope, ln.note)

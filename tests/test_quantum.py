@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -289,16 +290,23 @@ def test_verify_tolerance_semantics():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             verify_hardy(cfg, tol=bad)
+    # a bool would read as 1 and pass cells up to 1/2; a str would meet `<` with a TypeError
+    for bad in (True, False, "1e-9", None, 1j, Decimal("1e-9")):
+        with pytest.raises(ValueError, match=re.escape(f"tol must be a number, got {bad!r}")):
+            verify_hardy(cfg, tol=bad)
 
 
-@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, True, "1e-9", None])
 def test_verify_refuses_a_floor_that_is_not_positive(floor):
     # the maximally entangled state has no paradox: its c4 vanishes up to
     # rounding (about 4.9e-32), which a zero floor would pass, and a NaN
-    # floor would fail every configuration without a word
+    # floor would fail every configuration without a word; a floor that is
+    # no number is refused before it is compared
     cfg = _project(math.pi / 4, 0.7)
     assert _constraints(cfg)[3] < 1e-30
-    with pytest.raises(ValueError, match=f"^positivity_floor must be positive, got {floor}$"):
+    problem = "positive, got {}" if floor.__class__ is float else "a number, got {!r}"
+    message = "positivity_floor must be " + problem.format(floor)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         verify_hardy(cfg, positivity_floor=floor)
 
 

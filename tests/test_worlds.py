@@ -99,6 +99,13 @@ def test_parse_world_rejects_a_bad_literal_with_its_message(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value", [5, None, b"L1,R2,-,+", ("L1", "R2", "-", "+")])
+def test_parse_world_refuses_a_literal_that_is_not_a_string(value):
+    with pytest.raises(ValueError) as exc:
+        parse_world(value)
+    assert str(exc.value) == f"world literal must be a string, got {value!r}"
+
+
 def _holds(name: str, w: World) -> bool:
     """Bit `w` of the atom's world mask."""
     return bool(ATOM_MASKS[name] >> w.index & 1)
