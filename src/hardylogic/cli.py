@@ -39,13 +39,13 @@ def _cmd_hardy_find(args) -> int:
     except quantum.SearchError as exc:  # main catches ValueError, so needs no quantum
         raise ValueError(str(exc)) from exc
     report = quantum.HARDY_REPORT  # find_hardy returns the constant this report verified
-    if args.out:  # written first, so a path that fails prints no report
+    if args.out is not None:  # written first, so a path that fails prints no report
         quantum.save_config(cfg, args.out)
     print(f"theta    = {cfg.theta!r}")
     for setting in ("L1", "L2", "R1", "R2"):
         print(f"angle {setting} = {cfg.angle(setting)!r}")
     print(report.summary())
-    if args.out:
+    if args.out is not None:
         print(f"configuration written to {args.out}")
     return 0  # a report that fails raised SearchError above
 
@@ -68,12 +68,12 @@ def _cmd_model_build(args) -> int:
     cfg = quantum.load_config(args.config)
     table = quantum.export_table(cfg)
     model = worlds.build_model(table, epsilon=args.epsilon)
-    if args.out:  # written first, so a path that fails prints no report
+    if args.out is not None:  # written first, so a path that fails prints no report
         worlds.save_model(model, args.out)
     print(f"possible worlds: {model.mask.bit_count()} of 16 at epsilon={args.epsilon:g}")
     for w in model.excluded_in_order():
         print(f"excluded: {w}")
-    if args.out:
+    if args.out is not None:
         print(f"model written to {args.out}")
     return 0
 

@@ -10,8 +10,8 @@ hypothesis.
 Everything that reads only the script is worked out once per script
 and temporal order, into a plan the script keeps (`_Plan`): the scope
 check, every structural rule verdict and the cell each prediction line
-pins, which `check_rule` and `audit` read, and each line's finished
-report for each pair of readings and state of its pinned cell.  A
+names, which `check_rule` and `audit` read, and each line's finished
+report for each pair of readings and state of its named cell.  A
 possible zero cell's verdict quotes the model's probability, so for it
 the plan keeps a template instead: the report's fixed fields, the
 verdict text before and after the probability, and the JSON row for
@@ -20,7 +20,7 @@ lays out a mask program of exactly the formulas that reading reads,
 each in the reading it is read in (universally, or as its dual, see
 `semantics._duals`), and generates one straight-line function that
 runs the program and reads the line reports off the plan by the two
-readings and the pinned cells' bits, and the few discrete values the
+readings and the named cells' bits, and the few discrete values the
 closing verdict is made from: whether the rules hold, the side
 condition, the clash and its bridge world, whether the counterpart
 holds and is tested, and whether the hypothesis holds.  The closing
@@ -79,7 +79,7 @@ from .semantics import (
     _function,
 )
 from .semantics import SrRow, sr_truth_table  # noqa: F401  SR's table, importable from here too
-from .worlds import FORBIDDEN_WORLDS, PARADOX_WORLD, WORLDS, Model, World
+from .worlds import WORLDS, Model, World
 
 VALID = "valid"
 INVALID = "invalid"
@@ -271,17 +271,13 @@ def check_rule(
     rule = rules[index]
     if not isinstance(rule, World):
         return rule
-    bit = rule.index
-    return _prediction_verdict(rule, model.mask >> bit & 1, model.table.cells[bit])
+    bit, witness = rule.index, script.line(index).rule == "PRED24"
+    return _prediction_verdict(rule, witness, model.mask >> bit & 1, model.table.cells[bit])
 
-
-# the cell each prediction tag pins: PRED21-23 the vanishing ones, in
-# order, PRED24 the paradox cell
-_PREDICTED = dict(
-    zip(("PRED21", "PRED22", "PRED23", "PRED24"), (*FORBIDDEN_WORLDS, PARADOX_WORLD))
-)
 
 _FLIP = {"+": "-", "-": "+"}
+_ZERO_SHAPE = "(choices ^ outcome) => (same choices ^ other region's outcome)"
+_WITNESS_SHAPE = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
 
 
 def _cell(world: World) -> tuple[str, str, str]:
@@ -290,76 +286,47 @@ def _cell(world: World) -> tuple[str, str, str]:
 
 
 def _check_prediction(line, premises, order):
-    """The cell a prediction line pins, if its shape and the tag agree on it."""
+    """The cell a prediction line's statement names, if it has its tag's shape.
+
+    The tag says only what kind of cell: PRED21-23 a zero cell, the
+    escaping cell of `_ZERO_SHAPE`, and PRED24 the witness cell of
+    `_WITNESS_SHAPE`.  Each shape gives the line's two choices, the
+    outcome that holds in the cell and the one that fails (`_named_cell`).
+    """
     parts = _strict(line.statement)
     if parts is None:
         return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
-    ant, zero = _conjuncts(parts[0]), line.rule != "PRED24"
-    if zero:
-        world = _prediction_shape(ant, _conjuncts(parts[1]))
-        shape = "(choices ^ outcome) => (same choices ^ other region's outcome)"
-    else:
-        world = _negated_conditional_cell(ant, parts[1])
-        shape = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
+    ant, cons, world = _conjuncts(parts[0]), parts[1], None
+    if line.rule == "PRED24":  # (cl ^ cr) => ~(holds -> c ^ fails), with c the choice of fails
+        shape = _WITNESS_SHAPE
+        inner = cons.arg if isinstance(cons, Not) else None
+        rest = _conjuncts(inner.right) if isinstance(inner, MatImp) else ()
+        c, fails = rest if len(rest) == 2 else (None, None)
+        if len(ant) == 2 and isinstance(fails, Atom) and fails.choice() == c:
+            world = _named_cell(*ant, inner.left, fails)
+    else:  # (cl ^ cr ^ holds) => (cl ^ cr ^ fails)
+        shape, cons = _ZERO_SHAPE, _conjuncts(cons)
+        if len(ant) == 3 == len(cons) and ant[:2] == cons[:2]:
+            world = _named_cell(*ant, cons[2])
     if world is None:
         return RuleVerdict(INVALID, f"expected {shape}, found {unparse(line.statement)}")
-    expected = _PREDICTED[line.rule]
-    if world != expected:
-        return RuleVerdict(
-            INVALID,
-            f"statement demands {'zero' if zero else 'witness'} cell {_cell(world)}, "
-            f"but {line.rule} pins {_cell(expected)}",
-        )
     return world
 
 
-def _prediction_shape(ant, cons):
-    """The escaping cell of a prediction line, as a world, or None."""
-    if len(ant) != 3 or len(cons) != 3:
-        return None
-    if not all(isinstance(a, Atom) for a in ant + cons):
-        return None
-    if ant[0] != cons[0] or ant[1] != cons[1]:
-        return None
-    cl, cr, ant_out = ant
-    cons_out = cons[2]
-    if not (ant_out.is_outcome and cons_out.is_outcome):
-        return None
-    if ant_out.region == cons_out.region:
-        return None
-    choices = {"L": cl.name, "R": cr.name}
-    if ant_out.setting != choices[ant_out.region] or cons_out.setting != choices[cons_out.region]:
-        return None
-    signs = {ant_out.region: ant_out.sign, cons_out.region: _FLIP[cons_out.sign]}
-    return World(cl.name, cr.name, signs["L"], signs["R"])
+def _named_cell(cl, cr, holds, fails) -> World | None:
+    """The cell of choices `cl` and `cr` where `holds` holds and `fails` fails, or None.
 
-
-def _negated_conditional_cell(ant, cons):
-    if len(ant) != 2:
+    Each outcome must be one of the choice made in its region, and the
+    two must lie in different regions; so `cl` is an L choice and `cr`
+    an R choice.
+    """
+    choices = {"L": cl, "R": cr}
+    for out in (holds, fails):
+        if not (isinstance(out, Atom) and out.is_outcome and out.choice() == choices[out.region]):
+            return None
+    if holds.region == fails.region:
         return None
-    cl, cr = ant
-    if not (_is_choice(cl, "L") and _is_choice(cr, "R")):
-        return None
-    if not (isinstance(cons, Not) and isinstance(cons.arg, MatImp)):
-        return None
-    inner = cons.arg
-    out_a = inner.left
-    rest = _conjuncts(inner.right)
-    if not (isinstance(out_a, Atom) and out_a.is_outcome):
-        return None
-    if len(rest) != 2 or not all(isinstance(a, Atom) for a in rest):
-        return None
-    later_choice, out_b = rest
-    if not (later_choice.is_choice and out_b.is_outcome):
-        return None
-    choices = {"L": cl.name, "R": cr.name}
-    if out_a.setting != choices[out_a.region]:
-        return None
-    if later_choice.name != choices[later_choice.region]:
-        return None
-    if out_b.setting != later_choice.name or out_b.region == out_a.region:
-        return None
-    signs = {out_a.region: out_a.sign, out_b.region: _FLIP[out_b.sign]}
+    signs = {holds.region: holds.sign, fails.region: _FLIP[fails.sign]}
     return World(cl.name, cr.name, signs["L"], signs["R"])
 
 
@@ -572,7 +539,7 @@ def _check_hypothesis(line, premises, order):
 
 # each rule tag and its checker, called as checker(line, premises, order)
 # once per script and order (see `_Plan`); the prediction checker returns
-# the cell its line pins, or an invalid verdict
+# the cell its line names, or an invalid verdict
 _CHECKERS = {
     "PRED21": _check_prediction,
     "PRED22": _check_prediction,
@@ -613,9 +580,9 @@ class _Plan:
     """What an audit reads off the script alone, for one temporal order.
 
     `rules` maps each line index to its verdict or, for a prediction
-    line, to the cell it pins, which each model confirms or refutes.
+    line, to the cell it names, which each model confirms or refutes.
     `rules_ok` is the share of `rules_all_valid` that no model changes:
-    the scopes, and every verdict but the pinned cells'.  `hyp_index`
+    the scopes, and every verdict but the named cells'.  `hyp_index`
     is the hypothesis's index and `counterpart` the line just before
     it, each None if the script lacks it.  `line_audits` has each
     line's finished `LineAudit`s and zero-cell template (`_line_audits`).
@@ -774,10 +741,11 @@ def _plan(script: ProofScript, order: TemporalOrder) -> _Plan:
     return plan
 
 
-def _prediction_verdict(world: World, possible: bool, prob: float | None = None) -> RuleVerdict:
-    """A prediction line's verdict on the cell it pins, possible or not, with its probability."""
+def _prediction_verdict(world: World, witness: bool, possible: bool, prob=None) -> RuleVerdict:
+    """A prediction line's verdict on the witness or zero cell it names, possible or not,
+    with its probability."""
     cell = _cell(world)
-    if world == PARADOX_WORLD:
+    if witness:
         if possible:
             return RuleVerdict(VALID, f"witness cell {cell} confirmed possible in the model")
         return RuleVerdict(
@@ -798,8 +766,8 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
     """A line's `LineAudit`s, as (bit, tables, zero), each table `table[sem_every][sem_some]`.
 
     For a fixed verdict the bit and `zero` are None, and `tables` is its
-    one table.  A prediction line has its pinned cell's bit.  Its
-    witness cell has a pair of tables, one for the cell impossible and
+    one table.  A prediction line has its named cell's bit.  A witness
+    cell (PRED24) has a pair of tables, one for the cell impossible and
     one for it possible, and `zero` None.  A zero cell has the table for
     it impossible alone, since its verdict when possible quotes the
     model's probability, and `zero` is its template instead (see
@@ -820,11 +788,12 @@ def _line_audits(ln: ProofLine, rule: RuleVerdict | World) -> tuple:
 
     if not isinstance(rule, World):
         return None, table(rule.status, rule.detail), None
-    impossible = _prediction_verdict(rule, False)
+    witness = ln.rule == "PRED24"
+    impossible = _prediction_verdict(rule, witness, False)
     reports = table(impossible.status, impossible.detail)
-    if rule == PARADOX_WORLD:
-        witness = _prediction_verdict(rule, True)
-        return rule.index, (reports, table(witness.status, witness.detail)), None
+    if witness:
+        possible = _prediction_verdict(rule, witness, True)
+        return rule.index, (reports, table(possible.status, possible.detail)), None
     rows = tuple(tuple(la._json_row() for la in pair) for pair in table(INVALID, None))
     fixed = (ln.index, ln.rule, ln.premises, scope, ln.note)
     return rule.index, reports, (fixed, *_not_a_zero_cell(rule), rows)
@@ -1052,7 +1021,7 @@ def audit(
     on the first audit under `opts`'s reading, the plan generates one
     function that runs the mask program of the parts that reading
     reads, and reads each line's finished `LineAudit` off the plan by
-    the two readings and the pinned cells' bits, and
+    the two readings and the named cells' bits, and
     the values the closing verdict is made from (see `_Plan.compile`).
     The verdict is looked up by those values in a table on the plan.
     Only a possible zero cell's report is built for the model, from its

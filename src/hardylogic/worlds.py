@@ -11,9 +11,9 @@ the probability of `WORLDS[i]` and bit i of a model's mask, and its
 The four prediction cells of the Hardy argument live here, as worlds:
 `FORBIDDEN_WORLDS`, the three cells that must vanish, and
 `PARADOX_WORLD`, the one that must not.  The conformance check in
-`semantics` and the prediction rules in `proof` read them;
-`quantum.verify_hardy` states those cells as fixed expressions, and
-`test_cells_agree_bit_for_bit` pins each to its world here.
+`semantics` reads them, and `quantum.verify_hardy` states those cells
+as fixed expressions (`test_cells_agree_bit_for_bit` pins each to its
+world here).  A prediction line in `proof` names its own cell instead.
 """
 
 from __future__ import annotations

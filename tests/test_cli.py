@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +356,26 @@ def test_directory_path_exits_2(tmp_path, cfg_path, argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: cannot use {tmp_path}:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hardy", "find", "--out", ""], ["model", "build", "{cfg}", "--out", ""]],
+    ids=["hardy-find", "model-build"],
+)
+def test_empty_out_path_exits_2(tmp_path, monkeypatch, cfg_path, argv, capsys):
+    # an empty path names no file: the command fails as for a directory,
+    # with no report and nothing written
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(cfg=cfg_path) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: file not found: \n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hardylogic", "sr-table"])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith("false rows: 1 of 16\n")
 
 
 @pytest.mark.parametrize(

@@ -285,12 +285,15 @@ def test_parse_rejects_what_is_not_text(text):
 # The last three inputs have two defects each; the one reported first is
 # part of the contract.
 _AND_CHAIN_101 = " & ".join(["L1"] * 101)  # a tree of height 100, the most allowed
+_AND_CHAIN_100 = " & ".join(["L1"] * 100)
 
 
 @pytest.mark.parametrize(
     "text, error, message, position",
     [
         ("L1 & $L2", LexError, "unknown token starting at '$L2'", 5),
+        # the quote is the four characters from the bad one on
+        ("L1 & $L2 & L1", LexError, "unknown token starting at '$L2 '", 5),
         ("L1->R1", LexError, "unknown token starting at '>R1'", 3),
         ("L1 &", ParseError, "missing operand: unexpected end of input", 4),
         ("", ParseError, "missing operand: unexpected end of input", 0),
@@ -318,6 +321,8 @@ _AND_CHAIN_101 = " & ".join(["L1"] * 101)  # a tree of height 100, the most allo
         ("(" * 101 + "L1" + ")" * 101, ParseError, "formula nests deeper than 100 levels", 100),
         # a negation one level above the highest tree allowed
         ("~(" + _AND_CHAIN_101 + ")", ParseError, "formula nests deeper than 100 levels", 0),
+        # a negation of height 100 under a connective (see the test below)
+        ("~(" + _AND_CHAIN_100 + ") & L1", ParseError, "formula nests deeper than 100 levels", 501),
         (_AND_CHAIN_101 + " => L2 => R2", ParseError, "formula nests deeper than 100 levels", 503),
         (
             _AND_CHAIN_101 + " -> L2 -> R2",
@@ -342,6 +347,12 @@ def test_error_texts_and_positions(text, error, message, position):
     assert type(err.value) is error
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+def test_a_negation_counts_one_level_above_its_operand():
+    # a negation of a tree of height 98 is 99 high, so a connective over it is the 100th level
+    f = parse("~(" + " & ".join(["L1"] * 99) + ") & L1")
+    assert isinstance(f, And) and isinstance(f.left, Not)
 
 
 _BINARIES = {"&": And, "|": Or, "->": MatImp, "[]->": Counterfactual, "=>": StrictImp}

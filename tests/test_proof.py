@@ -28,7 +28,9 @@ from hardylogic.worlds import (
     CHOICE_PAIRS,
     FORBIDDEN_WORLDS,
     OUTCOME_PAIRS,
+    WORLDS,
     ProbabilityTable,
+    World,
     build_model,
     worlds_in,
 )
@@ -174,9 +176,10 @@ def test_proof_script_takes_its_parts_as_tuples(script, field):
 
 
 # Single edits of the frozen prediction lines, each failing one operand of
-# one `or`/`and` guard in `_prediction_shape` or `_negated_conditional_cell`
-# and passing every other check, so that a guard that joined its operands
-# the other way would give a cell verdict or raise instead
+# one `or`/`and` guard in the one shape matcher, `_check_prediction` and
+# its tail `_named_cell`, and passing every other check, so that a guard
+# that joined its operands the other way would give a cell verdict or
+# raise instead
 _ZERO_SHAPE = "(choices ^ outcome) => (same choices ^ other region's outcome)"
 _WITNESS_SHAPE = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
 _GUARD_EDITS = {
@@ -429,6 +432,37 @@ def test_prediction_rules_fail_on_uniform_model(uniform_model, script):
     assert check_rule(uniform_model, script, 12).ok  # witness cell still possible
 
 
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+def test_a_prediction_tag_says_only_what_kind_of_cell_its_statement_names(
+    hardy_model, script, quantifier
+):
+    # No tag stands for one of Hardy's cells: lines 2 and 3 with their tags
+    # swapped are each checked against their own zero cell, and a witness
+    # or zero line naming another cell is judged by the model's cell
+    edits = [ProofLine(2, script.line(2).statement, "PRED22"),
+             ProofLine(3, script.line(3).statement, "PRED21")]
+    expected = {index: check_rule(hardy_model, script, index) for index in (2, 3)}
+    paradox = hardy_model.table.prob(World("L1", "R1", "-", "+"))
+    for index, text, rule, status, detail in [
+        (8, "(L2 & R2) => ~(L2+ -> R2 & R2+)", "PRED24", proof.VALID,
+         "witness cell ('L2', 'R2', '+-') confirmed possible in the model"),
+        (8, "(L2 & R2) => ~(R2+ -> L2 & L2+)", "PRED24", proof.INVALID,
+         "witness cell ('L2', 'R2', '-+') carries no probability above the threshold"),
+        (12, "(L1 & R1 & R1+) => (L1 & R1 & L1+)", "PRED23", proof.INVALID,
+         f"cell ('L1', 'R1', '-+') carries probability {paradox!r}; not a zero cell"),
+    ]:
+        edits.append(ProofLine(index, parse(text), rule))
+        expected[index] = proof.RuleVerdict(status, detail)
+    edited = script
+    for ln in edits:
+        edited = _with_line(edited, ln)
+    report = audit(hardy_model, edited, CfOptions(quantifier=quantifier))
+    for index, verdict in expected.items():
+        assert check_rule(hardy_model, edited, index) == verdict
+        la = report.lines[index - 1]
+        assert (la.rule_status, la.rule_detail) == (verdict.status, verdict.detail)
+
+
 def test_line4_without_weakening_premise_is_invalid(hardy_model, script):
     line4 = script.line(4)
     mutated = _with_line(script, ProofLine(4, line4.statement, "B7", (1, 2)))
@@ -640,12 +674,17 @@ def test_builtin_script_is_built_once(hardy_model, control_model):
 _SWAP = {"L": "R", "R": "L"}
 
 
-def _mirrored(f):
+def _renamed(f, rename):
+    """`f` with each atom's name passed through `rename`."""
     if isinstance(f, Atom):
-        return Atom(_SWAP[f.name[0]] + f.name[1:])
+        return Atom(rename(f.name))
     if isinstance(f, Not):
-        return Not(_mirrored(f.arg))
-    return type(f)(_mirrored(f.left), _mirrored(f.right))
+        return Not(_renamed(f.arg, rename))
+    return type(f)(_renamed(f.left, rename), _renamed(f.right, rename))
+
+
+def _mirrored(f):
+    return _renamed(f, lambda name: _SWAP[name[0]] + name[1:])
 
 
 def _rebuilt(script, transform):
@@ -668,6 +707,67 @@ def mirrored_script():
     # the builtin script with L and R swapped: under TemporalOrder("R")
     # its counterfactuals impose L choices, as they must
     return _rebuilt(builtin_script(), _mirrored)
+
+
+# a relabeling that keeps L earlier: the L settings swapped, R1's signs flipped
+_RELABEL = {
+    "L1": "L2", "L2": "L1", "L1+": "L2+", "L1-": "L2-", "L2+": "L1+", "L2-": "L1-",
+    "R1+": "R1-", "R1-": "R1+",
+}
+
+
+def _relabelled(f):
+    return _renamed(f, lambda name: _RELABEL.get(name, name))
+
+
+def _relabelled_world(world):
+    left, right = (
+        _RELABEL.get(name, name)
+        for name in (world.choice_l + world.outcome_l, world.choice_r + world.outcome_r)
+    )
+    return World(left[:2], right[:2], left[2], right[2])
+
+
+def _relabelled_model(model):
+    """`model` with each world's cell moved to the world's relabelling."""
+    rows = {pair: {} for pair in CHOICE_PAIRS}
+    for world in WORLDS:
+        moved = _relabelled_world(world)
+        rows[moved.choice_pair][moved.outcome_pair] = model.table.cells[world.index]
+    relabelled = build_model(ProbabilityTable(rows), model.epsilon)
+    assert relabelled.possible == {_relabelled_world(w) for w in model.possible}
+    return relabelled
+
+
+@pytest.mark.parametrize("kind", ["hardy", "control", "local", "line6_holds"])
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+def test_a_relabelled_script_audits_the_relabelled_model_as_the_builtin_one_does(
+    request, kind, quantifier
+):
+    # Each prediction line is checked against the cell its own statement
+    # names, so relabelling the script and the model together changes no
+    # line's rule status or readings and no part of the closing verdict,
+    # and on Hardy's table the relabelled derivation refutes line 6 too
+    model = request.getfixturevalue(f"{kind}_model")
+    opts = CfOptions(quantifier=quantifier)
+    canonical = audit(model, builtin_script(), opts)
+    relabelled = audit(_relabelled_model(model), _rebuilt(builtin_script(), _relabelled), opts)
+
+    def lines(report):
+        return [(la.index, la.rule_status, la.sem_every, la.sem_some) for la in report.lines]
+
+    assert lines(relabelled) == lines(canonical)
+    final, expected = relabelled.final, canonical.final
+    assert (final.line5_true, final.line6_refuted, final.rules_all_valid) == (
+        expected.line5_true, expected.line6_refuted, expected.rules_all_valid
+    )
+    assert (final.side_conditions_hold, final.contradiction_lines) == (
+        expected.side_conditions_hold, expected.contradiction_lines
+    )
+    bridge = expected.bridge_world
+    assert final.bridge_world == (bridge and _relabelled_world(bridge))
+    if kind == "hardy" and quantifier == "every":
+        assert final.line6_refuted
 
 
 def _outcome(call, show=lambda report: (report.render(), json.dumps(report.to_dict()))):

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -415,6 +416,13 @@ def test_config_json_roundtrip(tmp_path, hardy_config):
     for cfg in (hardy_config, HardyConfig(0, 1, -2, 3, 0), HardyConfig(0.4, -0.1, 2.5, 1e300, -0.0)):
         save_config(cfg, str(path))
         assert load_config(str(path)) == cfg
+
+
+def test_a_config_file_is_its_dict_as_indented_json(tmp_path, hardy_config):
+    path = tmp_path / "cfg.json"
+    save_config(hardy_config, str(path))
+    text = json.dumps(config_to_dict(hardy_config), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("field", HardyConfig._fields)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hardylogic import worlds
 from hardylogic.formula import ATOM_NAMES, OUTCOME_ATOMS, Atom
-from hardylogic.quantum import export_table
+from hardylogic.quantum import HardyConfig, export_table, find_hardy
 from hardylogic.worlds import (
     ATOM_MASKS,
     CHOICE_PAIRS,
@@ -474,6 +474,30 @@ def test_a_fallback_load_checks_its_cells_once(hardy_table, monkeypatch):
             ProbabilityTable.from_dict(bad)
         assert str(raised.value) == message
         assert calls == ["_checked"]
+
+
+def test_usual_tables_never_reach_the_cell_by_cell_check(
+    hardy_model, control_model, local_model, line6_holds_model, monkeypatch
+):
+    # Born tables and the usual model file pass the one-test fast path
+    # (`_flat`, `_accepted`): `_checked` runs only for a table it rejects
+    calls = []
+    real = worlds._checked
+    monkeypatch.setattr(worlds, "_checked", lambda rows: calls.append(rows) or real(rows))
+    rng = random.Random(11)
+    export_table(find_hardy())
+    for _ in range(20):
+        export_table(HardyConfig(*(rng.uniform(-3, 3) for _ in range(5))))
+    for model in (hardy_model, control_model, local_model, line6_holds_model):
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+    assert calls == []
+
+
+def test_a_model_file_is_its_dict_as_indented_json(tmp_path, hardy_model):
+    path = tmp_path / "model.json"
+    save_model(hardy_model, str(path))
+    text = json.dumps(model_to_dict(hardy_model), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("key", ["epsilom", "Epsilon", "tabel", "mask"])
