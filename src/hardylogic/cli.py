@@ -13,11 +13,21 @@ value takes the next token unless that token starts with `--`, so
 `--tol -1` reaches the range check on `--tol`.  `-h` or `--help` at any
 level prints that level's help and exits 0.  Any other malformed argv
 prints a usage line and an error to the error stream and exits 2.
+
+`main()` with no arguments is the process entry point: the console
+script and `sys.exit(main())`.  Once the command returns it runs the
+exit handlers, flushes stdout and stderr and ends the process, so module
+teardown and the final garbage collection never run; except in
+development mode (`-X dev`), where it returns the exit code and
+teardown's checks run.  In-process callers pass `argv`, and get the
+exit code back.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -229,7 +239,23 @@ def _parse(argv):
 
 
 def main(argv: list[str] | None = None) -> int:
-    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    """Run the command `argv` names and return its exit code.
+
+    In-process callers pass `argv`.  Without it `main` is the process entry
+    point: it reads `sys.argv[1:]` and ends the process through `_end` once
+    the command returns, except in development mode (`-X dev`), where it
+    returns the code so that teardown's ResourceWarning and finalizer
+    checks still run.
+    """
+    code = _run(sys.argv[1:] if argv is None else argv)
+    if argv is None and not sys.flags.dev_mode:
+        _end(code)
+    return code
+
+
+def _run(argv):
+    """The exit code of the command `argv` names; a bad input is reported on stderr."""
+    handler, args = _parse(argv)
     try:
         return handler(args)
     except FileNotFoundError as exc:
@@ -242,6 +268,31 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # bad formula, table, world or value
         print(f"error: {exc}", file=sys.stderr)
     return USAGE_ERROR
+
+
+def _end(code):
+    """End the process with `code` as interpreter shutdown would, less module
+    teardown and the final collection, which no command needs: none starts
+    a thread, and each writes its files inside `with`.
+
+    The exit handlers run, then stdout and stderr are flushed.  A stdout
+    that cannot be flushed (a closed pipe, say) is reported as a handler's
+    `OSError` is, with exit code 2; a failed stderr flush is ignored, as
+    shutdown ignores it.
+    """
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None if the process started without it
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = USAGE_ERROR
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -102,3 +102,17 @@ def pattern_models():
 @pytest.fixture(scope="session")
 def uniform_model():
     return build_model(ProbabilityTable.uniform())
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _process_end_refused():
+    """`cli.main()` with no argv ends its process; in a test or fixture it
+    raises instead, so that test fails and the session goes on.  Session
+    scope, so that it is in place before any module fixture calls `main`."""
+
+    def refuse(code):
+        raise AssertionError(f"main() without argv would end the test process, exit code {code}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hardylogic.cli._end", refuse)
+        yield

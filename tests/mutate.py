@@ -9,11 +9,12 @@ and no test run or CI step calls it.  Run it from anywhere:
 Each mutant changes one site of one module in `src/hardylogic`: a
 comparison flipped (`==`/`!=`, `<`/`<=`, `>`/`>=`, `is`/`is not`,
 `in`/`not in`), `and`/`or`, `&`/`|`, `+`/`-` or `<<`/`>>` swapped, a
-`not` dropped, or an int bumped by one.  Type annotations are left
-alone.  Each mutant runs the pytest arguments given after `--` (default
-`tests`), with `-x -q -p no:cacheprovider` before them, from the
-repository root against a copy of `src/` that holds it.  A mutant whose
-run passes survives.  The unmutated copy runs first and must pass.
+`not` dropped, a call made as a statement dropped, or an int bumped by
+one.  Type annotations are left alone.  Each mutant runs the pytest
+arguments given after `--` (default `tests`), with
+`-x -q -p no:cacheprovider` before them, from the repository root
+against a copy of `src/` that holds it.  A mutant whose run passes
+survives.  The unmutated copy runs first and must pass.
 
 `--functions` limits the sites to those functions, by qualified name
 (`Class.method`, `outer.inner`); a function takes its nested functions
@@ -60,10 +61,18 @@ _BOOL = {ast.And: ast.Or, ast.Or: ast.And}
 # the fast test's bound
 _ON_THE_BOUND = "no row total lies exactly DISTRIBUTION_TOL from 1.0"
 
+# `hardy find` accepts --seed and --grid for compatibility: past their range
+# checks neither changes the output, and the help shows neither default
+_NO_EFFECT = "a default of an option that has no effect"
+
 # (module, function, mutation, expression) -> why the mutant changes no behaviour
 EQUIVALENT = {
-    ("worlds", "_accepted", "LtE->Lt", f"abs({row} - 1.0) <= DISTRIBUTION_TOL"): _ON_THE_BOUND
-    for row in ("a + b + c + d", "e + f + g + h", "i + j + k + l", "m + n + o + p")
+    **{
+        ("worlds", "_accepted", "LtE->Lt", f"abs({row} - 1.0) <= DISTRIBUTION_TOL"): _ON_THE_BOUND
+        for row in ("a + b + c + d", "e + f + g + h", "i + j + k + l", "m + n + o + p")
+    },
+    ("cli", "<module>", "int+1", "0"): _NO_EFFECT,
+    ("cli", "<module>", "int+1", "96"): _NO_EFFECT,
 }
 
 
@@ -139,6 +148,12 @@ class _Sites(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.op, ast.Not) and self._hit(node, "drop-not"):
             return node.operand
+        return node
+
+    def visit_Expr(self, node):  # a call whose value is unused: `print(...)`, `fh.flush()`
+        self.generic_visit(node)
+        if isinstance(node.value, ast.Call) and self._hit(node.value, "drop-call"):
+            return ast.copy_location(ast.Pass(), node)
         return node
 
     def visit_Constant(self, node):

@@ -5,13 +5,16 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardylogic import quantum
+from hardylogic import cli, quantum, semantics
 from hardylogic.cli import _COMMANDS, main
 from hardylogic.quantum import PredictionReport
 from hardylogic.worlds import save_model
@@ -82,6 +85,7 @@ def test_model_build_reports_exclusions(cfg_path, capsys, tmp_path):
     assert main(["model", "build", cfg_path, "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "possible worlds: 13 of 16" in out
+    assert out.endswith(f"model written to {out_path}\n")
     data = json.loads(out_path.read_text())
     assert set(data) == {"epsilon", "table"}
 
@@ -144,6 +148,19 @@ def test_sr_table(capsys):
     out = capsys.readouterr().out
     assert out.count("|  f") == 1
     assert "false rows: 1 of 16" in out
+
+
+def test_sr_table_exits_1_when_its_false_row_is_another(monkeypatch, capsys):
+    # the command checks the table it prints: one false row, and that one is
+    # RA, RA+ and RC without RC-
+    rows = [
+        SimpleNamespace(ra=r.ra, ra_plus=r.ra_plus, rc=r.rc, rc_minus=r.rc_minus,
+                        sr=any((r.ra, r.ra_plus, r.rc, r.rc_minus)))
+        for r in semantics.sr_truth_table()
+    ]
+    monkeypatch.setattr(semantics, "sr_truth_table", lambda: rows)
+    assert main(["sr-table"]) == 1
+    assert capsys.readouterr().out.endswith("false rows: 1 of 16\n")
 
 
 def test_missing_file_exits_2(capsys):
@@ -372,10 +389,105 @@ def test_empty_out_path_exits_2(tmp_path, monkeypatch, cfg_path, argv, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["hardylogic", "sr-table"])
-    assert main() == 0
-    assert capsys.readouterr().out.endswith("false rows: 1 of 16\n")
+# ---------------------------------------------------------------------------
+# `main()` with no arguments, the console script, in fresh interpreters: it
+# ends the process without teardown outside development mode, so it cannot
+# run inside the test process.
+
+_BOOT = "import sys; from hardylogic.cli import main; sys.exit(main())"
+
+# The boot line, with an exit handler that writes to both streams with no
+# newline, so its text shows only if it runs before both are flushed, and a
+# module global whose finalizer writes the file `torn-down`, which only
+# interpreter teardown runs.
+_MARKED_BOOT = """\
+import atexit, sys
+atexit.register(lambda: (sys.stdout.write("[atexit]"), sys.stderr.write("[atexit]")))
+class Marker:
+    def __del__(self, open=open):  # teardown may have cleared the builtins
+        open("torn-down", "w").close()
+marker = Marker()
+""" + _BOOT
+
+# The README walkthrough's ten commands, in order: each reads what those
+# before it wrote.
+_WALKTHROUGH = [
+    ["hardy", "find", "--seed", "7", "--out", "cfg.json"],
+    ["hardy", "verify", "cfg.json"],
+    ["model", "build", "cfg.json", "--out", "model.json"],
+    ["check-theorem", "model.json"],
+    ["eval", "model.json", "L1 => L1"],
+    ["eval", "model.json", "R1 []-> R1 & R1-", "--at", "L1,R2,-,+"],
+    ["proof", "audit", "model.json"],
+    ["proof", "audit", "model.json", "--json"],
+    ["sr-table"],
+    ["check-theorem", "no-such-model.json"],
+]
+
+
+def _spawn(argv, *flags, entry=("-c", _BOOT), cwd=None, stdout=subprocess.PIPE,
+           shell_redirect=""):
+    """`argv` through `entry` in a fresh interpreter, in development mode only
+    if `flags` ask for it, with stdout buffered as it is in a pipeline."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for name in ("PYTHONDEVMODE", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    command = [sys.executable, *flags, *entry, *argv]
+    if shell_redirect:
+        command = ["sh", "-c", f'exec "$0" "$@" {shell_redirect}', *command]
+    return subprocess.run(command, cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("flags, torn_down", [((), False), (("-X", "dev"), True)],
+                         ids=["teardown-skipped", "dev-mode"])
+def test_the_console_script_matches_main_in_process(tmp_path, monkeypatch, flags, torn_down, capsys):
+    # each command's exit code, stdout, stderr and files are those of
+    # `main(argv)` in-process; the exit handlers run before the final flush,
+    # and teardown runs in development mode only
+    here, there = tmp_path / "in-process", tmp_path / "process"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    for argv in _WALKTHROUGH:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        done = _spawn(argv, *flags, entry=("-c", _MARKED_BOOT), cwd=there)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, out + "[atexit]", err + "[atexit]"
+        ), argv
+        assert (there / "torn-down").exists() is torn_down, argv
+        (there / "torn-down").unlink(missing_ok=True)
+    for name in ("cfg.json", "model.json"):
+        assert (there / name).read_bytes() == (here / name).read_bytes()
+
+
+def test_main_reads_sys_argv_without_arguments():
+    # through the console script's boot line, and as `python -m hardylogic.cli`
+    for entry in (("-c", _BOOT), ("-m", "hardylogic.cli")):
+        done = _spawn(["sr-table"], entry=entry)
+        assert done.returncode == 0, entry
+        assert done.stdout.endswith("false rows: 1 of 16\n"), entry
+
+
+def test_a_closed_stdout_pipe_exits_2_with_one_message():
+    # the table fits stdout's buffer, so the reader is found gone only at the
+    # final flush, which reports it as a handler's OSError is
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _spawn(["sr-table"], stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fd", [1, 2])
+def test_a_stream_closed_at_start_is_left_alone(fd):
+    # the process starts without that stream, so Python sets it to None
+    done = _spawn(["sr-table"], shell_redirect=f"{fd}>&-")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("false rows: 1 of 16\n") is (fd == 2)
 
 
 @pytest.mark.parametrize(
@@ -512,6 +624,9 @@ def test_help_names_everything_at_its_level(words, flag, capsys):
     assert err == "" and out.startswith(" ".join(("usage: hardylogic", *words, "[-h]")))
     for name in [*_HELP_NAMES[words], "-h, --help"]:
         assert name in out, out
+    for key, (_, text, _, _) in _COMMANDS.items():  # below a group, each command's help line
+        if len(key) > len(words) and key[:len(words)] == words:
+            assert text in out, key
 
 
 def test_help_after_arguments_and_as_a_value(model_path, capsys):
@@ -526,9 +641,10 @@ def test_help_after_arguments_and_as_a_value(model_path, capsys):
     )
 
 
-def test_find_deterministic_given_seed(tmp_path):
+def test_find_deterministic_given_seed(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["hardy", "find", "--seed", "7", "--out", str(p1)]) == 0
+    assert capsys.readouterr().out.endswith(f"configuration written to {p1}\n")
     assert main(["hardy", "find", "--seed", "7", "--out", str(p2)]) == 0
     assert p1.read_text() == p2.read_text()
 
