@@ -49,7 +49,6 @@ _EXPORTS = {
             "HardyConfig",
             "PredictionReport",
             "SearchError",
-            "SearchParams",
             "export_table",
             "find_hardy",
             "load_config",

@@ -18,9 +18,9 @@ prints a usage line and an error to the error stream and exits 2.
 script and `sys.exit(main())`.  Once the command returns it runs the
 exit handlers, flushes stdout and stderr and ends the process, so module
 teardown and the final garbage collection never run; except in
-development mode (`-X dev`), where it returns the exit code and
-teardown's checks run.  In-process callers pass `argv`, and get the
-exit code back.
+development mode (`-X dev`), where it flushes and returns the exit code
+and teardown's checks run.  A stdout that cannot be flushed exits 2, in
+either mode.  In-process callers pass `argv`, and get the exit code back.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ USAGE_ERROR = 2
 def _cmd_hardy_find(args) -> int:
     from . import quantum
 
-    params = quantum.SearchParams(seed=args.seed, grid=args.grid)
-    try:
-        cfg = quantum.find_hardy(params)
+    try:  # --seed is accepted and ignored, as `find_hardy` ignores its argument
+        cfg = quantum.find_hardy()
     except quantum.SearchError as exc:  # main catches ValueError, so needs no quantum
         raise ValueError(str(exc)) from exc
     report = quantum.HARDY_REPORT  # find_hardy returns the constant this report verified
@@ -155,7 +154,6 @@ _TOP = "possible-worlds workbench for two-region counterfactual reasoning"
 _COMMANDS = {
     ("hardy", "find"): (_cmd_hardy_find, "print the optimal passing configuration", (), {
         "seed": (int, 0, "accepted for compatibility; no effect"),
-        "grid": (int, 96, "accepted for compatibility; no effect"),
         "out": (str, None, "write the configuration to this file"),
     }),
     ("hardy", "verify"): (_cmd_hardy_verify, "verify a configuration file", ("config",), {
@@ -242,15 +240,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run the command `argv` names and return its exit code.
 
     In-process callers pass `argv`.  Without it `main` is the process entry
-    point: it reads `sys.argv[1:]` and ends the process through `_end` once
-    the command returns, except in development mode (`-X dev`), where it
-    returns the code so that teardown's ResourceWarning and finalizer
-    checks still run.
+    point: it reads `sys.argv[1:]` and passes the code through `_end` once
+    the command returns.
     """
     code = _run(sys.argv[1:] if argv is None else argv)
-    if argv is None and not sys.flags.dev_mode:
-        _end(code)
-    return code
+    return code if argv is not None else _end(code)
 
 
 def _run(argv):
@@ -258,8 +252,8 @@ def _run(argv):
     handler, args = _parse(argv)
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except FileNotFoundError as exc:  # an empty name is shown as ''
+        print(f"error: file not found: {exc.filename or repr(exc.filename)}", file=sys.stderr)
     except OSError as exc:
         if exc.filename is None:  # a broken pipe or a full disk, say
             print(f"error: {exc}", file=sys.stderr)
@@ -273,25 +267,32 @@ def _run(argv):
 def _end(code):
     """End the process with `code` as interpreter shutdown would, less module
     teardown and the final collection, which no command needs: none starts
-    a thread, and each writes its files inside `with`.
+    a thread, and each writes its files inside `with`.  The exit handlers
+    run, then stdout and stderr are flushed.  In development mode (`-X dev`)
+    the exit handlers are left to shutdown, and the code is returned.
 
-    The exit handlers run, then stdout and stderr are flushed.  A stdout
-    that cannot be flushed (a closed pipe, say) is reported as a handler's
-    `OSError` is, with exit code 2; a failed stderr flush is ignored, as
-    shutdown ignores it.
+    A stdout that cannot be flushed (a closed pipe or a full disk, say) is
+    reported as a handler's `OSError` is, with exit code 2, and pointed at
+    the null device, so shutdown's own flush has nothing left to fail on;
+    a failed stderr flush is ignored, as shutdown ignores it.
     """
-    atexit._run_exitfuncs()
+    if not sys.flags.dev_mode:
+        atexit._run_exitfuncs()
     try:
         if sys.stdout is not None:  # None if the process started without it
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = USAGE_ERROR
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     try:
         if sys.stderr is not None:
             sys.stderr.flush()
     except OSError:
         pass
+    if sys.flags.dev_mode:
+        return code
     os._exit(code)
 
 

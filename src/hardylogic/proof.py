@@ -297,14 +297,14 @@ def _check_prediction(line, premises, order):
     if parts is None:
         return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
     ant, cons, world = _conjuncts(parts[0]), parts[1], None
-    if line.rule == "PRED24":  # (cl ^ cr) => ~(holds -> c ^ fails), with c the choice of fails
+    if line.rule == "PRED24":  # (c1 ^ c2) => ~(holds -> c ^ fails), with c the choice of fails
         shape = _WITNESS_SHAPE
         inner = cons.arg if isinstance(cons, Not) else None
         rest = _conjuncts(inner.right) if isinstance(inner, MatImp) else ()
         c, fails = rest if len(rest) == 2 else (None, None)
         if len(ant) == 2 and isinstance(fails, Atom) and fails.choice() == c:
             world = _named_cell(*ant, inner.left, fails)
-    else:  # (cl ^ cr ^ holds) => (cl ^ cr ^ fails)
+    else:  # (c1 ^ c2 ^ holds) => (c1 ^ c2 ^ fails)
         shape, cons = _ZERO_SHAPE, _conjuncts(cons)
         if len(ant) == 3 == len(cons) and ant[:2] == cons[:2]:
             world = _named_cell(*ant, cons[2])
@@ -313,21 +313,23 @@ def _check_prediction(line, premises, order):
     return world
 
 
-def _named_cell(cl, cr, holds, fails) -> World | None:
-    """The cell of choices `cl` and `cr` where `holds` holds and `fails` fails, or None.
+def _named_cell(c1, c2, holds, fails) -> World | None:
+    """The cell where outcome `holds` holds and outcome `fails` fails, or None.
 
-    Each outcome must be one of the choice made in its region, and the
-    two must lie in different regions; so `cl` is an L choice and `cr`
-    an R choice.
+    Each outcome atom carries its setting and sign, so the two name the
+    cell.  They must lie in different regions, and the line's choices
+    `c1` and `c2` must be exactly theirs, in either order, so a line
+    may list its R choice first.
     """
-    choices = {"L": cl, "R": cr}
     for out in (holds, fails):
-        if not (isinstance(out, Atom) and out.is_outcome and out.choice() == choices[out.region]):
+        if not (isinstance(out, Atom) and out.is_outcome):
             return None
-    if holds.region == fails.region:
+    pair = (holds.choice(), fails.choice())
+    if holds.region == fails.region or (c1, c2) not in (pair, pair[::-1]):
         return None
-    signs = {holds.region: holds.sign, fails.region: _FLIP[fails.sign]}
-    return World(cl.name, cr.name, signs["L"], signs["R"])
+    if holds.region == "L":
+        return World(holds.setting, fails.setting, holds.sign, _FLIP[fails.sign])
+    return World(fails.setting, holds.setting, _FLIP[fails.sign], holds.sign)
 
 
 def _check_b6(line, premises, order):

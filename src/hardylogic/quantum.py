@@ -196,18 +196,14 @@ def verify_hardy(
 # The paradox optimum
 
 class SearchParams(Value):
-    """Accepted for compatibility; neither field has any effect.
+    """Accepted for compatibility; `seed` has no effect.
 
-    `find_hardy` returns HARDY_CONFIG, so every seed and grid gives the
-    same configuration.  `grid` below 2 is rejected.
+    `find_hardy` returns HARDY_CONFIG, so every seed gives the same
+    configuration.
     """
 
-    __slots__ = _fields = ("seed", "grid")
-    _defaults = (0, 96)
-
-    def _check(self):
-        if self.grid < 2:
-            raise ValueError(f"grid must be at least 2, got {self.grid}")
+    __slots__ = _fields = ("seed",)
+    _defaults = (0,)
 
 
 def _project(theta: float, angle_r2: float) -> HardyConfig | None:
@@ -251,8 +247,8 @@ HARDY_CONFIG = _project(_THETA, math.atan(math.tan(_THETA) ** -0.5))
 HARDY_REPORT = verify_hardy(HARDY_CONFIG)
 
 
-def find_hardy(params: SearchParams = SearchParams()) -> HardyConfig:
-    """HARDY_CONFIG, verified once, at import, as HARDY_REPORT; `params` has no effect."""
+def find_hardy(params: SearchParams | None = None) -> HardyConfig:
+    """HARDY_CONFIG, verified once, at import, as HARDY_REPORT; `params` is ignored."""
     if not HARDY_REPORT.passed:
         raise SearchError(
             "the closed-form optimum failed verification; "

@@ -377,15 +377,16 @@ def test_directory_path_exits_2(tmp_path, cfg_path, argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["hardy", "find", "--out", ""], ["model", "build", "{cfg}", "--out", ""]],
-    ids=["hardy-find", "model-build"],
+    [["hardy", "find", "--out", ""], ["model", "build", "{cfg}", "--out", ""],
+     ["check-theorem", ""], ["hardy", "verify", ""]],
+    ids=["hardy-find", "model-build", "check-theorem", "hardy-verify"],
 )
 def test_empty_out_path_exits_2(tmp_path, monkeypatch, cfg_path, argv, capsys):
-    # an empty path names no file: the command fails as for a directory,
-    # with no report and nothing written
+    # an empty path names no file: the command fails as for a missing one,
+    # with no report and nothing written, and the message shows the name as ''
     monkeypatch.chdir(tmp_path)
     assert main([a.format(cfg=cfg_path) for a in argv]) == 2
-    assert capsys.readouterr() == ("", "error: file not found: \n")
+    assert capsys.readouterr() == ("", "error: file not found: ''\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -470,16 +471,30 @@ def test_main_reads_sys_argv_without_arguments():
         assert done.stdout.endswith("false rows: 1 of 16\n"), entry
 
 
-def test_a_closed_stdout_pipe_exits_2_with_one_message():
+_MODES = pytest.mark.parametrize("flags", [(), ("-X", "dev"), ("-X", "dev", "-W", "error")],
+                                 ids=["teardown-skipped", "dev-mode", "dev-mode-warnings-fail"])
+
+
+@_MODES
+def test_a_closed_stdout_pipe_exits_2_with_one_message(flags):
     # the table fits stdout's buffer, so the reader is found gone only at the
-    # final flush, which reports it as a handler's OSError is
+    # final flush, which reports it as a handler's OSError is; in development
+    # mode too, where shutdown's own flush then finds nothing left to write
     read, write = os.pipe()
     os.close(read)
     try:
-        done = _spawn(["sr-table"], stdout=write)
+        done = _spawn(["sr-table"], *flags, stdout=write)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@_MODES
+def test_a_full_stdout_exits_2_with_one_message(flags):
+    with open("/dev/full", "w") as full:
+        done = _spawn(["sr-table"], *flags, stdout=full)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("fd", [1, 2])
@@ -524,10 +539,14 @@ def test_find_prints_the_report_built_at_import_and_verifies_nothing(monkeypatch
     assert lines[5:] == verify_hardy(quantum.HARDY_CONFIG).summary().splitlines()
 
 
-@pytest.mark.parametrize("grid", ["0", "1"])
-def test_find_rejects_grid_below_two(grid, capsys):
-    assert main(["hardy", "find", "--grid", grid]) == 2
-    assert capsys.readouterr().err.startswith("error: grid must be at least 2")
+def test_find_has_no_grid_option(capsys):
+    # --grid is gone: a usage error, as for any unknown option, and no report
+    with pytest.raises(SystemExit) as exc:
+        main(["hardy", "find", "--grid", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage: hardylogic hardy find [-h]\nhardylogic: error: unknown option '--grid'\n"
 
 
 @pytest.mark.parametrize("text", ["(" * 1000 + "L1" + ")" * 1000, "~" * 1000 + "L1"])
@@ -601,7 +620,7 @@ _HELP_NAMES = {
     (): ["hardy find", "hardy verify", "model build", "eval", "check-theorem", "proof audit",
          "sr-table"],
     ("hardy",): ["find", "verify"],
-    ("hardy", "find"): ["--seed SEED", "--grid GRID", "--out OUT"],
+    ("hardy", "find"): ["--seed SEED", "--out OUT"],
     ("hardy", "verify"): ["CONFIG", "--tol TOL"],
     ("model",): ["build"],
     ("model", "build"): ["CONFIG", "--epsilon EPSILON", "--out OUT"],
@@ -744,7 +763,7 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
     command = draw(st.sampled_from(["find", "verify", "build", "eval", "theorem", "audit",
                                     "sr-table", "words"]))
     if command == "find":
-        argv = ["hardy", "find", "--seed", draw(_NUMBER_TEXT), "--grid", draw(_NUMBER_TEXT)]
+        argv = ["hardy", "find", "--seed", draw(_NUMBER_TEXT)]
     elif command == "verify":
         argv = ["hardy", "verify", cfg, "--tol", draw(_NUMBER_TEXT)]
     elif command == "build":

@@ -36,6 +36,7 @@ from hardylogic.worlds import (
 )
 from conftest import pattern_models
 from oracles import random_table_rows
+from test_semantics import _mirror_model, _mirror_world
 
 
 @pytest.fixture(scope="module")
@@ -752,22 +753,54 @@ def test_a_relabelled_script_audits_the_relabelled_model_as_the_builtin_one_does
     opts = CfOptions(quantifier=quantifier)
     canonical = audit(model, builtin_script(), opts)
     relabelled = audit(_relabelled_model(model), _rebuilt(builtin_script(), _relabelled), opts)
+    _assert_audits_alike(relabelled, canonical, _relabelled_world)
+    if kind == "hardy" and quantifier == "every":
+        assert relabelled.final.line6_refuted
+
+
+def _assert_audits_alike(got, expected, move_world):
+    """`got` gives each line the rule status and readings `expected` does,
+    and the same closing verdict, with its bridge world moved by `move_world`."""
 
     def lines(report):
         return [(la.index, la.rule_status, la.sem_every, la.sem_some) for la in report.lines]
 
-    assert lines(relabelled) == lines(canonical)
-    final, expected = relabelled.final, canonical.final
+    assert lines(got) == lines(expected)
+    final, want = got.final, expected.final
     assert (final.line5_true, final.line6_refuted, final.rules_all_valid) == (
-        expected.line5_true, expected.line6_refuted, expected.rules_all_valid
+        want.line5_true, want.line6_refuted, want.rules_all_valid
     )
     assert (final.side_conditions_hold, final.contradiction_lines) == (
-        expected.side_conditions_hold, expected.contradiction_lines
+        want.side_conditions_hold, want.contradiction_lines
     )
-    bridge = expected.bridge_world
-    assert final.bridge_world == (bridge and _relabelled_world(bridge))
-    if kind == "hardy" and quantifier == "every":
-        assert final.line6_refuted
+    assert (final.line5_vacuous, final.line6_holds) == (want.line5_vacuous, want.line6_holds)
+    bridge = want.bridge_world
+    assert final.bridge_world == (bridge and move_world(bridge))
+    if bridge is not None:  # the detail names the bridge world, moved with it
+        assert final.detail == want.detail.replace(str(bridge), str(final.bridge_world))
+    else:
+        assert final.detail == want.detail
+
+
+@pytest.mark.parametrize("kind", ["hardy", "control", "local", "line6_holds"])
+@pytest.mark.parametrize("quantifier", ["every", "some"])
+@pytest.mark.parametrize("self_world", [True, False], ids=["self-world", "no-self-world"])
+def test_the_mirrored_script_audits_the_mirrored_model_in_frame_r_as_the_builtin_one_does_in_l(
+    request, mirrored_script, kind, quantifier, self_world
+):
+    # A prediction line takes its two choices in either order, so swapping
+    # L and R in the script and the model, together with the temporal
+    # order, changes no line's rule status or readings and no part of the
+    # closing verdict, and the bridge world is the mirror of frame L's.
+    # The mirror transforms are the tests' own, not the package's
+    model = request.getfixturevalue(f"{kind}_model")
+    canonical = audit(model, builtin_script(), CfOptions(TemporalOrder("L"), quantifier, self_world))
+    mirrored = audit(
+        _mirror_model(model), mirrored_script, CfOptions(TemporalOrder("R"), quantifier, self_world)
+    )
+    _assert_audits_alike(mirrored, canonical, _mirror_world)
+    # on the two tables that keep Hardy's predictions, every mirrored line is derived
+    assert mirrored.final.rules_all_valid is (kind in ("hardy", "line6_holds"))
 
 
 def _outcome(call, show=lambda report: (report.render(), json.dumps(report.to_dict()))):

@@ -137,6 +137,18 @@ def test_cells_agree_bit_for_bit():
         assert report.marginal_l1_minus == cells[3] + _scalar_cell(cfg, "L1", "R1", "-", "-")
 
 
+def test_a_cell_at_the_clamp_exports_as_zero(monkeypatch):
+    # the clamp is inclusive: a Born cell of exactly ZERO_CLAMP exports as
+    # 0.0, and the next float up is kept as it is
+    cells = list(quantum._born_cells(HARDY_CONFIG))
+    monkeypatch.setattr(quantum, "_born_cells", lambda cfg: tuple(cells))
+    bit = FORBIDDEN_WORLDS[0].index
+    above = math.nextafter(ZERO_CLAMP, 1.0)
+    for cell, exported in ((ZERO_CLAMP, 0.0), (above, above)):
+        cells[bit] = cell
+        assert export_table(HARDY_CONFIG).cells[bit] == exported
+
+
 def test_the_report_matches_one_built_by_keyword():
     # verify_hardy stores through the slots' setters; a report built by
     # keyword from the documented cell formula must be the same value
@@ -340,10 +352,18 @@ def test_product_state_cannot_pass_all_four():
 
 
 def test_find_is_deterministic(hardy_config):
-    # the closed form reads no field of SearchParams
+    # the closed form ignores its argument: every seed, or none
     for seed in (0, 123, 2**31 - 1):
-        for grid in (2, 48):
-            assert find_hardy(SearchParams(seed=seed, grid=grid)) == hardy_config
+        assert find_hardy(SearchParams(seed=seed)) == hardy_config
+    assert find_hardy() == find_hardy(None) == hardy_config
+
+
+def test_search_params_has_no_grid():
+    with pytest.raises(TypeError, match="SearchParams"):
+        SearchParams(seed=0, grid=96)
+    with pytest.raises(TypeError, match="SearchParams"):
+        SearchParams(0, 96)
+    assert SearchParams._fields == ("seed",)
 
 
 def test_find_returns_the_module_constant(hardy_config):
@@ -356,11 +376,21 @@ def test_find_passes_across_seeds():
     from hardylogic.worlds import build_model
 
     for seed in (1, 99):
-        cfg = find_hardy(SearchParams(seed=seed, grid=48))
+        cfg = find_hardy(SearchParams(seed=seed))
         report = verify_hardy(cfg)
         assert report.passed
         assert report.c4 == pytest.approx(OPTIMAL_PARADOX, abs=1e-6)
         assert len(build_model(export_table(cfg)).possible) == 13
+
+
+def test_project_is_undefined_where_tan_sin_or_cos_vanishes():
+    # below 1e-12 in magnitude the solutions would divide by (nearly) zero;
+    # at 1e-12 itself, which tan(1e-12) and sin(1e-12) are exactly, they are
+    # defined
+    for theta, angle_r2 in ((0.3, 0.0), (0.3, 1e-13), (0.0, 0.7), (1e-13, 0.7), (math.pi / 2, 0.7)):
+        assert _project(theta, angle_r2) is None, (theta, angle_r2)
+    for theta, angle_r2 in ((0.3, 1e-12), (1e-12, 0.7)):
+        assert isinstance(_project(theta, angle_r2), HardyConfig), (theta, angle_r2)
 
 
 def test_find_is_the_closed_form_optimum(hardy_config):

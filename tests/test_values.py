@@ -88,7 +88,7 @@ FIELDS = {
     PredictionReport: (
         "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
     ),
-    SearchParams: ("seed", "grid"),
+    SearchParams: ("seed",),
     TemporalOrder: ("earlier_region",),
     CfOptions: ("order", "quantifier", "self_world_when_consistent"),
     GlobalCheck: ("holds", "witness", "counterexamples"),
@@ -188,8 +188,8 @@ SAMPLES = [
         "PredictionReport(c1=0.0, c2=1e-17, c3=0.0, c4=0.09, marginal_l1_minus=0.5, "
         "tolerance=1e-09, positivity_floor=1e-09)",
     ),
-    (SearchParams(), "SearchParams(seed=0, grid=96)"),
-    (SearchParams(3, 10), "SearchParams(seed=3, grid=10)"),
+    (SearchParams(), "SearchParams(seed=0)"),
+    (SearchParams(3), "SearchParams(seed=3)"),
     (TemporalOrder(), "TemporalOrder(earlier_region='L')"),
     (TemporalOrder("R"), "TemporalOrder(earlier_region='R')"),
     (
