@@ -36,7 +36,8 @@ from .worlds import ProbabilityTable, read_json
 ZERO_CLAMP = 1e-10
 
 DEFAULT_TOL = 1e-9
-DEFAULT_POSITIVITY_FLOOR = 1e-9
+# the least c4 that passes; a c4 that vanishes up to rounding fails
+POSITIVITY_FLOOR = 1e-9
 
 # setting -> HardyConfig field, in field order
 _ANGLES = {"L1": "angle_l1", "L2": "angle_l2", "R1": "angle_r1", "R2": "angle_r2"}
@@ -154,26 +155,21 @@ class PredictionReport(Value):
         ])
 
 
-def verify_hardy(
-    cfg: HardyConfig,
-    tol: float = DEFAULT_TOL,
-    positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
-) -> PredictionReport:
+def verify_hardy(cfg: HardyConfig, tol: float = DEFAULT_TOL) -> PredictionReport:
     """Check the three vanishing cells and the positive paradox cell.
 
-    Only the five cells read are formed, each with `_born_cells`' expression
-    for its world, so each is that cell bit for bit: c1 to c4, then
-    (L1-, R1-), which with c4 makes the P(L1-) marginal.
+    The three must be at most `tol`, and c4 at least `POSITIVITY_FLOOR`, a
+    fixed 1e-9.  Only the five cells read are formed, each with
+    `_born_cells`' expression for its world, so each is that cell bit for
+    bit: c1 to c4, then (L1-, R1-), which with c4 makes the P(L1-) marginal.
     """
-    if tol.__class__ is not float or positivity_floor.__class__ is not float:  # floats pass here
-        for name, value in (("tol", tol), ("positivity_floor", positivity_floor)):
-            # a bool would read as 1 or 0, and a str meet `<` with a bare TypeError
-            if value.__class__ is bool or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+    # a bool would read as 1 or 0, and a str meet `<` with a bare TypeError
+    if tol.__class__ is not float and (  # a float, the usual case, passes here
+        tol.__class__ is bool or not isinstance(tol, (int, float))
+    ):
+        raise ValueError(f"tol must be a number, got {tol!r}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would pass any cell
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not positivity_floor > 0:  # a zero floor would pass an exactly vanishing c4
-        raise ValueError(f"positivity_floor must be positive, got {positivity_floor}")
     cos_t, sin_t = math.cos(cfg.theta), math.sin(cfg.theta)
     c1, s1 = math.cos(cfg.angle_r1), math.sin(cfg.angle_r1)
     c2, s2 = math.cos(cfg.angle_r2), math.sin(cfg.angle_r2)
@@ -188,7 +184,7 @@ def verify_hardy(
     amp5 = ts * s1 + sc * c1  # (L1, R1, -, -)
     c4 = amp4 * amp4
     return PredictionReport(
-        amp1 * amp1, amp2 * amp2, amp3 * amp3, c4, c4 + amp5 * amp5, tol, positivity_floor
+        amp1 * amp1, amp2 * amp2, amp3 * amp3, c4, c4 + amp5 * amp5, tol, POSITIVITY_FLOOR
     )
 
 

@@ -59,10 +59,9 @@ from .worlds import (
     ATOM_MASKS,
     FORBIDDEN_WORLDS,
     PARADOX_WORLD,
-    _HIGH,
-    _LOW,
     Model,
     World,
+    worlds_in,
 )
 
 
@@ -381,9 +380,10 @@ def _global_check(bad: int) -> GlobalCheck:
     A check is frozen and fixed by its mask, so every call with the mask
     shares it, and an evaluation keeps no new object alive for the
     garbage collector to trace.  A mask is a set of the sixteen worlds,
-    so the table holds at most 65,536 checks.
+    so the table holds at most 65,536 checks.  Its counterexamples are
+    listed once, by `worlds_in`, on the mask's first use.
     """
-    worlds = _LOW[bad & 0xFF] + _HIGH[bad >> 8 & 0xFF]  # `worlds_in`, as a tuple
+    worlds = tuple(worlds_in(bad))
     return GlobalCheck(not worlds, worlds[0] if worlds else None, worlds)
 
 

@@ -99,29 +99,13 @@ FORBIDDEN_WORLDS = (
 PARADOX_WORLD = World("L1", "R1", "-", "+")
 
 
-def _byte_table(first: int) -> tuple[tuple[World, ...], ...]:
-    """Entry b is the worlds `WORLDS[first + i]` for each set bit i of the byte b, in order.
-
-    Built by doubling: the entries with bit i set are those without it,
-    each with world `first + i` appended, which sorts after all of theirs.
-    """
-    table = [()]
-    for w in WORLDS[first:first + 8]:
-        table += [worlds + (w,) for worlds in table]
-    return tuple(table)
-
-
-# a mask's low and high byte, each to its worlds in canonical order
-_LOW, _HIGH = _byte_table(0), _byte_table(8)
-
-
 def worlds_in(mask: int) -> list[World]:
-    """The worlds of a world-set mask, in canonical order; higher bits are ignored.
+    """Each world whose `index` bit the mask sets, in canonical order; higher bits are ignored.
 
     A negative mask, such as `~model.mask` or -1, reads as its two's
     complement, so its sixteen low bits count as for any other mask.
     """
-    return [*_LOW[mask & 0xFF], *_HIGH[mask >> 8 & 0xFF]]
+    return [w for w in WORLDS if mask >> w.index & 1]
 
 
 def parse_world(text: str) -> World:
@@ -257,8 +241,8 @@ def _checked(rows: dict) -> tuple[float, ...]:
 
 def _rows_of(cells: tuple[float, ...]) -> _ReadOnlyDict:
     """Sixteen cells in world order as read-only rows, by choice pair and outcome pair."""
-    return _ReadOnlyDict({pair: _ReadOnlyDict(zip(OUTCOME_PAIRS, cells[i:i + 4]))
-                          for i, pair in zip(range(0, 16, 4), CHOICE_PAIRS)})
+    return _ReadOnlyDict({pair: _ReadOnlyDict(zip(OUTCOME_PAIRS, cells[i:i + 4], strict=True))
+                          for i, pair in zip(range(0, 16, 4), CHOICE_PAIRS, strict=True)})
 
 
 class ProbabilityTable(Value):
@@ -308,7 +292,7 @@ class ProbabilityTable(Value):
             raise ValueError(f"not a choice pair: {pair!r}")
         if outcomes not in OUTCOME_PAIRS:
             raise ValueError(f"not an outcome pair: {outcomes!r}")
-        return self.cells[4 * CHOICE_PAIRS.index(pair) + OUTCOME_PAIRS.index(outcomes)]
+        return self.cells[_BY_FIELDS[(*pair, *outcomes)].index]
 
     def no_signaling_gap(self) -> float:
         """Largest discrepancy between same-region marginals across faraway choices."""
@@ -326,8 +310,8 @@ class ProbabilityTable(Value):
 
     def to_dict(self) -> dict:
         cells = self.cells
-        return {key: dict(zip(OUTCOME_PAIRS, cells[i:i + 4]))
-                for i, key in zip(range(0, 16, 4), _PAIR_KEYS)}
+        return {key: dict(zip(OUTCOME_PAIRS, cells[i:i + 4], strict=True))
+                for i, key in zip(range(0, 16, 4), _PAIR_KEYS, strict=True)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbabilityTable":

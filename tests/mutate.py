@@ -58,7 +58,7 @@ _BOOL = {ast.And: ast.Or, ast.Or: ast.And}
 
 # A row's total less 1.0 is a multiple of 2**-53 (or at least 0.5 away), and
 # DISTRIBUTION_TOL, the double nearest 1e-9, is not one, so no row sits on
-# the fast test's bound
+# the bound of the fast test or of the cell-by-cell check
 _ON_THE_BOUND = "no row total lies exactly DISTRIBUTION_TOL from 1.0"
 
 # cos(theta) comes within 1e-12 of zero only near an odd multiple of pi/2,
@@ -76,6 +76,7 @@ EQUIVALENT = {
         ("worlds", "_accepted", "LtE->Lt", f"abs({row} - 1.0) <= DISTRIBUTION_TOL"): _ON_THE_BOUND
         for row in ("a + b + c + d", "e + f + g + h", "i + j + k + l", "m + n + o + p")
     },
+    ("worlds", "_checked", "Gt->GtE", "abs(total - 1.0) > DISTRIBUTION_TOL"): _ON_THE_BOUND,
     ("quantum", "_project", "Lt->LtE", "abs(c) < 1e-12"): _COS_BOUND,
     ("cli", "<module>", "int+1", "0"): _NO_EFFECT,
 }

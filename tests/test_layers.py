@@ -78,6 +78,29 @@ def test_the_reader_sees_upward_imports(tmp_path):
     assert _package_imports(source) == {"proof", "cli", "semantics", "quantum", "worlds"}
 
 
+# the only private names one package module imports from another: the
+# audit turns its `some` readings into their duals and compiles its
+# generated function with the evaluator's own helpers
+PRIVATE_IMPORTS = {("proof", "semantics", "_duals"), ("proof", "semantics", "_function")}
+
+
+def _private_imports(module: str) -> set[tuple[str, str, str]]:
+    """(module, source, name) for each `_`-prefixed name `from .source import` brings in."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        (module, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_private_names_stay_in_their_module():
+    found = set().union(*(_private_imports(m) for m in LAYER))
+    assert found == PRIVATE_IMPORTS
+
+
 def _defined_names(path: Path) -> set[str]:
     """The names a source file binds at module level by `class`, `def` or assignment."""
     names = set()

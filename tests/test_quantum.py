@@ -162,7 +162,7 @@ def test_the_report_matches_one_built_by_keyword():
             c1=c1, c2=c2, c3=c3, c4=c4,
             marginal_l1_minus=c4 + _scalar_cell(cfg, "L1", "R1", "-", "-"),
             tolerance=quantum.DEFAULT_TOL,
-            positivity_floor=quantum.DEFAULT_POSITIVITY_FLOOR,
+            positivity_floor=quantum.POSITIVITY_FLOOR,
         )
         report = verify_hardy(cfg)
         assert report == expected and hash(report) == hash(expected)
@@ -300,6 +300,7 @@ def test_verify_tolerance_semantics():
     report = verify_hardy(cfg, tol=0.5)
     assert report.pass_c1 and report.pass_c2 and report.pass_c3
     assert report.c1 > 0  # raw values still reported
+    assert verify_hardy(cfg, tol=1) == verify_hardy(cfg, tol=1.0)  # an int is a number too
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             verify_hardy(cfg, tol=bad)
@@ -309,18 +310,20 @@ def test_verify_tolerance_semantics():
             verify_hardy(cfg, tol=bad)
 
 
-@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, True, "1e-9", None])
-def test_verify_refuses_a_floor_that_is_not_positive(floor):
+def test_the_positivity_floor_is_no_keyword():
+    with pytest.raises(TypeError, match="positivity_floor"):
+        verify_hardy(HARDY_CONFIG, positivity_floor=1e-9)
+    assert quantum.POSITIVITY_FLOOR == 1e-9
+
+
+def test_the_fixed_floor_fails_the_maximally_entangled_state():
     # the maximally entangled state has no paradox: its c4 vanishes up to
-    # rounding (about 4.9e-32), which a zero floor would pass, and a NaN
-    # floor would fail every configuration without a word; a floor that is
-    # no number is refused before it is compared
+    # rounding (about 4.9e-32), which a zero floor would pass
     cfg = _project(math.pi / 4, 0.7)
-    assert _constraints(cfg)[3] < 1e-30
-    problem = "positive, got {}" if floor.__class__ is float else "a number, got {!r}"
-    message = "positivity_floor must be " + problem.format(floor)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        verify_hardy(cfg, positivity_floor=floor)
+    report = verify_hardy(cfg)
+    assert 0 <= report.c4 < 1e-30 and report.positivity_floor == 1e-9
+    assert not report.pass_c4 and not report.passed
+    assert report.pass_c1 and report.pass_c2 and report.pass_c3  # only c4 fails
 
 
 def test_the_optimum_is_verified_once_at_import():

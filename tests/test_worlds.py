@@ -633,6 +633,9 @@ _MULTI_DEFECT = [
     ("duplicate stripped key + row not a mapping",
      _rows_text(**{" L1 , R2": [0.25]}),
      "choice-pair keys 'L1,R2' and ' L1 , R2' name the same pair"),
+    ("unknown two-part key + bad cell",
+     _rows_text(**{"L3,R1": {**_ROW, "--": "x"}}),
+     "bad choice-pair key 'L3,R1'"),
     ("row not a mapping + duplicate stripped key",
      {"L1,R1": 3, " L1,R1": _ROW},
      "row for 'L1,R1' must be a mapping"),
