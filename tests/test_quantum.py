@@ -310,9 +310,11 @@ def test_verify_tolerance_semantics():
             verify_hardy(cfg, tol=bad)
 
 
-def test_the_positivity_floor_is_no_keyword():
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, True, "1e-9", 1e-9, None])
+def test_the_positivity_floor_is_no_keyword(floor):
+    # the floor is fixed: no value is taken, the fixed one included
     with pytest.raises(TypeError, match="positivity_floor"):
-        verify_hardy(HARDY_CONFIG, positivity_floor=1e-9)
+        verify_hardy(HARDY_CONFIG, positivity_floor=floor)
     assert quantum.POSITIVITY_FLOOR == 1e-9
 
 
