@@ -28,26 +28,30 @@ verdict depends on the model only through those values, so the plan
 keeps it too, in a table keyed by them and filled as each key is first
 met, and the verdict keeps its JSON section once made.
 
-Rule schemas, with E ranging over earlier-region atoms and c over
-later-region choice atoms:
+Rule schemas.  Each is written once, as the pattern literals its checker
+matches, read by one matcher, `_match`: a str is a variable, bound to
+the subformula it first meets and equal to it wherever it recurs; a list
+is a conjunction, matched conjunct by conjunct, so its bracketing is
+free; a tuple is a node class and its operands' patterns.  What a shape
+cannot say, such as an atom's region, each checker tests in code.  E
+ranges over earlier-region atoms, c and r over later-region choices:
 
-    PRED21/22/23  zero-cell prediction: the strict conditional's sole
-                  escaping outcome cell carries zero probability
-    PRED24        nonzero-cell prediction: the negated conditional has
-                  a possible witness cell
-    B6            pinned-history axiom:  (E ^ r ^ o) => [c []-> (E ^ c ^ o)]
-    B5 / B7       from X => [c []-> D]: strengthen the antecedent by a
-                  cited B => X, and/or weaken inside the box by a cited
-                  D => F
-    A5            import/export between (A ^ B) => C and A => (B -> C);
-                  on export, conjuncts inside the box that restate a
-                  pinned earlier-region atom from the antecedent may be
-                  elided (they are invariant across accessible worlds)
-    LOC1_COMMUTE  from X => [E -> (c []-> D)] infer X => [c []-> (E -> D)]:
-                  a pinned earlier outcome keeps its truth value in
-                  every accessible world
-    DEF           from A => (c -> Y), all of A earlier-region, infer
-                  (A ^ r) => [c []-> Y] with r a later-region choice that
+    PRED21/22/23  `_ZERO`: the strict conditional's sole escaping outcome
+                  cell carries zero probability
+    PRED24        `_WITNESS`: the negated conditional has a possible
+                  witness cell
+    B6            `_B6`, the pinned-history axiom
+    B5 / B7       `_BOXED` from a cited `_BOX`: strengthen the antecedent
+                  by a cited B => X, and/or weaken inside the box by a
+                  cited D => F
+    A5            `_A5_FORMS`: import/export between `_SPLIT` and
+                  `_JOINED`; on export, conjuncts inside the box that
+                  restate a pinned earlier-region atom from the antecedent
+                  may be elided (they are invariant across accessible worlds)
+    LOC1_COMMUTE  `_COMMUTED` from `_COMMUTE`, E an outcome whose choice
+                  X pins: it keeps its truth value in every accessible world
+    DEF           `_DEFINED` from `_DEF`, all of A earlier-region and the
+                  rest of AB later-region atoms, fixing one choice r that
                   c contradicts: accessible worlds satisfy A and c
     HYPOTHESIS    assumed for refutation
 """
@@ -226,14 +230,26 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _strict(f: Formula) -> tuple[Formula, Formula] | None:
-    return (f.left, f.right) if isinstance(f, StrictImp) else None
+def _match(pattern, f: Formula, bound: dict) -> bool:
+    """Does `f` have `pattern`'s shape?  Its variables are bound in `bound`.
 
-
-def _box(f: Formula) -> tuple[Atom, Formula] | None:
-    if isinstance(f, Counterfactual) and isinstance(f.left, Atom):
-        return (f.left, f.right)
-    return None
+    A str is a variable: it binds the subformula it first meets, in this
+    match or an earlier one into the same `bound`, and must equal it
+    wherever it recurs.  A list is a conjunction, matched conjunct by
+    conjunct (`_conjuncts`), so its bracketing is free.  A tuple is a node
+    class followed by its operands' patterns, in the order of its `_fields`.
+    """
+    if isinstance(pattern, str):
+        return bound.setdefault(pattern, f) == f
+    if isinstance(pattern, list):
+        parts = _conjuncts(f)
+        return len(parts) == len(pattern) and all(
+            _match(p, part, bound) for p, part in zip(pattern, parts)
+        )
+    cls, *operands = pattern
+    return f.__class__ is cls and all(
+        _match(p, getattr(f, name), bound) for p, name in zip(operands, cls._fields)
+    )
 
 
 def _is_choice(f: Formula, region: str) -> bool:
@@ -275,6 +291,26 @@ def check_rule(
     return _prediction_verdict(rule, witness, model.mask >> bit & 1, model.table.cells[bit])
 
 
+# Each rule's shapes (see "Rule schemas" above).  A premise's and a conclusion's
+# are matched into one binding, so a variable in both names one formula.
+_ZERO = (StrictImp, ["c1", "c2", "holds"], ["c1", "c2", "fails"])
+_WITNESS = (StrictImp, ["c1", "c2"], (Not, (MatImp, "holds", ["c", "fails"])))
+_B6 = (StrictImp, ["E", "r", "o"], (Counterfactual, "c", ["E", "c", "o"]))
+_BOX = (StrictImp, "X", (Counterfactual, "c", "D"))  # and a clash's two lines
+_BOXED = (StrictImp, "B", (Counterfactual, "c", "F"))
+_SPLIT = (StrictImp, "A", (MatImp, "B", "C"))
+_JOINED = (StrictImp, "AB", "C")
+_A5_FORMS = (  # (premise, conclusion, detail), tried in turn; an elision's detail names its atoms
+    (_SPLIT, _JOINED, "import: hypothesis folded into the antecedent"),
+    (_JOINED, _SPLIT, "export: antecedent split around the arrow"),
+    ((StrictImp, "AB", (Counterfactual, "c", "D")),
+     (StrictImp, "A", (MatImp, "B", (Counterfactual, "c", "F"))), None),
+)
+_COMMUTE = (StrictImp, "X", (MatImp, "E", (Counterfactual, "c", "D")))
+_COMMUTED = (StrictImp, "X", (Counterfactual, "c", (MatImp, "E", "D")))
+_DEF = (StrictImp, "A", (MatImp, "c", "Y"))
+_DEFINED = (StrictImp, "AB", (Counterfactual, "c", "Y"))
+
 _FLIP = {"+": "-", "-": "+"}
 _ZERO_SHAPE = "(choices ^ outcome) => (same choices ^ other region's outcome)"
 _WITNESS_SHAPE = "(choices) => ~(earlier outcome -> later choice ^ outcome)"
@@ -289,28 +325,18 @@ def _check_prediction(line, premises, order):
     """The cell a prediction line's statement names, if it has its tag's shape.
 
     The tag says only what kind of cell: PRED21-23 a zero cell, the
-    escaping cell of `_ZERO_SHAPE`, and PRED24 the witness cell of
-    `_WITNESS_SHAPE`.  Each shape gives the line's two choices, the
-    outcome that holds in the cell and the one that fails (`_named_cell`).
+    escaping cell of `_ZERO`, and PRED24 the witness cell of `_WITNESS`,
+    whose later choice c must be that of the outcome that fails.  Each
+    shape gives the line's two choices, the outcome that holds in the
+    cell and the one that fails (`_named_cell`).
     """
-    parts = _strict(line.statement)
-    if parts is None:
-        return RuleVerdict(INVALID, "prediction lines must be strict conditionals")
-    ant, cons, world = _conjuncts(parts[0]), parts[1], None
-    if line.rule == "PRED24":  # (c1 ^ c2) => ~(holds -> c ^ fails), with c the choice of fails
-        shape = _WITNESS_SHAPE
-        inner = cons.arg if isinstance(cons, Not) else None
-        rest = _conjuncts(inner.right) if isinstance(inner, MatImp) else ()
-        c, fails = rest if len(rest) == 2 else (None, None)
-        if len(ant) == 2 and isinstance(fails, Atom) and fails.choice() == c:
-            world = _named_cell(*ant, inner.left, fails)
-    else:  # (c1 ^ c2 ^ holds) => (c1 ^ c2 ^ fails)
-        shape, cons = _ZERO_SHAPE, _conjuncts(cons)
-        if len(ant) == 3 == len(cons) and ant[:2] == cons[:2]:
-            world = _named_cell(*ant, cons[2])
-    if world is None:
-        return RuleVerdict(INVALID, f"expected {shape}, found {unparse(line.statement)}")
-    return world
+    witness, b = line.rule == "PRED24", {}
+    if _match(_WITNESS if witness else _ZERO, line.statement, b):
+        world = _named_cell(b["c1"], b["c2"], b["holds"], b["fails"])
+        if world is not None and (not witness or b["fails"].choice() == b["c"]):
+            return world
+    shape = _WITNESS_SHAPE if witness else _ZERO_SHAPE
+    return RuleVerdict(INVALID, f"expected {shape}, found {unparse(line.statement)}")
 
 
 def _named_cell(c1, c2, holds, fails) -> World | None:
@@ -333,66 +359,36 @@ def _named_cell(c1, c2, holds, fails) -> World | None:
 
 
 def _check_b6(line, premises, order):
-    earlier, later = order.earlier_region, order.later_region
-    parts = _strict(line.statement)
-    if parts is None:
-        return RuleVerdict(INVALID, "expected a strict conditional")
-    ant = _conjuncts(parts[0])
-    box = _box(parts[1])
-    if box is None:
-        return RuleVerdict(INVALID, "consequent must be a counterfactual")
-    c, cons = box
-    if len(ant) != 3:
-        return RuleVerdict(INVALID, "antecedent must conjoin choice, choice, outcome")
-    e, r, o = ant
-    shape_ok = (
-        _is_choice(e, earlier)
-        and _is_choice(r, later)
-        and isinstance(o, Atom)
-        and o.is_outcome
-        and o.region == earlier
-        and o.setting == e.name
-        and _is_choice(c, later)
-        and c != r
-        and _conjuncts(cons) == [e, c, o]
+    b = {}
+    if _match(_B6, line.statement, b):
+        e, r, o, c = b["E"], b["r"], b["o"], b["c"]
+        if (
+            _is_choice(e, order.earlier_region)
+            and isinstance(o, Atom)
+            and o.is_outcome
+            and o.choice() == e
+            and _is_choice(r, order.later_region)
+            and _is_choice(c, order.later_region)
+            and c != r
+        ):
+            return RuleVerdict(VALID, "pinned-history axiom instance")
+    return RuleVerdict(
+        INVALID,
+        "expected (E ^ r ^ o) => [c []-> (E ^ c ^ o)] with E, o pinned in the "
+        f"earlier region, found {unparse(line.statement)}",
     )
-    if not shape_ok:
-        return RuleVerdict(
-            INVALID,
-            "expected (E ^ r ^ o) => [c []-> (E ^ c ^ o)] with E, o pinned in the "
-            f"earlier region, found {unparse(line.statement)}",
-        )
-    return RuleVerdict(VALID, "pinned-history axiom instance")
 
 
 def _check_b5_b7(line, premises, order):
-    concl = _strict(line.statement)
-    if concl is None:
-        return RuleVerdict(INVALID, "expected a strict conditional")
-    b, concl_box = concl
-    box = _box(concl_box)
-    if box is None:
-        return RuleVerdict(INVALID, "consequent must be a counterfactual")
-    c, f_cons = box
+    concl = {}
+    if not _match(_BOXED, line.statement, concl):
+        return RuleVerdict(INVALID, f"expected B => [c []-> F], found {unparse(line.statement)}")
     for prem in premises:
-        parts = _strict(prem)
-        if parts is None:
-            continue
-        prem_box = _box(parts[1])
-        if prem_box is None or prem_box[0] != c:
-            continue
-        x, d = parts[0], prem_box[1]
-        others = [p for p in premises if p is not prem]
-        ant_ok = x == b or any(
-            (sp := _strict(p)) is not None and sp[0] == b and sp[1] == x for p in others
-        )
-        cons_ok = d == f_cons or any(
-            (sp := _strict(p)) is not None and sp[0] == d and sp[1] == f_cons for p in others
-        )
-        if ant_ok and cons_ok:
-            return RuleVerdict(
-                VALID, "box premise matched with cited strengthening/weakening"
-            )
+        b = dict(concl)
+        if _match(_BOX, prem, b) and all(
+            x == y or StrictImp(x, y) in premises for x, y in ((b["B"], b["X"]), (b["D"], b["F"]))
+        ):
+            return RuleVerdict(VALID, "box premise matched with cited strengthening/weakening")
     return RuleVerdict(
         INVALID,
         "no cited premise chain yields this conclusion: need X => [c []-> D] plus "
@@ -403,27 +399,17 @@ def _check_b5_b7(line, premises, order):
 def _check_a5(line, premises, order):
     if len(premises) != 1:
         return RuleVerdict(INVALID, "import/export cites exactly one premise")
-    prem = _strict(premises[0])
-    concl = _strict(line.statement)
-    if prem is None or concl is None:
-        return RuleVerdict(INVALID, "premise and conclusion must be strict conditionals")
-
-    # import: from A => (B -> C) infer (A ^ B) => C
-    if isinstance(prem[1], MatImp):
-        a, inner = prem
-        if _conjuncts(concl[0]) == _conjuncts(a) + _conjuncts(inner.left) and concl[1] == inner.right:
-            return RuleVerdict(VALID, "import: hypothesis folded into the antecedent")
-
-    # export: from (A ^ B) => C infer A => (B -> C), with optional elision of
-    # pinned earlier-region conjuncts inside a counterfactual consequent
-    if isinstance(concl[1], MatImp):
-        ab = _conjuncts(prem[0])
-        a, inner = concl[0], concl[1]
-        if _conjuncts(a) + _conjuncts(inner.left) == ab:
-            if inner.right == prem[1]:
-                return RuleVerdict(VALID, "export: antecedent split around the arrow")
-            elided = _elision_ok(prem[1], inner.right, ab, order.earlier_region)
-            if elided is not None:
+    for before, after, detail in _A5_FORMS:
+        b = {}
+        if (
+            _match(before, premises[0], b)
+            and _match(after, line.statement, b)
+            and _conjuncts(b["AB"]) == _conjuncts(b["A"]) + _conjuncts(b["B"])
+        ):
+            if detail is not None:
+                return RuleVerdict(VALID, detail)
+            elided = _elision_ok(b["D"], b["F"], _conjuncts(b["AB"]), order.earlier_region)
+            if elided:
                 return RuleVerdict(
                     VALID,
                     "export with elision of pinned earlier-region conjuncts "
@@ -436,90 +422,65 @@ def _check_a5(line, premises, order):
     )
 
 
-def _elision_ok(prem_cons, concl_cons, antecedent_conjuncts, earlier):
-    """Dropped box conjuncts, if the transformation is a legal elision."""
-    pb, cb = _box(prem_cons), _box(concl_cons)
-    if pb is None or cb is None or pb[0] != cb[0]:
-        return None
-    full, reduced = _conjuncts(pb[1]), _conjuncts(cb[1])
-    if not _is_subsequence(reduced, full):
-        return None
+def _elision_ok(full, reduced, antecedent_conjuncts, earlier):
+    """The box conjuncts dropped from `full` to `reduced`, if each restates
+    an earlier-region atom of the antecedent and the rest keep their order,
+    else None; an empty list elides nothing."""
+    full, reduced = _conjuncts(full), _conjuncts(reduced)
     dropped = [x for x in full if x not in reduced]
-    if not dropped:
-        return None
-    for atom in dropped:
-        if not (isinstance(atom, Atom) and atom.region == earlier):
-            return None
-        if atom not in antecedent_conjuncts:
-            return None
-    return dropped
+    if _is_subsequence(reduced, full) and all(
+        isinstance(x, Atom) and x.region == earlier and x in antecedent_conjuncts
+        for x in dropped
+    ):
+        return dropped
+    return None
 
 
 def _check_loc1_commute(line, premises, order):
-    earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "commute cites exactly one premise")
-    prem = _strict(premises[0])
-    concl = _strict(line.statement)
-    if prem is None or concl is None or prem[0] != concl[0]:
-        return RuleVerdict(INVALID, "antecedents must match across the commute")
-    if not isinstance(prem[1], MatImp):
-        return RuleVerdict(INVALID, "premise consequent must be (E -> [c []-> D])")
-    e, prem_box = prem[1].left, _box(prem[1].right)
-    concl_box = _box(concl[1])
-    if prem_box is None or concl_box is None:
-        return RuleVerdict(INVALID, "both sides must carry a counterfactual")
-    c, d = prem_box
-    c2, inner = concl_box
-    shape_ok = (
-        c2 == c
-        and _is_choice(c, later)
-        and isinstance(inner, MatImp)
-        and inner.left == e
-        and inner.right == d
-        and isinstance(e, Atom)
-        and e.is_outcome
-        and e.region == earlier
-        and e.choice() in _conjuncts(concl[0])
+    b = {}
+    if _match(_COMMUTE, premises[0], b) and _match(_COMMUTED, line.statement, b):
+        e = b["E"]
+        if (
+            _is_choice(b["c"], order.later_region)
+            and isinstance(e, Atom)
+            and e.is_outcome
+            and e.region == order.earlier_region
+            and e.choice() in _conjuncts(b["X"])
+        ):
+            return RuleVerdict(
+                VALID, f"earlier outcome {unparse(e)} is invariant across accessible worlds"
+            )
+    return RuleVerdict(
+        INVALID,
+        "expected X => [E -> (c []-> D)] commuting to X => [c []-> (E -> D)] "
+        "with E a pinned earlier-region outcome",
     )
-    if not shape_ok:
-        return RuleVerdict(
-            INVALID,
-            "expected X => [E -> (c []-> D)] commuting to X => [c []-> (E -> D)] "
-            "with E a pinned earlier-region outcome",
-        )
-    return RuleVerdict(VALID, f"earlier outcome {unparse(e)} is invariant across accessible worlds")
 
 
 def _check_def(line, premises, order):
     earlier, later = order.earlier_region, order.later_region
     if len(premises) != 1:
         return RuleVerdict(INVALID, "definition step cites exactly one premise")
-    prem = _strict(premises[0])
-    concl = _strict(line.statement)
-    if prem is None or concl is None:
-        return RuleVerdict(INVALID, "premise and conclusion must be strict conditionals")
-    if not isinstance(prem[1], MatImp):
-        return RuleVerdict(INVALID, "premise consequent must be (c -> Y)")
-    c, y = prem[1].left, prem[1].right
-    box = _box(concl[1])
-    if box is None:
-        return RuleVerdict(INVALID, "conclusion consequent must be a counterfactual")
-    if not (_is_choice(c, later) and box[0] == c and box[1] == y):
-        return RuleVerdict(INVALID, "imposed choice and box consequent must match the premise")
-    a = _conjuncts(prem[0])
-    b = _conjuncts(concl[0])
-    if not _is_subsequence(a, b):
+    b = {}
+    if not (_match(_DEF, premises[0], b) and _match(_DEFINED, line.statement, b)):
+        return RuleVerdict(
+            INVALID,
+            "expected (A ^ r) => [c []-> Y] from A => (c -> Y), found "
+            f"{unparse(line.statement)} from {unparse(premises[0])}",
+        )
+    c = b["c"]
+    if not _is_choice(c, later):
+        return RuleVerdict(INVALID, f"imposed choice {unparse(c)} is not a later-region choice")
+    a, ab = _conjuncts(b["A"]), _conjuncts(b["AB"])
+    if not _is_subsequence(a, ab):
         return RuleVerdict(INVALID, "conclusion antecedent must extend the premise antecedent")
     if not all(isinstance(x, Atom) and x.region == earlier for x in a):
-        return RuleVerdict(
-            INVALID, "premise antecedent must contain only earlier-region atoms"
-        )
-    extra = [x for x in b if x not in a]
+        return RuleVerdict(INVALID, "premise antecedent must contain only earlier-region atoms")
+    extra = [x for x in ab if x not in a]
     if not all(isinstance(x, Atom) and x.region == later for x in extra):
-        return RuleVerdict(
-            INVALID, "extra conclusion conjuncts must be later-region atoms"
-        )
+        return RuleVerdict(INVALID, "extra conclusion conjuncts must be later-region atoms")
     contradicted = [x for x in extra if x.is_choice]
     if len(contradicted) != 1 or contradicted[0] == c:
         return RuleVerdict(
@@ -717,7 +678,7 @@ class _Plan:
 def _parts(f: Formula) -> tuple[Formula, Formula]:
     """The two parts `f`'s existential reading meets: a strict conditional's
     antecedent and consequent, else `f` twice."""
-    return _strict(f) or (f, f)
+    return (f.left, f.right) if isinstance(f, StrictImp) else (f, f)
 
 
 def _premise(f: Formula) -> tuple[Formula, ...]:
@@ -728,8 +689,7 @@ def _premise(f: Formula) -> tuple[Formula, ...]:
     for line 5, `L2` and `R2 & R2+`.  A statement no possible world
     tests holds vacuously.
     """
-    strict = _strict(f)
-    parts, body = ((strict[0],), strict[1]) if strict else ((), f)
+    parts, body = ((f.left,), f.right) if isinstance(f, StrictImp) else ((), f)
     return (*parts, body.left) if isinstance(body, MatImp) else parts
 
 
@@ -809,13 +769,10 @@ def _clashes(script: ProofScript, hyp_index: int) -> tuple:
     """
     scoped, unscoped = [], []
     for ln in script.lines:
-        parts = _strict(ln.statement)
-        if parts is None:
+        b = {}
+        if not _match(_BOX, ln.statement, b):
             continue
-        box = _box(parts[1])
-        if box is None:
-            continue
-        entry = (ln.index, parts[0], box[0], box[1])
+        entry = (ln.index, b["X"], b["c"], b["D"])
         if hyp_index in ln.hypothesis_scope:
             scoped.append(entry)
         elif ln.index != hyp_index:

@@ -333,7 +333,7 @@ class ProbabilityTable(Value):
             pair = _PAIR_KEYS.get(key)
             if pair is None:
                 pair = tuple(p.strip() for p in str(key).split(","))
-                if len(pair) != 2 or pair not in CHOICE_PAIRS:
+                if pair not in CHOICE_PAIRS:
                     raise TableError(f"bad choice-pair key {key!r}")
             if pair in keys:
                 raise TableError(f"choice-pair keys {keys[pair]!r} and {key!r} name the same pair")

@@ -1,7 +1,8 @@
 """Single-site mutation testing of the package against chosen tests.
 
 Opt-in: pytest does not collect this file (it is not named `test_*`),
-and no test run or CI step calls it.  Run it from anywhere:
+and CI runs only a small sample of it over the proof rule matcher.
+Run it from anywhere:
 
     python tests/mutate.py proof --functions _check_prediction,_named_cell \\
         -- tests/test_proof.py
@@ -25,8 +26,10 @@ candidates drawn with `--seed`; 0, the default, runs them all.
 Mutants known to change no behaviour are listed in `EQUIVALENT` and not
 run.  A mutant is named by its module, function, mutation and the
 source text of the expression it changes, not by line number, so the
-list survives edits elsewhere in the module.  The exit code is 1 if an
-unlisted mutant survives, else 0.
+list survives edits elsewhere in the module.  Where one function has
+several sites of the same text and mutation, the text of the n-th one
+after the first carries `#n`: `4`, then `4#2`, so each can be listed
+alone.  The exit code is 1 if an unlisted mutant survives, else 0.
 """
 
 from __future__ import annotations
@@ -85,13 +88,14 @@ EQUIVALENT = {
 class _Sites(ast.NodeTransformer):
     """Walks a module in a fixed order, listing its mutable sites; mutates the `target`-th.
 
-    Each site is (function, mutation, expression, line).  Only sites in
+    Each site is (function, mutation, expression, line), the expression
+    numbered by its occurrence (`4#2`) after the first.  Only sites in
     `functions` count, or every site if it is empty.
     """
 
     def __init__(self, functions=(), target=None):
         self.functions, self.target = functions, target
-        self.sites, self.scope, self.function = [], [], None
+        self.sites, self.scope, self.function, self.seen = [], [], None, {}
 
     def _hit(self, node, mutation) -> bool:
         where = self.function or ".".join(self.scope) or "<module>"
@@ -99,7 +103,9 @@ class _Sites(ast.NodeTransformer):
             where == f or where.startswith(f + ".") for f in self.functions
         ):
             return False
-        self.sites.append((where, mutation, ast.unparse(node), node.lineno))
+        text = ast.unparse(node)
+        n = self.seen[where, mutation, text] = self.seen.get((where, mutation, text), 0) + 1
+        self.sites.append((where, mutation, text if n == 1 else f"{text}#{n}", node.lineno))
         return len(self.sites) - 1 == self.target
 
     def visit_ClassDef(self, node):

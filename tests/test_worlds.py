@@ -636,6 +636,12 @@ _MULTI_DEFECT = [
     ("unknown two-part key + bad cell",
      _rows_text(**{"L3,R1": {**_ROW, "--": "x"}}),
      "bad choice-pair key 'L3,R1'"),
+    ("one-part key + bad cell",
+     _rows_text(**{"L1": {**_ROW, "--": "x"}}),
+     "bad choice-pair key 'L1'"),
+    ("three-part key + bad cell",
+     _rows_text(**{"L1,R1,R2": {**_ROW, "--": "x"}}),
+     "bad choice-pair key 'L1,R1,R2'"),
     ("row not a mapping + duplicate stripped key",
      {"L1,R1": 3, " L1,R1": _ROW},
      "row for 'L1,R1' must be a mapping"),
