@@ -21,16 +21,18 @@ constraints are solved in closed form for (angle_l1, angle_l2,
 angle_r1) given the free pair (theta, angle_r2), which pins the zero
 cells at machine-precision zero.  The paradox cell's maximum over the
 free pair, (5 sqrt(5) - 11) / 2, has a closed form too: no search runs.
-The optimum is verified once, at import too, as HARDY_REPORT.
+The optimum is verified once, at import too, as HARDY_REPORT.  A config
+file is read, checked and written by the JSON helpers a model file uses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 from .formula import Value
-from .worlds import ProbabilityTable, read_json
+from .worlds import (
+    ProbabilityTable, is_number, json_entry, json_mapping, json_number, read_json, write_json,
+)
 
 # cells below this are treated as exact Born-rule zeros when exporting
 ZERO_CLAMP = 1e-10
@@ -61,9 +63,7 @@ class HardyConfig(Value):
             value = getattr(self, name)
             # save_config writes JSON: a bool would be a JSON boolean, and a
             # Decimal or Fraction no JSON at all
-            if value.__class__ is not float and (  # a float, the usual case, passes here
-                value.__class__ is bool or not isinstance(value, (int, float))
-            ):
+            if value.__class__ is not float and not is_number(value):  # a float passes here
                 raise ValueError(f"{name} must be a number, got {value!r}")
             try:
                 finite = math.isfinite(value)
@@ -116,9 +116,8 @@ def export_table(cfg: HardyConfig) -> ProbabilityTable:
 # The four target constraints
 
 class PredictionReport(Value):
-    __slots__ = _fields = (
-        "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
-    )
+    __slots__ = _fields = ("c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance")
+    positivity_floor = POSITIVITY_FLOOR  # the same for every report, so not a field
 
     @property
     def pass_c1(self) -> bool:
@@ -164,9 +163,7 @@ def verify_hardy(cfg: HardyConfig, tol: float = DEFAULT_TOL) -> PredictionReport
     bit: c1 to c4, then (L1-, R1-), which with c4 makes the P(L1-) marginal.
     """
     # a bool would read as 1 or 0, and a str meet `<` with a bare TypeError
-    if tol.__class__ is not float and (  # a float, the usual case, passes here
-        tol.__class__ is bool or not isinstance(tol, (int, float))
-    ):
+    if tol.__class__ is not float and not is_number(tol):  # a float passes here
         raise ValueError(f"tol must be a number, got {tol!r}")
     if not 0 < tol < math.inf:  # NaN too; an infinite tol would pass any cell
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -183,9 +180,7 @@ def verify_hardy(cfg: HardyConfig, tol: float = DEFAULT_TOL) -> PredictionReport
     amp4 = sc * s1 - ts * c1  # c4: (L1, R1, -, +)
     amp5 = ts * s1 + sc * c1  # (L1, R1, -, -)
     c4 = amp4 * amp4
-    return PredictionReport(
-        amp1 * amp1, amp2 * amp2, amp3 * amp3, c4, c4 + amp5 * amp5, tol, POSITIVITY_FLOOR
-    )
+    return PredictionReport(amp1 * amp1, amp2 * amp2, amp3 * amp3, c4, c4 + amp5 * amp5, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,46 +255,21 @@ def config_to_dict(cfg: HardyConfig) -> dict:
     return {"theta": cfg.theta, "angles": {s: getattr(cfg, f) for s, f in _ANGLES.items()}}
 
 
-def _entry(mapping: dict, key: str, what: str):
-    if key not in mapping:
-        raise ValueError(f"bad config file structure: missing {what}")
-    return mapping[key]
-
-
-def _number(mapping: dict, key: str, what: str) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    value = _entry(mapping, key, what)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"bad config file structure: {what} is not a number")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond float range
-        raise ValueError(f"bad config file structure: {what} is out of range") from None
-
-
-def _mapping(value, what: str, keys: tuple, kind: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(
-            f"bad config file structure: {what} must be a mapping, got {type(value).__name__}"
-        )
-    for key in value:
-        if key not in keys:  # a misspelt key must not pass unread
-            only = f"{', '.join(map(repr, keys[:-1]))} and {keys[-1]!r} are read"
-            raise ValueError(f"bad config file structure: unknown {kind} {key!r}; only {only}")
-    return value
+def _bad_config(message: str) -> ValueError:
+    return ValueError(f"bad config file structure: {message}")
 
 
 def config_from_dict(data: dict) -> HardyConfig:
-    _mapping(data, "the file", ("theta", "angles"), "entry")
-    angles = _mapping(_entry(data, "angles", "'angles'"), "'angles'", tuple(_ANGLES), "angle")
-    theta = _number(data, "theta", "'theta'")
-    return HardyConfig(theta, *(_number(angles, s, f"angle {s!r}") for s in _ANGLES))
+    json_mapping(data, "the file", ("theta", "angles"), "entry", _bad_config)
+    angles = json_entry(data, "angles", "'angles'", _bad_config)
+    json_mapping(angles, "'angles'", tuple(_ANGLES), "angle", _bad_config)
+    fields = [(data, "theta", "'theta'")] + [(angles, s, f"angle {s!r}") for s in _ANGLES]
+    return HardyConfig(*(json_number(json_entry(mapping, key, what, _bad_config), what, _bad_config)
+                         for mapping, key, what in fields))
 
 
 def save_config(cfg: HardyConfig, path: str) -> None:
-    text = json.dumps(config_to_dict(cfg), indent=2)  # before the file is opened
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(config_to_dict(cfg), path)
 
 
 def load_config(path: str) -> HardyConfig:

@@ -14,6 +14,11 @@ The four prediction cells of the Hardy argument live here, as worlds:
 `semantics` reads them, and `quantum.verify_hardy` states those cells
 as fixed expressions (`test_cells_agree_bit_for_bit` pins each to its
 world here).  A prediction line in `proof` names its own cell instead.
+
+Both JSON files, a model's here and a configuration's in `quantum`, are
+read by `read_json`, written by `write_json` and checked by `is_number`,
+`json_number`, `json_entry` and `json_mapping`, each raising the error its
+caller passes, so the two formats refuse a defect in the same words.
 """
 
 from __future__ import annotations
@@ -132,13 +137,6 @@ ATOM_MASKS = {
 }
 
 
-def _to_float(value: int | float, what: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond float range
-        raise TableError(f"{what} is out of range") from None
-
-
 class _ReadOnlyDict(dict):
     """A dict that refuses writes and hashes by value, order-free."""
 
@@ -216,10 +214,7 @@ def _checked(rows: dict) -> tuple[float, ...]:
             if key not in row:
                 raise TableError(f"choice pair {pair} missing outcome cell {key!r}")
             p = row[key]
-            # a float, the usual case, passes the first test alone
-            if p.__class__ is not float and (
-                isinstance(p, bool) or not isinstance(p, (int, float))
-            ):
+            if p.__class__ is not float and not is_number(p):  # a float passes here
                 raise TableError(f"non-numeric probability {p!r} in {pair} cell {key!r}")
             try:
                 finite = math.isfinite(p)
@@ -344,9 +339,7 @@ class ProbabilityTable(Value):
             for outcomes, value in row.items():
                 if outcomes not in OUTCOME_PAIRS:
                     raise TableError(f"bad outcome key {outcomes!r} in row {key!r}")
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise TableError(f"cell {key!r}/{outcomes!r} is not a number")
-                cells[outcomes] = _to_float(value, f"cell {key!r}/{outcomes!r}")
+                cells[outcomes] = json_number(value, f"cell {key!r}/{outcomes!r}", TableError)
         return cls(rows)
 
     @classmethod
@@ -371,9 +364,7 @@ class Model(Value):
     def __init__(self, table: ProbabilityTable, epsilon: float):
         # save_model writes JSON: a bool would be a JSON boolean, and a Decimal
         # or Fraction no JSON at all
-        if epsilon.__class__ is not float and (  # a float, the usual case, passes here
-            epsilon.__class__ is bool or not isinstance(epsilon, (int, float))
-        ):
+        if epsilon.__class__ is not float and not is_number(epsilon):  # a float passes here
             raise ValueError(f"epsilon must be a number, got {epsilon!r}")
         if not 0.0 <= epsilon <= 1e-3:
             raise ValueError(f"epsilon must lie in [0, 1e-3], got {epsilon}")
@@ -417,21 +408,56 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(data: dict) -> Model:
-    if not isinstance(data, dict) or "table" not in data:
-        raise TableError("model file must be a mapping with a 'table' entry")
-    extra = [key for key in data if key not in ("epsilon", "table")]
-    if extra:  # a misspelt 'epsilon' must not load at the default
-        raise TableError(
-            f"unknown model file entry {extra[0]!r}: only 'epsilon' and 'table' are read"
-        )
+    # the first defect is reported, in this order: not a mapping, no 'table', an unknown
+    # entry, an 'epsilon' not a number, the table's own, an 'epsilon' out of range
+    if isinstance(data, dict):
+        json_entry(data, "table", "'table'", TableError)
+    json_mapping(data, "the file", ("epsilon", "table"), "entry", TableError)
     epsilon = data.get("epsilon", DEFAULT_EPSILON)
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise TableError("'epsilon' must be a number")
-    return build_model(ProbabilityTable.from_dict(data["table"]), _to_float(epsilon, "'epsilon'"))
+    table = ProbabilityTable.from_dict(data["table"]) if is_number(epsilon) else None
+    return build_model(table, json_number(epsilon, "'epsilon'", TableError))
 
 
 def save_model(model: Model, path: str) -> None:
-    text = json.dumps(model_to_dict(model), indent=2)  # before the file is opened
+    write_json(model_to_dict(model), path)
+
+
+def is_number(value) -> bool:
+    """An int or a float, not a bool: a JSON number as Python reads it."""
+    return isinstance(value, (int, float)) and value.__class__ is not bool
+
+
+def json_number(value, what: str, error) -> float:
+    """A JSON number as a float; a string, a bool or null is not one."""
+    if not is_number(value):
+        raise error(f"{what} is not a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise error(f"{what} is out of range") from None
+
+
+def json_entry(mapping: dict, key: str, what: str, error):
+    """The value under `key`, which must be there."""
+    if key not in mapping:
+        raise error(f"missing {what}")
+    return mapping[key]
+
+
+def json_mapping(data, what: str, keys: tuple, kind: str, error) -> dict:
+    """`data` itself, if it is a mapping whose every key is one of `keys`."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a mapping, got {type(data).__name__}")
+    for key in data:
+        if key not in keys:  # a misspelt key must not pass unread
+            only = f"{', '.join(map(repr, keys[:-1]))} and {keys[-1]!r} are read"
+            raise error(f"unknown {kind} {key!r}; only {only}")
+    return data
+
+
+def write_json(data, path: str) -> None:
+    """`data` as indented JSON and a newline; the text is made before the file is opened."""
+    text = json.dumps(data, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -10,12 +10,14 @@ Run it from anywhere:
 Each mutant changes one site of one module in `src/hardylogic`: a
 comparison flipped (`==`/`!=`, `<`/`<=`, `>`/`>=`, `is`/`is not`,
 `in`/`not in`), `and`/`or`, `&`/`|`, `+`/`-` or `<<`/`>>` swapped, a
-`not` dropped, a call made as a statement dropped, or an int bumped by
-one.  Type annotations are left alone.  Each mutant runs the pytest
-arguments given after `--` (default `tests`), with
-`-x -q -p no:cacheprovider` before them, from the repository root
-against a copy of `src/` that holds it.  A mutant whose run passes
-survives.  The unmutated copy runs first and must pass.
+`not` dropped, one operand of an `and`/`or` chain of three or more
+dropped (named by the operand's text), a call made as a statement
+dropped, or an int bumped by one.  Type annotations are left alone.
+Each mutant runs the pytest arguments given after `--` (default
+`tests`), with `-x -q -p no:cacheprovider` before them, from the
+repository root against a copy of `src/` that holds it.  A mutant
+whose run passes survives.  The unmutated copy runs first and must
+pass.
 
 `--functions` limits the sites to those functions, by qualified name
 (`Class.method`, `outer.inner`); a function takes its nested functions
@@ -145,6 +147,10 @@ class _Sites(ast.NodeTransformer):
         swap = _BOOL[type(node.op)]
         if self._hit(node, f"{type(node.op).__name__}->{swap.__name__}"):
             node.op = swap()
+        if len(node.values) >= 3:  # a chain of two keeps its `and`/`or` swap alone
+            for operand in list(node.values):
+                if self._hit(operand, "drop-operand"):
+                    node.values = [value for value in node.values if value is not operand]
         return node
 
     def visit_BinOp(self, node):

@@ -163,6 +163,34 @@ def test_sr_table_exits_1_when_its_false_row_is_another(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("false rows: 1 of 16\n")
 
 
+_SR_ROWS = [(r.ra, r.ra_plus, r.rc, r.rc_minus) for r in semantics.sr_truth_table()]
+_SR_FALSE = (True, True, True, False)  # RA, RA+ and RC without RC-
+
+
+@pytest.mark.parametrize(
+    "rows, count",
+    [
+        # the false row lacks RA, RA+ or RC instead, and is listed before the expected one
+        *(([(*r, r != lacking) for r in reversed(_SR_ROWS)], 1)
+          for lacking in ((False, True, True, False), (True, False, True, False),
+                          (True, True, False, False))),
+        # the expected row is false, and so is another
+        ([(*r, r not in (_SR_FALSE, (False,) * 4)) for r in _SR_ROWS], 2),
+        # the expected row is missing, and another is false
+        ([(*r, any(r)) for r in _SR_ROWS if r != _SR_FALSE], 1),
+    ],
+    ids=["lacks-RA", "lacks-RA+", "lacks-RC", "two-false", "no-expected-row"],
+)
+def test_sr_table_exits_1_unless_its_one_false_row_is_the_expected_one(
+    rows, count, monkeypatch, capsys
+):
+    table = [SimpleNamespace(ra=ra, ra_plus=rp, rc=rc, rc_minus=rm, sr=sr)
+             for ra, rp, rc, rm, sr in rows]
+    monkeypatch.setattr(semantics, "sr_truth_table", lambda: table)
+    assert main(["sr-table"]) == 1
+    assert capsys.readouterr().out.endswith(f"false rows: {count} of {len(rows)}\n")
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["check-theorem", "/nonexistent/model.json"]) == 2
     assert "file not found" in capsys.readouterr().err
@@ -190,7 +218,7 @@ def test_misspelt_epsilon_exits_2(model_path, tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["check-theorem", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        "error: unknown model file entry 'epsilom': only 'epsilon' and 'table' are read\n"
+        "error: unknown entry 'epsilom'; only 'epsilon' and 'table' are read\n"
     )
 
 
@@ -519,9 +547,7 @@ def test_os_error_without_a_path_exits_2(tmp_path, monkeypatch, exc, capsys):
 
 def test_search_error_exits_2(monkeypatch, capsys):
     r = quantum.HARDY_REPORT
-    failing = PredictionReport(
-        1.0, r.c2, r.c3, r.c4, r.marginal_l1_minus, r.tolerance, r.positivity_floor
-    )
+    failing = PredictionReport(1.0, r.c2, r.c3, r.c4, r.marginal_l1_minus, r.tolerance)
     monkeypatch.setattr(quantum, "HARDY_REPORT", failing)
     assert main(["hardy", "find"]) == 2
     err = capsys.readouterr().err

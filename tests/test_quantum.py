@@ -34,6 +34,10 @@ from hardylogic.worlds import (
     OUTCOME_PAIRS,
     PARADOX_WORLD,
     ProbabilityTable,
+    TableError,
+    build_model,
+    load_model,
+    model_to_dict,
 )
 from oracles import (
     OPTIMAL_PARADOX,
@@ -162,7 +166,6 @@ def test_the_report_matches_one_built_by_keyword():
             c1=c1, c2=c2, c3=c3, c4=c4,
             marginal_l1_minus=c4 + _scalar_cell(cfg, "L1", "R1", "-", "-"),
             tolerance=quantum.DEFAULT_TOL,
-            positivity_floor=quantum.POSITIVITY_FLOOR,
         )
         report = verify_hardy(cfg)
         assert report == expected and hash(report) == hash(expected)
@@ -181,12 +184,12 @@ _BOUNDARY = (0.0, -0.0, 1e-9, 5e-324, math.nan, math.inf, -math.inf)
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_passed_is_every_prediction_passing(data):
-    # the fields as drawn, with cells exactly at tol or at the floor,
+    # the fields as drawn, with cells exactly at tol or at the fixed floor,
     # NaN and the infinities among them
-    tol, floor = (data.draw(st.floats() | st.sampled_from(_BOUNDARY)) for _ in range(2))
-    cell = st.floats() | st.sampled_from((tol, floor, *_BOUNDARY))
+    tol = data.draw(st.floats() | st.sampled_from(_BOUNDARY))
+    cell = st.floats() | st.sampled_from((tol, quantum.POSITIVITY_FLOOR, *_BOUNDARY))
     c1, c2, c3, c4 = (data.draw(cell) for _ in range(4))
-    report = PredictionReport(c1, c2, c3, c4, data.draw(cell), tol, floor)
+    report = PredictionReport(c1, c2, c3, c4, data.draw(cell), tol)
     assert report.passed == (report.pass_c1 and report.pass_c2 and report.pass_c3 and report.pass_c4)
     assert type(report.passed) is bool
 
@@ -334,7 +337,7 @@ def test_the_optimum_is_verified_once_at_import():
     # every digit as the sixteen-cell route printed it
     assert repr(HARDY_REPORT) == (
         "PredictionReport(c1=0.0, c2=7.703719777548943e-34, c3=0.0, c4=0.09016994374947425, "
-        "marginal_l1_minus=0.23606797749978964, tolerance=1e-09, positivity_floor=1e-09)"
+        "marginal_l1_minus=0.23606797749978964, tolerance=1e-09)"
     )
 
 
@@ -564,3 +567,38 @@ def test_config_rejects_an_unknown_entry(in_angles, key, message):
     (data["angles"] if in_angles else data)[key] = 1
     with pytest.raises(ValueError, match=f"^bad config file structure: {message}$"):
         config_from_dict(data)
+
+
+# each file format as (loader, a good file, the error's type and prefix, a number entry,
+# a required entry, the entries read)
+_FORMATS = {
+    "model": (load_model, model_to_dict(build_model(ProbabilityTable.uniform())), TableError, "",
+              "epsilon", "table", "'epsilon' and 'table'"),
+    "config": (load_config, config_to_dict(HardyConfig(0.4, 0.1, 0.2, 0.3, 0.5)), ValueError,
+               "bad config file structure: ", "theta", "angles", "'theta' and 'angles'"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_FORMATS))
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (lambda data, number, entry: [data], "the file must be a mapping, got list"),
+        (lambda data, number, entry: {**data, "extra": 1},
+         "unknown entry 'extra'; only {read} are read"),
+        (lambda data, number, entry: {k: v for k, v in data.items() if k != entry},
+         "missing '{entry}'"),
+        (lambda data, number, entry: {**data, number: True}, "'{number}' is not a number"),
+        (lambda data, number, entry: {**data, number: "0.3"}, "'{number}' is not a number"),
+        (lambda data, number, entry: {**data, number: 10**400}, "'{number}' is out of range"),
+    ],
+    ids=["list", "unknown-entry", "missing-entry", "true", "string", "huge-int"],
+)
+def test_model_and_config_files_refuse_a_shape_alike(fmt, shape, message, tmp_path):
+    load, good, error, prefix, number, entry, read = _FORMATS[fmt]
+    path = tmp_path / f"{fmt}.json"
+    path.write_text(json.dumps(shape(good, number, entry)), encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load(str(path))
+    assert type(raised.value) is error
+    assert str(raised.value) == prefix + message.format(number=number, entry=entry, read=read)

@@ -85,9 +85,7 @@ FIELDS = {
     ProbabilityTable: ("rows",),
     Model: ("table", "epsilon"),
     HardyConfig: ("theta", "angle_l1", "angle_l2", "angle_r1", "angle_r2"),
-    PredictionReport: (
-        "c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance", "positivity_floor"
-    ),
+    PredictionReport: ("c1", "c2", "c3", "c4", "marginal_l1_minus", "tolerance"),
     SearchParams: ("seed",),
     TemporalOrder: ("earlier_region",),
     CfOptions: ("order", "quantifier", "self_world_when_consistent"),
@@ -184,9 +182,9 @@ SAMPLES = [
         "HardyConfig(theta=0.5, angle_l1=-1.0, angle_l2=2.0, angle_r1=0.25, angle_r2=0.001)",
     ),
     (
-        PredictionReport(0.0, 1e-17, 0.0, 0.09, 0.5, 1e-9, 1e-9),
+        PredictionReport(0.0, 1e-17, 0.0, 0.09, 0.5, 1e-9),
         "PredictionReport(c1=0.0, c2=1e-17, c3=0.0, c4=0.09, marginal_l1_minus=0.5, "
-        "tolerance=1e-09, positivity_floor=1e-09)",
+        "tolerance=1e-09)",
     ),
     (SearchParams(), "SearchParams(seed=0)"),
     (SearchParams(3), "SearchParams(seed=3)"),
@@ -379,6 +377,7 @@ def test_building_a_model_hashes_no_world(monkeypatch):
 # what each former field, now worked out from the fields, reads on its sample
 DERIVED = [
     (_MODEL, "possible", frozenset(w for w in WORLDS if w.outcome_r == "+")),
+    (PredictionReport(0.0, 1e-17, 0.0, 0.09, 0.5, 1e-9), "positivity_floor", 1e-9),
     (_THEOREM, "sr_true_on_all_l2_worlds", False),
     (_THEOREM, "sr_false_l1_witness", None),
     (TheoremReport(True, "", GlobalCheck(True, None, ()), _CHECK, False), "sr_false_l1_witness", _W),

@@ -447,7 +447,7 @@ def test_model_file_epsilon_that_is_not_a_number_is_refused(epsilon):
     data["epsilon"] = epsilon
     with pytest.raises(TableError) as raised:
         model_from_dict(data)
-    assert str(raised.value) == "'epsilon' must be a number"
+    assert str(raised.value) == "'epsilon' is not a number"
 
 
 def test_a_fallback_load_checks_its_cells_once(hardy_table, monkeypatch):
@@ -508,11 +508,33 @@ def test_model_json_rejects_an_unknown_entry(key):
     with pytest.raises(TableError) as raised:
         model_from_dict(data)
     assert str(raised.value) == (
-        f"unknown model file entry {key!r}: only 'epsilon' and 'table' are read"
+        f"unknown entry {key!r}; only 'epsilon' and 'table' are read"
     )
     del data["epsilon"]
-    with pytest.raises(TableError, match=f"unknown model file entry {key!r}"):
+    with pytest.raises(TableError, match=f"^unknown entry {key!r}; "):
         model_from_dict(data)
+
+
+_UNIFORM_TABLE = {f"{cl},{cr}": _ROW for cl, cr in CHOICE_PAIRS}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"tabel": _UNIFORM_TABLE}, "missing 'table'"),
+        ({"table": _UNIFORM_TABLE, "extra": 1, "epsilon": "x"},
+         "unknown entry 'extra'; only 'epsilon' and 'table' are read"),
+        ({"table": [], "epsilon": "x"}, "'epsilon' is not a number"),
+        ({"table": [], "epsilon": 10**400}, "table must be a mapping, got list"),
+    ],
+    ids=["no-table-and-unknown", "unknown-and-epsilon", "epsilon-and-table", "table-and-range"],
+)
+def test_a_model_file_reports_the_first_of_two_top_level_defects(data, message):
+    # in order: the top level, a missing 'table', an unknown entry, an 'epsilon'
+    # that is not a number, the table's own defects, an 'epsilon' out of range
+    with pytest.raises(TableError) as raised:
+        model_from_dict(data)
+    assert str(raised.value) == message
 
 
 def test_two_keys_for_one_choice_pair_rejected(hardy_model):
